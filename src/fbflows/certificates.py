@@ -6,8 +6,10 @@ constants, and every inequality that was verified (with the numbers that were
 compared, so the certificate can be re-checked later).  Violations raise
 CertificateError naming each failed inequality; nothing is clamped silently.
 
-Time-dependent conditions are verified on a dense grid (default 2000 points,
-slack 1e-9) because schedules are arbitrary callables.
+Time-dependent conditions of the second-order systems are verified on the
+samples of ``Schedule.check``: an even grid over [0, t_grid_end] (default 2000
+points, slack 1e-9).  The certificate records t_grid_end and n_grid in its
+inputs; it makes no claim beyond that interval.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flows import Schedule
+from .flows import Profile, Schedule, sample
 
 GRID_SLACK = 1e-9
 ROUND_SLACK = 1e-12
@@ -68,6 +70,13 @@ def _worst(name: str, lhs_grid, rhs_grid, strict: bool = False) -> Check:
     k = int(np.argmax(lhs_grid - rhs_grid))
     lhs, rhs = float(lhs_grid[k]), float(rhs_grid[k])
     return Check(name=name, lhs=lhs, rhs=rhs, strict=strict, slack=_grid_slack(lhs, rhs))
+
+
+def _monotonicity(lam, gam) -> list:
+    """The grid checks that gamma and gamma/lambda are nonincreasing."""
+    zeros = np.zeros(lam.size - 1)
+    return [_worst("gamma(t) nonincreasing", np.diff(gam), zeros),
+            _worst("gamma(t)/lambda(t) nonincreasing", np.diff(gam / lam), zeros)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,7 +226,7 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
         raise ValueError("rho and beta must be positive")
     alpha = _check_unit_interval("alpha", alpha)
     delta = _check_unit_interval("delta", delta)
-    sched.check(t_grid_end, n=n_grid)
+    _, lam, gam, _ = sched.check(t_grid_end, n=n_grid)
 
     big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
     checks = [
@@ -226,8 +235,6 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
     ]
     extra = []
 
-    ts = np.linspace(0.0, float(t_grid_end), n_grid)
-    lam = np.array([sched.lam(t) for t in ts])
     theta_t = theta_coeff * lam
     checks.append(_worst("theta(t) <= K*lambda(t) + K^2*lambda(t)^2",
                          theta_t, k_slope * lam + k_slope ** 2 * lam ** 2))
@@ -235,20 +242,18 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
     checks.append(Check("theta > 2", lhs=2.0, rhs=theta_floor, strict=True))
 
     gamma_lower = (1.0 + math.sqrt(max(1.0 + 4.0 * theta_floor, 0.0))) / 2.0
-    if sched.gamma is None:
+    if gam is None:
         extra.append("gamma(t) missing from schedule")
     else:
-        gam = np.array([sched.gamma(t) for t in ts])
         lo = (1.0 + np.sqrt(1.0 + 4.0 * theta_t)) / 2.0
         checks.append(_worst("(1 + sqrt(1 + 4*theta(t)))/2 <= gamma(t)", lo, gam))
         checks.append(_worst("gamma(t) <= 1 + K*lambda(t)", gam, 1.0 + k_slope * lam))
-        checks.append(_worst("gamma(t) nonincreasing", np.diff(gam), np.zeros(n_grid - 1)))
-        checks.append(_worst("gamma(t)/lambda(t) nonincreasing",
-                             np.diff(gam / lam), np.zeros(n_grid - 1)))
+        checks += _monotonicity(lam, gam)
 
     eta = 1.0 / inv_eta if inv_eta > 0.0 else math.nan
     inputs = {"rho": rho, "beta": beta, "alpha": alpha, "delta": delta,
-              "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper}
+              "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
+              "t_grid_end": float(t_grid_end), "n_grid": int(n_grid)}
     derived = {"eta": eta, "S": big_s, "K": k_slope, "theta_coefficient": theta_coeff,
                "theta": theta_floor, "gamma_lower": gamma_lower}
     return _finish("fb2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
@@ -321,11 +326,13 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
         const = float(alpha_fn)
         if alpha_bar is None:
             alpha_bar = const
-        alpha_fn = lambda t, a=const: a
+        alpha_fn = Profile(const, const)
     if alpha_bar is None:
         raise ValueError("alpha_bar required when alpha(t) is not constant")
     alpha_bar = float(alpha_bar)
-    sched.check(t_grid_end, n=n_grid)
+    ts, lam, gam, a_t = sched.check(t_grid_end, n=n_grid)
+    if alpha_fn is not sched.alpha:
+        a_t = sample(alpha_fn, ts)
 
     checks = [
         Check("rho*beta <= 1", lhs=rho * beta, rhs=1.0,
@@ -334,9 +341,6 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
     ]
     extra = []
 
-    ts = np.linspace(0.0, float(t_grid_end), n_grid)
-    lam = np.array([sched.lam(t) for t in ts])
-    a_t = np.array([alpha_fn(t) for t in ts])
     floor = max(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
     checks.append(_worst("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)",
                          np.full_like(a_t, floor), a_t))
@@ -346,20 +350,18 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
                          lam, 0.5 * beta * (a_t + a_t * a_t)))
 
     gamma_lower = (1.0 + math.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
-    if sched.gamma is None:
+    if gam is None:
         extra.append("gamma(t) missing from schedule")
     else:
-        gam = np.array([sched.gamma(t) for t in ts])
         lo = (1.0 + np.sqrt(1.0 + 8.0 * lam / beta)) / 2.0
         checks.append(_worst("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t)", lo, gam))
         checks.append(_worst("gamma(t) <= 1 + alpha(t)", gam, 1.0 + a_t))
-        checks.append(_worst("gamma(t) nonincreasing", np.diff(gam), np.zeros(n_grid - 1)))
-        checks.append(_worst("gamma(t)/lambda(t) nonincreasing",
-                             np.diff(gam / lam), np.zeros(n_grid - 1)))
+        checks += _monotonicity(lam, gam)
     checks.append(Check("gamma_lower > 2", lhs=2.0, rhs=gamma_lower, strict=True))
 
     inputs = {"rho": rho, "beta": beta, "alpha_bar": alpha_bar,
-              "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper}
+              "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
+              "t_grid_end": float(t_grid_end), "n_grid": int(n_grid)}
     derived = {"gamma_lower": gamma_lower, "alpha_floor": floor,
                "alpha_inf": float(np.min(a_t))}
     return _finish("grad2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,

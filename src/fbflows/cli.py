@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, analysis, certificates, flows, integrate, problems
 from .certificates import CertificateError
-from .flows import Schedule, ScheduleError
+from .flows import Profile, Schedule, ScheduleError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -98,16 +98,13 @@ class ExperimentConfig:
                    seed=seed, output_dir=doc.get("output_dir"), raw=doc)
 
 
-def _profile(spec, name: str):
-    """Resolve a scalar-or-profile parameter to (fn, lo, hi, trend).
-
-    trend: -1 nonincreasing, 0 constant, +1 nondecreasing.
-    """
+def _profile(spec, name: str) -> Profile:
+    """Resolve a number, a constant profile or an exp_ramp profile to a Profile."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         v = float(spec)
         if not (v > 0.0) or not math.isfinite(v):
             raise ConfigError("'%s' must be positive and finite, got %r" % (name, spec))
-        return (lambda t, v=v: v), v, v, 0
+        return Profile(v, v)
     if isinstance(spec, dict):
         kind = spec.get("profile")
         if kind == "constant":
@@ -120,12 +117,7 @@ def _profile(spec, name: str):
                 raise ConfigError("'%s' exp_ramp needs numeric start/end/rate" % name)
             if rate <= 0.0 or start <= 0.0 or end <= 0.0:
                 raise ConfigError("'%s' exp_ramp needs positive start/end/rate" % name)
-
-            def fn(t, a=start, b=end, r=rate):
-                return b + (a - b) * math.exp(-r * t)
-
-            trend = 0 if start == end else (1 if end > start else -1)
-            return fn, min(start, end), max(start, end), trend
+            return Profile(start, end, rate)
         raise ConfigError("unknown profile %r for '%s'" % (kind, name))
     raise ConfigError("'%s' must be a number or a profile object, got %r" % (name, spec))
 
@@ -138,24 +130,18 @@ def _require(params: dict, key: str):
 
 def _build_schedule(cfg: ExperimentConfig) -> Schedule:
     params = cfg.params
-    lam_fn, lam_lo, lam_hi, lam_trend = _profile(_require(params, "lambda"), "lambda")
-    gamma_fn = alpha_fn = None
-    gamma_noninc = over_noninc = False
+    lam = _profile(_require(params, "lambda"), "lambda")
+    gamma = alpha = None
     if cfg.system in ("fb2", "grad2"):
-        gamma_fn, _, _, g_trend = _profile(_require(params, "gamma"), "gamma")
-        gamma_noninc = g_trend <= 0
-        over_noninc = g_trend <= 0 and lam_trend >= 0
-    if cfg.system == "grad2" and "alpha" in params:
-        alpha_fn, _, _, _ = _profile(params["alpha"], "alpha")
-    return Schedule(
-        lam=lam_fn,
-        lambda_lower=lam_lo,
-        lambda_upper=lam_hi,
-        gamma=gamma_fn,
-        alpha=alpha_fn,
-        gamma_nonincreasing=gamma_noninc,
-        gamma_over_lambda_nonincreasing=over_noninc,
-    )
+        gamma = _profile(_require(params, "gamma"), "gamma")
+    if cfg.system == "grad2":
+        if "alpha" in params:
+            alpha = _profile(params["alpha"], "alpha")
+        elif "alpha_bar" in params:
+            alpha_bar = float(params["alpha_bar"])
+            alpha = Profile(alpha_bar, alpha_bar)
+    return Schedule(lam=lam, lambda_lower=min(lam.start, lam.end),
+                    lambda_upper=max(lam.start, lam.end), gamma=gamma, alpha=alpha)
 
 
 def _scalar(params: dict, key: str) -> float:
@@ -208,18 +194,12 @@ def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
         return certificates.certify_fb2(inst.rho, inst.beta, _scalar(p, "alpha"),
                                         _scalar(p, "delta"), sched,
                                         t_grid_end=_t_grid_end(cfg))
-    alpha_bar = p.get("alpha_bar")
-    alpha_fn = None
-    if "alpha" in p:
-        if isinstance(p["alpha"], (int, float)) and not isinstance(p["alpha"], bool):
-            alpha_fn = float(p["alpha"])
-        else:
-            alpha_fn, _, _, _ = _profile(p["alpha"], "alpha")
-    elif alpha_bar is not None:
-        alpha_fn = float(alpha_bar)
-    else:
+    if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-    return certificates.certify_grad2(inst.rho, inst.beta, alpha_fn, sched,
+    alpha_bar = p.get("alpha_bar")
+    if alpha_bar is None and sched.alpha.start == sched.alpha.end:
+        alpha_bar = sched.alpha.end
+    return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
                                       alpha_bar=alpha_bar, t_grid_end=_t_grid_end(cfg))
 
 
@@ -331,11 +311,8 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
         reports["lyapunov"] = analysis.verify_lyapunov(traj, coeffs, metrics)
         reports["m_raw"] = m_raw
     else:
-        alpha_bar = cert.inputs["alpha_bar"]
-        grad_sched = sched if sched.alpha is not None else dataclasses.replace(
-            sched, alpha=lambda t: alpha_bar)
         coeffs = certificates.grad2_lemma_coefficients(
-            inst.rho, inst.beta, alpha_bar, grad_sched)
+            inst.rho, inst.beta, cert.inputs["alpha_bar"], sched)
         m_raw, _ = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
         env = analysis.build_envelope(cert, gap0=float(metrics.gap[0]), m=m_raw)
         reports["envelope"] = analysis.verify_envelope(

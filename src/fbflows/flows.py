@@ -19,17 +19,42 @@ from .operators import FunctionOracle, MonotoneMap, ResolventOracle, as_vector
 
 
 class ScheduleError(ValueError):
-    """A schedule violates its declared bounds or monotonicity flags."""
+    """A schedule leaves its declared lambda bounds."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Profile:
+    """The coefficient end + (start - end) * exp(-rate * t); a constant when start == end.
+
+    An array of times is evaluated with one ``np.exp`` call, a float t with
+    ``math.exp``.
+    """
+
+    start: float
+    end: float
+    rate: float = 0.0
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            return self.end + (self.start - self.end) * np.exp(-self.rate * t)
+        return self.end + (self.start - self.end) * math.exp(-self.rate * t)
+
+
+def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """fn on the times ts: one call for a Profile, point by point for any other callable."""
+    if isinstance(fn, Profile):
+        return fn(ts)
+    return np.array([fn(t) for t in ts], dtype=float)
 
 
 @dataclasses.dataclass
 class Schedule:
-    """Time-dependent coefficients lambda(t), gamma(t), alpha(t) with declared bounds.
+    """Time-dependent coefficients lambda(t), gamma(t), alpha(t) with declared lambda bounds.
 
-    ``lam`` is the relaxation and is always required.  ``gamma`` (damping) and
-    ``alpha`` (a second-order relaxation floor profile) are optional.  Bounds
-    and monotonicity flags are declarations; ``check`` probes them on a dense
-    grid with finite differences.
+    ``lam`` (relaxation) is required; ``gamma`` (damping) and ``alpha`` (a
+    second-order relaxation floor) are optional.  Each is a Profile or any
+    callable of t.  The certificates check their conditions on the samples of
+    ``check``, so they hold on that grid's interval only.
     """
 
     lam: Callable[[float], float]
@@ -37,8 +62,6 @@ class Schedule:
     lambda_upper: float
     gamma: Optional[Callable[[float], float]] = None
     alpha: Optional[Callable[[float], float]] = None
-    gamma_nonincreasing: bool = False
-    gamma_over_lambda_nonincreasing: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.lambda_lower <= self.lambda_upper):
@@ -53,32 +76,22 @@ class Schedule:
         lam = float(lam)
         if not (lam > 0.0):
             raise ScheduleError("constant relaxation must be positive, got %r" % lam)
-        return cls(
-            lam=lambda t: lam,
-            lambda_lower=lam,
-            lambda_upper=lam,
-            gamma=(None if gamma is None else (lambda t, g=float(gamma): g)),
-            alpha=(None if alpha is None else (lambda t, a=float(alpha): a)),
-            gamma_nonincreasing=gamma is not None,
-            gamma_over_lambda_nonincreasing=gamma is not None,
-        )
+        return cls(lam=Profile(lam, lam), lambda_lower=lam, lambda_upper=lam,
+                   gamma=None if gamma is None else Profile(float(gamma), float(gamma)),
+                   alpha=None if alpha is None else Profile(float(alpha), float(alpha)))
 
-    def check(self, t_end: float, n: int = 2000, slack: float = 1e-9) -> None:
-        """Verify bounds and declared flags on an even grid over [0, t_end]."""
+    def check(self, t_end: float, n: int = 2000, slack: float = 1e-9):
+        """(ts, lam, gamma, alpha) on an even grid over [0, t_end], lambda inside its bounds.
+
+        Each coefficient is sampled once; gamma and alpha are None when absent.
+        """
         ts = np.linspace(0.0, float(t_end), n)
-        lam = np.array([self.lam(t) for t in ts])
+        lam = sample(self.lam, ts)
         if np.any(lam < self.lambda_lower - slack) or np.any(lam > self.lambda_upper + slack):
             raise ScheduleError("lambda(t) leaves its declared bounds")
-        if self.gamma is not None:
-            gam = np.array([self.gamma(t) for t in ts])
-            if self.gamma_nonincreasing and np.any(np.diff(gam) > slack):
-                raise ScheduleError("gamma(t) declared nonincreasing but increases on the grid")
-            if self.gamma_over_lambda_nonincreasing and np.any(np.diff(gam / lam) > slack):
-                raise ScheduleError(
-                    "gamma(t)/lambda(t) declared nonincreasing but increases on the grid"
-                )
-        elif self.gamma_nonincreasing or self.gamma_over_lambda_nonincreasing:
-            raise ScheduleError("monotonicity flags set but no gamma(t) given")
+        gam = None if self.gamma is None else sample(self.gamma, ts)
+        alpha = None if self.alpha is None else sample(self.alpha, ts)
+        return ts, lam, gam, alpha
 
 
 @dataclasses.dataclass(frozen=True)

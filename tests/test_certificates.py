@@ -141,12 +141,21 @@ def test_fb2_needs_gamma():
     assert "gamma(t) missing from schedule" in exc.value.failures
 
 
-def test_fb2_increasing_gamma_rejected():
-    sched = Schedule(lam=lambda t: 40.0, lambda_lower=40.0, lambda_upper=40.0,
-                     gamma=lambda t: 10.87 + 0.001 * t)
+@pytest.mark.parametrize("system", ["fb2", "grad2"])
+def test_increasing_gamma_rejected(system):
+    # gamma stays inside its window on [0, 50]; only the monotonicity checks fail
+    if system == "fb2":
+        sched = Schedule(lam=lambda t: 40.0, lambda_lower=40.0, lambda_upper=40.0,
+                         gamma=lambda t: 10.87 + 0.001 * t)
+        certify = lambda: certify_fb2(1.0, 1.0, 0.5, 0.5, sched)
+    else:
+        sched = Schedule(lam=lambda t: 1.5, lambda_lower=1.5, lambda_upper=1.5,
+                         gamma=lambda t: 2.4 + 0.001 * t)
+        certify = lambda: certify_grad2(1.0, 1.0, 1.5, sched)
     with pytest.raises(CertificateError) as exc:
-        certify_fb2(1.0, 1.0, 0.5, 0.5, sched)
-    assert "gamma(t) nonincreasing violated" in exc.value.failures
+        certify()
+    assert exc.value.failures == ["gamma(t) nonincreasing violated",
+                                  "gamma(t)/lambda(t) nonincreasing violated"]
 
 
 def test_fb2_unit_interval_validation():

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -194,12 +195,18 @@ def test_verify_is_deterministic(tmp_path):
             == (out2 / "envelope.csv").read_bytes())
 
 
-def test_verify_grad2_passes_on_smooth_instance(tmp_path, capsys):
+def constant(v):
+    return {"profile": "constant", "value": v}
+
+
+@pytest.mark.parametrize("spell", [float, constant], ids=["number", "constant-profile"])
+def test_verify_grad2_passes_on_smooth_instance(tmp_path, capsys, spell):
+    # a number and {"profile": "constant"} are the same schedule, alpha_bar included
     cfg = write_config(tmp_path, {
         "problem": IDENTITY_2D,
         "system": "grad2",
-        "params": {"alpha": 1.5, "lambda": 1.6875,
-                   "gamma": 2.4519716382329886},
+        "params": {"alpha": spell(1.5), "lambda": spell(1.6875),
+                   "gamma": spell(2.4519716382329886)},
         "integrator": {"t_end": 22.0, "rel_tol": 1e-10, "abs_tol": 1e-13},
         "initial": {"x0": [2.0, 1.0], "v0": [0.0, 0.0]},
     })
@@ -207,6 +214,7 @@ def test_verify_grad2_passes_on_smooth_instance(tmp_path, capsys):
     assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["passed"] is True
+    assert doc["certificate"]["inputs"]["alpha_bar"] == 1.5
     assert doc["envelope"]["which"] == "gap"
     assert doc["chain"]["passed"] is True
     assert doc["m_raw"] > 0.0
@@ -247,6 +255,20 @@ def test_verify_fb2_reports_lyapunov(tmp_path):
     assert doc["m_raw"] > 0.0
     assert doc["certificate"]["derived"]["gamma_lower"] == pytest.approx(
         10.840051579497398, rel=1e-12)
+
+
+def test_certificate_states_its_horizon(tmp_path):
+    cfg = write_config(tmp_path, {
+        "problem": "skew-rotation",
+        "system": "fb2",
+        "params": {"alpha": 0.5, "delta": 0.5, "lambda": 40.0, "gamma": 11.0},
+        "integrator": {"t_end": 23.0},
+    })
+    out = tmp_path / "horizon"
+    assert run(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    inputs = json.loads((out / "certificate.json").read_text())["inputs"]
+    assert inputs["t_grid_end"] == 23.0
+    assert inputs["n_grid"] == 2000
 
 
 def test_certify_accepts_exp_ramp_profile(tmp_path):
@@ -310,3 +332,19 @@ def test_sweep_range_grid(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,eta,feasible,decay_exponent,gamma_lower,failure"
     assert len(lines) == 5
+
+
+def test_sweep_fb2_golden(tmp_path):
+    # pinned sha256 of sweep.csv; explicit values lists keep linspace out of
+    # the grid, so the bytes depend only on the certificate arithmetic
+    cfg = write_config(tmp_path, {
+        "problem": "skew-rotation",
+        "system": "fb2",
+        "params": {"alpha": 0.5, "delta": 0.5, "lambda": 40.0, "gamma": 11.0},
+        "sweep": {"alpha": {"values": [0.05, 0.2, 0.35, 0.5, 0.65]},
+                  "delta": {"values": [0.2, 0.35, 0.5, 0.65, 0.8]}},
+    })
+    out = tmp_path / "golden"
+    assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "c47e669de1132e0d11184dcbe68924469966d48930dcfb4c8801e684764a129c"

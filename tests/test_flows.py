@@ -1,11 +1,14 @@
 """Right-hand sides of the four flows: hand arithmetic, fixed points, schedules."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fbflows import problems
 from fbflows.flows import (
+    Profile,
     Schedule,
     ScheduleError,
     fb1_rhs,
@@ -14,6 +17,7 @@ from fbflows.flows import (
     grad2_rhs,
     proxgrad1_rhs,
     residual,
+    sample,
 )
 from fbflows.operators import (
     MonotoneMap,
@@ -145,32 +149,43 @@ def test_schedule_check_catches_bound_escape():
         sched.check(10.0)  # lambda(10) = 6 > declared upper
 
 
-def test_schedule_check_catches_false_monotonicity_flag():
-    sched = Schedule(
-        lam=lambda t: 1.0,
-        lambda_lower=1.0,
-        lambda_upper=1.0,
-        gamma=lambda t: 2.0 + 0.1 * t,
-        gamma_nonincreasing=True,
-    )
-    with pytest.raises(ScheduleError):
-        sched.check(5.0)
-
-
-def test_schedule_flags_require_gamma():
-    sched = Schedule(lam=lambda t: 1.0, lambda_lower=1.0, lambda_upper=1.0,
-                     gamma_nonincreasing=True)
-    with pytest.raises(ScheduleError):
-        sched.check(1.0)
-
-
-def test_schedule_constant_declares_flags():
+def test_schedule_constant_builds_profiles():
     sched = Schedule.constant(2.0, gamma=3.0, alpha=1.5)
-    assert sched.gamma_nonincreasing and sched.gamma_over_lambda_nonincreasing
     assert sched.lam(7.0) == 2.0 and sched.gamma(7.0) == 3.0 and sched.alpha(7.0) == 1.5
     sched.check(50.0)
-    bare = Schedule.constant(2.0)
-    assert not bare.gamma_nonincreasing and bare.gamma is None
+    assert Schedule.constant(2.0).gamma is None
+
+
+def test_schedule_check_samples_each_coefficient_once():
+    calls = []
+
+    def lam(t):
+        calls.append(t)
+        return 1.0
+
+    ramp = Profile(3.0, 2.0, 0.5)
+    sched = Schedule(lam=lam, lambda_lower=1.0, lambda_upper=1.0, gamma=ramp)
+    ts, lam_t, gam_t, alpha_t = sched.check(4.0, n=50)
+    assert len(calls) == 50 and alpha_t is None
+    assert np.array_equal(ts, np.linspace(0.0, 4.0, 50))
+    assert np.all(lam_t == 1.0) and np.array_equal(gam_t, ramp(ts))
+
+
+def test_sample_profiles():
+    ts = np.linspace(0.0, 50.0, 2000)
+    # constants: one array evaluation equals the point-by-point values bitwise
+    for v in (40.0, 11.0, 1.6875, 2.4519716382329886, 0.1):
+        p = Profile(v, v)
+        per_point = np.array([p(t) for t in ts])
+        assert np.array_equal(sample(p, ts), per_point)
+        assert np.all(per_point == v)
+        assert np.array_equal(sample(lambda t, v=v: v, ts), per_point)
+    # ramps: a float t goes through math.exp, an array is within 1 ulp of it
+    for a, b, r in [(15.0, 14.0, 0.5), (11.0, 10.9, 0.2), (1.0, 3.0, 0.07)]:
+        p = Profile(a, b, r)
+        exact = np.array([b + (a - b) * math.exp(-r * t) for t in ts])
+        assert np.array_equal(np.array([p(t) for t in ts]), exact)
+        assert np.all(np.abs(sample(p, ts) - exact) <= np.spacing(exact))
 
 
 def test_residual_vanishes_only_at_solution():
