@@ -37,7 +37,7 @@ print("  damping window [%.4f, %.4f], decay exp 1, transient exp %.4f"
 
 coeffs = fb2_lemma_coefficients(inst.rho, inst.beta, 0.5, 0.5, sched)
 x0, v0 = np.array([2.0, 2.0]), np.zeros(2)
-m_raw, _ = fb2_initial_M(coeffs, x0, v0, inst.x_star)
+m_raw = fb2_initial_M(coeffs, x0, v0, inst.x_star)
 print("  initial Lyapunov mass M = %.4f" % m_raw)
 
 flow = fb2_rhs(inst.a, inst.b, eta=d["eta"], sched=sched)

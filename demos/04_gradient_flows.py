@@ -42,9 +42,9 @@ print("suggested alpha=%.4f lambda=%.4f gamma=%.4f" % (s.alpha, s.lam, s.gamma))
 
 sched = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
 cert2 = certify_grad2(inst.rho, inst.beta, 1.5, sched)
-coeffs = grad2_lemma_coefficients(inst.rho, inst.beta, 1.5, sched)
+coeffs = grad2_lemma_coefficients(inst.beta, sched)
 x0, v0 = np.array([3.0]), np.zeros(1)
-m_raw, _ = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
+m_raw = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
 print("hand constants lambda=1.5 gamma=2.4: gamma floor %.6f, M = %.3f"
       % (cert2.derived["gamma_lower"], m_raw))
 

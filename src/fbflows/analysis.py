@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certificates import LemmaCoefficients, RateCertificate
+from .certificates import LemmaCoefficients, RateCertificate, lemma_bound
 from .integrate import MetricSeries, Trajectory
 
 UNDERFLOW_FLOOR = 1e-300
@@ -56,40 +56,29 @@ def build_envelope(cert: RateCertificate, h0: Optional[float] = None,
                    m: Optional[float] = None) -> Callable:
     """Closed-form envelope of the certificate's guarantee, anchored at t=0.
 
-    fb1:   h0 * exp(-C*t)                      (needs h0 = ||x0 - x*||^2)
-    grad1: gap0 * exp(-alpha*t)                (needs gap0)
-    fb2:   h0 * exp(-(gl-1)*t) + m/(gl-2) * exp(-t)    (needs h0 and m = 2*M_raw)
-    grad2: gap0 * exp(-(gl-1)*t) + m/(gl-2) * exp(-t)  (needs gap0 and m = M_raw)
+    fb1, grad1: anchor * exp(-r*t) with r the certified decay exponent
+                (anchor h0 = ||x0 - x*||^2 for fb1, gap0 for grad1)
+    fb2, grad2: certificates.lemma_bound(gamma_lower, anchor, m, t) with the
+                certified gamma_lower (fb2: anchor h0 and m = 2*M;
+                grad2: anchor gap0 and m = M)
 
-    where gl is the certified gamma_lower.  The returned callable accepts
-    scalars or arrays.
+    Missing anchors and an invalid lemma bound raise here, not at the first
+    call.  The returned callable accepts scalars or arrays.
     """
     system = cert.system
-    if system == "fb1":
-        if h0 is None:
-            raise ValueError("fb1 envelope needs h0")
-        c_rate = cert.derived["C"]
-        return lambda t: h0 * np.exp(-c_rate * np.asarray(t, dtype=float))
-    if system == "grad1":
-        if gap0 is None:
-            raise ValueError("grad1 envelope needs gap0")
-        alpha = cert.decay_exponent
-        return lambda t: gap0 * np.exp(-alpha * np.asarray(t, dtype=float))
-    if system in ("fb2", "grad2"):
-        anchor = h0 if system == "fb2" else gap0
-        if anchor is None or m is None:
-            raise ValueError("%s envelope needs %s and m"
-                             % (system, "h0" if system == "fb2" else "gap0"))
-        gl = cert.derived["gamma_lower"]
-        if not (gl > 2.0):
-            raise ValueError("envelope formula needs gamma_lower > 2, got %r" % gl)
-
-        def env(t, a=float(anchor), m=float(m), gl=gl):
-            t = np.asarray(t, dtype=float)
-            return a * np.exp(-(gl - 1.0) * t) + m / (gl - 2.0) * np.exp(-t)
-
-        return env
-    raise ValueError("unknown certificate system %r" % system)
+    name, anchor = ("h0", h0) if system in ("fb1", "fb2") else ("gap0", gap0)
+    if system in ("fb1", "grad1"):
+        if anchor is None:
+            raise ValueError("%s envelope needs %s" % (system, name))
+        rate = cert.decay_exponent
+        return lambda t: anchor * np.exp(-rate * np.asarray(t, dtype=float))
+    if system not in ("fb2", "grad2"):
+        raise ValueError("unknown certificate system %r" % system)
+    if anchor is None or m is None:
+        raise ValueError("%s envelope needs %s and m" % (system, name))
+    gl, a, m = cert.derived["gamma_lower"], float(anchor), float(m)
+    lemma_bound(gl, a, m, 0.0)  # raise now on an invalid bound
+    return lambda t: lemma_bound(gl, a, m, t)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -397,7 +397,7 @@ def suggest_constants_grad2(rho: float, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# decay lemma: coefficients, initial constant, closed-form bounds
+# decay lemma: coefficients, initial constant, closed-form bound
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,16 +407,14 @@ class LemmaCoefficients:
     The lemma: if h >= 0 obeys h'' + gamma(t) h' <= -b1(t) h - b2(t) h'' ...
     in its integrated form with these coefficients, the Lyapunov quantity
     L(t) = e^t h'(t) + (gamma(t)-1) e^t h(t) + b2(t) e^t u(t) is nonincreasing
-    and h inherits a closed-form exponential envelope determined by
-    gamma_lower (see ``lemma_bound``).  Exposed for Lyapunov testing.
+    from its initial value M (``lemma_M``), and h obeys ``lemma_bound`` with
+    the certificate's gamma_lower.  Exposed for Lyapunov testing.
     """
 
     b1: Callable[[float], float]
     b2: Callable[[float], float]
     b3: Callable[[float], float]
     gamma: Callable[[float], float]
-    gamma_lower: float
-    case: str
 
     def check(self, t_end: float, n: int = 2000, slack: float = GRID_SLACK,
               h_diff: float = 1e-5) -> None:
@@ -444,16 +442,6 @@ class LemmaCoefficients:
                     "b2(t) + b2'(t) <= b3(t) fails at t=%g (%g > %g)" % (t, lhs, b3t))
 
 
-def _case_of(gamma_lower: float) -> str:
-    if gamma_lower == 2.0:
-        return "iii"
-    if gamma_lower > 2.0:
-        return "ii"
-    if gamma_lower > 1.0:
-        return "i"
-    raise ValueError("gamma_lower must exceed 1, got %r" % gamma_lower)
-
-
 def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,
                            sched: Schedule) -> LemmaCoefficients:
     """Proof-level coefficients of the second-order forward-backward flow.
@@ -465,23 +453,19 @@ def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,
     """
     if sched.gamma is None:
         raise ValueError("need a damping gamma(t)")
-    big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
+    big_s, inv_eta, k_slope, _ = _fb2_constants(rho, beta, alpha, delta)
     numer = rho + inv_eta - big_s      # equals S*(1-delta)/delta
     denom = 2.0 * rho + inv_eta        # equals rho + S/delta
     ratio = numer / denom
-    gamma_lower = (1.0 + math.sqrt(1.0 + 4.0 * theta_coeff * sched.lambda_lower)) / 2.0
     return LemmaCoefficients(
         b1=lambda t: k_slope * sched.lam(t),
         b2=lambda t: (sched.gamma(t) / sched.lam(t)) * ratio,
         b3=lambda t: sched.gamma(t) ** 2 * ratio / sched.lam(t) - 1.0,
         gamma=sched.gamma,
-        gamma_lower=gamma_lower,
-        case=_case_of(gamma_lower),
     )
 
 
-def grad2_lemma_coefficients(rho: float, beta: float, alpha_bar: float,
-                             sched: Schedule) -> LemmaCoefficients:
+def grad2_lemma_coefficients(beta: float, sched: Schedule) -> LemmaCoefficients:
     """Proof-level coefficients of the second-order gradient flow.
 
     b1 = alpha(t), b2 = gamma(t)/(2*lambda(t)), b3 = gamma^2/(2*lambda) - 1/beta.
@@ -489,58 +473,46 @@ def grad2_lemma_coefficients(rho: float, beta: float, alpha_bar: float,
     """
     if sched.gamma is None or sched.alpha is None:
         raise ValueError("need gamma(t) and alpha(t)")
-    gamma_lower = (1.0 + math.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
     return LemmaCoefficients(
         b1=sched.alpha,
         b2=lambda t: sched.gamma(t) / (2.0 * sched.lam(t)),
         b3=lambda t: sched.gamma(t) ** 2 / (2.0 * sched.lam(t)) - 1.0 / beta,
         gamma=sched.gamma,
-        gamma_lower=gamma_lower,
-        case=_case_of(gamma_lower),
     )
 
 
-def lemma_M(h0: float, hdot0: float, gamma0: float, b2_0: float, u0: float):
-    """Initial Lyapunov value M_raw = hdot0 + (gamma0 - 1)*h0 + b2_0*u0.
+def lemma_M(h0: float, hdot0: float, gamma0: float, b2_0: float, u0: float) -> float:
+    """Initial Lyapunov value M = hdot0 + (gamma0 - 1)*h0 + b2_0*u0.
 
-    Returns (M_raw, M_clamped) with M_clamped = max(M_raw, 1e-12).  The proof
-    shows the quantity is nonincreasing, so M_raw bounds it for all t; the
-    clamped value is for reporting against the literal positive-M statement.
+    The proof shows the Lyapunov quantity is nonincreasing, so M bounds it for
+    all t.  M = 0 for a flow started at rest at the solution.
     """
     if h0 < 0.0 or u0 < 0.0 or b2_0 < 0.0:
         raise ValueError("h0, u0 and b2_0 must be nonnegative")
     if not (gamma0 > 1.0):
         raise ValueError("gamma0 must exceed 1, got %r" % gamma0)
-    m_raw = hdot0 + (gamma0 - 1.0) * h0 + b2_0 * u0
-    return m_raw, max(m_raw, 1e-12)
+    return hdot0 + (gamma0 - 1.0) * h0 + b2_0 * u0
 
 
-def lemma_bound(case: str, gamma_lower: float, h0: float, m: float, t: float) -> float:
-    """Closed-form decay bound on h(t) from the lemma, by damping case.
+def lemma_bound(gamma_lower: float, h0: float, m: float, t):
+    """The lemma's closed-form bound on h(t), for a scalar or array t >= 0:
 
-    case i  (1 < gamma_lower < 2): (h0 + M/(2-gamma_lower)) * exp(-(gamma_lower-1)*t)
-    case ii (gamma_lower > 2):     h0*exp(-(gamma_lower-1)*t) + M/(gamma_lower-2)*exp(-t)
-    case iii (gamma_lower = 2):    (h0 + M*t) * exp(-t)
+        h0*exp(-(gamma_lower-1)*t) + M/(gamma_lower-2)*exp(-t)
+
+    This is the lemma's damping case gamma_lower > 2, the only one a
+    certificate reaches: certify_fb2 needs theta > 2 and certify_grad2 checks
+    gamma_lower > 2.  Needs h0 = h(0) >= 0 and M >= 0.
     """
-    if t < 0.0:
+    if not (gamma_lower > 2.0):
+        raise ValueError("decay bound needs gamma_lower > 2, got %r" % gamma_lower)
+    if not (h0 >= 0.0):
+        raise ValueError("h0 must be nonnegative, got %r" % h0)
+    if not (m >= 0.0):
+        raise ValueError("M must be nonnegative, got %r" % m)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
-    if not (m > 0.0):
-        raise ValueError("M must be positive, got %r" % m)
-    if h0 < 0.0:
-        raise ValueError("h0 must be nonnegative")
-    if case == "i":
-        if not (1.0 < gamma_lower < 2.0):
-            raise ValueError("case i needs gamma_lower in (1, 2), got %r" % gamma_lower)
-        return (h0 + m / (2.0 - gamma_lower)) * math.exp(-(gamma_lower - 1.0) * t)
-    if case == "ii":
-        if not (gamma_lower > 2.0):
-            raise ValueError("case ii needs gamma_lower > 2, got %r" % gamma_lower)
-        return h0 * math.exp(-(gamma_lower - 1.0) * t) + m / (gamma_lower - 2.0) * math.exp(-t)
-    if case == "iii":
-        if gamma_lower != 2.0:
-            raise ValueError("case iii needs gamma_lower = 2, got %r" % gamma_lower)
-        return (h0 + m * t) * math.exp(-t)
-    raise ValueError("unknown case %r (expected 'i', 'ii' or 'iii')" % case)
+    return h0 * np.exp(-(gamma_lower - 1.0) * t) + m / (gamma_lower - 2.0) * np.exp(-t)
 
 
 def fb2_initial_M(coeffs: LemmaCoefficients, x0, v0, x_star):

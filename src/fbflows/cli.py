@@ -135,11 +135,9 @@ def _build_schedule(cfg: ExperimentConfig) -> Schedule:
     if cfg.system in ("fb2", "grad2"):
         gamma = _profile(_require(params, "gamma"), "gamma")
     if cfg.system == "grad2":
-        if "alpha" in params:
-            alpha = _profile(params["alpha"], "alpha")
-        elif "alpha_bar" in params:
-            alpha_bar = float(params["alpha_bar"])
-            alpha = Profile(alpha_bar, alpha_bar)
+        key = "alpha" if "alpha" in params else "alpha_bar"
+        if key in params:
+            alpha = _profile(params[key], key)
     return Schedule(lam=lam, lambda_lower=min(lam.start, lam.end),
                     lambda_upper=max(lam.start, lam.end), gamma=gamma, alpha=alpha)
 
@@ -166,19 +164,24 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
             raise IncompatibleSystemError(
                 "system '%s' needs a smooth objective; instance '%s' has none"
                 % (cfg.system, inst.name))
-        if inst.f is not None and not _is_zero_f(inst):
+        if inst.f is not None:
             raise IncompatibleSystemError(
                 "system '%s' minimizes g alone, but instance '%s' has a nonsmooth "
                 "part; its ground truth solves f+g" % (cfg.system, inst.name))
 
 
-def _is_zero_f(inst) -> bool:
-    return inst.f is not None and inst.f.description == "zero"
+def _setting(cfg: ExperimentConfig, key: str, default=None):
+    """A finite number from the integrator block, or ``default`` when absent."""
+    v = cfg.integrator.get(key)
+    if v is None:
+        return default
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ConfigError("integrator '%s' must be a finite number, got %r" % (key, v))
+    return float(v)
 
 
 def _t_grid_end(cfg: ExperimentConfig) -> float:
-    t_end = cfg.integrator.get("t_end")
-    return float(t_end) if t_end else 50.0
+    return _setting(cfg, "t_end") or 50.0
 
 
 def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
@@ -196,8 +199,10 @@ def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
                                         t_grid_end=_t_grid_end(cfg))
     if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-    alpha_bar = p.get("alpha_bar")
-    if alpha_bar is None and sched.alpha.start == sched.alpha.end:
+    alpha_bar = None
+    if "alpha_bar" in p:
+        alpha_bar = _profile(_scalar(p, "alpha_bar"), "alpha_bar").end
+    elif sched.alpha.start == sched.alpha.end:
         alpha_bar = sched.alpha.end
     return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
                                       alpha_bar=alpha_bar, t_grid_end=_t_grid_end(cfg))
@@ -232,36 +237,45 @@ def _default_t_end(cert) -> float:
     return math.ceil(math.log(1e10) / cert.decay_exponent)
 
 
+def _vector(spec, name: str, dim: int) -> np.ndarray:
+    """A list of ``dim`` finite numbers as a float array."""
+    try:
+        arr = np.asarray(spec)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError("%s must be a list of finite numbers, got %r" % (name, spec))
+    if arr.shape != (dim,):
+        raise ConfigError("%s must have dimension %d" % (name, dim))
+    return arr.astype(float)
+
+
 def _initial_state(cfg: ExperimentConfig, inst, order: int):
     init = cfg.initial
     if "x0" not in init:
         raise ConfigError("'initial' block needs x0")
-    x0 = np.asarray(init["x0"], dtype=float)
-    if x0.shape != (inst.dim,):
-        raise ConfigError("x0 must have dimension %d" % inst.dim)
+    x0 = _vector(init["x0"], "x0", inst.dim)
     v0 = None
     if order == 2:
-        v0 = np.asarray(init.get("v0", np.zeros(inst.dim)), dtype=float)
-        if v0.shape != (inst.dim,):
-            raise ConfigError("v0 must have dimension %d" % inst.dim)
+        v0 = _vector(init.get("v0", np.zeros(inst.dim)), "v0", inst.dim)
     elif "v0" in init:
         raise ConfigError("v0 given but system '%s' is first order" % cfg.system)
     return x0, v0
 
 
 def _control(cfg: ExperimentConfig):
-    blk = cfg.integrator
-    if blk.get("fixed_step"):
-        return integrate.FixedStep(float(blk["fixed_step"]))
-    return integrate.Adaptive(rel_tol=float(blk.get("rel_tol", 1e-9)),
-                              abs_tol=float(blk.get("abs_tol", 1e-12)))
+    step = _setting(cfg, "fixed_step")
+    if step:
+        return integrate.FixedStep(step)
+    return integrate.Adaptive(rel_tol=_setting(cfg, "rel_tol", 1e-9),
+                              abs_tol=_setting(cfg, "abs_tol", 1e-12))
 
 
 def _simulate(cfg: ExperimentConfig, inst, sched, t_end: float):
     flow = _build_flow(cfg, inst, sched)
     x0, v0 = _initial_state(cfg, inst, flow.order)
     traj = integrate.integrate(flow, x0, v0=v0, t_end=t_end, control=_control(cfg),
-                               n_dense=int(cfg.integrator.get("n_dense", 500)))
+                               n_dense=int(_setting(cfg, "n_dense", 500)))
     metrics = integrate.record_metrics(traj, inst)
     return traj, metrics, x0, v0
 
@@ -304,16 +318,15 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
         coeffs = certificates.fb2_lemma_coefficients(
             inst.rho, inst.beta, _scalar(cfg.params, "alpha"),
             _scalar(cfg.params, "delta"), sched)
-        m_raw, _ = certificates.fb2_initial_M(coeffs, x0, v0, inst.x_star)
+        m_raw = certificates.fb2_initial_M(coeffs, x0, v0, inst.x_star)
         env = analysis.build_envelope(cert, h0=float(metrics.h[0]), m=2.0 * m_raw)
         reports["envelope"] = analysis.verify_envelope(
             metrics, "h", env, rate=cert.decay_exponent)
         reports["lyapunov"] = analysis.verify_lyapunov(traj, coeffs, metrics)
         reports["m_raw"] = m_raw
     else:
-        coeffs = certificates.grad2_lemma_coefficients(
-            inst.rho, inst.beta, cert.inputs["alpha_bar"], sched)
-        m_raw, _ = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
+        coeffs = certificates.grad2_lemma_coefficients(inst.beta, sched)
+        m_raw = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
         env = analysis.build_envelope(cert, gap0=float(metrics.gap[0]), m=m_raw)
         reports["envelope"] = analysis.verify_envelope(
             metrics, "gap", env, rate=cert.decay_exponent)
@@ -405,7 +418,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
-    t_end = cfg.integrator.get("t_end")
+    t_end = _setting(cfg, "t_end")
     if t_end is None:
         t_end = _default_t_end(_certify(cfg, inst, sched))
     traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
@@ -419,7 +432,7 @@ def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
 
 def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
     cert = _certify(cfg, inst, sched)
-    t_end = cfg.integrator.get("t_end")
+    t_end = _setting(cfg, "t_end")
     if t_end is None:
         t_end = _default_t_end(cert)
     traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))

@@ -17,7 +17,7 @@ import numpy as np
 from . import operators
 from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
                         audit_map, gradient_map, l1_norm, prox_resolvent,
-                        zero_function, zero_operator)
+                        zero_operator)
 
 MAX_DIM = 100  # shipped suite stays desk scale
 
@@ -108,7 +108,8 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
 
     The l1 part adds no strong convexity and no smooth term, so rho and beta
     come from the quadratic alone.  x* is computed by ``ground_truth``.
-    w = 0 degenerates to the plain quadratic.
+    w = 0 degenerates to the plain quadratic: f is None and a is the zero
+    operator.
     """
     q, lo, hi = _check_spd(q)
     b = as_vector(b)
@@ -117,7 +118,7 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
     w = float(w)
     if w < 0.0:
         raise ValueError("l1 weight must be nonnegative, got %r" % w)
-    f = l1_norm(w) if w > 0.0 else zero_function()
+    f = l1_norm(w) if w > 0.0 else None
     g = _quadratic_oracle(q, b, lo)
     beta = 1.0 / hi
 
@@ -130,7 +131,7 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
         dim=q.shape[0],
         rho=lo,
         beta=beta,
-        a=prox_resolvent(f),
+        a=prox_resolvent(f) if f is not None else zero_operator(),
         b=gradient_map(g, beta),
         sum_eval=sum_sel,
         x_star=None,

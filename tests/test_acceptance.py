@@ -111,7 +111,7 @@ def test_criterion_3_fb2_transient_envelope():
     cert = certify_fb2(inst.rho, inst.beta, alpha=0.5, delta=0.5, sched=sched)
     coeffs = fb2_lemma_coefficients(inst.rho, inst.beta, 0.5, 0.5, sched)
     x0, v0 = np.array([2.0, 2.0]), np.zeros(2)
-    m_raw, _ = fb2_initial_M(coeffs, x0, v0, inst.x_star)
+    m_raw = fb2_initial_M(coeffs, x0, v0, inst.x_star)
     flow = fb2_rhs(inst.a, inst.b, eta=0.5, sched=sched)
     traj = integrate(flow, x0, v0=v0, t_end=23.0,
                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
@@ -134,9 +134,9 @@ def test_criterion_4_grad2_gap_envelope():
     inst = make_quadratic(np.array([[1.0]]), np.array([0.0]))
     sched = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
     cert = certify_grad2(inst.rho, inst.beta, 1.5, sched)
-    coeffs = grad2_lemma_coefficients(inst.rho, inst.beta, 1.5, sched)
+    coeffs = grad2_lemma_coefficients(inst.beta, sched)
     x0, v0 = np.array([3.0]), np.zeros(1)
-    m_raw, _ = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
+    m_raw = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
     flow = grad2_rhs(inst.g, sched)
     traj = integrate(flow, x0, v0=v0, t_end=22.0,
                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))

@@ -302,9 +302,9 @@ def test_suggest_grad2_rejections():
 # --- decay lemma -----------------------------------------------------------
 
 def test_lemma_m_arithmetic():
-    assert lemma_M(1.0, 0.0, 3.0, 0.5, 2.0) == (3.0, 3.0)
-    assert lemma_M(0.0, 0.0, 3.0, 0.0, 0.0) == (0.0, 1e-12)
-    assert lemma_M(0.0, -1.0, 2.0, 0.0, 0.0) == (-1.0, 1e-12)
+    assert lemma_M(1.0, 0.0, 3.0, 0.5, 2.0) == 3.0
+    assert lemma_M(0.0, 0.0, 3.0, 0.0, 0.0) == 0.0
+    assert lemma_M(0.0, -1.0, 2.0, 0.0, 0.0) == -1.0
 
 
 def test_lemma_m_validation():
@@ -317,39 +317,40 @@ def test_lemma_m_validation():
 
 
 def test_lemma_bound_values_at_zero():
-    assert lemma_bound("ii", 3.0, h0=1.0, m=3.0, t=0.0) == 4.0
-    assert lemma_bound("i", 1.5, h0=1.0, m=1.0, t=0.0) == 3.0
-    assert lemma_bound("iii", 2.0, h0=1.0, m=2.0, t=0.0) == 1.0
+    assert lemma_bound(3.0, h0=1.0, m=3.0, t=0.0) == 4.0
+    assert lemma_bound(3.0, h0=1.0, m=0.0, t=0.0) == 1.0  # at rest at x*: M = 0
 
 
 def test_lemma_bound_formulas():
     t = 1.7
-    assert_allclose(lemma_bound("ii", 3.0, 1.0, 3.0, t),
+    assert_allclose(lemma_bound(3.0, 1.0, 3.0, t),
                     math.exp(-2.0 * t) + 3.0 * math.exp(-t), rtol=1e-15)
-    assert_allclose(lemma_bound("i", 1.5, 2.0, 1.0, t),
-                    4.0 * math.exp(-0.5 * t), rtol=1e-15)
-    assert_allclose(lemma_bound("iii", 2.0, 1.0, 2.0, t),
-                    (1.0 + 2.0 * t) * math.exp(-t), rtol=1e-15)
 
 
-def test_lemma_bound_case_mismatch():
-    with pytest.raises(ValueError):
-        lemma_bound("i", 3.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        lemma_bound("ii", 1.5, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        lemma_bound("iii", 2.1, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        lemma_bound("iv", 3.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        lemma_bound("ii", 3.0, 1.0, 0.0, 0.0)  # M must be positive
-    with pytest.raises(ValueError):
-        lemma_bound("ii", 3.0, 1.0, 1.0, -1.0)
+def test_lemma_bound_array_matches_points():
+    ts = np.linspace(0.0, 25.0, 301)
+    bound = lemma_bound(10.84, 4.5, 45.0, ts)
+    assert bound.shape == ts.shape
+    assert np.array_equal(bound, [lemma_bound(10.84, 4.5, 45.0, float(t)) for t in ts])
+
+
+def test_lemma_bound_validation():
+    for gamma_lower in (1.5, 2.0):  # outside the certified case gamma_lower > 2
+        with pytest.raises(ValueError, match="gamma_lower > 2"):
+            lemma_bound(gamma_lower, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="h0"):
+        lemma_bound(3.0, -1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="M"):
+        lemma_bound(3.0, 1.0, -1e-12, 0.0)
+    with pytest.raises(ValueError, match="t must"):
+        lemma_bound(3.0, 1.0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="t must"):
+        lemma_bound(3.0, 1.0, 1.0, np.array([0.0, -1.0]))
 
 
 def test_lemma_bound_ii_dominates_transient_term():
     for t in np.linspace(0.0, 20.0, 50):
-        assert (lemma_bound("ii", 2.7, 1.3, 0.4, float(t))
+        assert (lemma_bound(2.7, 1.3, 0.4, float(t))
                 >= 1.3 * math.exp(-1.7 * t))
 
 
@@ -358,35 +359,28 @@ def test_fb2_lemma_coefficients_frozen():
     assert_allclose(coeffs.b1(0.0), 10.0, rtol=1e-14)
     assert_allclose(coeffs.b2(0.0), 0.103125, rtol=1e-14)
     assert_allclose(coeffs.b3(0.0), 0.134375, rtol=1e-14)
-    assert coeffs.case == "ii"
-    assert_allclose(coeffs.gamma_lower, 10.840051579497398, rtol=1e-12)
     coeffs.check(30.0)
 
 
 def test_grad2_lemma_coefficients_frozen():
-    coeffs = grad2_lemma_coefficients(1.0, 1.0, 1.5, GRAD2_SCHED)
+    coeffs = grad2_lemma_coefficients(1.0, GRAD2_SCHED)
     assert_allclose(coeffs.b1(0.0), 1.5, rtol=1e-14)
     assert_allclose(coeffs.b2(0.0), 0.8, rtol=1e-14)
     assert_allclose(coeffs.b3(0.0), 0.92, rtol=1e-14)
-    assert coeffs.case == "ii"
-    assert_allclose(coeffs.gamma_lower, (1.0 + math.sqrt(13.0)) / 2.0, rtol=1e-14)
     coeffs.check(30.0)
 
 
 def test_lemma_coefficients_check_rejects_bad_hypotheses():
     bad = LemmaCoefficients(b1=lambda t: 0.0, b2=lambda t: 0.0,
-                            b3=lambda t: 0.0, gamma=lambda t: 3.0,
-                            gamma_lower=3.0, case="ii")
+                            b3=lambda t: 0.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="b1"):
         bad.check(5.0)
     growing_b2 = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: t,
-                                   b3=lambda t: 0.0, gamma=lambda t: 3.0,
-                                   gamma_lower=3.0, case="ii")
+                                   b3=lambda t: 0.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="b2"):
         growing_b2.check(5.0)
     negative_b2 = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: -1.0,
-                                    b3=lambda t: 0.0, gamma=lambda t: 3.0,
-                                    gamma_lower=3.0, case="ii")
+                                    b3=lambda t: 0.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="negative"):
         negative_b2.check(5.0)
 
@@ -394,22 +388,19 @@ def test_lemma_coefficients_check_rejects_bad_hypotheses():
 def test_fb2_initial_m():
     coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
     x_star = np.array([0.5, 0.5])
-    m_raw, m_clamped = fb2_initial_M(coeffs, np.array([2.0, 2.0]), np.zeros(2), x_star)
+    m_raw = fb2_initial_M(coeffs, np.array([2.0, 2.0]), np.zeros(2), x_star)
     # h0 = 0.5*||(1.5,1.5)||^2 = 2.25, hdot0 = 0, u0 = 0 -> (11-1)*2.25
     assert_allclose(m_raw, 22.5, rtol=1e-14)
-    assert m_clamped == m_raw
-    m_raw, _ = fb2_initial_M(coeffs, np.array([2.0, 2.0]), np.array([1.0, 0.0]), x_star)
+    m_raw = fb2_initial_M(coeffs, np.array([2.0, 2.0]), np.array([1.0, 0.0]), x_star)
     assert_allclose(m_raw, 1.5 + 22.5 + 0.103125, rtol=1e-14)
 
 
 def test_grad2_initial_m():
-    coeffs = grad2_lemma_coefficients(1.0, 1.0, 1.5, GRAD2_SCHED)
+    coeffs = grad2_lemma_coefficients(1.0, GRAD2_SCHED)
     g = scaled_sqnorm(1.0)
-    m_raw, m_clamped = grad2_initial_M(coeffs, g, np.array([3.0]), np.zeros(1),
-                                       np.zeros(1))
+    m_raw = grad2_initial_M(coeffs, g, np.array([3.0]), np.zeros(1), np.zeros(1))
     # gap0 = 4.5, hdot0 = 0, u0 = 0 -> (2.4-1)*4.5
     assert_allclose(m_raw, 6.3, rtol=1e-14)
-    assert m_clamped == m_raw
 
 
 def test_certificate_json_round_trip(tmp_path):

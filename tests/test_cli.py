@@ -138,6 +138,51 @@ def test_initial_state_validation(tmp_path, capsys):
     assert "dimension 2" in capsys.readouterr().err
 
 
+FB2_VERIFY = {
+    "problem": "skew-rotation",
+    "system": "fb2",
+    "params": {"alpha": 0.5, "delta": 0.5, "lambda": 40.0, "gamma": 11.0},
+    "integrator": {"t_end": 23.0, "rel_tol": 1e-10, "abs_tol": 1e-13},
+    "initial": {"x0": [3.0, -1.0], "v0": [0.0, 0.0]},
+}
+GRAD2_VERIFY = {
+    "problem": IDENTITY_2D,
+    "system": "grad2",
+    "params": {"alpha_bar": 1.5, "lambda": 1.6875, "gamma": 2.4519716382329886},
+    "integrator": {"t_end": 22.0, "rel_tol": 1e-10, "abs_tol": 1e-13},
+    "initial": {"x0": [2.0, 1.0], "v0": [0.0, 0.0]},
+}
+
+
+def _patched(doc, block, **entries):
+    return {**doc, block: {**doc[block], **entries}}
+
+
+@pytest.mark.parametrize("doc, code, fragment", [
+    (_patched(FB2_VERIFY, "initial", x0=["a", "b"]), 4, "x0 must be a list"),
+    (_patched(FB2_VERIFY, "initial", x0=[float("nan"), 0.0]), 4, "x0 must be a list"),
+    (_patched(FB2_VERIFY, "initial", v0=["x", 0.0]), 4, "v0 must be a list"),
+    (_patched(FB2_VERIFY, "integrator", t_end="long"), 4, "'t_end' must be"),
+    (_patched(FB2_VERIFY, "integrator", rel_tol="tight"), 4, "'rel_tol' must be"),
+    (_patched(FB2_VERIFY, "integrator", abs_tol="tiny"), 4, "'abs_tol' must be"),
+    (_patched(FB2_VERIFY, "integrator", n_dense="many"), 4, "'n_dense' must be"),
+    (_patched(GRAD2_VERIFY, "params", alpha_bar="1.5"), 4, "'alpha_bar' must be"),
+    (_patched(GRAD2_VERIFY, "params", alpha_bar=-1.0), 4, "'alpha_bar' must be"),
+    (_patched(GRAD2_VERIFY, "params", alpha=1.5, alpha_bar=-1.0), 4,
+     "'alpha_bar' must be"),
+    (_patched(GRAD2_VERIFY, "params", alpha=1.5, alpha_bar=0.5), 1,
+     "alpha_bar > 1 violated"),
+], ids=["x0-strings", "x0-nan", "v0-string", "t_end-string", "rel_tol-string",
+        "abs_tol-string", "n_dense-string", "alpha_bar-string", "alpha_bar-negative",
+        "alpha_bar-negative-with-alpha", "alpha_bar-below-one"])
+def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
+    # a malformed number is a config error (4); an alpha_bar in (0, 1] is
+    # well formed and fails its certificate (1)
+    cfg = write_config(tmp_path, doc)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == code
+    assert fragment in capsys.readouterr().err
+
+
 def test_simulate_writes_trajectory(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "problem": "quadratic-2d",
@@ -219,6 +264,34 @@ def test_verify_grad2_passes_on_smooth_instance(tmp_path, capsys, spell):
     assert doc["chain"]["passed"] is True
     assert doc["m_raw"] > 0.0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, x_star", [(FB2_VERIFY, [0.5, 0.5]),
+                                          (GRAD2_VERIFY, [0.0, 0.0])],
+                         ids=["fb2", "grad2"])
+def test_verify_passes_at_rest_at_solution(tmp_path, doc, x_star):
+    # x0 = x*, v0 = 0 gives the lemma constant M = 0, which the bound admits
+    cfg = write_config(tmp_path, _patched(doc, "initial", x0=x_star))
+    out = tmp_path / "rest"
+    assert run(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["m_raw"] == 0.0
+    assert report["passed"] is True
+
+
+def test_verify_grad1_on_zero_weight_lasso(tmp_path):
+    # w = 0 leaves no nonsmooth part, so the gradient flows accept the instance
+    cfg = write_config(tmp_path, {
+        "problem": {"kind": "sc_lasso", "Q": [[1.0, 0.0], [0.0, 4.0]],
+                    "b": [-1.0, -4.0], "w": 0.0},
+        "system": "grad1",
+        "params": {"alpha": 0.5, "lambda": 1.0},
+        "integrator": {"t_end": 20.0},
+        "initial": {"x0": [3.0, -1.0]},
+    })
+    out = tmp_path / "lasso0"
+    assert run(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["chain"]["passed"] is True
 
 
 def test_verify_rate_gate_fails_at_value_noise_floor(tmp_path):

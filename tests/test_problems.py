@@ -55,7 +55,8 @@ def test_sc_lasso_soft_threshold_solution():
 def test_sc_lasso_zero_weight_degenerates():
     inst = make_sc_lasso(np.eye(2), np.array([-1.0, -1.0]), w=0.0)
     assert_allclose(inst.x_star, [1.0, 1.0], atol=1e-9)
-    assert inst.f.value(np.array([5.0, 5.0])) == 0.0
+    assert inst.f is None
+    assert_allclose(inst.a.resolve(0.5, np.array([5.0, -5.0])), [5.0, -5.0], rtol=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         make_sc_lasso(np.eye(2), np.zeros(2), w=-1.0)
 
