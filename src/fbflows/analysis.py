@@ -4,18 +4,18 @@ Envelope checks are pointwise at the trajectory samples; with the integrator's
 dense output (hundreds of points) inter-sample violations are implausible at
 the smoothness of these flows.  Empirical rates can legitimately exceed the
 certified ones (the guarantees are one-sided), so only r_hat >= r - 0.05 is
-asserted.
+asserted.  Artifacts go through ``integrate``'s writer and column list.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import integrate
 from .certificates import LemmaCoefficients, RateCertificate, lemma_bound
 from .integrate import MetricSeries, Trajectory
 
@@ -97,14 +97,6 @@ class RateReport:
     tol_abs: float
     tol_rel: float
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def verify_envelope(metrics: MetricSeries, which: str, envelope: Callable,
                     tol_abs: float = 1e-8, tol_rel: float = 1e-6,
@@ -162,26 +154,28 @@ class ChainReport:
     results: tuple  # (name, violating count, worst excess)
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {"n_samples": self.n_samples, "passed": self.passed,
-                "results": [list(r) for r in self.results]}
-
 
 def verify_value_chain(metrics: MetricSeries, rho: float, beta: float,
                        slack_scale: float = 1e-8) -> ChainReport:
-    """Check the strong-convexity / descent-lemma sandwich at every sample:
+    """``value_chain`` at every sample of a trajectory's metrics."""
+    if metrics.gap is None or metrics.gradnorm is None:
+        raise ValueError("chain check needs both gap and gradnorm")
+    return value_chain(metrics.h, metrics.gap, metrics.gradnorm, rho, beta, slack_scale)
+
+
+def value_chain(h, gap, gradnorm, rho: float, beta: float,
+                slack_scale: float = 1e-8) -> ChainReport:
+    """Check the strong-convexity / descent-lemma sandwich at every point:
 
     (rho/2)*h <= gap,  gap <= h/(2*beta),  rho*sqrt(h) <= gradnorm,
 
-    each with additive slack slack_scale*(1 + |lhs| + |rhs|).
+    each with additive slack slack_scale*(1 + |lhs| + |rhs|), on arrays over
+    the same points.
     """
-    if metrics.gap is None or metrics.gradnorm is None:
-        raise ValueError("chain check needs both gap and gradnorm")
-    h, gap, gn = metrics.h, metrics.gap, metrics.gradnorm
     pairs = [
         ("(rho/2)*h <= gap", 0.5 * rho * h, gap),
         ("gap <= h/(2*beta)", gap, h / (2.0 * beta)),
-        ("rho*sqrt(h) <= gradnorm", rho * np.sqrt(h), gn),
+        ("rho*sqrt(h) <= gradnorm", rho * np.sqrt(h), gradnorm),
     ]
     results = []
     for name, lhs, rhs in pairs:
@@ -205,9 +199,6 @@ class LyapunovReport:
     max_drift_rate: float
     drift_tolerance: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def verify_lyapunov(traj: Trajectory, coeffs: LemmaCoefficients,
@@ -249,19 +240,19 @@ def verify_lyapunov(traj: Trajectory, coeffs: LemmaCoefficients,
 
 
 def write_envelope_csv(path, t, envelope: Callable) -> None:
-    """Tabulate an envelope at the given times (same float format as trajectories)."""
-    env = np.asarray(envelope(np.asarray(t, dtype=float)), dtype=float)
-    with open(path, "w") as fh:
-        fh.write("t,envelope\n")
-        for ti, ei in zip(np.asarray(t, dtype=float), env):
-            fh.write("%.17g,%.17g\n" % (ti, ei))
+    """Write ``t,envelope`` rows: the envelope tabulated at the given times."""
+    t = np.asarray(t, dtype=float)
+    env = np.asarray(envelope(t), dtype=float)
+    integrate.write_csv(path, ["t", "envelope"], integrate.FLOAT + "," + integrate.FLOAT,
+                        zip(t.tolist(), env.tolist()))
 
 
 def emit_plot_script(path, metrics_csv: str, dim: int, which: str = "h",
                      envelope_csv: Optional[str] = None) -> None:
-    """Write a gnuplot script plotting the chosen metric (log scale) vs time."""
-    col = {"h": 2 + 2 * dim, "u": 3 + 2 * dim, "gap": 4 + 2 * dim,
-           "gradnorm": 5 + 2 * dim}[which]
+    """Write a gnuplot script plotting metric ``which`` (log scale) vs time."""
+    if which not in integrate.METRIC_COLUMNS:
+        raise KeyError(which)
+    col = integrate.trajectory_columns(dim).index(which) + 1  # gnuplot counts from 1
     lines = [
         "# gnuplot script: decay metric vs certified envelope",
         "set datafile separator comma",

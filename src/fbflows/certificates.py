@@ -15,13 +15,13 @@ inputs; it makes no claim beyond that interval.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .flows import Profile, Schedule, sample
+from .integrate import write_json
 
 GRID_SLACK = 1e-9
 ROUND_SLACK = 1e-12
@@ -50,9 +50,6 @@ class Check:
         if self.strict:
             return self.lhs < self.rhs
         return self.lhs <= self.rhs + self.slack
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _rounding(lhs: float, rhs: float) -> float:
@@ -104,20 +101,8 @@ class RateCertificate:
         """Re-evaluate every stored inequality from the stored numbers."""
         return all(c.ok for c in self.checks)
 
-    def as_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "inputs": dict(self.inputs),
-            "derived": dict(self.derived),
-            "decay_exponent": self.decay_exponent,
-            "transient_exponent": self.transient_exponent,
-            "checks": [c.as_dict() for c in self.checks],
-        }
-
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self)
 
 
 def _finish(system, inputs, derived, r, transient, checks, extra_failures=()):

@@ -1,9 +1,10 @@
 """Config-driven experiment runner: certify, simulate, verify, sweep, list.
 
 Configs are JSON documents (schema documented in the README).  Artifacts are
-CSV tables, JSON reports and a gnuplot script per run.  Exit codes: 0 all
-checks pass, 1 a certificate or verification failed, 2 unknown problem,
-3 system kind incompatible with the instance, 4 malformed config.
+CSV tables, JSON reports (both through ``integrate``'s writer) and a gnuplot
+script per run.  Exit codes: 0 all checks pass, 1 a certificate or
+verification failed, 2 unknown problem, 3 system kind incompatible with the
+instance, 4 malformed config.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class ExperimentConfig:
     sweep: dict
     seed: int
     output_dir: Optional[str]
-    raw: dict
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError("'seed' must be a nonnegative integer")
         return cls(problem=problem, system=system, params=params,
                    integrator=integrator, initial=initial, sweep=sweep,
-                   seed=seed, output_dir=doc.get("output_dir"), raw=doc)
+                   seed=seed, output_dir=doc.get("output_dir"))
 
 
 def _profile(spec, name: str) -> Profile:
@@ -180,8 +180,12 @@ def _setting(cfg: ExperimentConfig, key: str, default=None):
     return float(v)
 
 
-def _t_grid_end(cfg: ExperimentConfig) -> float:
-    return _setting(cfg, "t_end") or 50.0
+def _positive(cfg: ExperimentConfig, key: str, default=None):
+    """A positive integrator setting, or ``default`` when absent."""
+    v = _setting(cfg, key, default)
+    if v is not None and not v > 0.0:
+        raise ConfigError("integrator '%s' must be positive, got %r" % (key, v))
+    return v
 
 
 def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
@@ -196,7 +200,7 @@ def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
     if cfg.system == "fb2":
         return certificates.certify_fb2(inst.rho, inst.beta, _scalar(p, "alpha"),
                                         _scalar(p, "delta"), sched,
-                                        t_grid_end=_t_grid_end(cfg))
+                                        t_grid_end=_positive(cfg, "t_end", 50.0))
     if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
     alpha_bar = None
@@ -205,7 +209,8 @@ def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
     elif sched.alpha.start == sched.alpha.end:
         alpha_bar = sched.alpha.end
     return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
-                                      alpha_bar=alpha_bar, t_grid_end=_t_grid_end(cfg))
+                                      alpha_bar=alpha_bar,
+                                      t_grid_end=_positive(cfg, "t_end", 50.0))
 
 
 def _flow_eta(cfg: ExperimentConfig, inst) -> Optional[float]:
@@ -264,18 +269,21 @@ def _initial_state(cfg: ExperimentConfig, inst, order: int):
 
 
 def _control(cfg: ExperimentConfig):
-    step = _setting(cfg, "fixed_step")
-    if step:
+    step = _positive(cfg, "fixed_step")
+    if step is not None:
         return integrate.FixedStep(step)
-    return integrate.Adaptive(rel_tol=_setting(cfg, "rel_tol", 1e-9),
-                              abs_tol=_setting(cfg, "abs_tol", 1e-12))
+    return integrate.Adaptive(rel_tol=_positive(cfg, "rel_tol", 1e-9),
+                              abs_tol=_positive(cfg, "abs_tol", 1e-12))
 
 
 def _simulate(cfg: ExperimentConfig, inst, sched, t_end: float):
     flow = _build_flow(cfg, inst, sched)
     x0, v0 = _initial_state(cfg, inst, flow.order)
+    n_dense = _setting(cfg, "n_dense", 500)
+    if n_dense < 2 or n_dense != int(n_dense):
+        raise ConfigError("integrator 'n_dense' must be an integer >= 2, got %r" % n_dense)
     traj = integrate.integrate(flow, x0, v0=v0, t_end=t_end, control=_control(cfg),
-                               n_dense=int(_setting(cfg, "n_dense", 500)))
+                               n_dense=int(n_dense))
     metrics = integrate.record_metrics(traj, inst)
     return traj, metrics, x0, v0
 
@@ -303,8 +311,10 @@ def _write_run_artifacts(out_dir, traj, metrics, envelope=None, which=None):
 
 
 def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
-    """Envelope + (system-specific) chain / Lyapunov reports."""
+    """Envelope + (system-specific) chain / Lyapunov reports, the envelope, and
+    the lemma constant M of a second-order system (None for first order)."""
     reports = {}
+    m_raw = None
     if cfg.system == "fb1":
         env = analysis.build_envelope(cert, h0=float(metrics.h[0]))
         reports["envelope"] = analysis.verify_envelope(
@@ -323,7 +333,6 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
         reports["envelope"] = analysis.verify_envelope(
             metrics, "h", env, rate=cert.decay_exponent)
         reports["lyapunov"] = analysis.verify_lyapunov(traj, coeffs, metrics)
-        reports["m_raw"] = m_raw
     else:
         coeffs = certificates.grad2_lemma_coefficients(inst.beta, sched)
         m_raw = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
@@ -331,8 +340,7 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
         reports["envelope"] = analysis.verify_envelope(
             metrics, "gap", env, rate=cert.decay_exponent)
         reports["chain"] = analysis.verify_value_chain(metrics, inst.rho, inst.beta)
-        reports["m_raw"] = m_raw
-    return reports, env
+    return reports, env, m_raw
 
 
 def _sweep_values(name: str, spec) -> list:
@@ -418,7 +426,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
-    t_end = _setting(cfg, "t_end")
+    t_end = _positive(cfg, "t_end")
     if t_end is None:
         t_end = _default_t_end(_certify(cfg, inst, sched))
     traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
@@ -432,22 +440,21 @@ def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
 
 def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
     cert = _certify(cfg, inst, sched)
-    t_end = _setting(cfg, "t_end")
+    t_end = _positive(cfg, "t_end")
     if t_end is None:
         t_end = _default_t_end(cert)
     traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))
-    reports, env = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
+    reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
     audit = problems.audit_instance(inst, n_pairs=1000, seed=cfg.seed)
 
-    passed = audit.passed and all(
-        rep.passed for rep in reports.values() if hasattr(rep, "passed"))
+    passed = audit.passed and all(rep.passed for rep in reports.values())
     doc = {
         "version": __version__,
         "command": "verify",
         "problem": inst.name,
         "system": cfg.system,
         "t_end": float(t_end),
-        "certificate": cert.as_dict(),
+        "certificate": cert,
         "audit": {
             "passed": audit.passed,
             "failures": list(audit.failures),
@@ -457,15 +464,14 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
         },
         "passed": passed,
     }
-    for key, rep in reports.items():
-        doc[key] = rep.as_dict() if hasattr(rep, "as_dict") else rep
+    doc.update(reports)
+    if m_raw is not None:
+        doc["m_raw"] = m_raw
     os.makedirs(out_dir, exist_ok=True)
     cert.to_json(os.path.join(out_dir, "certificate.json"))
     _write_run_artifacts(out_dir, traj, metrics, envelope=env,
                          which=reports["envelope"].which)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    integrate.write_json(os.path.join(out_dir, "report.json"), doc)
 
     rep = reports["envelope"]
     _say(quiet, "verify %s on %s: envelope %s (%d/%d violations, max ratio %.3g), "
@@ -492,6 +498,7 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
             raise ConfigError("sweep parameter '%s' does not apply to '%s'"
                               % (name, cfg.system))
     grids = [_sweep_values(name, cfg.sweep[name]) for name in names]
+    _positive(cfg, "t_end")  # a bad horizon is a config error, not a cell failure
     rows = []
     best = None
     for combo in itertools.product(*grids):
@@ -503,21 +510,19 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
             cert = _certify(cell_cfg, inst, sched)
             rate = cert.decay_exponent
             gamma_lower = cert.derived.get("gamma_lower", math.nan)
-            rows.append(list(combo) + [1, rate, gamma_lower, ""])
+            rows.append(combo + (1, rate, gamma_lower, ""))
             if best is None or rate > best[0]:
                 best = (rate, {k: float(v) for k, v in zip(names, combo)})
         except (CertificateError, ConfigError, ScheduleError, ValueError) as exc:
             first = exc.failures[0] if isinstance(exc, CertificateError) else str(exc)
-            rows.append(list(combo) + [0, math.nan, math.nan, first])
+            rows.append(combo + (0, math.nan, math.nan, first))
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(names + ["feasible", "decay_exponent", "gamma_lower",
-                                   "failure"]) + "\n")
-        for row in rows:
-            cells = ["%.17g" % v if isinstance(v, float) else str(v) for v in row[:-1]]
-            fh.write(",".join(cells + ['"%s"' % row[-1]]) + "\n")
+    header = names + ["feasible", "decay_exponent", "gamma_lower", "failure"]
+    row_format = ",".join([integrate.FLOAT] * len(names)
+                          + ["%d", integrate.FLOAT, integrate.FLOAT, '"%s"'])
+    integrate.write_csv(path, header, row_format, rows)
     n_feasible = sum(r[len(names)] for r in rows)
     _say(quiet, "sweep over %s: %d/%d cells feasible"
          % ("+".join(names), n_feasible, len(rows)))

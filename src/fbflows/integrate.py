@@ -4,12 +4,14 @@ The adaptive path is the Dormand-Prince 5(4) embedded pair with PI step-size
 control and a 4th-order dense interpolant, so trajectories can be sampled on
 an even grid much finer than the accepted steps.  A plain fixed-step RK4 is
 included for order checks.  Second-order flows are integrated by state
-augmentation (x, v).
+augmentation (x, v).  The module also owns the artifact format: ``write_csv``
+(floats as ``FLOAT``, which round-trips), ``write_json``, ``trajectory_columns``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from typing import Optional
 
@@ -326,28 +328,38 @@ def record_metrics(traj: Trajectory, problem) -> MetricSeries:
     return MetricSeries(t=traj.t, h=h, u=u, gap=gap, gradnorm=gradnorm, x_star=x_star)
 
 
-def to_csv(traj: Trajectory, metrics: Optional[MetricSeries], path) -> None:
-    """Write `t,x_0..,v_0..,h,u,gap,gradnorm` rows with 17 significant digits."""
-    dim = traj.x.shape[1]
-    cols = ["t"] + ["x_%d" % i for i in range(dim)] + ["v_%d" % i for i in range(dim)]
-    cols += ["h", "u", "gap", "gradnorm"]
-    n = traj.t.size
+FLOAT = "%.17g"
+METRIC_COLUMNS = ("h", "u", "gap", "gradnorm")  # the MetricSeries fields, in order
 
-    def fmt(v):
-        return "%.17g" % v
 
+def trajectory_columns(dim: int) -> list:
+    """Column names of a trajectory table: t, x_i..., v_i..., then METRIC_COLUMNS."""
+    return (["t"] + ["x_%d" % i for i in range(dim)] + ["v_%d" % i for i in range(dim)]
+            + list(METRIC_COLUMNS))
+
+
+def write_csv(path, header, row_format: str, rows) -> None:
+    """Write the header line, then ``row_format % row`` for each row tuple."""
+    line = row_format + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            row = [fmt(traj.t[i])]
-            row += [fmt(v) for v in traj.x[i]]
-            row += [fmt(v) for v in traj.v[i]]
-            if metrics is not None:
-                row.append(fmt(metrics.h[i]))
-                row.append(fmt(metrics.u[i]))
-                row.append(fmt(metrics.gap[i]) if metrics.gap is not None else "nan")
-                row.append(fmt(metrics.gradnorm[i]) if metrics.gradnorm is not None
-                           else "nan")
-            else:
-                row += ["nan", "nan", "nan", "nan"]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact, dataclasses as dicts, with sorted keys and indent 2."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
+        fh.write("\n")
+
+
+def to_csv(traj: Trajectory, metrics: Optional[MetricSeries], path) -> None:
+    """Write the ``trajectory_columns`` table; an absent metric is written as nan."""
+    header = trajectory_columns(traj.x.shape[1])
+    absent = [math.nan] * traj.t.size  # FLOAT formats nan as "nan"
+    series = [getattr(metrics, name, None) for name in METRIC_COLUMNS]
+    rows = zip(traj.t.tolist(), map(np.ndarray.tolist, traj.x),
+               map(np.ndarray.tolist, traj.v),
+               *[absent if s is None else s.tolist() for s in series])
+    write_csv(path, header, ",".join([FLOAT] * len(header)),
+              ((t, *x, *v, *m) for t, x, v, *m in rows))

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import operators
+from . import analysis, flows, operators
 from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
                         audit_map, gradient_map, l1_norm, prox_resolvent,
                         zero_operator)
@@ -246,30 +246,24 @@ def audit_instance(instance: ProblemInstance, n_pairs: int = 1000,
         failures.append("b exceeds the claimed Lipschitz modulus 1/beta")
 
     x_star = instance.x_star
-    step = instance.a.resolve(1.0, x_star - instance.b.eval(x_star))
-    residual = float(np.linalg.norm(x_star - step))
+    residual = flows.residual(instance.a, instance.b, 1.0, x_star)
     if residual > 1e-9:
         failures.append("fixed-point residual at x_star above 1e-9")
 
     sandwich = None
     if instance.g is not None and instance.f is None:
         rng = np.random.default_rng(seed + 2)
-        names = ["(rho/2)*h <= gap", "gap <= h/(2*beta)", "rho*sqrt(h) <= gradnorm"]
-        counts = dict.fromkeys(names, 0)
+        xs = [operators.sample_ball(rng, instance.dim, 10.0)
+              for _ in range(min(200, n_pairs))]
+        err = np.array(xs) - x_star
         g_star = float(instance.g.value(x_star))
-        for _ in range(min(200, n_pairs)):
-            x = operators.sample_ball(rng, instance.dim, 10.0)
-            hh = float(np.dot(x - x_star, x - x_star))
-            gap = float(instance.g.value(x)) - g_star
-            gn = float(np.linalg.norm(instance.g.gradient(x)))
-            trio = [(0.5 * instance.rho * hh, gap),
-                    (gap, hh / (2.0 * instance.beta)),
-                    (instance.rho * np.sqrt(hh), gn)]
-            for nm, (lhs, rhs) in zip(names, trio):
-                if lhs > rhs + 1e-8 * (1.0 + abs(lhs) + abs(rhs)):
-                    counts[nm] += 1
-        sandwich = counts
-        for nm, cnt in counts.items():
+        chain = analysis.value_chain(
+            np.einsum("ij,ij->i", err, err),
+            np.array([float(instance.g.value(x)) for x in xs]) - g_star,
+            np.array([float(np.linalg.norm(instance.g.gradient(x))) for x in xs]),
+            instance.rho, instance.beta)
+        sandwich = {nm: cnt for nm, cnt, _ in chain.results}
+        for nm, cnt in sandwich.items():
             if cnt:
                 failures.append("value sandwich '%s' failed on %d points" % (nm, cnt))
 

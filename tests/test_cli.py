@@ -138,6 +138,15 @@ def test_initial_state_validation(tmp_path, capsys):
     assert "dimension 2" in capsys.readouterr().err
 
 
+FB1_VERIFY = {
+    "problem": "skew-rotation",
+    "system": "fb1",
+    "params": {"alpha": 1.0, "eta": 1.0, "lambda": 1.0},
+    "integrator": {"t_end": 20.0, "rel_tol": 1e-9, "abs_tol": 1e-12},
+    "initial": {"x0": [3.0, -1.0]},
+}
+
+
 FB2_VERIFY = {
     "problem": "skew-rotation",
     "system": "fb2",
@@ -172,12 +181,25 @@ def _patched(doc, block, **entries):
      "'alpha_bar' must be"),
     (_patched(GRAD2_VERIFY, "params", alpha=1.5, alpha_bar=0.5), 1,
      "alpha_bar > 1 violated"),
+    (_patched(FB2_VERIFY, "integrator", t_end=0.0), 4, "'t_end' must be positive"),
+    (_patched(FB1_VERIFY, "integrator", t_end=-1.0), 4, "'t_end' must be positive"),
+    (_patched(FB2_VERIFY, "integrator", rel_tol=-1.0), 4, "'rel_tol' must be positive"),
+    (_patched(FB2_VERIFY, "integrator", abs_tol=0.0), 4, "'abs_tol' must be positive"),
+    (_patched(FB1_VERIFY, "integrator", fixed_step=-0.1), 4,
+     "'fixed_step' must be positive"),
+    (_patched(FB1_VERIFY, "integrator", fixed_step=0.0), 4,
+     "'fixed_step' must be positive"),
+    (_patched(FB2_VERIFY, "integrator", n_dense=0), 4, "'n_dense' must be an integer"),
+    (_patched(FB2_VERIFY, "integrator", n_dense=-5), 4, "'n_dense' must be an integer"),
+    (_patched(FB2_VERIFY, "integrator", n_dense=2.7), 4, "'n_dense' must be an integer"),
 ], ids=["x0-strings", "x0-nan", "v0-string", "t_end-string", "rel_tol-string",
         "abs_tol-string", "n_dense-string", "alpha_bar-string", "alpha_bar-negative",
-        "alpha_bar-negative-with-alpha", "alpha_bar-below-one"])
+        "alpha_bar-negative-with-alpha", "alpha_bar-below-one", "t_end-zero-fb2",
+        "t_end-negative-fb1", "rel_tol-negative", "abs_tol-zero", "fixed_step-negative",
+        "fixed_step-zero", "n_dense-zero", "n_dense-negative", "n_dense-fraction"])
 def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
-    # a malformed number is a config error (4); an alpha_bar in (0, 1] is
-    # well formed and fails its certificate (1)
+    # a malformed or out-of-range number is a config error (4); an alpha_bar
+    # in (0, 1] is well formed and fails its certificate (1)
     cfg = write_config(tmp_path, doc)
     assert run(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == code
     assert fragment in capsys.readouterr().err
@@ -197,15 +219,6 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert (out / "plot_metrics.gp").exists()
     assert not (out / "report.json").exists()
     assert "simulated grad1 on quadratic-2d" in capsys.readouterr().out
-
-
-FB1_VERIFY = {
-    "problem": "skew-rotation",
-    "system": "fb1",
-    "params": {"alpha": 1.0, "eta": 1.0, "lambda": 1.0},
-    "integrator": {"t_end": 20.0, "rel_tol": 1e-9, "abs_tol": 1e-12},
-    "initial": {"x0": [3.0, -1.0]},
-}
 
 
 def test_verify_passes_and_writes_artifacts(tmp_path):
@@ -390,6 +403,10 @@ def test_sweep_validation(tmp_path, capsys):
     cfg = write_config(tmp_path, {**base, "sweep": {"alpha": {"min": 1.0}}})
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "min/max/num" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {**base, "integrator": {"t_end": 0.0},
+                                  "sweep": {"alpha": {"values": [1.0]}}})
+    assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "'t_end' must be positive" in capsys.readouterr().err
 
 
 def test_sweep_range_grid(tmp_path):
