@@ -9,7 +9,9 @@ CertificateError naming each failed inequality; nothing is clamped silently.
 Time-dependent conditions of the second-order systems are verified on the
 samples of ``Schedule.check``: an even grid over [0, t_grid_end] (default 2000
 points, slack 1e-9).  The certificate records t_grid_end and n_grid in its
-inputs; it makes no claim beyond that interval.
+inputs; it makes no claim beyond that interval.  A constant coefficient is
+checked once at its value, which every grid point would repeat, so the
+recorded numbers, t_grid_end and n_grid are those of the full grid.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flows import Profile, Schedule, sample
+from .flows import Profile, Schedule
 from .integrate import write_json
 
 GRID_SLACK = 1e-9
@@ -60,20 +62,29 @@ def _grid_slack(lhs: float, rhs: float) -> float:
     return GRID_SLACK * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _worst(name: str, lhs_grid, rhs_grid, strict: bool = False) -> Check:
-    """Record the grid point where lhs - rhs is largest (the tightest case)."""
-    lhs_grid = np.asarray(lhs_grid, dtype=float)
-    rhs_grid = np.asarray(rhs_grid, dtype=float)
-    k = int(np.argmax(lhs_grid - rhs_grid))
-    lhs, rhs = float(lhs_grid[k]), float(rhs_grid[k])
+def _worst(name: str, lhs, rhs, strict: bool = False) -> Check:
+    """Record the grid point where lhs - rhs is largest (the tightest case).
+
+    Two floats (constant coefficients) are compared directly; an array side
+    is broadcast against the other before the argmax.
+    """
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        k = int(np.argmax(lhs - rhs))
+        lhs, rhs = lhs[k], rhs[k]
+    lhs, rhs = float(lhs), float(rhs)
     return Check(name=name, lhs=lhs, rhs=rhs, strict=strict, slack=_grid_slack(lhs, rhs))
+
+
+def _steps(v):
+    # a constant's one step v - v: the 0.0 (nan for nan) np.diff gives on its samples
+    return np.diff(v) if isinstance(v, np.ndarray) else v - v
 
 
 def _monotonicity(lam, gam) -> list:
     """The grid checks that gamma and gamma/lambda are nonincreasing."""
-    zeros = np.zeros(lam.size - 1)
-    return [_worst("gamma(t) nonincreasing", np.diff(gam), zeros),
-            _worst("gamma(t)/lambda(t) nonincreasing", np.diff(gam / lam), zeros)]
+    return [_worst("gamma(t) nonincreasing", _steps(gam), 0.0),
+            _worst("gamma(t)/lambda(t) nonincreasing", _steps(gam / lam), 0.0)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,7 +233,7 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
 
     theta_t = theta_coeff * lam
     checks.append(_worst("theta(t) <= K*lambda(t) + K^2*lambda(t)^2",
-                         theta_t, k_slope * lam + k_slope ** 2 * lam ** 2))
+                         theta_t, k_slope * lam + k_slope ** 2 * (lam * lam)))
     theta_floor = theta_coeff * sched.lambda_lower
     checks.append(Check("theta > 2", lhs=2.0, rhs=theta_floor, strict=True))
 
@@ -315,9 +326,9 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
     if alpha_bar is None:
         raise ValueError("alpha_bar required when alpha(t) is not constant")
     alpha_bar = float(alpha_bar)
-    ts, lam, gam, a_t = sched.check(t_grid_end, n=n_grid)
     if alpha_fn is not sched.alpha:
-        a_t = sample(alpha_fn, ts)
+        sched = dataclasses.replace(sched, alpha=alpha_fn)
+    _, lam, gam, a_t = sched.check(t_grid_end, n=n_grid)
 
     checks = [
         Check("rho*beta <= 1", lhs=rho * beta, rhs=1.0,
@@ -328,7 +339,7 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
 
     floor = max(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
     checks.append(_worst("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)",
-                         np.full_like(a_t, floor), a_t))
+                         floor, a_t))
     checks.append(_worst("alpha(t)/(beta*rho^2) <= lambda(t)",
                          a_t / (beta * rho * rho), lam))
     checks.append(_worst("lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2)",

@@ -170,12 +170,22 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
                 "part; its ground truth solves f+g" % (cfg.system, inst.name))
 
 
+def _finite(v) -> bool:
+    """Whether a config value is a finite number (an int or float, not a bool)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _setting(cfg: ExperimentConfig, key: str, default=None):
     """A finite number from the integrator block, or ``default`` when absent."""
     v = cfg.integrator.get(key)
     if v is None:
         return default
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if not _finite(v):
         raise ConfigError("integrator '%s' must be a finite number, got %r" % (key, v))
     return float(v)
 
@@ -344,17 +354,23 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
 
 
 def _sweep_values(name: str, spec) -> list:
+    """The points of one sweep axis: a ``values`` list, or ``min``/``max``/``num``."""
     if isinstance(spec, dict) and "values" in spec:
-        vals = [float(v) for v in spec["values"]]
-        if not vals:
-            raise ConfigError("sweep '%s' has an empty values list" % name)
-        return vals
+        vals = spec["values"]
+        if not isinstance(vals, list) or not vals or not all(_finite(v) for v in vals):
+            raise ConfigError("sweep '%s' values must be a nonempty list of finite "
+                              "numbers, got %r" % (name, vals))
+        return [float(v) for v in vals]
     try:
-        lo, hi, num = float(spec["min"]), float(spec["max"]), int(spec["num"])
-    except (KeyError, TypeError, ValueError):
+        lo, hi, num = spec["min"], spec["max"], spec["num"]
+    except (KeyError, TypeError):
         raise ConfigError("sweep '%s' needs min/max/num or values" % name)
+    if not (_finite(lo) and _finite(hi) and _finite(num) and num == int(num)):
+        raise ConfigError("sweep '%s' needs finite numbers min/max and an integer num, "
+                          "got %r" % (name, spec))
     if num < 1 or not (0.0 < lo <= hi):
         raise ConfigError("sweep '%s' needs 0 < min <= max and num >= 1" % name)
+    lo, hi, num = float(lo), float(hi), int(num)
     if spec.get("log"):
         return list(np.geomspace(lo, hi, num))
     return list(np.linspace(lo, hi, num))

@@ -10,6 +10,7 @@ non-smooth points of the data are harmless.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
@@ -45,6 +46,25 @@ def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     if isinstance(fn, Profile):
         return fn(ts)
     return np.array([fn(t) for t in ts], dtype=float)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(t_end: float, n: int) -> np.ndarray:
+    """The even grid over [0, t_end], read-only because every caller shares it."""
+    ts = np.linspace(0.0, t_end, n)
+    ts.flags.writeable = False
+    return ts
+
+
+def _coefficient(fn: Callable, ts: np.ndarray):
+    """A constant Profile as its value, any other coefficient sampled on ts.
+
+    The value is a numpy float64, so arithmetic on it follows the same rules
+    (division by zero, nan) as on the samples it stands for.
+    """
+    if isinstance(fn, Profile) and fn.start == fn.end:
+        return np.float64(fn(0.0))
+    return sample(fn, ts)
 
 
 @dataclasses.dataclass
@@ -84,13 +104,18 @@ class Schedule:
         """(ts, lam, gamma, alpha) on an even grid over [0, t_end], lambda inside its bounds.
 
         Each coefficient is sampled once; gamma and alpha are None when absent.
+        A constant Profile (start == end) is returned as its float value, which
+        every grid sample would repeat, so it is checked once at that value;
+        the certificates record the same numbers, t_grid_end and n_grid as on
+        the full grid.  ts is the read-only grid a varying coefficient is
+        sampled on.
         """
-        ts = np.linspace(0.0, float(t_end), n)
-        lam = sample(self.lam, ts)
-        if np.any(lam < self.lambda_lower - slack) or np.any(lam > self.lambda_upper + slack):
+        ts = _grid(float(t_end), n)
+        lam = _coefficient(self.lam, ts)
+        if ((lam < self.lambda_lower - slack) | (lam > self.lambda_upper + slack)).any():
             raise ScheduleError("lambda(t) leaves its declared bounds")
-        gam = None if self.gamma is None else sample(self.gamma, ts)
-        alpha = None if self.alpha is None else sample(self.alpha, ts)
+        gam = None if self.gamma is None else _coefficient(self.gamma, ts)
+        alpha = None if self.alpha is None else _coefficient(self.alpha, ts)
         return ts, lam, gam, alpha
 
 

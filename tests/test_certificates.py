@@ -1,5 +1,6 @@
 """Hypothesis certificates: frozen arithmetic, named rejections, lemma machinery."""
 
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,7 @@ from fbflows.certificates import (
     suggest_constants_fb2,
     suggest_constants_grad2,
 )
-from fbflows.flows import Schedule, ScheduleError
+from fbflows.flows import Profile, Schedule, ScheduleError
 from fbflows.operators import scaled_sqnorm
 
 
@@ -268,6 +269,56 @@ def test_grad2_alpha_sources():
         certify_grad2(1.0, 1.0, lambda t: 1.5, sched)  # floor missing
     with pytest.raises(ValueError):
         certify_grad2(1.0, 1.0, None, Schedule.constant(1.5, gamma=2.4))
+
+
+# --- constant coefficients: checked once at their value, as on the full grid
+
+def _plain(sched):
+    """The schedule with each constant Profile as a callable sampled point by point."""
+    def plain(fn):
+        if isinstance(fn, Profile) and fn.start == fn.end:
+            return lambda t, v=fn.start: v
+        return fn
+    return dataclasses.replace(sched, lam=plain(sched.lam), gamma=plain(sched.gamma),
+                               alpha=plain(sched.alpha))
+
+
+def _fb2(sched):
+    return certify_fb2(1.0, 1.0, 0.5, 0.5, sched, t_grid_end=23.0)
+
+
+def _grad2(sched):
+    return certify_grad2(1.0, 1.0, None, sched, alpha_bar=1.5, t_grid_end=22.0)
+
+
+def _bits(cert):
+    return [(c.name, c.lhs.hex(), c.rhs.hex(), c.strict, c.slack.hex())
+            for c in cert.checks]
+
+
+@pytest.mark.parametrize("certify, sched", [
+    (_fb2, Schedule.constant(40.0, gamma=11.0)),
+    (_fb2, Schedule(lam=Profile(60.0, 60.0), lambda_lower=60.0, lambda_upper=60.0,
+                    gamma=Profile(15.0, 14.0, 0.5))),
+    (_grad2, Schedule.constant(1.6875, gamma=2.4519716382329886, alpha=1.5)),
+], ids=["fb2-constant", "fb2-ramp-gamma", "grad2-constant"])
+def test_constant_coefficients_match_full_grid(certify, sched):
+    cert, grid = certify(sched), certify(_plain(sched))
+    assert cert.inputs == grid.inputs and cert.derived == grid.derived
+    assert _bits(cert) == _bits(grid)
+
+
+@pytest.mark.parametrize("certify, sched", [
+    (_fb2, Schedule.constant(1.0, gamma=11.0)),
+    (_grad2, Schedule.constant(2.0, gamma=2.7, alpha=1.5)),
+], ids=["fb2", "grad2"])
+def test_constant_failures_match_full_grid(certify, sched):
+    failures = []
+    for s in (sched, _plain(sched)):
+        with pytest.raises(CertificateError) as exc:
+            certify(s)
+        failures.append(exc.value.failures)
+    assert len(failures[0]) >= 2 and failures[0] == failures[1]
 
 
 def test_suggest_grad2_midpoints_and_round_trip():

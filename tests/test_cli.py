@@ -192,11 +192,13 @@ def _patched(doc, block, **entries):
     (_patched(FB2_VERIFY, "integrator", n_dense=0), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", n_dense=-5), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", n_dense=2.7), 4, "'n_dense' must be an integer"),
+    (_patched(FB2_VERIFY, "integrator", t_end=10 ** 400), 4, "'t_end' must be a finite"),
 ], ids=["x0-strings", "x0-nan", "v0-string", "t_end-string", "rel_tol-string",
         "abs_tol-string", "n_dense-string", "alpha_bar-string", "alpha_bar-negative",
         "alpha_bar-negative-with-alpha", "alpha_bar-below-one", "t_end-zero-fb2",
         "t_end-negative-fb1", "rel_tol-negative", "abs_tol-zero", "fixed_step-negative",
-        "fixed_step-zero", "n_dense-zero", "n_dense-negative", "n_dense-fraction"])
+        "fixed_step-zero", "n_dense-zero", "n_dense-negative", "n_dense-fraction",
+        "t_end-huge-int"])
 def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     # a malformed or out-of-range number is a config error (4); an alpha_bar
     # in (0, 1] is well formed and fails its certificate (1)
@@ -407,6 +409,17 @@ def test_sweep_validation(tmp_path, capsys):
                                   "sweep": {"alpha": {"values": [1.0]}}})
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "'t_end' must be positive" in capsys.readouterr().err
+    # values must be a nonempty list of finite numbers, min/max finite
+    # numbers and num an integer; each of these used to crash, exit 1 or run
+    for spec in [{"values": [None]}, {"values": 5}, {"values": ["abc"]},
+                 {"values": "0.5"}, {"values": [True]}, {"values": [float("nan")]},
+                 {"values": [10 ** 400]},
+                 {"min": "0.1", "max": 1.0, "num": 2},
+                 {"min": 0.1, "max": 1.0, "num": 2.7},
+                 {"min": 0.1, "max": float("inf"), "num": 2}]:
+        cfg = write_config(tmp_path, {**base, "sweep": {"alpha": spec}})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4, spec
+        assert "config error: sweep 'alpha'" in capsys.readouterr().err
 
 
 def test_sweep_range_grid(tmp_path):
@@ -438,3 +451,19 @@ def test_sweep_fb2_golden(tmp_path):
     assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
     assert digest == "c47e669de1132e0d11184dcbe68924469966d48930dcfb4c8801e684764a129c"
+
+
+def test_sweep_grad2_golden(tmp_path):
+    # pinned sha256 of a grad2 sweep.csv over lambda x gamma with feasible
+    # cells and cells failing four different inequalities
+    cfg = write_config(tmp_path, {
+        "problem": "quadratic-2d",
+        "system": "grad2",
+        "params": {"alpha": 40.0, "lambda": 180.0, "gamma": 40.0},
+        "sweep": {"lambda": {"values": [150.0, 165.0, 180.0, 195.0, 210.0]},
+                  "gamma": {"values": [36.0, 38.5, 39.5, 40.5, 41.5]}},
+    })
+    out = tmp_path / "golden"
+    assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "a2871842484ca9bcbf1b7026dbdaa616a994ee8e703f399f2797ab3758f21182"

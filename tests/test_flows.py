@@ -171,6 +171,14 @@ def test_schedule_check_samples_each_coefficient_once():
     assert np.all(lam_t == 1.0) and np.array_equal(gam_t, ramp(ts))
 
 
+def test_schedule_check_constant_is_a_float():
+    sched = Schedule(lam=Profile(2.0, 2.0), lambda_lower=2.0, lambda_upper=2.0,
+                     gamma=Profile(3.0, 2.0, 0.5))
+    ts, lam_t, gam_t, _ = sched.check(4.0, n=50)
+    assert isinstance(lam_t, float) and lam_t == 2.0
+    assert isinstance(gam_t, np.ndarray) and np.array_equal(gam_t, sched.gamma(ts))
+
+
 def test_sample_profiles():
     ts = np.linspace(0.0, 50.0, 2000)
     # constants: one array evaluation equals the point-by-point values bitwise
