@@ -13,6 +13,7 @@ from fbflows.operators import (
     box_indicator,
     brute_force_prox,
     l1_norm,
+    matvec,
     scaled_sqnorm,
     translated_linear,
     zero_function,
@@ -47,10 +48,11 @@ for x in (-2.5, -0.7, 0.0, 0.4, 1.8):
     p = l1_norm(1.0).prox(1.0, np.array([x]))[0]
     print("  x = %+5.2f  ->  %+5.2f" % (x, p))
 
-# the audit draws point pairs and checks the claimed moduli from samples
+# the audit draws point pairs and checks the claimed moduli from samples; it
+# evaluates the map once on a block of points, one point per row
 print()
 print("sampling audit of the 90-degree rotation map")
-rot = lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]) @ np.asarray(x, float)
+rot = lambda x: matvec(np.array([[0.0, 1.0], [-1.0, 0.0]]), x)
 report = audit_map(rot, dim=2, rho_claim=0.0, beta_claim=1.0, n_pairs=1000, seed=3)
 print("  monotone quotient  >= %.2e (claim 0)" % report.min_monotone_quotient)
 print("  lipschitz ratio    <= %.6f (claim 1)" % report.max_lipschitz_ratio)

@@ -98,28 +98,37 @@ class ExperimentConfig:
                    seed=seed, output_dir=doc.get("output_dir"))
 
 
+def _finite(v) -> bool:
+    """Whether a config value is a finite number (an int or float, not a bool)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _profile(spec, name: str) -> Profile:
-    """Resolve a number, a constant profile or an exp_ramp profile to a Profile."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    """Resolve a positive number, a constant profile or an exp_ramp profile to a Profile."""
+    if _finite(spec) and spec > 0:
         v = float(spec)
-        if not (v > 0.0) or not math.isfinite(v):
-            raise ConfigError("'%s' must be positive and finite, got %r" % (name, spec))
         return Profile(v, v)
     if isinstance(spec, dict):
         kind = spec.get("profile")
         if kind == "constant":
             return _profile(spec.get("value"), name)
         if kind == "exp_ramp":
-            try:
-                start, end, rate = (float(spec["start"]), float(spec["end"]),
-                                    float(spec["rate"]))
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError("'%s' exp_ramp needs numeric start/end/rate" % name)
+            values = [spec.get(key) for key in ("start", "end", "rate")]
+            if not all(_finite(v) for v in values):
+                raise ConfigError("'%s' exp_ramp needs finite numbers start/end/rate"
+                                  % name)
+            start, end, rate = map(float, values)
             if rate <= 0.0 or start <= 0.0 or end <= 0.0:
                 raise ConfigError("'%s' exp_ramp needs positive start/end/rate" % name)
             return Profile(start, end, rate)
         raise ConfigError("unknown profile %r for '%s'" % (kind, name))
-    raise ConfigError("'%s' must be a number or a profile object, got %r" % (name, spec))
+    raise ConfigError("'%s' must be a positive finite number or a profile object, got %r"
+                      % (name, spec))
 
 
 def _require(params: dict, key: str):
@@ -144,8 +153,8 @@ def _build_schedule(cfg: ExperimentConfig) -> Schedule:
 
 def _scalar(params: dict, key: str) -> float:
     v = _require(params, key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError("'%s' must be a number, got %r" % (key, v))
+    if not _finite(v):
+        raise ConfigError("'%s' must be a finite number, got %r" % (key, v))
     return float(v)
 
 
@@ -168,16 +177,6 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
             raise IncompatibleSystemError(
                 "system '%s' minimizes g alone, but instance '%s' has a nonsmooth "
                 "part; its ground truth solves f+g" % (cfg.system, inst.name))
-
-
-def _finite(v) -> bool:
-    """Whether a config value is a finite number (an int or float, not a bool)."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _setting(cfg: ExperimentConfig, key: str, default=None):

@@ -98,6 +98,11 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
+# The tableau rows as (k, 1) weight columns: stage i combines the stages K[:i],
+# the error estimate and the dense term all seven.
+_A_W = (None,) + tuple(np.array(row)[:, None] for row in _A[1:])
+_E_W = np.array(_E)[:, None]
+_D_W = np.array(_D)[:, None]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -106,8 +111,19 @@ _PI_BETA = 0.04
 _EXPO = 0.2 - 0.75 * _PI_BETA
 
 
+def _combine(K, w):
+    """sum_j w[j] * K[j] over the first len(w) stages.
+
+    The axis-0 reduce adds the rows left to right onto +0.0, as a sequential
+    ``sum`` does (``K.T @ w`` would let BLAS choose the order).  Starting from
+    +0.0 the partial sum is never -0.0, so the zero entries of a tableau row
+    add nothing, bit for bit, while the stages are finite.
+    """
+    return np.add.reduce(w * K[:w.shape[0]], axis=0, initial=0.0)
+
+
 def _rms(v) -> float:
-    return float(np.sqrt(np.mean(np.square(v))))
+    return math.sqrt(np.add.reduce(np.square(v)) / v.size)
 
 
 def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
@@ -125,21 +141,25 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
 
 
 def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
-    """Returns (segment list, stats).  Each segment: (t_left, h, cont[5])."""
+    """Returns (steps, t, y, stats).
+
+    ``steps`` holds one list per field of the accepted steps: the left end, the
+    width h and the five dense-output coefficients c1..c5.
+    """
     span = t_end - t0
     t = t0
     y = np.array(y0, dtype=float)
-    k1 = np.asarray(fun(t, y), dtype=float)
-    if not np.all(np.isfinite(k1)):
+    K = np.empty((7, y.size))  # the stages of the current step, one per row
+    K[0] = fun(t, y)
+    if not np.all(np.isfinite(K[0])):
         raise IntegrationError("non-finite rhs at the initial point",
                                {"t": t, "y": y.tolist()})
-    h = _initial_step(fun, t0, y, k1, t_end, rtol, atol)
+    h = _initial_step(fun, t0, y, K[0], t_end, rtol, atol)
     n_rhs = 2  # initial-step estimator
     n_acc = n_rej = 0
     facold = 1e-4
     rejected = False
-    segments = []
-    ks = [None] * 7
+    steps = tuple([] for _ in range(7))
 
     while t < t_end - 1e-14 * max(span, 1.0):
         if n_acc + n_rej >= max_steps:
@@ -152,14 +172,13 @@ def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         h = min(h, t_end - t)
 
-        ks[0] = k1
         for i in range(1, 7):
-            yi = y + h * sum(a * ks[j] for j, a in enumerate(_A[i]) if a != 0.0)
-            ks[i] = np.asarray(fun(t + _C[i] * h, yi), dtype=float)
+            yi = y + h * _combine(K, _A_W[i])
+            K[i] = fun(t + _C[i] * h, yi)
         n_rhs += 6
         y_new = yi  # stage 7 argument is the 5th-order solution (FSAL)
-        err_vec = h * sum(e * ks[j] for j, e in enumerate(_E) if e != 0.0)
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+        err_vec = h * _combine(K, _E_W)
+        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
             raise IntegrationError(
                 "non-finite state during integration",
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
@@ -176,13 +195,14 @@ def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
             facold = max(err, 1e-4)
 
             ydiff = y_new - y
-            bspl = h * ks[0] - ydiff
-            cont5 = h * sum(d * ks[j] for j, d in enumerate(_D) if d != 0.0)
-            segments.append((t, h, (y.copy(), ydiff, bspl,
-                                    ydiff - h * ks[6] - bspl, cont5)))
+            bspl = h * K[0] - ydiff
+            fields = (t, h, y, ydiff, bspl, ydiff - h * K[6] - bspl,
+                      h * _combine(K, _D_W))
+            for column, value in zip(steps, fields):
+                column.append(value)
             t = t + h
             y = y_new
-            k1 = ks[6]
+            K[0] = K[6]
             n_acc += 1
             if rejected:
                 h_new = min(h_new, h)
@@ -194,15 +214,40 @@ def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
             n_rej += 1
 
     stats = {"accepted": n_acc, "rejected": n_rej, "rhs_evaluations": n_rhs}
-    return segments, t, y, stats
+    return steps, t, y, stats
 
 
-def _interp(segments, seg_lefts, tau):
-    idx = int(np.searchsorted(seg_lefts, tau, side="right")) - 1
-    idx = min(max(idx, 0), len(segments) - 1)
-    t_left, h, (c1, c2, c3, c4, c5) = segments[idx]
-    th = (tau - t_left) / h
-    return c1 + th * (c2 + (1.0 - th) * (c3 + th * (c4 + (1.0 - th) * c5)))
+def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
+    """Sample times (every step end plus an even grid of n_dense) and the states there.
+
+    One ``searchsorted`` places every sample in its step, and the 4th-order
+    interpolant c1 + th*(c2 + (1-th)*(c3 + th*(c4 + (1-th)*c5))) is evaluated
+    once over all samples, from the inside out, gathering one coefficient at a
+    time.  Sample 0 is y0 and samples from t_fin on are y_fin, untouched.
+    """
+    lefts, widths, *coeffs = steps
+    lefts = np.array(lefts, dtype=float)
+    ts = np.concatenate([lefts, [t_fin], np.linspace(0.0, t_end, max(int(n_dense), 2))])
+    ts.sort(kind="stable")
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:] = np.diff(ts) > 1e-12 * max(t_end, 1.0)
+    ts = ts[keep]
+    ys = np.empty((ts.size, y0.size))
+    ys[0] = y0
+    n_in = int(np.searchsorted(ts, t_fin))
+    ys[n_in:] = y_fin
+    if not lefts.size:  # t_end below the step loop's resolution: no step taken
+        return ts, ys
+    tau = ts[1:n_in]  # inside (0, t_fin), so every tau has a step to its left
+    idx = np.searchsorted(lefts, tau, side="right") - 1
+    th = ((tau - lefts[idx]) / np.array(widths, dtype=float)[idx])[:, None]
+    one_minus = 1.0 - th
+    out = ys[1:n_in]
+    np.take(np.array(coeffs[4]), idx, axis=0, out=out)
+    for k, factor in ((3, one_minus), (2, th), (1, one_minus), (0, th)):
+        out *= factor
+        out += np.array(coeffs[k])[idx]
+    return ts, ys
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
@@ -269,19 +314,9 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
         rtol, atol = float(control.rel_tol), float(control.abs_tol)
         if not (rtol > 0.0 and atol > 0.0):
             raise ValueError("tolerances must be positive")
-        segments, t_fin, y_fin, stats = _dopri5(fun, 0.0, y0, t_end, rtol, atol)
-        step_ts = np.array([s[0] for s in segments] + [t_fin])
-        dense_ts = np.linspace(0.0, t_end, max(int(n_dense), 2))
-        ts = np.concatenate([step_ts, dense_ts])
-        ts.sort(kind="stable")
-        keep = np.ones(ts.size, dtype=bool)
-        keep[1:] = np.diff(ts) > 1e-12 * max(t_end, 1.0)
-        ts = ts[keep]
-        seg_lefts = step_ts[:-1]
-        ys = np.empty((ts.size, y0.size))
-        ys[0] = y0
-        for i in range(1, ts.size):
-            ys[i] = y_fin if ts[i] >= t_fin else _interp(segments, seg_lefts, ts[i])
+        steps, t_fin, y_fin, stats = _dopri5(fun, 0.0, y0, t_end, rtol, atol)
+        ts, ys = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
+        del steps  # the step data is the largest array set; free it before v
         meta = {"solver": "dopri5(4)-pi", "rel_tol": rtol, "abs_tol": atol, **stats}
 
     if flow.order == 2:

@@ -1,7 +1,10 @@
 """Monotone-map and function oracles, proximal catalog, resolvent, sampling audits.
 
-Maps act on finite-dimensional real vectors (1-D numpy arrays).  A set-valued
-map enters only through its resolvent, so every oracle here is single-valued.
+Shape contract: maps, gradients and resolvents act on the last axis, so each
+takes a point of shape (d,) or a block of n points of shape (n, d) and returns
+the same shape; row i of a block result is bitwise the result for row i alone.
+Function values are taken one point at a time.  A set-valued map enters only
+through its resolvent, so every oracle here is single-valued.
 """
 
 from __future__ import annotations
@@ -15,21 +18,42 @@ import numpy as np
 Array = np.ndarray
 
 
-def as_vector(x) -> Array:
-    """Coerce to a finite 1-D float64 array (copies; rejects NaN/inf and empties)."""
+def as_points(x) -> Array:
+    """Coerce to a finite float64 point (d,) or block (n, d) (copies; a scalar is a
+    point of dimension 1; rejects NaN/inf, empties and other shapes)."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-D vector, got shape %r" % (v.shape,))
+    if v.ndim > 2 or v.size == 0:
+        raise ValueError("expected a nonempty point (d,) or block (n, d), got shape %r"
+                         % (v.shape,))
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")
     return v.copy()
 
 
+def as_vector(x) -> Array:
+    """Coerce to a finite 1-D float64 array (copies; rejects NaN/inf and empties)."""
+    v = as_points(x)
+    if v.ndim != 1:
+        raise ValueError("expected a nonempty 1-D vector, got shape %r" % (v.shape,))
+    return v
+
+
+def matvec(q: Array, x) -> Array:
+    """q @ x on the last axis of a point (d,) or a block (n, d).
+
+    A block is multiplied one row at a time (a stack of matrix-vector
+    products), so each row is bitwise the 1-D ``q @ x``; ``(q @ x.T).T`` would
+    be one matrix-matrix product, whose summation order differs in the last
+    bits.
+    """
+    return (q @ np.asarray(x, dtype=float)[..., None])[..., 0]
+
+
 @dataclasses.dataclass(frozen=True)
 class MonotoneMap:
-    """A single-valued monotone map given by pointwise evaluation.
+    """A single-valued monotone map, evaluated on a point (d,) or a block (n, d).
 
     ``beta`` is the cocoercivity-style scale: the map is claimed to be
     (1/beta)-Lipschitz.  Claims are advisory; ``audit_map`` checks them.
@@ -47,7 +71,8 @@ class MonotoneMap:
 class ResolventOracle:
     """A maximally monotone operator accessed only through its resolvent.
 
-    ``resolve(eta, x)`` returns the unique solution p of x in p + eta*A(p).
+    ``resolve(eta, x)`` returns the unique solution p of x in p + eta*A(p), for
+    each point of x (a point (d,) or a block (n, d)).
     """
 
     resolve: Callable[[float, Array], Array]
@@ -59,7 +84,8 @@ class FunctionOracle:
     """A convex function with whatever first-order access it supports.
 
     ``prox(eta, x)`` minimizes f(p) + ||p - x||^2 / (2*eta).  ``gradient`` is
-    present only for smooth entries.  ``strong_convexity`` is a claimed lower
+    present only for smooth entries.  Both act on the last axis; ``value``
+    takes one point.  ``strong_convexity`` is a claimed lower
     curvature bound (0 when unknown).
     """
 
@@ -85,8 +111,8 @@ def zero_function() -> FunctionOracle:
     """f == 0.  Its prox is the identity for every eta."""
     return FunctionOracle(
         value=lambda x: 0.0,
-        gradient=lambda x: np.zeros_like(as_vector(x)),
-        prox=lambda eta, x: as_vector(x),
+        gradient=lambda x: np.zeros_like(as_points(x)),
+        prox=lambda eta, x: as_points(x),
         description="zero",
     )
 
@@ -99,7 +125,7 @@ def l1_norm(w: float) -> FunctionOracle:
 
     def _prox(eta, x):
         eta = _check_eta(eta)
-        x = as_vector(x)
+        x = as_points(x)
         return np.sign(x) * np.maximum(np.abs(x) - eta * w, 0.0)
 
     return FunctionOracle(
@@ -116,8 +142,8 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
         raise ValueError("square-norm scale must be positive, got %r" % c)
     return FunctionOracle(
         value=lambda x: 0.5 * c * float(np.dot(as_vector(x), as_vector(x))),
-        gradient=lambda x: c * as_vector(x),
-        prox=lambda eta, x: as_vector(x) / (1.0 + _check_eta(eta) * c),
+        gradient=lambda x: c * as_points(x),
+        prox=lambda eta, x: as_points(x) / (1.0 + _check_eta(eta) * c),
         strong_convexity=c,
         description="scaled_sqnorm(c=%g)" % c,
     )
@@ -136,7 +162,7 @@ def box_indicator(lo: float, hi: float) -> FunctionOracle:
 
     return FunctionOracle(
         value=_value,
-        prox=lambda eta, x: (_check_eta(eta), np.clip(as_vector(x), lo, hi))[1],
+        prox=lambda eta, x: (_check_eta(eta), np.clip(as_points(x), lo, hi))[1],
         description="box_indicator(%g, %g)" % (lo, hi),
     )
 
@@ -157,8 +183,8 @@ def translated_linear(rho: float, c) -> FunctionOracle:
 
     return FunctionOracle(
         value=_value,
-        gradient=lambda x: rho * as_vector(x) - c,
-        prox=lambda eta, x: (as_vector(x) + _check_eta(eta) * c) / (1.0 + eta * rho),
+        gradient=lambda x: rho * as_points(x) - c,
+        prox=lambda eta, x: (as_points(x) + _check_eta(eta) * c) / (1.0 + eta * rho),
         strong_convexity=rho,
         description="translated_linear(rho=%g)" % rho,
     )
@@ -196,7 +222,7 @@ def build_prox(kind: str, **params) -> FunctionOracle:
 def resolvent(a: ResolventOracle, eta: float, x: Array) -> Array:
     """Evaluate J_{eta A}(x) = (I + eta*A)^{-1} x.  Requires eta > 0."""
     eta = _check_eta(eta)
-    return a.resolve(eta, as_vector(x))
+    return a.resolve(eta, as_points(x))
 
 
 def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
@@ -209,7 +235,7 @@ def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
 def zero_operator() -> ResolventOracle:
     """A == 0; the resolvent is the identity for every eta."""
     return ResolventOracle(
-        resolve=lambda eta, x: (_check_eta(eta), as_vector(x))[1],
+        resolve=lambda eta, x: (_check_eta(eta), as_points(x))[1],
         description="zero operator",
     )
 
@@ -302,11 +328,31 @@ def sample_ball(rng: np.random.Generator, dim: int, radius: float = 10.0) -> Arr
     """Uniform sample from the closed ball of the given radius."""
     while True:
         u = rng.standard_normal(dim)
-        n = float(np.linalg.norm(u))
+        n = math.sqrt(u.dot(u))  # bitwise np.linalg.norm(u), without its overhead
         if n > 1e-12:
             break
-    r = radius * rng.uniform() ** (1.0 / dim)
+    r = radius * rng.random() ** (1.0 / dim)  # the draw and value of rng.uniform(), faster
     return (r / n) * u
+
+
+# Pairs per audit block times dim stays below this, so at dim 100 the handful of
+# (pairs, dim) arrays alive at once take under 1 MB.
+_BLOCK_FLOATS = 16384
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, dim: int, radius: float):
+    """n pairs from the ball, drawn pair by pair: x, then y until y differs from x."""
+    xs = np.empty((n, dim))
+    ys = np.empty((n, dim))
+    for i in range(n):
+        x = xs[i] = sample_ball(rng, dim, radius)
+        while True:
+            y = sample_ball(rng, dim, radius)
+            dx = x - y
+            if dx.dot(dx) > 1e-20:
+                break
+        ys[i] = y
+    return xs, ys
 
 
 def audit_map(
@@ -329,32 +375,34 @@ def audit_map(
     * cocoercivity margin <dF, dx> - beta_claim * ||dF||^2, counted as a
       violation when below -1e-6 (reported, never enforced).
 
-    ``map_eval`` is a callable or a MonotoneMap.  A claim left as None is
-    skipped.  Sampling can only refute a claim, not certify it.
+    ``map_eval`` is a MonotoneMap or a callable on the last axis; it is
+    evaluated once on each block of first points and once on each block of
+    second points, in blocks of at most ``_BLOCK_FLOATS`` numbers (1000 pairs
+    make one block up to dim 16).  A claim left as None is skipped.  A
+    non-finite map value fails every claim it enters.  Sampling can only
+    refute a claim, not certify it.
     """
     if isinstance(map_eval, MonotoneMap):
         map_eval = map_eval.eval
     if n_pairs < 1:
         raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(seed)
-    min_quot = math.inf
-    max_ratio = 0.0
+    nx2, inner, df2 = np.empty((3, n_pairs))
+    step = max(1, _BLOCK_FLOATS // dim)
+    for lo in range(0, n_pairs, step):
+        xs, ys = _draw_pairs(rng, min(step, n_pairs - lo), dim, radius)
+        dx = xs - ys
+        df = np.asarray(map_eval(xs), dtype=float) - np.asarray(map_eval(ys), dtype=float)
+        # vecdot takes each row's dot product as the 1-D np.dot does, bit for bit
+        rows = slice(lo, lo + len(xs))
+        nx2[rows] = np.vecdot(dx, dx)
+        inner[rows] = np.vecdot(df, dx)
+        df2[rows] = np.vecdot(df, df)
+    min_quot = float(np.min(inner / nx2))
+    max_ratio = math.sqrt(np.max(df2 / nx2))
     coco_bad = 0
-    for _ in range(n_pairs):
-        x = sample_ball(rng, dim, radius)
-        while True:
-            y = sample_ball(rng, dim, radius)
-            dx = x - y
-            nx2 = float(np.dot(dx, dx))
-            if nx2 > 1e-20:
-                break
-        df = np.asarray(map_eval(x), dtype=float) - np.asarray(map_eval(y), dtype=float)
-        inner = float(np.dot(df, dx))
-        min_quot = min(min_quot, inner / nx2)
-        max_ratio = max(max_ratio, math.sqrt(float(np.dot(df, df)) / nx2))
-        if beta_claim is not None:
-            if inner - beta_claim * float(np.dot(df, df)) < -1e-6:
-                coco_bad += 1
+    if beta_claim is not None:
+        coco_bad = int(np.count_nonzero(inner - beta_claim * df2 < -1e-6))
     monotone_ok = True if rho_claim is None else (min_quot >= rho_claim - slack)
     lipschitz_ok = True if beta_claim is None else (max_ratio <= 1.0 / beta_claim + slack)
     return MapAuditReport(

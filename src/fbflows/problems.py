@@ -3,7 +3,9 @@
 Every instance exposes the splitting both ways: a resolvent oracle ``a`` plus
 an evaluation map ``b`` for the operator flows, and (where meaningful) the
 function pair (f, g) for value gaps.  ``sum_eval`` is a measurable selection
-of a(x) + b(x) used only for sampling audits.  The skew-rotation instance is
+of a(x) + b(x) used only for sampling audits.  Every map, gradient and
+resolvent here follows the ``operators`` shape contract: a point (d,) or a
+block (n, d), the last axis being the space.  The skew-rotation instance is
 the deliberately non-cocoercive case: monotone and 1-Lipschitz, nothing more.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import analysis, flows, operators
 from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
-                        audit_map, gradient_map, l1_norm, prox_resolvent,
+                        audit_map, gradient_map, l1_norm, matvec, prox_resolvent,
                         zero_operator)
 
 MAX_DIM = 100  # shipped suite stays desk scale
@@ -64,7 +66,7 @@ def _check_spd(q: np.ndarray):
 def _quadratic_oracle(q: np.ndarray, b: np.ndarray, rho: float) -> FunctionOracle:
     return FunctionOracle(
         value=lambda x: 0.5 * float(x @ q @ x) + float(b @ x),
-        gradient=lambda x: q @ np.asarray(x, dtype=float) + b,
+        gradient=lambda x: matvec(q, x) + b,
         strong_convexity=rho,
         description="quadratic",
     )
@@ -124,7 +126,7 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
 
     def sum_sel(x):
         x = np.asarray(x, dtype=float)
-        return w * np.sign(x) + q @ x + b
+        return w * np.sign(x) + matvec(q, x) + b
 
     inst = ProblemInstance(
         name=name,
@@ -159,11 +161,6 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
         raise ValueError("skew-rotation instance is 2-D, got c of dimension %d" % c.size)
     s = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x_star = np.linalg.solve(rho * np.eye(2) + s, c)
-
-    def b_eval(x):
-        x = np.asarray(x, dtype=float)
-        return s @ x
-
     return ProblemInstance(
         name="skew_rotation",
         dim=2,
@@ -173,8 +170,9 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
             resolve=lambda eta, x: (np.asarray(x, dtype=float) + eta * c) / (1.0 + eta * rho),
             description="shifted scaling rho*x - c",
         ),
-        b=MonotoneMap(eval=b_eval, beta=1.0, description="rotation by 90 degrees"),
-        sum_eval=lambda x: rho * np.asarray(x, dtype=float) - c + s @ np.asarray(x, dtype=float),
+        b=MonotoneMap(eval=lambda x: matvec(s, x), beta=1.0,
+                      description="rotation by 90 degrees"),
+        sum_eval=lambda x: rho * np.asarray(x, dtype=float) - c + matvec(s, x),
         x_star=x_star,
         f=None,
         g=None,
@@ -253,14 +251,15 @@ def audit_instance(instance: ProblemInstance, n_pairs: int = 1000,
     sandwich = None
     if instance.g is not None and instance.f is None:
         rng = np.random.default_rng(seed + 2)
-        xs = [operators.sample_ball(rng, instance.dim, 10.0)
-              for _ in range(min(200, n_pairs))]
-        err = np.array(xs) - x_star
+        xs = np.array([operators.sample_ball(rng, instance.dim, 10.0)
+                       for _ in range(min(200, n_pairs))])
+        err = xs - x_star
+        grads = instance.g.gradient(xs)
         g_star = float(instance.g.value(x_star))
         chain = analysis.value_chain(
             np.einsum("ij,ij->i", err, err),
             np.array([float(instance.g.value(x)) for x in xs]) - g_star,
-            np.array([float(np.linalg.norm(instance.g.gradient(x))) for x in xs]),
+            np.sqrt(np.vecdot(grads, grads)),  # bitwise np.linalg.norm of each row
             instance.rho, instance.beta)
         sandwich = {nm: cnt for nm, cnt, _ in chain.results}
         for nm, cnt in sandwich.items():

@@ -193,12 +193,20 @@ def _patched(doc, block, **entries):
     (_patched(FB2_VERIFY, "integrator", n_dense=-5), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", n_dense=2.7), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", t_end=10 ** 400), 4, "'t_end' must be a finite"),
+    (_patched(FB1_VERIFY, "params", **{"lambda": 10 ** 400}), 4,
+     "'lambda' must be a positive finite number"),
+    (_patched(FB1_VERIFY, "params", alpha=10 ** 400), 4, "'alpha' must be a finite number"),
+    (_patched(FB1_VERIFY, "params", eta=10 ** 400), 4, "'eta' must be a finite number"),
+    (_patched(FB2_VERIFY, "params", gamma={"profile": "exp_ramp", "start": 10 ** 400,
+                                           "end": 11.0, "rate": 0.5}), 4,
+     "'gamma' exp_ramp needs finite numbers"),
 ], ids=["x0-strings", "x0-nan", "v0-string", "t_end-string", "rel_tol-string",
         "abs_tol-string", "n_dense-string", "alpha_bar-string", "alpha_bar-negative",
         "alpha_bar-negative-with-alpha", "alpha_bar-below-one", "t_end-zero-fb2",
         "t_end-negative-fb1", "rel_tol-negative", "abs_tol-zero", "fixed_step-negative",
         "fixed_step-zero", "n_dense-zero", "n_dense-negative", "n_dense-fraction",
-        "t_end-huge-int"])
+        "t_end-huge-int", "lambda-huge-int", "alpha-huge-int", "eta-huge-int",
+        "exp_ramp-start-huge-int"])
 def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     # a malformed or out-of-range number is a config error (4); an alpha_bar
     # in (0, 1] is well formed and fails its certificate (1)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fbflows import integrate as integrate_module
 from fbflows import problems
-from fbflows.flows import FlowRHS, Schedule, fb1_rhs
+from fbflows.flows import FlowRHS, Schedule, fb1_rhs, fb2_rhs
 from fbflows.integrate import (
     Adaptive,
     FixedStep,
@@ -198,3 +199,69 @@ def test_csv_missing_metrics_are_nan(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x_0,x_1,v_0,v_1,h,u,gap,gradnorm"
     assert lines[1].endswith("nan,nan,nan,nan")
+
+
+def _interp_reference(steps, tau):
+    """The per-sample dense output that the batched path replaced: one
+    searchsorted and one Hermite evaluation per sample time."""
+    lefts, widths, *coeffs = steps
+    idx = int(np.searchsorted(np.array(lefts), tau, side="right")) - 1
+    idx = min(max(idx, 0), len(lefts) - 1)
+    c1, c2, c3, c4, c5 = (c[idx] for c in coeffs)
+    th = (tau - lefts[idx]) / widths[idx]
+    return c1 + th * (c2 + (1.0 - th) * (c3 + th * (c4 + (1.0 - th) * c5)))
+
+
+def _fb2_skew():
+    inst = problems.get_problem("skew-rotation")
+    sched = Schedule.constant(40.0, gamma=11.0)
+    flow = fb2_rhs(inst.a, inst.b, eta=0.25, sched=sched)
+    return flow, np.array([3.0, -1.0]), np.zeros(2), 23.0, Adaptive(1e-10, 1e-13)
+
+
+def _fb1_lasso_20d():
+    inst = problems.get_problem("sc-lasso-20d")
+    flow = fb1_rhs(inst.a, inst.b, eta=0.07, sched=Schedule.constant(1.0))
+    x0 = np.linspace(-2.0, 2.0, 20)
+    return flow, x0, None, 30.0, Adaptive()
+
+
+@pytest.mark.parametrize("case", [_fb2_skew, _fb1_lasso_20d], ids=["fb2", "sc-lasso-20d"])
+def test_dense_output_matches_per_sample_interpolation(case, monkeypatch):
+    flow, x0, v0, t_end, control = case()
+    captured = []
+    dopri5 = integrate_module._dopri5
+
+    def keep_steps(*args):
+        captured.append(dopri5(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(integrate_module, "_dopri5", keep_steps)
+    traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control, n_dense=700)
+    steps, t_fin, y_fin, _ = captured[0]
+    assert len(steps[0]) > 50
+    ys = np.empty((traj.t.size, y_fin.size))
+    ys[0] = np.concatenate([x0, v0]) if flow.order == 2 else x0
+    for i in range(1, traj.t.size):
+        ys[i] = y_fin if traj.t[i] >= t_fin else _interp_reference(steps, traj.t[i])
+    got = np.hstack([traj.x, traj.v]) if flow.order == 2 else traj.x
+    assert got.tobytes() == ys.tobytes()  # bitwise, signed zeros included
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 20])
+def test_stage_combination_matches_sequential_sum(dim):
+    # the reduce over K[:len(w)] (zero tableau entries included) gives the bits of
+    # a left-to-right sum over the nonzero entries, signed zeros and cancellations too
+    rng = np.random.default_rng(dim)
+    rows = [integrate_module._A[i] for i in range(1, 7)]
+    rows += [integrate_module._E, integrate_module._D]
+    weights = list(integrate_module._A_W[1:]) + [integrate_module._E_W,
+                                                 integrate_module._D_W]
+    for _ in range(200):
+        K = rng.standard_normal((7, dim)) * 10.0 ** rng.uniform(-8, 8, size=(7, 1))
+        K[rng.random((7, dim)) < 0.2] = -0.0
+        K[rng.random((7, dim)) < 0.1] = 0.0
+        for row, w in zip(rows, weights):
+            ref = sum(a * K[j] for j, a in enumerate(row) if a != 0.0)
+            got = integrate_module._combine(K, w)
+            assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()

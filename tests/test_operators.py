@@ -1,13 +1,17 @@
 """Prox catalog vs brute-force oracle, resolvent identities, sampling audits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fbflows import problems
 from fbflows.operators import (
+    MapAuditReport,
     MonotoneMap,
+    as_points,
     as_vector,
     audit_map,
     box_indicator,
@@ -16,6 +20,7 @@ from fbflows.operators import (
     check_gradient,
     gradient_map,
     l1_norm,
+    matvec,
     prox_resolvent,
     resolvent,
     sample_ball,
@@ -163,7 +168,7 @@ def test_resolvent_firmly_nonexpansive(oracle):
 
 
 def test_audit_skew_rotation_map():
-    smap = MonotoneMap(eval=lambda x: np.array([x[1], -x[0]]), beta=1.0)
+    smap = MonotoneMap(eval=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), beta=1.0)
     rep = audit_map(smap, dim=2, rho_claim=0.0, beta_claim=1.0, n_pairs=500, seed=1)
     assert rep.passed
     # <Sx, x> = 0 and ||Sx|| = ||x|| exactly
@@ -183,6 +188,126 @@ def test_audit_identity_claims():
     # inflating the monotonicity claim must fail
     rep = audit_map(ident, dim=3, rho_claim=2.0, n_pairs=300, seed=2)
     assert not rep.monotone_ok and not rep.passed
+
+
+def _sample_ball_reference(rng, dim, radius):
+    while True:
+        u = rng.standard_normal(dim)
+        n = float(np.linalg.norm(u))
+        if n > 1e-12:
+            break
+    r = radius * rng.uniform() ** (1.0 / dim)
+    return (r / n) * u
+
+
+def _audit_map_reference(map_eval, dim, rho_claim=None, beta_claim=None,
+                         n_pairs=1000, seed=0, radius=10.0, slack=1e-9):
+    """The per-pair audit loop that the block audit replaced: one map call per
+    point, the statistics folded in pair by pair."""
+    rng = np.random.default_rng(seed)
+    min_quot = math.inf
+    max_ratio = 0.0
+    coco_bad = 0
+    for _ in range(n_pairs):
+        x = _sample_ball_reference(rng, dim, radius)
+        while True:
+            y = _sample_ball_reference(rng, dim, radius)
+            dx = x - y
+            nx2 = float(np.dot(dx, dx))
+            if nx2 > 1e-20:
+                break
+        df = np.asarray(map_eval(x), dtype=float) - np.asarray(map_eval(y), dtype=float)
+        inner = float(np.dot(df, dx))
+        min_quot = min(min_quot, inner / nx2)
+        max_ratio = max(max_ratio, math.sqrt(float(np.dot(df, df)) / nx2))
+        if beta_claim is not None:
+            if inner - beta_claim * float(np.dot(df, df)) < -1e-6:
+                coco_bad += 1
+    return MapAuditReport(
+        n_pairs=n_pairs, rho_claim=rho_claim, beta_claim=beta_claim,
+        min_monotone_quotient=min_quot, max_lipschitz_ratio=max_ratio,
+        monotone_ok=True if rho_claim is None else min_quot >= rho_claim - slack,
+        lipschitz_ok=True if beta_claim is None else max_ratio <= 1.0 / beta_claim + slack,
+        cocoercivity_violations=coco_bad,
+        cocoercivity_violation_fraction=coco_bad / n_pairs)
+
+
+def _dense_50d_map():
+    rng = np.random.default_rng(50)
+    m = rng.standard_normal((50, 50))
+    q = m @ m.T + np.eye(50)
+    return lambda x: matvec(q, x)
+
+
+def _registry_audits():
+    cases = []
+    for name in ("skew-rotation", "quadratic-2d", "sc-lasso-20d"):
+        inst = problems.get_problem(name)
+        cases.append((name + "-sum", inst.sum_eval, inst.dim,
+                      dict(rho_claim=inst.rho, seed=4)))
+        cases.append((name + "-b", inst.b.eval, inst.dim,
+                      dict(rho_claim=0.0, beta_claim=inst.beta, seed=5)))
+    return cases
+
+
+_IDENTITY = lambda x: x  # noqa: E731
+_AUDIT_CASES = _registry_audits() + [
+    ("identity-pass", _IDENTITY, 3, dict(rho_claim=1.0, beta_claim=1.0, n_pairs=300,
+                                         seed=2)),
+    ("identity-lipschitz-fails", _IDENTITY, 3, dict(beta_claim=2.0, n_pairs=300, seed=2)),
+    ("identity-monotone-fails", _IDENTITY, 3, dict(rho_claim=2.0, n_pairs=300, seed=2)),
+    ("dense-50d", _dense_50d_map(), 50, dict(rho_claim=1.0, beta_claim=1e-3, seed=6)),
+]
+
+
+@pytest.mark.parametrize("name,map_eval,dim,claims", _AUDIT_CASES,
+                         ids=[c[0] for c in _AUDIT_CASES])
+def test_block_audit_matches_per_pair_loop(name, map_eval, dim, claims):
+    got = audit_map(map_eval, dim, **claims)
+    ref = _audit_map_reference(map_eval, dim, **claims)
+    assert dataclasses.asdict(got) == dataclasses.asdict(ref)
+
+
+def test_sample_ball_matches_linalg_norm_draws():
+    rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    for dim in (1, 2, 3, 20, 100):
+        for _ in range(50):
+            got = sample_ball(rng, dim, 10.0)
+            assert got.tobytes() == _sample_ball_reference(ref_rng, dim, 10.0).tobytes()
+
+
+def test_audit_nonfinite_map_fails_claims():
+    rep = audit_map(lambda x: np.where(x > 9.0, np.nan, x), dim=2, rho_claim=0.0,
+                    beta_claim=1.0, n_pairs=500, seed=0)
+    assert not rep.monotone_ok and not rep.lipschitz_ok
+
+
+_CATALOG = [
+    ("zero", zero_function()),
+    ("l1", l1_norm(0.7)),
+    ("sqnorm", scaled_sqnorm(1.3)),
+    ("box", box_indicator(-1.0, 2.0)),
+    ("translated", translated_linear(0.8, [0.3, -1.0, 2.0])),
+]
+
+
+@pytest.mark.parametrize("name,oracle", _CATALOG, ids=[c[0] for c in _CATALOG])
+def test_catalog_block_equals_rows(name, oracle):
+    block = np.random.default_rng(8).uniform(-4.0, 4.0, size=(64, 3))
+    calls = [lambda x: oracle.prox(0.6, x)]
+    if oracle.gradient is not None:
+        calls.append(oracle.gradient)
+    for call in calls:
+        rows = np.array([call(x) for x in block])
+        assert call(block).tobytes() == rows.tobytes()
+
+
+def test_as_points_shapes():
+    assert as_points(2.5).shape == (1,)
+    assert as_points([[1.0, 2.0], [3.0, 4.0]]).shape == (2, 2)
+    for bad in ([], [[]], np.zeros((2, 2, 2)), [[1.0, math.inf]]):
+        with pytest.raises(ValueError):
+            as_points(bad)
 
 
 def test_audit_skipped_claims_pass():

@@ -135,6 +135,37 @@ def test_audit_sandwich_coverage():
         audit_instance(get_problem("quadratic-2d"), n_pairs=50)
 
 
+@pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
+def test_oracles_on_a_block_equal_their_rows(name):
+    # the shape contract: a block (n, d) gives, bit for bit, each row's result
+    inst = get_problem(name)
+    block = np.random.default_rng(21).uniform(-5.0, 5.0, size=(40, inst.dim))
+    calls = {"b.eval": inst.b.eval, "sum_eval": inst.sum_eval,
+             "a.resolve": lambda x: inst.a.resolve(0.3, x)}
+    if inst.g is not None:
+        calls["g.gradient"] = inst.g.gradient
+    for label, call in calls.items():
+        got = np.asarray(call(block), dtype=float)
+        rows = np.array([call(x) for x in block], dtype=float)
+        assert got.shape == block.shape, label
+        assert got.tobytes() == rows.tobytes(), label
+
+
+def test_quadratic_point_call_is_the_matrix_vector_product():
+    # a 1-D call keeps the q @ x orientation; x @ q changes the dim-100 lasso steps
+    rng = np.random.default_rng(100)
+    m = rng.standard_normal((100, 100))
+    q = m @ m.T / 100.0 + np.eye(100)
+    q = 0.5 * (q + q.T)
+    b = rng.standard_normal(100)
+    inst = make_quadratic(q, b)
+    for _ in range(20):
+        x = rng.standard_normal(100)
+        expected = (q @ x + b).tobytes()
+        assert inst.g.gradient(x).tobytes() == expected
+        assert inst.b.eval(x).tobytes() == expected
+
+
 def test_registry_round_trip():
     assert list_problems() == ["quadratic-2d", "sc-lasso-20d", "skew-rotation"]
     with pytest.raises(KeyError, match="unknown problem"):
