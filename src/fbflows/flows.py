@@ -28,7 +28,7 @@ class Profile:
     """The coefficient end + (start - end) * exp(-rate * t); a constant when start == end.
 
     An array of times is evaluated with one ``np.exp`` call, a float t with
-    ``math.exp``.
+    ``math.exp``, unless the profile is a constant, which needs no exp.
     """
 
     start: float
@@ -38,6 +38,8 @@ class Profile:
     def __call__(self, t):
         if isinstance(t, np.ndarray):
             return self.end + (self.start - self.end) * np.exp(-self.rate * t)
+        if self.start == self.end:
+            return self.end + 0.0  # the formula's value: -0.0 comes out as +0.0
         return self.end + (self.start - self.end) * math.exp(-self.rate * t)
 
 
@@ -46,6 +48,13 @@ def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     if isinstance(fn, Profile):
         return fn(ts)
     return np.array([fn(t) for t in ts], dtype=float)
+
+
+def _at(fn: Callable, t):
+    """fn at a float t, or at each time of an array t, such as a column (n, 1)."""
+    if isinstance(t, np.ndarray):
+        return sample(fn, t.ravel()).reshape(t.shape)
+    return fn(t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -121,7 +130,11 @@ class Schedule:
 
 @dataclasses.dataclass(frozen=True)
 class FlowRHS:
-    """A flow field.  order==1: rhs(t, x); order==2: rhs(t, x, v) (acceleration)."""
+    """A flow field.  order==1: rhs(t, x); order==2: rhs(t, x, v) (acceleration).
+
+    A first-order field also takes a column of times (n, 1) with a block of
+    points (n, d) and returns the n velocities, one per row.
+    """
 
     order: int
     rhs: Callable
@@ -145,7 +158,7 @@ def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
 
     def rhs(t, x):
         x = np.asarray(x, dtype=float)
-        return sched.lam(t) * (_forward_backward_step(a, b, eta, x) - x)
+        return _at(sched.lam, t) * (_forward_backward_step(a, b, eta, x) - x)
 
     return FlowRHS(order=1, rhs=rhs, description="first-order forward-backward flow")
 
@@ -173,7 +186,8 @@ def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         raise ValueError("gradient flow needs a smooth oracle with a gradient")
 
     def rhs(t, x):
-        return -sched.lam(t) * np.asarray(g.gradient(np.asarray(x, dtype=float)), dtype=float)
+        return -_at(sched.lam, t) * np.asarray(g.gradient(np.asarray(x, dtype=float)),
+                                               dtype=float)
 
     return FlowRHS(order=1, rhs=rhs, description="first-order gradient flow")
 
@@ -208,7 +222,7 @@ def proxgrad1_rhs(f: FunctionOracle, g: FunctionOracle, eta: float,
     def rhs(t, x):
         x = np.asarray(x, dtype=float)
         step = f.prox(eta, x - eta * np.asarray(g.gradient(x), dtype=float))
-        return sched.lam(t) * (step - x)
+        return _at(sched.lam, t) * (step - x)
 
     return FlowRHS(order=1, rhs=rhs, description="proximal-gradient flow")
 

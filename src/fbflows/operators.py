@@ -1,10 +1,11 @@
 """Monotone-map and function oracles, proximal catalog, resolvent, sampling audits.
 
-Shape contract: maps, gradients and resolvents act on the last axis, so each
-takes a point of shape (d,) or a block of n points of shape (n, d) and returns
-the same shape; row i of a block result is bitwise the result for row i alone.
-Function values are taken one point at a time.  A set-valued map enters only
-through its resolvent, so every oracle here is single-valued.
+Shape contract: maps, gradients, resolvents and function values act on the
+last axis, so each takes a point of shape (d,) or a block of n points of shape
+(n, d).  Maps, gradients and resolvents return the same shape; a value is a
+scalar for a point and shape (n,) for a block.  Row i of a block result is
+bitwise the result for row i alone.  A set-valued map enters only through its
+resolvent, so every oracle here is single-valued.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def as_points(x) -> Array:
     if v.ndim > 2 or v.size == 0:
         raise ValueError("expected a nonempty point (d,) or block (n, d), got shape %r"
                          % (v.shape,))
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v.copy()
 
@@ -84,12 +85,13 @@ class FunctionOracle:
     """A convex function with whatever first-order access it supports.
 
     ``prox(eta, x)`` minimizes f(p) + ||p - x||^2 / (2*eta).  ``gradient`` is
-    present only for smooth entries.  Both act on the last axis; ``value``
-    takes one point.  ``strong_convexity`` is a claimed lower
-    curvature bound (0 when unknown).
+    present only for smooth entries.  All three act on the last axis:
+    ``value`` gives a scalar for a point (d,) and an array (n,) for a block
+    (n, d).  ``strong_convexity`` is a claimed lower curvature bound (0 when
+    unknown).
     """
 
-    value: Callable[[Array], float]
+    value: Callable[[Array], Array]
     gradient: Optional[Callable[[Array], Array]] = None
     prox: Optional[Callable[[float, Array], Array]] = None
     strong_convexity: float = 0.0
@@ -110,7 +112,7 @@ def _check_eta(eta: float) -> float:
 def zero_function() -> FunctionOracle:
     """f == 0.  Its prox is the identity for every eta."""
     return FunctionOracle(
-        value=lambda x: 0.0,
+        value=lambda x: np.zeros(as_points(x).shape[:-1])[()],  # [()]: a point gives a scalar
         gradient=lambda x: np.zeros_like(as_points(x)),
         prox=lambda eta, x: as_points(x),
         description="zero",
@@ -129,7 +131,7 @@ def l1_norm(w: float) -> FunctionOracle:
         return np.sign(x) * np.maximum(np.abs(x) - eta * w, 0.0)
 
     return FunctionOracle(
-        value=lambda x: w * float(np.sum(np.abs(as_vector(x)))),
+        value=lambda x: w * np.sum(np.abs(as_points(x)), axis=-1),
         prox=_prox,
         description="l1_norm(w=%g)" % w,
     )
@@ -140,8 +142,13 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
     c = float(c)
     if not (c > 0.0):
         raise ValueError("square-norm scale must be positive, got %r" % c)
+
+    def _value(x):
+        x = as_points(x)
+        return 0.5 * c * np.vecdot(x, x)
+
     return FunctionOracle(
-        value=lambda x: 0.5 * c * float(np.dot(as_vector(x), as_vector(x))),
+        value=_value,
         gradient=lambda x: c * as_points(x),
         prox=lambda eta, x: as_points(x) / (1.0 + _check_eta(eta) * c),
         strong_convexity=c,
@@ -156,9 +163,9 @@ def box_indicator(lo: float, hi: float) -> FunctionOracle:
         raise ValueError("box needs lo <= hi, got [%r, %r]" % (lo, hi))
 
     def _value(x):
-        x = as_vector(x)
-        inside = np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
-        return 0.0 if inside else math.inf
+        x = as_points(x)
+        inside = (x >= lo - 1e-12).all(axis=-1) & (x <= hi + 1e-12).all(axis=-1)
+        return np.where(inside, 0.0, math.inf)[()]
 
     return FunctionOracle(
         value=_value,
@@ -178,8 +185,8 @@ def translated_linear(rho: float, c) -> FunctionOracle:
     c = as_vector(c)
 
     def _value(x):
-        x = as_vector(x)
-        return 0.5 * rho * float(np.dot(x, x)) - float(np.dot(c, x))
+        x = as_points(x)
+        return 0.5 * rho * np.vecdot(x, x) - np.vecdot(c, x)
 
     return FunctionOracle(
         value=_value,
@@ -324,34 +331,47 @@ class MapAuditReport:
         return self.monotone_ok and self.lipschitz_ok
 
 
-def sample_ball(rng: np.random.Generator, dim: int, radius: float = 10.0) -> Array:
-    """Uniform sample from the closed ball of the given radius."""
-    while True:
-        u = rng.standard_normal(dim)
-        n = math.sqrt(u.dot(u))  # bitwise np.linalg.norm(u), without its overhead
-        if n > 1e-12:
-            break
-    r = radius * rng.random() ** (1.0 / dim)  # the draw and value of rng.uniform(), faster
-    return (r / n) * u
-
-
-# Pairs per audit block times dim stays below this, so at dim 100 the handful of
-# (pairs, dim) arrays alive at once take under 1 MB.
+# Rows per block times dim stays below this, so at dim 100 the handful of
+# (rows, dim) arrays a block keeps alive take under 1 MB.
 _BLOCK_FLOATS = 16384
 
 
+def row_blocks(n: int, dim: int) -> list:
+    """Slices that cover rows 0..n-1 of an (n, dim) array in blocks of at most
+    ``_BLOCK_FLOATS`` numbers (one row at least)."""
+    step = max(1, _BLOCK_FLOATS // dim)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def ball_points(rng: np.random.Generator, n: int, dim: int, radius: float = 10.0) -> Array:
+    """n points drawn uniformly from the closed ball of the given radius, one per row.
+
+    The directions are one (n, dim) block of normals; a row of norm at most
+    1e-12 is drawn again, the others are kept.  Then n uniforms u give the
+    radii radius * u**(1/dim).
+    """
+    u = rng.standard_normal((n, dim))
+    norm = np.sqrt(np.vecdot(u, u))  # bitwise np.linalg.norm of each row
+    short = np.flatnonzero(norm <= 1e-12)
+    while short.size:
+        u[short] = rng.standard_normal((short.size, dim))
+        norm[short] = np.sqrt(np.vecdot(u[short], u[short]))
+        short = short[norm[short] <= 1e-12]
+    r = radius * rng.random(n) ** (1.0 / dim)
+    return (r / norm)[:, None] * u
+
+
 def _draw_pairs(rng: np.random.Generator, n: int, dim: int, radius: float):
-    """n pairs from the ball, drawn pair by pair: x, then y until y differs from x."""
-    xs = np.empty((n, dim))
-    ys = np.empty((n, dim))
-    for i in range(n):
-        x = xs[i] = sample_ball(rng, dim, radius)
-        while True:
-            y = sample_ball(rng, dim, radius)
-            dx = x - y
-            if dx.dot(dx) > 1e-20:
-                break
-        ys[i] = y
+    """n pairs from the ball: a block of first points, a block of second points,
+    then each second point within 1e-10 of its first point drawn again."""
+    xs = ball_points(rng, n, dim, radius)
+    ys = ball_points(rng, n, dim, radius)
+    dx = xs - ys
+    close = np.flatnonzero(np.vecdot(dx, dx) <= 1e-20)
+    while close.size:
+        ys[close] = ball_points(rng, close.size, dim, radius)
+        dx = xs[close] - ys[close]
+        close = close[np.vecdot(dx, dx) <= 1e-20]
     return xs, ys
 
 
@@ -367,8 +387,8 @@ def audit_map(
 ) -> MapAuditReport:
     """Probe a map on random pairs and test the claimed constants.
 
-    Pairs are drawn uniformly from the ball of the given radius.  Checks, each
-    with additive slack:
+    Pairs are drawn uniformly from the ball of the given radius, a block of
+    pairs at a time (``_draw_pairs``).  Checks, each with additive slack:
 
     * monotone quotient <dF, dx> / ||dx||^2 >= rho_claim,
     * Lipschitz ratio ||dF|| / ||dx|| <= 1 / beta_claim,
@@ -388,13 +408,11 @@ def audit_map(
         raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(seed)
     nx2, inner, df2 = np.empty((3, n_pairs))
-    step = max(1, _BLOCK_FLOATS // dim)
-    for lo in range(0, n_pairs, step):
-        xs, ys = _draw_pairs(rng, min(step, n_pairs - lo), dim, radius)
+    for rows in row_blocks(n_pairs, dim):
+        xs, ys = _draw_pairs(rng, rows.stop - rows.start, dim, radius)
         dx = xs - ys
         df = np.asarray(map_eval(xs), dtype=float) - np.asarray(map_eval(ys), dtype=float)
         # vecdot takes each row's dot product as the 1-D np.dot does, bit for bit
-        rows = slice(lo, lo + len(xs))
         nx2[rows] = np.vecdot(dx, dx)
         inner[rows] = np.vecdot(df, dx)
         df2[rows] = np.vecdot(df, df)

@@ -3,10 +3,11 @@
 Every instance exposes the splitting both ways: a resolvent oracle ``a`` plus
 an evaluation map ``b`` for the operator flows, and (where meaningful) the
 function pair (f, g) for value gaps.  ``sum_eval`` is a measurable selection
-of a(x) + b(x) used only for sampling audits.  Every map, gradient and
-resolvent here follows the ``operators`` shape contract: a point (d,) or a
-block (n, d), the last axis being the space.  The skew-rotation instance is
-the deliberately non-cocoercive case: monotone and 1-Lipschitz, nothing more.
+of a(x) + b(x) used only for sampling audits.  Every map, gradient, resolvent
+and function value here follows the ``operators`` shape contract: a point (d,)
+or a block (n, d), the last axis being the space.  The skew-rotation instance
+is the deliberately non-cocoercive case: monotone and 1-Lipschitz, nothing
+more.
 """
 
 from __future__ import annotations
@@ -64,8 +65,14 @@ def _check_spd(q: np.ndarray):
 
 
 def _quadratic_oracle(q: np.ndarray, b: np.ndarray, rho: float) -> FunctionOracle:
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        # a stack of vector-matrix products keeps each row bitwise the 1-D
+        # x @ q @ x; the matrix-matrix product x @ q does not (dim >= 4)
+        return 0.5 * np.vecdot((x[..., None, :] @ q)[..., 0, :], x) + np.vecdot(b, x)
+
     return FunctionOracle(
-        value=lambda x: 0.5 * float(x @ q @ x) + float(b @ x),
+        value=value,
         gradient=lambda x: matvec(q, x) + b,
         strong_convexity=rho,
         description="quadratic",
@@ -251,14 +258,13 @@ def audit_instance(instance: ProblemInstance, n_pairs: int = 1000,
     sandwich = None
     if instance.g is not None and instance.f is None:
         rng = np.random.default_rng(seed + 2)
-        xs = np.array([operators.sample_ball(rng, instance.dim, 10.0)
-                       for _ in range(min(200, n_pairs))])
+        xs = operators.ball_points(rng, min(200, n_pairs), instance.dim, 10.0)
         err = xs - x_star
         grads = instance.g.gradient(xs)
         g_star = float(instance.g.value(x_star))
         chain = analysis.value_chain(
             np.einsum("ij,ij->i", err, err),
-            np.array([float(instance.g.value(x)) for x in xs]) - g_star,
+            instance.g.value(xs) - g_star,
             np.sqrt(np.vecdot(grads, grads)),  # bitwise np.linalg.norm of each row
             instance.rho, instance.beta)
         sandwich = {nm: cnt for nm, cnt, _ in chain.results}

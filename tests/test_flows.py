@@ -196,6 +196,32 @@ def test_sample_profiles():
         assert np.all(np.abs(sample(p, ts) - exact) <= np.spacing(exact))
 
 
+def test_constant_profile_at_a_float_is_the_formula_bitwise():
+    # start == end skips math.exp; the value keeps the formula's bits, -0.0 -> +0.0
+    for v in (1.0, 11.0, 0.0, -0.0, 1e-300):
+        for rate in (0.0, 0.5):
+            p = Profile(v, v, rate)
+            for t in (0.0, 0.3, 7.25, 1e3, np.float64(2.5)):
+                formula = v + (v - v) * math.exp(-rate * t)
+                got = p(t)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(formula).tobytes()
+
+
+def test_first_order_fields_take_a_column_of_times():
+    # a block call is bitwise the per-row calls; a plain callable lam is sampled
+    # point by point (math.exp takes no array)
+    inst = problems.get_problem("skew-rotation")
+    ramp = Schedule(lam=lambda t: 2.0 - math.exp(-t), lambda_lower=1.0, lambda_upper=2.0)
+    for flow in (fb1_rhs(inst.a, inst.b, eta=0.5, sched=ramp),
+                 grad1_rhs(scaled_sqnorm(1.5), ramp),
+                 proxgrad1_rhs(l1_norm(0.3), scaled_sqnorm(1.5), eta=0.5, sched=ramp)):
+        ts = np.linspace(0.0, 3.0, 9)
+        xs = np.random.default_rng(4).uniform(-3.0, 3.0, size=(9, 2))
+        rows = np.array([flow.rhs(t, x) for t, x in zip(ts, xs)])
+        assert flow.rhs(ts[:, None], xs).tobytes() == rows.tobytes()
+
+
 def test_residual_vanishes_only_at_solution():
     inst = problems.get_problem("skew-rotation")
     assert residual(inst.a, inst.b, 1.0, inst.x_star) <= 1e-9

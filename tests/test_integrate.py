@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from fbflows import integrate as integrate_module
 from fbflows import problems
-from fbflows.flows import FlowRHS, Schedule, fb1_rhs, fb2_rhs
+from fbflows.flows import FlowRHS, Profile, Schedule, fb1_rhs, fb2_rhs, grad1_rhs
 from fbflows.integrate import (
     Adaptive,
     FixedStep,
@@ -18,6 +18,7 @@ from fbflows.integrate import (
     record_metrics,
     to_csv,
 )
+from fbflows.operators import row_blocks
 
 DECAY = FlowRHS(order=1, rhs=lambda t, x: -x, description="dx/dt = -x")
 ZERO = FlowRHS(order=1, rhs=lambda t, x: np.zeros_like(x), description="dx/dt = 0")
@@ -265,3 +266,77 @@ def test_stage_combination_matches_sequential_sum(dim):
             ref = sum(a * K[j] for j, a in enumerate(row) if a != 0.0)
             got = integrate_module._combine(K, w)
             assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+
+
+def _per_sample_v(flow, traj):
+    """The per-sample velocities that the block path replaced: one rhs call each."""
+    return np.array([np.asarray(flow.rhs(t, x), dtype=float)
+                     for t, x in zip(traj.t, traj.x)])
+
+
+def _first_order_case(name, sched):
+    if name == "fb1-sc-lasso-20d":
+        inst = problems.get_problem("sc-lasso-20d")
+        return inst, fb1_rhs(inst.a, inst.b, eta=0.07, sched=sched), np.linspace(-2, 2, 20)
+    inst = problems.get_problem("quadratic-2d")
+    return inst, grad1_rhs(inst.g, sched), np.array([3.0, -1.0])
+
+
+@pytest.mark.parametrize("name", ["fb1-sc-lasso-20d", "grad1-quadratic-2d"])
+def test_first_order_v_from_blocks_matches_per_sample_rhs(name):
+    # constant lambda: bitwise; 2000 dense samples span several row blocks at dim 20
+    _, flow, x0 = _first_order_case(name, Schedule.constant(1.0))
+    traj = integrate(flow, x0, t_end=8.0, n_dense=2000)
+    assert len(row_blocks(*traj.x.shape)) >= (3 if x0.size == 20 else 1)
+    assert traj.v.tobytes() == _per_sample_v(flow, traj).tobytes()
+
+
+@pytest.mark.parametrize("name", ["fb1-sc-lasso-20d", "grad1-quadratic-2d"])
+def test_first_order_v_with_a_ramp_is_within_4_ulps(name):
+    # a block samples the ramp with np.exp, a float t with math.exp: lambda may
+    # differ by 1 ulp, which the product v = lambda * (...) turns into at most 4
+    sched = Schedule(lam=Profile(2.0, 1.0, 0.5), lambda_lower=1.0, lambda_upper=2.0)
+    _, flow, x0 = _first_order_case(name, sched)
+    traj = integrate(flow, x0, t_end=8.0, n_dense=2000)
+    ref = _per_sample_v(flow, traj)
+    assert np.all(np.abs(traj.v - ref) <= 4.0 * np.spacing(np.abs(ref)))
+
+
+def test_plain_callable_lambda_integrates():
+    # math.exp takes no array, so the samples are evaluated one time at a time
+    sched = Schedule(lam=lambda t: 1.0 + 0.5 * math.exp(-t), lambda_lower=1.0,
+                     lambda_upper=1.5)
+    _, flow, x0 = _first_order_case("grad1-quadratic-2d", sched)
+    traj = integrate(flow, x0, t_end=10.0)
+    assert traj.v.tobytes() == _per_sample_v(flow, traj).tobytes()
+    assert np.linalg.norm(traj.x[-1] - np.array([1.0, 1.0])) <= 1e-4
+
+
+def _metrics_reference(traj, inst):
+    """The per-row gap and gradnorm formulas that the block path replaced, with
+    the old point formulas of the l1 and quadratic values."""
+    d = inst.descriptor
+    q, b = np.array(d["Q"]), np.array(d["b"])
+    w = d.get("w", 0.0)
+
+    def total(x):
+        s = 0.0
+        if w > 0.0:
+            s += w * float(np.sum(np.abs(x)))
+        s += 0.5 * float(x @ q @ x) + float(b @ x)
+        return s
+
+    base = total(inst.x_star)
+    gap = np.array([total(x) for x in traj.x]) - base
+    gradnorm = np.array([float(np.linalg.norm(q @ x + b)) for x in traj.x])
+    return gap, gradnorm
+
+
+@pytest.mark.parametrize("name", ["fb1-sc-lasso-20d", "grad1-quadratic-2d"])
+def test_record_metrics_matches_per_row_formulas(name):
+    inst, flow, x0 = _first_order_case(name, Schedule.constant(1.0))
+    traj = integrate(flow, x0, t_end=8.0, n_dense=2000)
+    m = record_metrics(traj, inst)
+    gap, gradnorm = _metrics_reference(traj, inst)
+    assert m.gap.tobytes() == gap.tobytes()
+    assert m.gradnorm.tobytes() == gradnorm.tobytes()

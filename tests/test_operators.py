@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fbflows import problems
+from fbflows import operators, problems
 from fbflows.operators import (
     MapAuditReport,
     MonotoneMap,
     as_points,
     as_vector,
     audit_map,
+    ball_points,
     box_indicator,
     brute_force_prox,
     build_prox,
@@ -23,7 +24,7 @@ from fbflows.operators import (
     matvec,
     prox_resolvent,
     resolvent,
-    sample_ball,
+    row_blocks,
     scaled_sqnorm,
     translated_linear,
     zero_function,
@@ -158,11 +159,8 @@ def test_prox_resolvent_needs_prox():
 def test_resolvent_firmly_nonexpansive(oracle):
     # ||Jx - Jy||^2 <= <Jx - Jy, x - y> on sampled pairs
     rng = np.random.default_rng(3)
-    dim = 3
-    for _ in range(200):
-        x = sample_ball(rng, dim, 10.0)
-        y = sample_ball(rng, dim, 10.0)
-        eta = float(rng.uniform(0.05, 5.0))
+    xs, ys = ball_points(rng, 200, 3, 10.0), ball_points(rng, 200, 3, 10.0)
+    for x, y, eta in zip(xs, ys, rng.uniform(0.05, 5.0, 200)):
         dj = oracle.prox(eta, x) - oracle.prox(eta, y)
         assert float(dj @ dj) <= float(dj @ (x - y)) + 1e-10
 
@@ -190,32 +188,23 @@ def test_audit_identity_claims():
     assert not rep.monotone_ok and not rep.passed
 
 
-def _sample_ball_reference(rng, dim, radius):
-    while True:
-        u = rng.standard_normal(dim)
-        n = float(np.linalg.norm(u))
-        if n > 1e-12:
-            break
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return (r / n) * u
-
-
 def _audit_map_reference(map_eval, dim, rho_claim=None, beta_claim=None,
                          n_pairs=1000, seed=0, radius=10.0, slack=1e-9):
     """The per-pair audit loop that the block audit replaced: one map call per
-    point, the statistics folded in pair by pair."""
+    point, the statistics folded in pair by pair, on the pairs that the block
+    sampler draws for each row block."""
     rng = np.random.default_rng(seed)
+    pairs = []
+    for rows in row_blocks(n_pairs, dim):
+        pairs += zip(*operators._draw_pairs(rng, rows.stop - rows.start, dim, radius))
+    assert len(pairs) == n_pairs
     min_quot = math.inf
     max_ratio = 0.0
     coco_bad = 0
-    for _ in range(n_pairs):
-        x = _sample_ball_reference(rng, dim, radius)
-        while True:
-            y = _sample_ball_reference(rng, dim, radius)
-            dx = x - y
-            nx2 = float(np.dot(dx, dx))
-            if nx2 > 1e-20:
-                break
+    for x, y in pairs:
+        dx = x - y
+        nx2 = float(np.dot(dx, dx))
+        assert nx2 > 1e-20
         df = np.asarray(map_eval(x), dtype=float) - np.asarray(map_eval(y), dtype=float)
         inner = float(np.dot(df, dx))
         min_quot = min(min_quot, inner / nx2)
@@ -269,11 +258,73 @@ def test_block_audit_matches_per_pair_loop(name, map_eval, dim, claims):
 
 
 def test_sample_ball_matches_linalg_norm_draws():
+    # one block of normals, then one uniform per row for the radius; each row
+    # is scaled by its np.linalg.norm
     rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
     for dim in (1, 2, 3, 20, 100):
-        for _ in range(50):
-            got = sample_ball(rng, dim, 10.0)
-            assert got.tobytes() == _sample_ball_reference(ref_rng, dim, 10.0).tobytes()
+        for n in (1, 7, 50):
+            got = ball_points(rng, n, dim, 10.0)
+            u = ref_rng.standard_normal((n, dim))
+            radii = 10.0 * ref_rng.random(n) ** (1.0 / dim)
+            ref = np.array([(r / np.linalg.norm(row)) * row for r, row in zip(radii, u)])
+            assert got.shape == (n, dim)
+            assert got.tobytes() == ref.tobytes()
+
+
+class _ReplayRng:
+    """Stands in for a Generator: hands out the given normal rows and uniforms
+    in order and records each request."""
+
+    def __init__(self, normals, uniforms):
+        self.normals = [np.array(row, dtype=float) for row in normals]
+        self.uniforms = list(uniforms)
+        self.requests = []
+
+    def standard_normal(self, size):
+        n, _ = size
+        self.requests.append(("normal", n))
+        rows, self.normals = self.normals[:n], self.normals[n:]
+        return np.array(rows)
+
+    def random(self, n):
+        self.requests.append(("random", n))
+        draws, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return np.array(draws)
+
+
+def test_ball_points_redraws_short_normal_rows():
+    # row 1 is zero, and so is its first redraw; rows 0 and 2 are kept
+    rng = _ReplayRng([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [3.0, 4.0]],
+                     [0.25, 1.0, 0.0])
+    got = ball_points(rng, 3, 2, 10.0)
+    assert rng.requests == [("normal", 3), ("normal", 1), ("normal", 1), ("random", 3)]
+    assert np.array_equal(got, [[5.0, 0.0], [6.0, 8.0], [0.0, 0.0]])
+    assert not rng.normals and not rng.uniforms
+
+
+def test_draw_pairs_redraws_coincident_second_points():
+    # pair 0 draws y == x, so its second point is drawn again; pair 1 is kept
+    rng = _ReplayRng([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                     [0.25, 0.25, 0.25, 0.25, 1.0])
+    xs, ys = operators._draw_pairs(rng, 2, 2, 10.0)
+    assert rng.requests == [("normal", 2), ("random", 2), ("normal", 2), ("random", 2),
+                            ("normal", 1), ("random", 1)]
+    assert np.array_equal(xs, [[5.0, 0.0], [0.0, 5.0]])
+    half = 5.0 / math.sqrt(2.0)
+    assert np.array_equal(ys, [[0.0, 10.0], [half, half]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 20, 100])
+def test_ball_points_radius_is_uniform_in_volume(dim):
+    # the fraction of the ball's volume within radius r is (r/R)^dim, so
+    # (|p|/R)^dim is uniform on [0, 1]: Kolmogorov-Smirnov against it
+    n = 4000
+    pts = ball_points(np.random.default_rng(dim), n, dim, 3.0)
+    u = np.sort((np.linalg.norm(pts, axis=1) / 3.0) ** dim)
+    assert np.all(u <= 1.0 + 1e-12)
+    ranks = np.arange(1, n + 1) / n
+    ks = max(np.max(ranks - u), np.max(u - (ranks - 1.0 / n)))
+    assert ks < 1.63 / math.sqrt(n)  # the 1% critical value
 
 
 def test_audit_nonfinite_map_fails_claims():
@@ -294,12 +345,19 @@ _CATALOG = [
 @pytest.mark.parametrize("name,oracle", _CATALOG, ids=[c[0] for c in _CATALOG])
 def test_catalog_block_equals_rows(name, oracle):
     block = np.random.default_rng(8).uniform(-4.0, 4.0, size=(64, 3))
-    calls = [lambda x: oracle.prox(0.6, x)]
+    block[:16] *= 0.25  # inside the box [-1, 2]^3; most other rows are outside
+    calls = [lambda x: oracle.prox(0.6, x), oracle.value]
     if oracle.gradient is not None:
         calls.append(oracle.gradient)
     for call in calls:
         rows = np.array([call(x) for x in block])
         assert call(block).tobytes() == rows.tobytes()
+    values = oracle.value(block)
+    assert values.shape == (64,) and np.ndim(oracle.value(block[0])) == 0
+    if name == "box":
+        assert np.all(values[:16] == 0.0) and np.isinf(values).sum() > 16
+    if name == "zero":
+        assert np.array_equal(values, np.zeros(64))
 
 
 def test_as_points_shapes():
@@ -321,9 +379,8 @@ def test_audit_requires_samples():
 
 
 def test_sample_ball_stays_inside():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        assert np.linalg.norm(sample_ball(rng, 5, 10.0)) <= 10.0 + 1e-12
+    pts = ball_points(np.random.default_rng(9), 200, 5, 10.0)
+    assert np.all(np.linalg.norm(pts, axis=1) <= 10.0 + 1e-12)
 
 
 @pytest.mark.parametrize("oracle", [
@@ -332,9 +389,7 @@ def test_sample_ball_stays_inside():
     zero_function(),
 ], ids=["sqnorm", "translated", "zero"])
 def test_gradient_matches_central_differences(oracle):
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = sample_ball(rng, 4, 10.0)
+    for x in ball_points(np.random.default_rng(11), 20, 4, 10.0):
         assert check_gradient(oracle, x, h=1e-5) <= 1e-5
 
 

@@ -144,11 +144,29 @@ def test_oracles_on_a_block_equal_their_rows(name):
              "a.resolve": lambda x: inst.a.resolve(0.3, x)}
     if inst.g is not None:
         calls["g.gradient"] = inst.g.gradient
+        calls["g.value"] = inst.g.value
+    if inst.f is not None:
+        calls["f.value"] = inst.f.value
     for label, call in calls.items():
         got = np.asarray(call(block), dtype=float)
         rows = np.array([call(x) for x in block], dtype=float)
-        assert got.shape == block.shape, label
+        assert got.shape == (block.shape if "value" not in label else block.shape[:1]), label
         assert got.tobytes() == rows.tobytes(), label
+
+
+@pytest.mark.parametrize("dim", [2, 4, 20, 100])
+def test_quadratic_value_rows_are_the_point_formula(dim):
+    # each row of a block value is bitwise 0.5 * x @ q @ x + b @ x of that row
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    q = m @ m.T / dim + np.eye(dim)
+    q = 0.5 * (q + q.T)
+    b = rng.standard_normal(dim)
+    g = make_quadratic(q, b).g
+    block = 3.0 * rng.standard_normal((60, dim))
+    ref = np.array([0.5 * float(x @ q @ x) + float(b @ x) for x in block])
+    assert g.value(block).tobytes() == ref.tobytes()
+    assert all(g.value(x) == r for x, r in zip(block, ref))
 
 
 def test_quadratic_point_call_is_the_matrix_vector_product():
