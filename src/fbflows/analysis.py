@@ -20,16 +20,21 @@ from .certificates import LemmaCoefficients, RateCertificate, lemma_bound
 from .integrate import MetricSeries, Trajectory
 
 UNDERFLOW_FLOOR = 1e-300
+ENVELOPE_TOL_REL = 1e-6  # a sample passes when metric <= envelope*(1 + rel) + abs
+ENVELOPE_TOL_ABS = 1e-8
+TAIL_FRACTION = 0.25     # the trailing share of the samples that fit_rate fits
+CHAIN_SLACK = 1e-8       # value_chain slack per unit of 1 + |lhs| + |rhs|
+DRIFT_SCALE = 1e-6       # Lyapunov drift allowed per unit time and unit of 1 + |L(0)|
 
 
 class RateFitError(ValueError):
     """Not enough positive tail samples to fit a decay rate."""
 
 
-def fit_rate(t, y, tail_fraction: float = 0.25) -> float:
+def fit_rate(t, y) -> float:
     """Least-squares decay exponent of y over the trailing window.
 
-    Fits -log(y) = r*t + c on the last ``tail_fraction`` of the samples and
+    Fits -log(y) = r*t + c on the last ``TAIL_FRACTION`` of the samples and
     returns the slope r.  Needs at least 10 samples above the underflow floor
     in the window.
     """
@@ -37,10 +42,8 @@ def fit_rate(t, y, tail_fraction: float = 0.25) -> float:
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("t and y must be 1-D arrays of equal length")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ValueError("tail_fraction must lie in (0, 1], got %r" % tail_fraction)
     n = t.size
-    k = max(int(math.ceil(tail_fraction * n)), 2)
+    k = max(int(math.ceil(TAIL_FRACTION * n)), 2)
     t_tail, y_tail = t[n - k:], y[n - k:]
     mask = y_tail > UNDERFLOW_FLOOR
     if int(mask.sum()) < 10:
@@ -99,10 +102,8 @@ class RateReport:
 
 
 def verify_envelope(metrics: MetricSeries, which: str, envelope: Callable,
-                    tol_abs: float = 1e-8, tol_rel: float = 1e-6,
-                    rate: Optional[float] = None,
-                    tail_fraction: float = 0.25) -> RateReport:
-    """Check metric(t) <= envelope(t)*(1+tol_rel) + tol_abs at every sample.
+                    rate: Optional[float] = None) -> RateReport:
+    """Check metric(t) <= envelope(t)*(1 + ENVELOPE_TOL_REL) + ENVELOPE_TOL_ABS per sample.
 
     ``which`` selects the metric ('h' or 'gap').  When ``rate`` (the certified
     decay exponent) is given, the fitted tail rate must satisfy
@@ -118,14 +119,14 @@ def verify_envelope(metrics: MetricSeries, which: str, envelope: Callable,
     else:
         raise ValueError("which must be 'h' or 'gap', got %r" % which)
     env = np.asarray(envelope(metrics.t), dtype=float)
-    allowed = env * (1.0 + tol_rel) + tol_abs
+    allowed = env * (1.0 + ENVELOPE_TOL_REL) + ENVELOPE_TOL_ABS
     excess = values - allowed
     violating = int(np.sum(excess > 0.0))
     pos = env > UNDERFLOW_FLOOR
     max_ratio = float(np.max(values[pos] / env[pos])) if np.any(pos) else 0.0
     fitted = None
     try:
-        fitted = fit_rate(metrics.t, values, tail_fraction)
+        fitted = fit_rate(metrics.t, values)
     except RateFitError:
         pass
     rate_ok = True
@@ -141,8 +142,8 @@ def verify_envelope(metrics: MetricSeries, which: str, envelope: Callable,
         theoretical_exponent=rate,
         rate_ok=rate_ok,
         passed=(violating == 0 and rate_ok),
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
+        tol_abs=ENVELOPE_TOL_ABS,
+        tol_rel=ENVELOPE_TOL_REL,
     )
 
 
@@ -155,21 +156,19 @@ class ChainReport:
     passed: bool
 
 
-def verify_value_chain(metrics: MetricSeries, rho: float, beta: float,
-                       slack_scale: float = 1e-8) -> ChainReport:
+def verify_value_chain(metrics: MetricSeries, rho: float, beta: float) -> ChainReport:
     """``value_chain`` at every sample of a trajectory's metrics."""
     if metrics.gap is None or metrics.gradnorm is None:
         raise ValueError("chain check needs both gap and gradnorm")
-    return value_chain(metrics.h, metrics.gap, metrics.gradnorm, rho, beta, slack_scale)
+    return value_chain(metrics.h, metrics.gap, metrics.gradnorm, rho, beta)
 
 
-def value_chain(h, gap, gradnorm, rho: float, beta: float,
-                slack_scale: float = 1e-8) -> ChainReport:
+def value_chain(h, gap, gradnorm, rho: float, beta: float) -> ChainReport:
     """Check the strong-convexity / descent-lemma sandwich at every point:
 
     (rho/2)*h <= gap,  gap <= h/(2*beta),  rho*sqrt(h) <= gradnorm,
 
-    each with additive slack slack_scale*(1 + |lhs| + |rhs|), on arrays over
+    each with additive slack CHAIN_SLACK*(1 + |lhs| + |rhs|), on arrays over
     the same points.
     """
     pairs = [
@@ -179,7 +178,7 @@ def value_chain(h, gap, gradnorm, rho: float, beta: float,
     ]
     results = []
     for name, lhs, rhs in pairs:
-        slack = slack_scale * (1.0 + np.abs(lhs) + np.abs(rhs))
+        slack = CHAIN_SLACK * (1.0 + np.abs(lhs) + np.abs(rhs))
         excess = lhs - rhs - slack
         results.append((name, int(np.sum(excess > 0.0)), float(np.max(excess))))
     return ChainReport(
@@ -202,29 +201,24 @@ class LyapunovReport:
 
 
 def verify_lyapunov(traj: Trajectory, coeffs: LemmaCoefficients,
-                    metrics: MetricSeries, drift_scale: float = 1e-6,
-                    h_series=None, hdot_series=None) -> LyapunovReport:
+                    metrics: MetricSeries) -> LyapunovReport:
     """Check that the proof-level Lyapunov quantity is nonincreasing.
 
     Uses the half-scaled distance convention h = ||x - x*||^2 / 2 with the
-    exact derivative identity h' = <x - x*, v>; pass ``h_series`` and
-    ``hdot_series`` to substitute another admissible h (e.g. a value gap).
-    Nonincrease is asserted up to a drift of drift_scale*(1 + |L(0)|) per unit
-    time between consecutive samples.
+    exact derivative identity h' = <x - x*, v>.  Nonincrease is asserted up to
+    a drift of DRIFT_SCALE*(1 + |L(0)|) per unit time between consecutive
+    samples.
     """
     if traj.order != 2:
         raise ValueError("Lyapunov check applies to second-order trajectories")
     t = traj.t
-    if h_series is None:
-        h_series = 0.5 * metrics.h
-        err = traj.x - metrics.x_star[None, :]
-        hdot_series = np.einsum("ij,ij->i", err, traj.v)
-    elif hdot_series is None:
-        raise ValueError("custom h_series needs hdot_series")
+    h_series = 0.5 * metrics.h
+    err = traj.x - metrics.x_star[None, :]
+    hdot_series = np.einsum("ij,ij->i", err, traj.v)
     gam = np.array([coeffs.gamma(ti) for ti in t])
     b2 = np.array([coeffs.b2(ti) for ti in t])
     lyap = np.exp(t) * (hdot_series + (gam - 1.0) * h_series + b2 * metrics.u)
-    tol = drift_scale * (1.0 + abs(float(lyap[0])))
+    tol = DRIFT_SCALE * (1.0 + abs(float(lyap[0])))
     if t.size < 2:
         max_rate = 0.0
     else:

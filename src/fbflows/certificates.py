@@ -7,11 +7,12 @@ compared, so the certificate can be re-checked later).  Violations raise
 CertificateError naming each failed inequality; nothing is clamped silently.
 
 Time-dependent conditions of the second-order systems are verified on the
-samples of ``Schedule.check``: an even grid over [0, t_grid_end] (default 2000
-points, slack 1e-9).  The certificate records t_grid_end and n_grid in its
-inputs; it makes no claim beyond that interval.  A constant coefficient is
-checked once at its value, which every grid point would repeat, so the
-recorded numbers, t_grid_end and n_grid are those of the full grid.
+samples of ``Schedule.check``: an even grid of ``flows.GRID_POINTS`` (2000)
+points over [0, t_grid_end], slack 1e-9.  The certificate records t_grid_end
+and n_grid in its inputs; it makes no claim beyond that interval.  A constant
+coefficient is checked once at its value, which every grid point would
+repeat, so the recorded numbers, t_grid_end and n_grid are those of the full
+grid.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flows import Profile, Schedule
-from .integrate import write_json
+from .flows import GRID_POINTS, Profile, Schedule
 
 GRID_SLACK = 1e-9
 ROUND_SLACK = 1e-12
@@ -62,7 +62,7 @@ def _grid_slack(lhs: float, rhs: float) -> float:
     return GRID_SLACK * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _worst(name: str, lhs, rhs, strict: bool = False) -> Check:
+def _worst(name: str, lhs, rhs) -> Check:
     """Record the grid point where lhs - rhs is largest (the tightest case).
 
     Two floats (constant coefficients) are compared directly; an array side
@@ -73,7 +73,7 @@ def _worst(name: str, lhs, rhs, strict: bool = False) -> Check:
         k = int(np.argmax(lhs - rhs))
         lhs, rhs = lhs[k], rhs[k]
     lhs, rhs = float(lhs), float(rhs)
-    return Check(name=name, lhs=lhs, rhs=rhs, strict=strict, slack=_grid_slack(lhs, rhs))
+    return Check(name=name, lhs=lhs, rhs=rhs, slack=_grid_slack(lhs, rhs))
 
 
 def _steps(v):
@@ -104,16 +104,9 @@ class RateCertificate:
     transient_exponent: Optional[float]
     checks: tuple
 
-    @property
-    def verified(self) -> list:
-        return [c.name for c in self.checks]
-
     def recheck(self) -> bool:
         """Re-evaluate every stored inequality from the stored numbers."""
         return all(c.ok for c in self.checks)
-
-    def to_json(self, path) -> None:
-        write_json(path, self)
 
 
 def _finish(system, inputs, derived, r, transient, checks, extra_failures=()):
@@ -207,8 +200,7 @@ def _check_unit_interval(name, v):
 
 
 def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
-                sched: Schedule, t_grid_end: float = 50.0,
-                n_grid: int = 2000) -> RateCertificate:
+                sched: Schedule, t_grid_end: float = 50.0) -> RateCertificate:
     """Certify the damped second-order forward-backward flow.
 
     Derives eta from 1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta - rho,
@@ -222,7 +214,7 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
         raise ValueError("rho and beta must be positive")
     alpha = _check_unit_interval("alpha", alpha)
     delta = _check_unit_interval("delta", delta)
-    _, lam, gam, _ = sched.check(t_grid_end, n=n_grid)
+    _, lam, gam, _ = sched.check(t_grid_end)
 
     big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
     checks = [
@@ -249,7 +241,7 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
     eta = 1.0 / inv_eta if inv_eta > 0.0 else math.nan
     inputs = {"rho": rho, "beta": beta, "alpha": alpha, "delta": delta,
               "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
-              "t_grid_end": float(t_grid_end), "n_grid": int(n_grid)}
+              "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
     derived = {"eta": eta, "S": big_s, "K": k_slope, "theta_coefficient": theta_coeff,
                "theta": theta_floor, "gamma_lower": gamma_lower}
     return _finish("fb2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
@@ -302,8 +294,8 @@ def suggest_constants_fb2(rho: float, beta: float, alpha: float,
 
 
 def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
-                  alpha_bar: Optional[float] = None, t_grid_end: float = 50.0,
-                  n_grid: int = 2000) -> RateCertificate:
+                  alpha_bar: Optional[float] = None,
+                  t_grid_end: float = 50.0) -> RateCertificate:
     """Certify the damped second-order gradient flow.
 
     ``alpha_fn`` is the relaxation floor profile alpha(t) (a constant or a
@@ -328,7 +320,7 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
     alpha_bar = float(alpha_bar)
     if alpha_fn is not sched.alpha:
         sched = dataclasses.replace(sched, alpha=alpha_fn)
-    _, lam, gam, a_t = sched.check(t_grid_end, n=n_grid)
+    _, lam, gam, a_t = sched.check(t_grid_end)
 
     checks = [
         Check("rho*beta <= 1", lhs=rho * beta, rhs=1.0,
@@ -357,7 +349,7 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
 
     inputs = {"rho": rho, "beta": beta, "alpha_bar": alpha_bar,
               "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
-              "t_grid_end": float(t_grid_end), "n_grid": int(n_grid)}
+              "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
     derived = {"gamma_lower": gamma_lower, "alpha_floor": floor,
                "alpha_inf": float(np.min(a_t))}
     return _finish("grad2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
@@ -411,31 +403,6 @@ class LemmaCoefficients:
     b2: Callable[[float], float]
     b3: Callable[[float], float]
     gamma: Callable[[float], float]
-
-    def check(self, t_end: float, n: int = 2000, slack: float = GRID_SLACK,
-              h_diff: float = 1e-5) -> None:
-        """Verify the lemma's hypotheses on a grid (derivatives by central differences)."""
-        ts = np.linspace(0.0, float(t_end), n)
-
-        def dot(f, t):
-            if t < h_diff:
-                return (f(t + h_diff) - f(t)) / h_diff
-            return (f(t + h_diff) - f(t - h_diff)) / (2.0 * h_diff)
-
-        for t in ts:
-            b1t, b2t, b3t = self.b1(t), self.b2(t), self.b3(t)
-            gt = self.gamma(t)
-            if b2t < -slack:
-                raise ValueError("b2(%g) = %g negative" % (t, b2t))
-            lhs = gt + dot(self.gamma, t)
-            if lhs > b1t + 1.0 + _grid_slack(lhs, b1t + 1.0):
-                raise ValueError(
-                    "gamma(t) + gamma'(t) <= b1(t) + 1 fails at t=%g (%g > %g)"
-                    % (t, lhs, b1t + 1.0))
-            lhs = b2t + dot(self.b2, t)
-            if lhs > b3t + _grid_slack(lhs, b3t):
-                raise ValueError(
-                    "b2(t) + b2'(t) <= b3(t) fails at t=%g (%g > %g)" % (t, lhs, b3t))
 
 
 def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, analysis, certificates, flows, integrate, problems
 from .certificates import CertificateError
 from .flows import Profile, Schedule, ScheduleError
+from .problems import finite_number
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -91,26 +92,19 @@ class ExperimentConfig:
             if not isinstance(blk, dict):
                 raise ConfigError("'%s' must be an object" % name)
         seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("'seed' must be a nonnegative integer")
+        output_dir = doc.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError("'output_dir' must be a string, got %r" % (output_dir,))
         return cls(problem=problem, system=system, params=params,
                    integrator=integrator, initial=initial, sweep=sweep,
-                   seed=seed, output_dir=doc.get("output_dir"))
-
-
-def _finite(v) -> bool:
-    """Whether a config value is a finite number (an int or float, not a bool)."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
+                   seed=seed, output_dir=output_dir)
 
 
 def _profile(spec, name: str) -> Profile:
     """Resolve a positive number, a constant profile or an exp_ramp profile to a Profile."""
-    if _finite(spec) and spec > 0:
+    if finite_number(spec) and spec > 0:
         v = float(spec)
         return Profile(v, v)
     if isinstance(spec, dict):
@@ -119,7 +113,7 @@ def _profile(spec, name: str) -> Profile:
             return _profile(spec.get("value"), name)
         if kind == "exp_ramp":
             values = [spec.get(key) for key in ("start", "end", "rate")]
-            if not all(_finite(v) for v in values):
+            if not all(map(finite_number, values)):
                 raise ConfigError("'%s' exp_ramp needs finite numbers start/end/rate"
                                   % name)
             start, end, rate = map(float, values)
@@ -153,7 +147,7 @@ def _build_schedule(cfg: ExperimentConfig) -> Schedule:
 
 def _scalar(params: dict, key: str) -> float:
     v = _require(params, key)
-    if not _finite(v):
+    if not finite_number(v):
         raise ConfigError("'%s' must be a finite number, got %r" % (key, v))
     return float(v)
 
@@ -184,7 +178,7 @@ def _setting(cfg: ExperimentConfig, key: str, default=None):
     v = cfg.integrator.get(key)
     if v is None:
         return default
-    if not _finite(v):
+    if not finite_number(v):
         raise ConfigError("integrator '%s' must be a finite number, got %r" % (key, v))
     return float(v)
 
@@ -335,8 +329,7 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
         reports["chain"] = analysis.verify_value_chain(metrics, inst.rho, inst.beta)
     elif cfg.system == "fb2":
         coeffs = certificates.fb2_lemma_coefficients(
-            inst.rho, inst.beta, _scalar(cfg.params, "alpha"),
-            _scalar(cfg.params, "delta"), sched)
+            inst.rho, inst.beta, cert.inputs["alpha"], cert.inputs["delta"], sched)
         m_raw = certificates.fb2_initial_M(coeffs, x0, v0, inst.x_star)
         env = analysis.build_envelope(cert, h0=float(metrics.h[0]), m=2.0 * m_raw)
         reports["envelope"] = analysis.verify_envelope(
@@ -356,7 +349,7 @@ def _sweep_values(name: str, spec) -> list:
     """The points of one sweep axis: a ``values`` list, or ``min``/``max``/``num``."""
     if isinstance(spec, dict) and "values" in spec:
         vals = spec["values"]
-        if not isinstance(vals, list) or not vals or not all(_finite(v) for v in vals):
+        if not isinstance(vals, list) or not vals or not all(map(finite_number, vals)):
             raise ConfigError("sweep '%s' values must be a nonempty list of finite "
                               "numbers, got %r" % (name, vals))
         return [float(v) for v in vals]
@@ -364,7 +357,7 @@ def _sweep_values(name: str, spec) -> list:
         lo, hi, num = spec["min"], spec["max"], spec["num"]
     except (KeyError, TypeError):
         raise ConfigError("sweep '%s' needs min/max/num or values" % name)
-    if not (_finite(lo) and _finite(hi) and _finite(num) and num == int(num)):
+    if not (all(map(finite_number, (lo, hi, num))) and num == int(num)):
         raise ConfigError("sweep '%s' needs finite numbers min/max and an integer num, "
                           "got %r" % (name, spec))
     if num < 1 or not (0.0 < lo <= hi):
@@ -431,7 +424,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
 def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
     cert = _certify(cfg, inst, sched)
     os.makedirs(out_dir, exist_ok=True)
-    cert.to_json(os.path.join(out_dir, "certificate.json"))
+    integrate.write_json(os.path.join(out_dir, "certificate.json"), cert)
     _say(quiet, "certified %s on %s: decay exponent %.6g%s"
          % (cfg.system, inst.name, cert.decay_exponent,
             "" if cert.transient_exponent is None
@@ -460,7 +453,7 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
         t_end = _default_t_end(cert)
     traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))
     reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
-    audit = problems.audit_instance(inst, n_pairs=1000, seed=cfg.seed)
+    audit = problems.audit_instance(inst, seed=cfg.seed)
 
     passed = audit.passed and all(rep.passed for rep in reports.values())
     doc = {
@@ -483,7 +476,7 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
     if m_raw is not None:
         doc["m_raw"] = m_raw
     os.makedirs(out_dir, exist_ok=True)
-    cert.to_json(os.path.join(out_dir, "certificate.json"))
+    integrate.write_json(os.path.join(out_dir, "certificate.json"), cert)
     _write_run_artifacts(out_dir, traj, metrics, envelope=env,
                          which=reports["envelope"].which)
     integrate.write_json(os.path.join(out_dir, "report.json"), doc)

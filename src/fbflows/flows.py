@@ -23,6 +23,10 @@ class ScheduleError(ValueError):
     """A schedule leaves its declared lambda bounds."""
 
 
+GRID_POINTS = 2000   # samples of Schedule.check over [0, t_end]
+LAMBDA_SLACK = 1e-9  # how far lambda(t) may leave its declared bounds on the grid
+
+
 @dataclasses.dataclass(frozen=True)
 class Profile:
     """The coefficient end + (start - end) * exp(-rate * t); a constant when start == end.
@@ -58,9 +62,9 @@ def _at(fn: Callable, t):
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(t_end: float, n: int) -> np.ndarray:
+def _grid(t_end: float) -> np.ndarray:
     """The even grid over [0, t_end], read-only because every caller shares it."""
-    ts = np.linspace(0.0, t_end, n)
+    ts = np.linspace(0.0, t_end, GRID_POINTS)
     ts.flags.writeable = False
     return ts
 
@@ -109,9 +113,10 @@ class Schedule:
                    gamma=None if gamma is None else Profile(float(gamma), float(gamma)),
                    alpha=None if alpha is None else Profile(float(alpha), float(alpha)))
 
-    def check(self, t_end: float, n: int = 2000, slack: float = 1e-9):
+    def check(self, t_end: float):
         """(ts, lam, gamma, alpha) on an even grid over [0, t_end], lambda inside its bounds.
 
+        The grid has ``GRID_POINTS`` points, the bounds ``LAMBDA_SLACK`` of slack.
         Each coefficient is sampled once; gamma and alpha are None when absent.
         A constant Profile (start == end) is returned as its float value, which
         every grid sample would repeat, so it is checked once at that value;
@@ -119,9 +124,10 @@ class Schedule:
         the full grid.  ts is the read-only grid a varying coefficient is
         sampled on.
         """
-        ts = _grid(float(t_end), n)
+        ts = _grid(float(t_end))
         lam = _coefficient(self.lam, ts)
-        if ((lam < self.lambda_lower - slack) | (lam > self.lambda_upper + slack)).any():
+        if ((lam < self.lambda_lower - LAMBDA_SLACK)
+                | (lam > self.lambda_upper + LAMBDA_SLACK)).any():
             raise ScheduleError("lambda(t) leaves its declared bounds")
         gam = None if self.gamma is None else _coefficient(self.gamma, ts)
         alpha = None if self.alpha is None else _coefficient(self.alpha, ts)
@@ -204,27 +210,6 @@ def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         return -sched.gamma(t) * np.asarray(v, dtype=float) - sched.lam(t) * grad
 
     return FlowRHS(order=2, rhs=rhs, description="second-order gradient flow")
-
-
-def proxgrad1_rhs(f: FunctionOracle, g: FunctionOracle, eta: float,
-                  sched: Schedule) -> FlowRHS:
-    """The first-order flow specialized to A = subdifferential of f, B = grad g.
-
-    Built directly from the prox of f, bypassing the resolvent wrapper; used
-    to cross-check fb1_rhs.
-    """
-    if f.prox is None or g.gradient is None:
-        raise ValueError("need prox of f and gradient of g")
-    eta = float(eta)
-    if not (eta > 0.0):
-        raise ValueError("eta must be positive, got %r" % eta)
-
-    def rhs(t, x):
-        x = np.asarray(x, dtype=float)
-        step = f.prox(eta, x - eta * np.asarray(g.gradient(x), dtype=float))
-        return _at(sched.lam, t) * (step - x)
-
-    return FlowRHS(order=1, rhs=rhs, description="proximal-gradient flow")
 
 
 def residual(a: ResolventOracle, b: MonotoneMap, eta: float, x) -> float:

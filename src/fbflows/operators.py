@@ -1,4 +1,4 @@
-"""Monotone-map and function oracles, proximal catalog, resolvent, sampling audits.
+"""Monotone-map and function oracles, proximal catalog, resolvents, sampling audits.
 
 Shape contract: maps, gradients, resolvents and function values act on the
 last axis, so each takes a point of shape (d,) or a block of n points of shape
@@ -64,9 +64,6 @@ class MonotoneMap:
     beta: float
     description: str = ""
 
-    def __call__(self, x: Array) -> Array:
-        return self.eval(x)
-
 
 @dataclasses.dataclass(frozen=True)
 class ResolventOracle:
@@ -87,14 +84,12 @@ class FunctionOracle:
     ``prox(eta, x)`` minimizes f(p) + ||p - x||^2 / (2*eta).  ``gradient`` is
     present only for smooth entries.  All three act on the last axis:
     ``value`` gives a scalar for a point (d,) and an array (n,) for a block
-    (n, d).  ``strong_convexity`` is a claimed lower curvature bound (0 when
-    unknown).
+    (n, d).
     """
 
     value: Callable[[Array], Array]
     gradient: Optional[Callable[[Array], Array]] = None
     prox: Optional[Callable[[float, Array], Array]] = None
-    strong_convexity: float = 0.0
     description: str = ""
 
 
@@ -151,7 +146,6 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
         value=_value,
         gradient=lambda x: c * as_points(x),
         prox=lambda eta, x: as_points(x) / (1.0 + _check_eta(eta) * c),
-        strong_convexity=c,
         description="scaled_sqnorm(c=%g)" % c,
     )
 
@@ -192,44 +186,12 @@ def translated_linear(rho: float, c) -> FunctionOracle:
         value=_value,
         gradient=lambda x: rho * as_points(x) - c,
         prox=lambda eta, x: (as_points(x) + _check_eta(eta) * c) / (1.0 + eta * rho),
-        strong_convexity=rho,
         description="translated_linear(rho=%g)" % rho,
     )
 
 
-_PROX_BUILDERS = {
-    "zero": zero_function,
-    "l1_norm": l1_norm,
-    "scaled_sqnorm": scaled_sqnorm,
-    "box_indicator": box_indicator,
-    "translated_linear": translated_linear,
-}
-
-
-def build_prox(kind: str, **params) -> FunctionOracle:
-    """Construct a catalog function by name.
-
-    Known kinds: zero, l1_norm(w), scaled_sqnorm(c), box_indicator(lo, hi),
-    translated_linear(rho, c).  Unknown names and out-of-range parameters are
-    rejected.
-    """
-    try:
-        builder = _PROX_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(
-            "unknown prox kind %r; known: %s" % (kind, sorted(_PROX_BUILDERS))
-        ) from None
-    return builder(**params)
-
-
 # ---------------------------------------------------------------------------
 # resolvents
-
-
-def resolvent(a: ResolventOracle, eta: float, x: Array) -> Array:
-    """Evaluate J_{eta A}(x) = (I + eta*A)^{-1} x.  Requires eta > 0."""
-    eta = _check_eta(eta)
-    return a.resolve(eta, as_points(x))
 
 
 def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
@@ -334,6 +296,8 @@ class MapAuditReport:
 # Rows per block times dim stays below this, so at dim 100 the handful of
 # (rows, dim) arrays a block keeps alive take under 1 MB.
 _BLOCK_FLOATS = 16384
+AUDIT_RADIUS = 10.0  # the audits draw their points from the ball of this radius
+AUDIT_SLACK = 1e-9   # additive slack of the monotone and Lipschitz claims
 
 
 def row_blocks(n: int, dim: int) -> list:
@@ -343,7 +307,7 @@ def row_blocks(n: int, dim: int) -> list:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def ball_points(rng: np.random.Generator, n: int, dim: int, radius: float = 10.0) -> Array:
+def ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> Array:
     """n points drawn uniformly from the closed ball of the given radius, one per row.
 
     The directions are one (n, dim) block of normals; a row of norm at most
@@ -382,13 +346,12 @@ def audit_map(
     beta_claim: Optional[float] = None,
     n_pairs: int = 1000,
     seed: int = 0,
-    radius: float = 10.0,
-    slack: float = 1e-9,
 ) -> MapAuditReport:
     """Probe a map on random pairs and test the claimed constants.
 
-    Pairs are drawn uniformly from the ball of the given radius, a block of
-    pairs at a time (``_draw_pairs``).  Checks, each with additive slack:
+    Pairs are drawn uniformly from the ball of radius ``AUDIT_RADIUS``, a block
+    of pairs at a time (``_draw_pairs``).  Checks, each with additive slack
+    ``AUDIT_SLACK``:
 
     * monotone quotient <dF, dx> / ||dx||^2 >= rho_claim,
     * Lipschitz ratio ||dF|| / ||dx|| <= 1 / beta_claim,
@@ -409,7 +372,7 @@ def audit_map(
     rng = np.random.default_rng(seed)
     nx2, inner, df2 = np.empty((3, n_pairs))
     for rows in row_blocks(n_pairs, dim):
-        xs, ys = _draw_pairs(rng, rows.stop - rows.start, dim, radius)
+        xs, ys = _draw_pairs(rng, rows.stop - rows.start, dim, AUDIT_RADIUS)
         dx = xs - ys
         df = np.asarray(map_eval(xs), dtype=float) - np.asarray(map_eval(ys), dtype=float)
         # vecdot takes each row's dot product as the 1-D np.dot does, bit for bit
@@ -421,8 +384,8 @@ def audit_map(
     coco_bad = 0
     if beta_claim is not None:
         coco_bad = int(np.count_nonzero(inner - beta_claim * df2 < -1e-6))
-    monotone_ok = True if rho_claim is None else (min_quot >= rho_claim - slack)
-    lipschitz_ok = True if beta_claim is None else (max_ratio <= 1.0 / beta_claim + slack)
+    monotone_ok = True if rho_claim is None else min_quot >= rho_claim - AUDIT_SLACK
+    lipschitz_ok = True if beta_claim is None else max_ratio <= 1.0 / beta_claim + AUDIT_SLACK
     return MapAuditReport(
         n_pairs=n_pairs,
         rho_claim=rho_claim,
@@ -434,18 +397,3 @@ def audit_map(
         cocoercivity_violations=coco_bad,
         cocoercivity_violation_fraction=coco_bad / n_pairs,
     )
-
-
-def check_gradient(f: FunctionOracle, x: Array, h: float = 1e-5) -> float:
-    """Max relative error of the gradient oracle against central differences."""
-    if f.gradient is None:
-        raise ValueError("oracle has no gradient")
-    x = as_vector(x)
-    g = np.asarray(f.gradient(x), dtype=float)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fd = (f.value(x + e) - f.value(x - e)) / (2.0 * h)
-        worst = max(worst, abs(fd - g[i]) / (1.0 + abs(g[i])))
-    return worst

@@ -13,6 +13,7 @@ more.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +24,8 @@ from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
                         zero_operator)
 
 MAX_DIM = 100  # shipped suite stays desk scale
+GROUND_TRUTH_TOL = 1e-10  # the sc_lasso fixed-point iteration's target tolerance
+AUDIT_PAIRS = 1000  # sample pairs of each map audit in audit_instance
 
 
 @dataclasses.dataclass
@@ -64,7 +67,7 @@ def _check_spd(q: np.ndarray):
     return q, float(eigs[0]), float(eigs[-1])
 
 
-def _quadratic_oracle(q: np.ndarray, b: np.ndarray, rho: float) -> FunctionOracle:
+def _quadratic_oracle(q: np.ndarray, b: np.ndarray) -> FunctionOracle:
     def value(x):
         x = np.asarray(x, dtype=float)
         # a stack of vector-matrix products keeps each row bitwise the 1-D
@@ -74,7 +77,6 @@ def _quadratic_oracle(q: np.ndarray, b: np.ndarray, rho: float) -> FunctionOracl
     return FunctionOracle(
         value=value,
         gradient=lambda x: matvec(q, x) + b,
-        strong_convexity=rho,
         description="quadratic",
     )
 
@@ -92,7 +94,7 @@ def make_quadratic(q, b, name: str = "quadratic") -> ProblemInstance:
     b = as_vector(b)
     if b.size != q.shape[0]:
         raise ValueError("b has dimension %d, Q is %d-dimensional" % (b.size, q.shape[0]))
-    g = _quadratic_oracle(q, b, lo)
+    g = _quadratic_oracle(q, b)
     beta = 1.0 / hi
     x_star = np.linalg.solve(q, -b)
     return ProblemInstance(
@@ -111,12 +113,12 @@ def make_quadratic(q, b, name: str = "quadratic") -> ProblemInstance:
     )
 
 
-def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
-                  gt_tol: float = 1e-10) -> ProblemInstance:
+def make_sc_lasso(q, b, w: float, name: str = "sc_lasso") -> ProblemInstance:
     """Strongly convex lasso: minimize w*||x||_1 + (1/2) x'Qx + b'x.
 
     The l1 part adds no strong convexity and no smooth term, so rho and beta
-    come from the quadratic alone.  x* is computed by ``ground_truth``.
+    come from the quadratic alone.  x* is computed by ``ground_truth`` to
+    ``GROUND_TRUTH_TOL``.
     w = 0 degenerates to the plain quadratic: f is None and a is the zero
     operator.
     """
@@ -128,7 +130,7 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
     if w < 0.0:
         raise ValueError("l1 weight must be nonnegative, got %r" % w)
     f = l1_norm(w) if w > 0.0 else None
-    g = _quadratic_oracle(q, b, lo)
+    g = _quadratic_oracle(q, b)
     beta = 1.0 / hi
 
     def sum_sel(x):
@@ -149,7 +151,7 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso",
         descriptor={"kind": "sc_lasso", "Q": q.tolist(), "b": b.tolist(), "w": w},
         description="l1-regularized strongly convex quadratic (w=%g)" % w,
     )
-    inst.x_star = ground_truth(inst, tol=gt_tol)
+    inst.x_star = ground_truth(inst, tol=GROUND_TRUTH_TOL)
     return inst
 
 
@@ -228,23 +230,21 @@ class InstanceAuditReport:
         return not self.failures
 
 
-def audit_instance(instance: ProblemInstance, n_pairs: int = 1000,
-                   seed: int = 0) -> InstanceAuditReport:
-    """Probe the claimed rho (on a+b), beta (on b), the solution residual, and,
-    for smooth instances, the value sandwich around x*.
+def audit_instance(instance: ProblemInstance, seed: int = 0) -> InstanceAuditReport:
+    """Probe the claimed rho (on a+b) and beta (on b) on ``AUDIT_PAIRS`` pairs each,
+    the solution residual, and, for smooth instances, the value sandwich around
+    x* on 200 points.
 
     The cocoercivity statistic of b is recorded in ``b_audit`` but is not a
     failure; the suite's skew instance is supposed to violate it.
     """
-    if n_pairs < 100:
-        raise ValueError("need at least 100 sample pairs, got %d" % n_pairs)
     failures = []
     sum_audit = audit_map(instance.sum_eval, instance.dim, rho_claim=instance.rho,
-                          beta_claim=None, n_pairs=n_pairs, seed=seed)
+                          beta_claim=None, n_pairs=AUDIT_PAIRS, seed=seed)
     if not sum_audit.monotone_ok:
         failures.append("strong monotonicity of the sum below the claimed rho")
     b_audit = audit_map(instance.b, instance.dim, rho_claim=0.0,
-                        beta_claim=instance.beta, n_pairs=n_pairs, seed=seed + 1)
+                        beta_claim=instance.beta, n_pairs=AUDIT_PAIRS, seed=seed + 1)
     if not b_audit.monotone_ok:
         failures.append("b is not monotone on samples")
     if not b_audit.lipschitz_ok:
@@ -258,7 +258,7 @@ def audit_instance(instance: ProblemInstance, n_pairs: int = 1000,
     sandwich = None
     if instance.g is not None and instance.f is None:
         rng = np.random.default_rng(seed + 2)
-        xs = operators.ball_points(rng, min(200, n_pairs), instance.dim, 10.0)
+        xs = operators.ball_points(rng, 200, instance.dim, operators.AUDIT_RADIUS)
         err = xs - x_star
         grads = instance.g.gradient(xs)
         g_star = float(instance.g.value(x_star))
@@ -321,17 +321,39 @@ def get_problem(name: str) -> ProblemInstance:
     return inst
 
 
+def finite_number(v) -> bool:
+    """Whether a JSON value is a finite number (an int or float, not a bool)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _number(desc: dict, key: str) -> float:
+    if not finite_number(desc[key]):
+        raise ValueError("'%s' must be a finite number, got %r" % (key, desc[key]))
+    return float(desc[key])
+
+
+def _numbers(desc: dict, key: str) -> np.ndarray:
+    """A number or (nested) lists of numbers as a float array, each entry finite."""
+    v = np.asarray(desc[key], dtype=object)
+    if not all(finite_number(e) for e in v.flat):
+        raise ValueError("'%s' must hold finite numbers only" % key)
+    return v.astype(float)
+
+
 def from_descriptor(desc: dict) -> ProblemInstance:
-    """Build an instance from its JSON descriptor (inline problem definitions)."""
+    """Build an instance from its JSON descriptor; every number must pass ``finite_number``."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("problem descriptor must be a dict with a 'kind' field")
     kind = desc["kind"]
     if kind == "quadratic":
-        return make_quadratic(np.asarray(desc["Q"], dtype=float),
-                              np.asarray(desc["b"], dtype=float))
+        return make_quadratic(_numbers(desc, "Q"), _numbers(desc, "b"))
     if kind == "sc_lasso":
-        return make_sc_lasso(np.asarray(desc["Q"], dtype=float),
-                             np.asarray(desc["b"], dtype=float), desc["w"])
+        return make_sc_lasso(_numbers(desc, "Q"), _numbers(desc, "b"), _number(desc, "w"))
     if kind == "skew_rotation":
-        return make_skew_rotation(desc["rho"], np.asarray(desc["c"], dtype=float))
+        return make_skew_rotation(_number(desc, "rho"), _numbers(desc, "c"))
     raise ValueError("unknown problem kind %r" % kind)

@@ -9,8 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fbflows.certificates import (
+    GRID_SLACK,
     CertificateError,
     LemmaCoefficients,
+    _grid_slack,
     certify_fb1,
     certify_fb2,
     certify_grad1,
@@ -25,6 +27,7 @@ from fbflows.certificates import (
     suggest_constants_grad2,
 )
 from fbflows.flows import Profile, Schedule, ScheduleError
+from fbflows.integrate import write_json
 from fbflows.operators import scaled_sqnorm
 
 
@@ -405,12 +408,38 @@ def test_lemma_bound_ii_dominates_transient_term():
                 >= 1.3 * math.exp(-1.7 * t))
 
 
+def check_lemma_hypotheses(coeffs: LemmaCoefficients, t_end: float, n: int = 2000,
+                           slack: float = GRID_SLACK, h_diff: float = 1e-5) -> None:
+    """Verify the lemma's hypotheses on a grid (derivatives by central differences)."""
+    ts = np.linspace(0.0, float(t_end), n)
+
+    def dot(f, t):
+        if t < h_diff:
+            return (f(t + h_diff) - f(t)) / h_diff
+        return (f(t + h_diff) - f(t - h_diff)) / (2.0 * h_diff)
+
+    for t in ts:
+        b1t, b2t, b3t = coeffs.b1(t), coeffs.b2(t), coeffs.b3(t)
+        gt = coeffs.gamma(t)
+        if b2t < -slack:
+            raise ValueError("b2(%g) = %g negative" % (t, b2t))
+        lhs = gt + dot(coeffs.gamma, t)
+        if lhs > b1t + 1.0 + _grid_slack(lhs, b1t + 1.0):
+            raise ValueError(
+                "gamma(t) + gamma'(t) <= b1(t) + 1 fails at t=%g (%g > %g)"
+                % (t, lhs, b1t + 1.0))
+        lhs = b2t + dot(coeffs.b2, t)
+        if lhs > b3t + _grid_slack(lhs, b3t):
+            raise ValueError(
+                "b2(t) + b2'(t) <= b3(t) fails at t=%g (%g > %g)" % (t, lhs, b3t))
+
+
 def test_fb2_lemma_coefficients_frozen():
     coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
     assert_allclose(coeffs.b1(0.0), 10.0, rtol=1e-14)
     assert_allclose(coeffs.b2(0.0), 0.103125, rtol=1e-14)
     assert_allclose(coeffs.b3(0.0), 0.134375, rtol=1e-14)
-    coeffs.check(30.0)
+    check_lemma_hypotheses(coeffs, 30.0)
 
 
 def test_grad2_lemma_coefficients_frozen():
@@ -418,22 +447,22 @@ def test_grad2_lemma_coefficients_frozen():
     assert_allclose(coeffs.b1(0.0), 1.5, rtol=1e-14)
     assert_allclose(coeffs.b2(0.0), 0.8, rtol=1e-14)
     assert_allclose(coeffs.b3(0.0), 0.92, rtol=1e-14)
-    coeffs.check(30.0)
+    check_lemma_hypotheses(coeffs, 30.0)
 
 
 def test_lemma_coefficients_check_rejects_bad_hypotheses():
     bad = LemmaCoefficients(b1=lambda t: 0.0, b2=lambda t: 0.0,
                             b3=lambda t: 0.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="b1"):
-        bad.check(5.0)
+        check_lemma_hypotheses(bad, 5.0)
     growing_b2 = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: t,
                                    b3=lambda t: 0.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="b2"):
-        growing_b2.check(5.0)
+        check_lemma_hypotheses(growing_b2, 5.0)
     negative_b2 = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: -1.0,
                                     b3=lambda t: 0.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="negative"):
-        negative_b2.check(5.0)
+        check_lemma_hypotheses(negative_b2, 5.0)
 
 
 def test_fb2_initial_m():
@@ -457,7 +486,7 @@ def test_grad2_initial_m():
 def test_certificate_json_round_trip(tmp_path):
     cert = certify_fb2(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
     path = tmp_path / "certificate.json"
-    cert.to_json(path)
+    write_json(path, cert)
     doc = json.loads(path.read_text())
     assert doc["system"] == "fb2"
     assert_allclose(doc["derived"]["gamma_lower"], cert.derived["gamma_lower"])
@@ -476,4 +505,4 @@ def test_certificates_recheck_from_stored_numbers():
     for cert in certs:
         assert cert.recheck()
         assert cert.decay_exponent > 0.0
-        assert all(isinstance(name, str) for name in cert.verified)
+        assert all(isinstance(c.name, str) for c in cert.checks)

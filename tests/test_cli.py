@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +108,22 @@ def test_malformed_configs_exit_4(tmp_path, capsys, doc, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries, fragment", [
+    ({"output_dir": 5}, "'output_dir' must be a string"),
+    ({"output_dir": ["a"]}, "'output_dir' must be a string"),
+    ({"seed": True}, "'seed' must be a nonnegative integer"),
+], ids=["output_dir-int", "output_dir-list", "seed-bool"])
+def test_output_dir_and_seed_are_validated(tmp_path, monkeypatch, capsys, entries,
+                                           fragment):
+    # no --out, so the config's output_dir is the one used
+    monkeypatch.chdir(tmp_path)
+    doc = {"problem": "skew-rotation", "system": "fb1",
+           "params": {"alpha": 1.0, "eta": 1.0, "lambda": 1.0}, **entries}
+    assert cli.execute(doc, "certify", quiet=True) == 4
+    assert fragment in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_invalid_json_exit_4(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -167,6 +186,16 @@ def _patched(doc, block, **entries):
     return {**doc, block: {**doc[block], **entries}}
 
 
+SKEW_INLINE = {"kind": "skew_rotation", "rho": 1.0, "c": [1.0, 0.0]}
+LASSO_INLINE = {"kind": "sc_lasso", "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [-2.0, 0.5],
+                "w": 1.0}
+
+
+def _inline(problem, **entries):
+    """FB1_VERIFY (certifiable at rho = beta = 1) on an inline problem, patched."""
+    return {**FB1_VERIFY, "problem": {**problem, **entries}}
+
+
 @pytest.mark.parametrize("doc, code, fragment", [
     (_patched(FB2_VERIFY, "initial", x0=["a", "b"]), 4, "x0 must be a list"),
     (_patched(FB2_VERIFY, "initial", x0=[float("nan"), 0.0]), 4, "x0 must be a list"),
@@ -200,19 +229,42 @@ def _patched(doc, block, **entries):
     (_patched(FB2_VERIFY, "params", gamma={"profile": "exp_ramp", "start": 10 ** 400,
                                            "end": 11.0, "rate": 0.5}), 4,
      "'gamma' exp_ramp needs finite numbers"),
+    (_inline(IDENTITY_2D, Q=[[10 ** 400, 0.0], [0.0, 1.0]]), 4, "'Q' must hold finite"),
+    (_inline(IDENTITY_2D, b=[10 ** 400, 0.0]), 4, "'b' must hold finite"),
+    (_inline(SKEW_INLINE, c=[10 ** 400, 0.0]), 4, "'c' must hold finite"),
+    (_inline(SKEW_INLINE, rho=10 ** 400), 4, "'rho' must be a finite number"),
+    (_inline(LASSO_INLINE, w=10 ** 400), 4, "'w' must be a finite number"),
+    (_inline(SKEW_INLINE, rho="1.0"), 4, "'rho' must be a finite number"),
+    (_inline(SKEW_INLINE, rho=True), 4, "'rho' must be a finite number"),
+    (_inline(LASSO_INLINE, w="0.5"), 4, "'w' must be a finite number"),
+    (_inline(LASSO_INLINE, w=True), 4, "'w' must be a finite number"),
+    (_inline(SKEW_INLINE, rho=float("inf")), 4, "'rho' must be a finite number"),
+    (_inline(LASSO_INLINE, w=float("inf")), 4, "'w' must be a finite number"),
 ], ids=["x0-strings", "x0-nan", "v0-string", "t_end-string", "rel_tol-string",
         "abs_tol-string", "n_dense-string", "alpha_bar-string", "alpha_bar-negative",
         "alpha_bar-negative-with-alpha", "alpha_bar-below-one", "t_end-zero-fb2",
         "t_end-negative-fb1", "rel_tol-negative", "abs_tol-zero", "fixed_step-negative",
         "fixed_step-zero", "n_dense-zero", "n_dense-negative", "n_dense-fraction",
         "t_end-huge-int", "lambda-huge-int", "alpha-huge-int", "eta-huge-int",
-        "exp_ramp-start-huge-int"])
+        "exp_ramp-start-huge-int", "Q-huge-int", "b-huge-int", "c-huge-int",
+        "rho-huge-int", "w-huge-int", "rho-string", "rho-bool", "w-string", "w-bool",
+        "rho-inf", "w-inf"])
 def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     # a malformed or out-of-range number is a config error (4); an alpha_bar
     # in (0, 1] is well formed and fails its certificate (1)
     cfg = write_config(tmp_path, doc)
     assert run(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == code
     assert fragment in capsys.readouterr().err
+
+
+def test_cli_imports_numpy_only():
+    # numpy is the only runtime dependency: importing the CLI pulls in no scipy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fbflows.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):

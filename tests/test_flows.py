@@ -8,18 +8,22 @@ from numpy.testing import assert_allclose
 
 from fbflows import problems
 from fbflows.flows import (
+    GRID_POINTS,
+    LAMBDA_SLACK,
+    FlowRHS,
     Profile,
     Schedule,
     ScheduleError,
+    _at,
     fb1_rhs,
     fb2_rhs,
     grad1_rhs,
     grad2_rhs,
-    proxgrad1_rhs,
     residual,
     sample,
 )
 from fbflows.operators import (
+    FunctionOracle,
     MonotoneMap,
     l1_norm,
     scaled_sqnorm,
@@ -98,6 +102,27 @@ def test_grad2_rhs_hand_arithmetic():
     assert np.linalg.norm(flow(0.0, np.zeros(1), np.zeros(1))) == 0.0
 
 
+def proxgrad1_rhs(f: FunctionOracle, g: FunctionOracle, eta: float,
+                  sched: Schedule) -> FlowRHS:
+    """The first-order flow specialized to A = subdifferential of f, B = grad g.
+
+    Built directly from the prox of f, bypassing the resolvent wrapper; used
+    to cross-check fb1_rhs.
+    """
+    if f.prox is None or g.gradient is None:
+        raise ValueError("need prox of f and gradient of g")
+    eta = float(eta)
+    if not (eta > 0.0):
+        raise ValueError("eta must be positive, got %r" % eta)
+
+    def rhs(t, x):
+        x = np.asarray(x, dtype=float)
+        step = f.prox(eta, x - eta * np.asarray(g.gradient(x), dtype=float))
+        return _at(sched.lam, t) * (step - x)
+
+    return FlowRHS(order=1, rhs=rhs, description="proximal-gradient flow")
+
+
 def test_proxgrad_agrees_with_fb1():
     inst = problems.get_problem("sc-lasso-20d")
     sched = Schedule.constant(1.3)
@@ -149,6 +174,16 @@ def test_schedule_check_catches_bound_escape():
         sched.check(10.0)  # lambda(10) = 6 > declared upper
 
 
+def test_schedule_check_allows_lambda_slack_only():
+    # lambda may leave its declared bounds by LAMBDA_SLACK = 1e-9, no further
+    assert LAMBDA_SLACK == 1e-9
+    Schedule(lam=lambda t: 2.0 + 0.5e-9, lambda_lower=1.0, lambda_upper=2.0).check(1.0)
+    with pytest.raises(ScheduleError):
+        Schedule(lam=lambda t: 2.0 + 2e-9, lambda_lower=1.0, lambda_upper=2.0).check(1.0)
+    with pytest.raises(ScheduleError):
+        Schedule(lam=lambda t: 1.0 - 2e-9, lambda_lower=1.0, lambda_upper=2.0).check(1.0)
+
+
 def test_schedule_constant_builds_profiles():
     sched = Schedule.constant(2.0, gamma=3.0, alpha=1.5)
     assert sched.lam(7.0) == 2.0 and sched.gamma(7.0) == 3.0 and sched.alpha(7.0) == 1.5
@@ -165,16 +200,18 @@ def test_schedule_check_samples_each_coefficient_once():
 
     ramp = Profile(3.0, 2.0, 0.5)
     sched = Schedule(lam=lam, lambda_lower=1.0, lambda_upper=1.0, gamma=ramp)
-    ts, lam_t, gam_t, alpha_t = sched.check(4.0, n=50)
-    assert len(calls) == 50 and alpha_t is None
-    assert np.array_equal(ts, np.linspace(0.0, 4.0, 50))
+    ts, lam_t, gam_t, alpha_t = sched.check(4.0)
+    assert GRID_POINTS == 2000
+    assert len(calls) == 2000 and alpha_t is None
+    assert np.array_equal(ts, np.linspace(0.0, 4.0, 2000))
     assert np.all(lam_t == 1.0) and np.array_equal(gam_t, ramp(ts))
 
 
 def test_schedule_check_constant_is_a_float():
     sched = Schedule(lam=Profile(2.0, 2.0), lambda_lower=2.0, lambda_upper=2.0,
                      gamma=Profile(3.0, 2.0, 0.5))
-    ts, lam_t, gam_t, _ = sched.check(4.0, n=50)
+    ts, lam_t, gam_t, _ = sched.check(4.0)
+    assert ts.shape == (2000,)
     assert isinstance(lam_t, float) and lam_t == 2.0
     assert isinstance(gam_t, np.ndarray) and np.array_equal(gam_t, sched.gamma(ts))
 

@@ -104,6 +104,16 @@ def test_non_finite_initial_rhs_aborts():
         integrate(flow, np.array([0.0]), t_end=1.0)
 
 
+def test_step_budget_aborts_after_max_steps():
+    # dx/dt = -x over [0, 100] at tight tolerances needs far more than 5 steps
+    with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
+        integrate_module._dopri5(lambda t, y: -y, 0.0, np.array([1.0]), 100.0,
+                                 1e-10, 1e-13, max_steps=5)
+    diag = exc.value.diagnostics
+    assert diag["accepted"] + diag["rejected"] == 5
+    assert 0.0 < diag["t"] < 100.0
+
+
 def test_integrate_argument_validation():
     with pytest.raises(ValueError):
         integrate(DECAY, np.array([1.0]), t_end=0.0)

@@ -95,13 +95,13 @@ def test_ground_truth_validation():
 
 @pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
 def test_suite_instances_pass_audit(name):
-    rep = audit_instance(get_problem(name), n_pairs=1000)
+    rep = audit_instance(get_problem(name))
     assert rep.passed, rep.failures
     assert rep.residual_at_x_star <= 1e-9
 
 
 def test_skew_audit_records_cocoercivity_violations():
-    rep = audit_instance(get_problem("skew-rotation"), n_pairs=1000)
+    rep = audit_instance(get_problem("skew-rotation"))
     assert rep.b_audit.cocoercivity_violation_fraction >= 0.99
     assert rep.passed  # recorded, not a failure
 
@@ -109,21 +109,21 @@ def test_skew_audit_records_cocoercivity_violations():
 def test_audit_catches_inflated_rho():
     inst = get_problem("quadratic-2d")
     inst.rho = 5.0
-    rep = audit_instance(inst, n_pairs=1000)
+    rep = audit_instance(inst)
     assert "strong monotonicity of the sum below the claimed rho" in rep.failures
 
 
 def test_audit_catches_false_lipschitz_claim():
     inst = get_problem("quadratic-2d")
     inst.beta = 2.5  # claims b is (1/2.5)-Lipschitz; the true modulus is 4
-    rep = audit_instance(inst, n_pairs=1000)
+    rep = audit_instance(inst)
     assert "b exceeds the claimed Lipschitz modulus 1/beta" in rep.failures
 
 
 def test_audit_catches_bogus_solution():
     inst = get_problem("skew-rotation")
     inst.x_star = inst.x_star + 0.1
-    rep = audit_instance(inst, n_pairs=1000)
+    rep = audit_instance(inst)
     assert "fixed-point residual at x_star above 1e-9" in rep.failures
 
 
@@ -131,8 +131,6 @@ def test_audit_sandwich_coverage():
     assert audit_instance(get_problem("quadratic-2d")).sandwich_violations is not None
     assert audit_instance(get_problem("sc-lasso-20d")).sandwich_violations is None
     assert audit_instance(get_problem("skew-rotation")).sandwich_violations is None
-    with pytest.raises(ValueError, match="100"):
-        audit_instance(get_problem("quadratic-2d"), n_pairs=50)
 
 
 @pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
