@@ -47,6 +47,39 @@ _PARAM_KEYS = {
     "fb2": {"alpha", "delta", "lambda", "gamma"},
     "grad2": {"alpha_bar", "alpha", "lambda", "gamma"},
 }
+_TOP_KEYS = {"problem", "system", "params", "integrator", "initial", "sweep", "seed",
+             "output_dir"}
+_CERT_GRID_END = 50.0  # the fb2/grad2 certificate horizon when t_end is unset
+
+
+def _unknown(doc: dict, allowed: set, where: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError("unknown %s %s; allowed: %s"
+                          % (where, sorted(unknown), sorted(allowed)))
+
+
+def _integrator(block: dict):
+    """(t_end, control, n_dense) from the integrator block; an absent or null
+    setting takes its default, and t_end None means each command's default."""
+    _unknown(block, {"t_end", "rel_tol", "abs_tol", "n_dense"}, "integrator settings")
+    values = {"t_end": None, "rel_tol": 1e-9, "abs_tol": 1e-12, "n_dense": 500}
+    for key in values:
+        v = block.get(key)
+        if v is None:
+            continue
+        if not finite_number(v):
+            raise ConfigError("integrator '%s' must be a finite number, got %r"
+                              % (key, v))
+        if key != "n_dense" and not v > 0:
+            raise ConfigError("integrator '%s' must be positive, got %r" % (key, v))
+        values[key] = float(v)
+    n_dense = values["n_dense"]
+    if n_dense < 2 or n_dense != int(n_dense):
+        raise ConfigError("integrator 'n_dense' must be an integer >= 2, got %r"
+                          % n_dense)
+    return (values["t_end"], integrate.Adaptive(values["rel_tol"], values["abs_tol"]),
+            int(n_dense))
 
 
 @dataclasses.dataclass
@@ -56,16 +89,19 @@ class ExperimentConfig:
     problem: object           # registry name or inline descriptor dict
     system: str
     params: dict
-    integrator: dict
-    initial: dict
-    sweep: dict
+    initial: dict             # x0 (and v0): lists of finite numbers
+    sweep: dict               # swept parameter -> its grid points
     seed: int
     output_dir: Optional[str]
+    t_end: Optional[float]    # None: each command's default horizon
+    control: integrate.Adaptive
+    n_dense: int
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
+        _unknown(doc, _TOP_KEYS, "config keys")
         problem = doc.get("problem")
         if not isinstance(problem, (str, dict)) or not problem:
             raise ConfigError("config needs a 'problem' (registry name or descriptor)")
@@ -91,15 +127,28 @@ class ExperimentConfig:
                           ("sweep", sweep)]:
             if not isinstance(blk, dict):
                 raise ConfigError("'%s' must be an object" % name)
+        _unknown(initial, {"x0", "v0"}, "'initial' keys")
+        for key, vec in initial.items():
+            if not isinstance(vec, list) or not all(map(finite_number, vec)):
+                raise ConfigError("%s must be a list of finite numbers, got %r"
+                                  % (key, vec))
+        if "v0" in initial and system in ("fb1", "grad1"):
+            raise ConfigError("v0 given but system '%s' is first order" % system)
+        for name in sweep:
+            if name not in _PARAM_KEYS[system]:
+                raise ConfigError("sweep parameter '%s' does not apply to '%s'"
+                                  % (name, system))
+        grids = {name: _sweep_values(name, spec) for name, spec in sweep.items()}
+        t_end, control, n_dense = _integrator(integrator)
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError("'seed' must be a nonnegative integer")
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError("'output_dir' must be a string, got %r" % (output_dir,))
-        return cls(problem=problem, system=system, params=params,
-                   integrator=integrator, initial=initial, sweep=sweep,
-                   seed=seed, output_dir=output_dir)
+        return cls(problem=problem, system=system, params=params, initial=initial,
+                   sweep=grids, seed=seed, output_dir=output_dir, t_end=t_end,
+                   control=control, n_dense=n_dense)
 
 
 def _profile(spec, name: str) -> Profile:
@@ -173,26 +222,9 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
                 "part; its ground truth solves f+g" % (cfg.system, inst.name))
 
 
-def _setting(cfg: ExperimentConfig, key: str, default=None):
-    """A finite number from the integrator block, or ``default`` when absent."""
-    v = cfg.integrator.get(key)
-    if v is None:
-        return default
-    if not finite_number(v):
-        raise ConfigError("integrator '%s' must be a finite number, got %r" % (key, v))
-    return float(v)
-
-
-def _positive(cfg: ExperimentConfig, key: str, default=None):
-    """A positive integrator setting, or ``default`` when absent."""
-    v = _setting(cfg, key, default)
-    if v is not None and not v > 0.0:
-        raise ConfigError("integrator '%s' must be positive, got %r" % (key, v))
-    return v
-
-
 def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
     p = cfg.params
+    grid_end = cfg.t_end or _CERT_GRID_END
     if cfg.system == "fb1":
         return certificates.certify_fb1(inst.rho, inst.beta, sched.lambda_lower,
                                         sched.lambda_upper, _scalar(p, "alpha"),
@@ -203,7 +235,7 @@ def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
     if cfg.system == "fb2":
         return certificates.certify_fb2(inst.rho, inst.beta, _scalar(p, "alpha"),
                                         _scalar(p, "delta"), sched,
-                                        t_grid_end=_positive(cfg, "t_end", 50.0))
+                                        t_grid_end=grid_end)
     if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
     alpha_bar = None
@@ -213,7 +245,7 @@ def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
         alpha_bar = sched.alpha.end
     return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
                                       alpha_bar=alpha_bar,
-                                      t_grid_end=_positive(cfg, "t_end", 50.0))
+                                      t_grid_end=grid_end)
 
 
 def _flow_eta(cfg: ExperimentConfig, inst) -> Optional[float]:
@@ -245,17 +277,11 @@ def _default_t_end(cert) -> float:
     return math.ceil(math.log(1e10) / cert.decay_exponent)
 
 
-def _vector(spec, name: str, dim: int) -> np.ndarray:
-    """A list of ``dim`` finite numbers as a float array."""
-    try:
-        arr = np.asarray(spec)
-    except ValueError:
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-        raise ConfigError("%s must be a list of finite numbers, got %r" % (name, spec))
-    if arr.shape != (dim,):
+def _vector(spec: list, name: str, dim: int) -> np.ndarray:
+    """A list of ``dim`` numbers as a float array."""
+    if len(spec) != dim:
         raise ConfigError("%s must have dimension %d" % (name, dim))
-    return arr.astype(float)
+    return np.array(spec, dtype=float)
 
 
 def _initial_state(cfg: ExperimentConfig, inst, order: int):
@@ -263,30 +289,15 @@ def _initial_state(cfg: ExperimentConfig, inst, order: int):
     if "x0" not in init:
         raise ConfigError("'initial' block needs x0")
     x0 = _vector(init["x0"], "x0", inst.dim)
-    v0 = None
-    if order == 2:
-        v0 = _vector(init.get("v0", np.zeros(inst.dim)), "v0", inst.dim)
-    elif "v0" in init:
-        raise ConfigError("v0 given but system '%s' is first order" % cfg.system)
+    v0 = _vector(init.get("v0", [0.0] * inst.dim), "v0", inst.dim) if order == 2 else None
     return x0, v0
-
-
-def _control(cfg: ExperimentConfig):
-    step = _positive(cfg, "fixed_step")
-    if step is not None:
-        return integrate.FixedStep(step)
-    return integrate.Adaptive(rel_tol=_positive(cfg, "rel_tol", 1e-9),
-                              abs_tol=_positive(cfg, "abs_tol", 1e-12))
 
 
 def _simulate(cfg: ExperimentConfig, inst, sched, t_end: float):
     flow = _build_flow(cfg, inst, sched)
     x0, v0 = _initial_state(cfg, inst, flow.order)
-    n_dense = _setting(cfg, "n_dense", 500)
-    if n_dense < 2 or n_dense != int(n_dense):
-        raise ConfigError("integrator 'n_dense' must be an integer >= 2, got %r" % n_dense)
-    traj = integrate.integrate(flow, x0, v0=v0, t_end=t_end, control=_control(cfg),
-                               n_dense=int(n_dense))
+    traj = integrate.integrate(flow, x0, v0=v0, t_end=t_end, control=cfg.control,
+                               n_dense=cfg.n_dense)
     metrics = integrate.record_metrics(traj, inst)
     return traj, metrics, x0, v0
 
@@ -434,9 +445,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
-    t_end = _positive(cfg, "t_end")
-    if t_end is None:
-        t_end = _default_t_end(_certify(cfg, inst, sched))
+    t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, sched))
     traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
     csv_path = _write_run_artifacts(out_dir, traj, metrics)
     _say(quiet, "simulated %s on %s for t_end=%g (%d samples, %d accepted steps)"
@@ -448,9 +457,7 @@ def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
 
 def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
     cert = _certify(cfg, inst, sched)
-    t_end = _positive(cfg, "t_end")
-    if t_end is None:
-        t_end = _default_t_end(cert)
+    t_end = cfg.t_end or _default_t_end(cert)
     traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))
     reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
     audit = problems.audit_instance(inst, seed=cfg.seed)
@@ -501,12 +508,7 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep command needs a 'sweep' block")
     names = sorted(cfg.sweep)
-    for name in names:
-        if name not in _PARAM_KEYS[cfg.system]:
-            raise ConfigError("sweep parameter '%s' does not apply to '%s'"
-                              % (name, cfg.system))
-    grids = [_sweep_values(name, cfg.sweep[name]) for name in names]
-    _positive(cfg, "t_end")  # a bad horizon is a config error, not a cell failure
+    grids = [cfg.sweep[name] for name in names]
     rows = []
     best = None
     for combo in itertools.product(*grids):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operators import FunctionOracle, MonotoneMap, ResolventOracle, as_vector
+from .operators import FunctionOracle, MonotoneMap, ResolventOracle, as_vector, check_eta
 
 
 class ScheduleError(ValueError):
@@ -158,9 +158,7 @@ def _forward_backward_step(a: ResolventOracle, b: MonotoneMap, eta: float, x):
 
 def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> FlowRHS:
     """First-order flow dx/dt = lambda(t) * (J_{eta A}(x - eta*B(x)) - x)."""
-    eta = float(eta)
-    if not (eta > 0.0) or not math.isfinite(eta):
-        raise ValueError("eta must be positive and finite, got %r" % eta)
+    eta = check_eta(eta)  # the skew-rotation resolvent does not check eta itself
 
     def rhs(t, x):
         x = np.asarray(x, dtype=float)
@@ -171,9 +169,7 @@ def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
 
 def fb2_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> FlowRHS:
     """Damped second-order flow x'' + gamma(t) x' + lambda(t) (x - J_{eta A}(x - eta*B(x))) = 0."""
-    eta = float(eta)
-    if not (eta > 0.0) or not math.isfinite(eta):
-        raise ValueError("eta must be positive and finite, got %r" % eta)
+    eta = check_eta(eta)
     if sched.gamma is None:
         raise ValueError("second-order flow needs a damping gamma(t) in the schedule")
 

@@ -1,11 +1,12 @@
 """Numerical integration of the flows with dense trajectory recording.
 
-The adaptive path is the Dormand-Prince 5(4) embedded pair with PI step-size
-control and a 4th-order dense interpolant, so trajectories can be sampled on
-an even grid much finer than the accepted steps.  A plain fixed-step RK4 is
-included for order checks.  Second-order flows are integrated by state
-augmentation (x, v).  The module also owns the artifact format: ``write_csv``
-(floats as ``FLOAT``, which round-trips), ``write_json``, ``trajectory_columns``.
+The one integrator is the Dormand-Prince 5(4) embedded pair with PI
+step-size control and a 4th-order dense interpolant, so trajectories can be
+sampled on an even grid much finer than the accepted steps, with the local
+error of every step held below the tolerances of ``Adaptive``.  Second-order
+flows are integrated by state augmentation (x, v).  The module also owns the
+artifact format: ``write_csv`` (floats as ``FLOAT``, which round-trips),
+``write_json``, ``trajectory_columns``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ class Adaptive:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class FixedStep:
-    """Fixed-step RK4; the step is rounded to divide the interval evenly."""
-
-    h: float
 
 
 @dataclasses.dataclass
@@ -254,18 +248,18 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
-              control=None, n_dense: int = 500) -> Trajectory:
-    """Integrate a flow over [0, t_end] and return a densely sampled Trajectory.
+              control: Adaptive = Adaptive(), n_dense: int = 500) -> Trajectory:
+    """Integrate a flow over [0, t_end] with DOPRI5; returns a densely sampled Trajectory.
 
-    Adaptive control (the default) records every accepted step plus at least
-    ``n_dense`` evenly spaced interpolated samples; fixed-step control records
-    the step points.  Second-order flows need ``v0``.
+    ``control`` holds the tolerances of the local error control.
+    The samples are every accepted step end plus ``n_dense`` evenly spaced
+    interpolated points over [0, t_end].  Second-order flows need ``v0``.
+    ``meta`` holds the solver name, the tolerances and the accepted, rejected
+    and rhs-evaluation counts.
     """
     t_end = float(t_end)
     if not (t_end > 0.0):
         raise ValueError("t_end must be positive, got %r" % t_end)
-    if control is None:
-        control = Adaptive()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
     if flow.order == 2:
@@ -287,40 +281,13 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
-    if isinstance(control, FixedStep):
-        h = float(control.h)
-        if not (h > 0.0):
-            raise ValueError("fixed step must be positive")
-        n = max(1, int(round(t_end / h)))
-        hh = t_end / n
-        ts = [0.0]
-        ys = [y0]
-        y = y0
-        for i in range(n):
-            t = i * hh
-            k1 = np.asarray(fun(t, y), dtype=float)
-            k2 = np.asarray(fun(t + hh / 2, y + hh / 2 * k1), dtype=float)
-            k3 = np.asarray(fun(t + hh / 2, y + hh / 2 * k2), dtype=float)
-            k4 = np.asarray(fun(t + hh, y + hh * k3), dtype=float)
-            y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError("non-finite state during integration",
-                                       {"t": t + hh, "step": i})
-            ts.append((i + 1) * hh)
-            ys.append(y)
-        ts = np.array(ts)
-        ts[-1] = t_end
-        ys = np.array(ys)
-        meta = {"solver": "rk4", "h": hh, "accepted": n, "rejected": 0,
-                "rhs_evaluations": 4 * n}
-    else:
-        rtol, atol = float(control.rel_tol), float(control.abs_tol)
-        if not (rtol > 0.0 and atol > 0.0):
-            raise ValueError("tolerances must be positive")
-        steps, t_fin, y_fin, stats = _dopri5(fun, 0.0, y0, t_end, rtol, atol)
-        ts, ys = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
-        del steps  # the step data is the largest array set; free it before v
-        meta = {"solver": "dopri5(4)-pi", "rel_tol": rtol, "abs_tol": atol, **stats}
+    rtol, atol = float(control.rel_tol), float(control.abs_tol)
+    if not (rtol > 0.0 and atol > 0.0):
+        raise ValueError("tolerances must be positive")
+    steps, t_fin, y_fin, stats = _dopri5(fun, 0.0, y0, t_end, rtol, atol)
+    ts, ys = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
+    del steps  # the step data is the largest array set; free it before v
+    meta = {"solver": "dopri5(4)-pi", "rel_tol": rtol, "abs_tol": atol, **stats}
 
     if flow.order == 2:
         x = ys[:, :dim]

@@ -93,7 +93,8 @@ class FunctionOracle:
     description: str = ""
 
 
-def _check_eta(eta: float) -> float:
+def check_eta(eta: float) -> float:
+    """``eta`` as a float; a step scale that is not positive and finite is an error."""
     eta = float(eta)
     if not (eta > 0.0) or not math.isfinite(eta):
         raise ValueError("step scale eta must be positive and finite, got %r" % eta)
@@ -121,7 +122,7 @@ def l1_norm(w: float) -> FunctionOracle:
         raise ValueError("l1 weight must be positive, got %r" % w)
 
     def _prox(eta, x):
-        eta = _check_eta(eta)
+        eta = check_eta(eta)
         x = as_points(x)
         return np.sign(x) * np.maximum(np.abs(x) - eta * w, 0.0)
 
@@ -145,7 +146,7 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
     return FunctionOracle(
         value=_value,
         gradient=lambda x: c * as_points(x),
-        prox=lambda eta, x: as_points(x) / (1.0 + _check_eta(eta) * c),
+        prox=lambda eta, x: as_points(x) / (1.0 + check_eta(eta) * c),
         description="scaled_sqnorm(c=%g)" % c,
     )
 
@@ -163,7 +164,7 @@ def box_indicator(lo: float, hi: float) -> FunctionOracle:
 
     return FunctionOracle(
         value=_value,
-        prox=lambda eta, x: (_check_eta(eta), np.clip(as_points(x), lo, hi))[1],
+        prox=lambda eta, x: (check_eta(eta), np.clip(as_points(x), lo, hi))[1],
         description="box_indicator(%g, %g)" % (lo, hi),
     )
 
@@ -185,7 +186,7 @@ def translated_linear(rho: float, c) -> FunctionOracle:
     return FunctionOracle(
         value=_value,
         gradient=lambda x: rho * as_points(x) - c,
-        prox=lambda eta, x: (as_points(x) + _check_eta(eta) * c) / (1.0 + eta * rho),
+        prox=lambda eta, x: (as_points(x) + check_eta(eta) * c) / (1.0 + eta * rho),
         description="translated_linear(rho=%g)" % rho,
     )
 
@@ -204,7 +205,7 @@ def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
 def zero_operator() -> ResolventOracle:
     """A == 0; the resolvent is the identity for every eta."""
     return ResolventOracle(
-        resolve=lambda eta, x: (_check_eta(eta), as_points(x))[1],
+        resolve=lambda eta, x: (check_eta(eta), as_points(x))[1],
         description="zero operator",
     )
 
@@ -238,7 +239,7 @@ def brute_force_prox(
     best bracket by golden-section.  The window must contain the minimizer;
     the objective is strictly convex, so the bracket search is reliable.
     """
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     if not (halfwidth > 0.0):
         raise ValueError("halfwidth must be positive")
     grid = np.linspace(x - halfwidth, x + halfwidth, n_grid)

@@ -100,8 +100,15 @@ def test_nonsmooth_instance_rejected_for_gradient_flows(tmp_path, capsys):
       "params": {"alpha": 0.5, "lambda": 1.0}}, "bad inline problem descriptor"),
     ({"problem": "quadratic-2d", "system": "grad1",
       "params": {"alpha": 0.5, "lambda": 1.0}, "seed": -1}, "'seed'"),
+    # a misspelt block is not silently replaced by the defaults
+    ({"problem": "skew-rotation", "system": "fb2",
+      "params": {"alpha": 0.5, "delta": 0.5, "lambda": 40.0, "gamma": 11.0},
+      "integrater": {"t_end": -5}}, "unknown config keys ['integrater']"),
+    ({"problem": "skew-rotation", "system": "fb1",
+      "params": {"alpha": 1.0, "eta": 1.0, "lambda": 1.0},
+      "initial": {"x0": [3.0, -1.0], "x1": [0.0, 0.0]}}, "unknown 'initial' keys ['x1']"),
 ], ids=["rho-override", "bad-system", "foreign-param", "no-problem",
-        "bad-descriptor", "bad-seed"])
+        "bad-descriptor", "bad-seed", "unknown-top-level-key", "unknown-initial-key"])
 def test_malformed_configs_exit_4(tmp_path, capsys, doc, fragment):
     cfg = write_config(tmp_path, doc)
     assert run(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
@@ -200,6 +207,8 @@ def _inline(problem, **entries):
     (_patched(FB2_VERIFY, "initial", x0=["a", "b"]), 4, "x0 must be a list"),
     (_patched(FB2_VERIFY, "initial", x0=[float("nan"), 0.0]), 4, "x0 must be a list"),
     (_patched(FB2_VERIFY, "initial", v0=["x", 0.0]), 4, "v0 must be a list"),
+    (_patched(FB1_VERIFY, "initial", x0=[True, 0.0]), 4, "x0 must be a list"),
+    (_patched(FB2_VERIFY, "initial", v0=[True, 0.0]), 4, "v0 must be a list"),
     (_patched(FB2_VERIFY, "integrator", t_end="long"), 4, "'t_end' must be"),
     (_patched(FB2_VERIFY, "integrator", rel_tol="tight"), 4, "'rel_tol' must be"),
     (_patched(FB2_VERIFY, "integrator", abs_tol="tiny"), 4, "'abs_tol' must be"),
@@ -215,9 +224,9 @@ def _inline(problem, **entries):
     (_patched(FB2_VERIFY, "integrator", rel_tol=-1.0), 4, "'rel_tol' must be positive"),
     (_patched(FB2_VERIFY, "integrator", abs_tol=0.0), 4, "'abs_tol' must be positive"),
     (_patched(FB1_VERIFY, "integrator", fixed_step=-0.1), 4,
-     "'fixed_step' must be positive"),
+     "unknown integrator settings ['fixed_step']"),
     (_patched(FB1_VERIFY, "integrator", fixed_step=0.0), 4,
-     "'fixed_step' must be positive"),
+     "unknown integrator settings ['fixed_step']"),
     (_patched(FB2_VERIFY, "integrator", n_dense=0), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", n_dense=-5), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", n_dense=2.7), 4, "'n_dense' must be an integer"),
@@ -240,8 +249,9 @@ def _inline(problem, **entries):
     (_inline(LASSO_INLINE, w=True), 4, "'w' must be a finite number"),
     (_inline(SKEW_INLINE, rho=float("inf")), 4, "'rho' must be a finite number"),
     (_inline(LASSO_INLINE, w=float("inf")), 4, "'w' must be a finite number"),
-], ids=["x0-strings", "x0-nan", "v0-string", "t_end-string", "rel_tol-string",
-        "abs_tol-string", "n_dense-string", "alpha_bar-string", "alpha_bar-negative",
+], ids=["x0-strings", "x0-nan", "v0-string", "x0-bool", "v0-bool", "t_end-string",
+        "rel_tol-string", "abs_tol-string", "n_dense-string", "alpha_bar-string",
+        "alpha_bar-negative",
         "alpha_bar-negative-with-alpha", "alpha_bar-below-one", "t_end-zero-fb2",
         "t_end-negative-fb1", "rel_tol-negative", "abs_tol-zero", "fixed_step-negative",
         "fixed_step-zero", "n_dense-zero", "n_dense-negative", "n_dense-fraction",
@@ -255,6 +265,28 @@ def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     cfg = write_config(tmp_path, doc)
     assert run(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == code
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate", "verify", "sweep"])
+@pytest.mark.parametrize("block, entry, fragment", [
+    ("integrator", {"t_end": -1}, "'t_end' must be positive"),
+    ("integrator", {"n_dense": -3}, "'n_dense' must be an integer"),
+    ("integrator", {"rel_tol": "x"}, "'rel_tol' must be a finite number"),
+    ("initial", {"x0": ["a", 0.0]}, "x0 must be a list"),
+    ("sweep", {"gamma": {"values": [1.0]}}, "does not apply"),
+    ("sweep", {"eta": {"min": 1.0}}, "min/max/num"),
+], ids=["t_end-negative", "n_dense-negative", "rel_tol-string", "x0-string",
+        "sweep-foreign-param", "sweep-no-num"])
+def test_every_command_validates_the_whole_config(tmp_path, capsys, command, block,
+                                                  entry, fragment):
+    # the config is parsed before any command runs, including the blocks that
+    # the command does not use
+    doc = _patched({**FB1_VERIFY, "sweep": {"eta": {"values": [0.5, 1.0]}}},
+                   block, **entry)
+    out = tmp_path / "o"
+    assert cli.execute(doc, command, out_dir=str(out), quiet=True) == 4
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_imports_numpy_only():

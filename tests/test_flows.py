@@ -150,11 +150,13 @@ def test_gradient_flows_need_a_gradient():
 
 
 def test_flows_reject_bad_eta():
+    # at build time, by the operators' eta rule: the skew-rotation resolvent
+    # would take any eta without a word
     inst = problems.get_problem("skew-rotation")
-    for eta in (0.0, -2.0):
-        with pytest.raises(ValueError):
+    for eta in (0.0, -1.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step scale eta must be positive"):
             fb1_rhs(inst.a, inst.b, eta=eta, sched=Schedule.constant(1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step scale eta must be positive"):
             fb2_rhs(inst.a, inst.b, eta=eta, sched=Schedule.constant(1.0, gamma=2.0))
 
 
