@@ -41,12 +41,6 @@ class IncompatibleSystemError(ValueError):
 
 
 _SYSTEMS = ("fb1", "fb2", "grad1", "grad2")
-_PARAM_KEYS = {
-    "fb1": {"alpha", "eta", "lambda"},
-    "grad1": {"alpha", "lambda"},
-    "fb2": {"alpha", "delta", "lambda", "gamma"},
-    "grad2": {"alpha_bar", "alpha", "lambda", "gamma"},
-}
 _TOP_KEYS = {"problem", "system", "params", "integrator", "initial", "sweep", "seed",
              "output_dir"}
 _CERT_GRID_END = 50.0  # the fb2/grad2 certificate horizon when t_end is unset
@@ -82,15 +76,56 @@ def _integrator(block: dict):
             int(n_dense))
 
 
+def _number(spec, name: str) -> float:
+    if not finite_number(spec):
+        raise ConfigError("'%s' must be a finite number, got %r" % (name, spec))
+    return float(spec)
+
+
+def _positive(spec, name: str) -> float:
+    if not (finite_number(spec) and spec > 0):
+        raise ConfigError("'%s' must be a positive finite number, got %r" % (name, spec))
+    return float(spec)
+
+
+def _profile(spec, name: str) -> Profile:
+    """Parse a positive number, a constant profile or an exp_ramp profile to a Profile."""
+    if not isinstance(spec, dict):
+        v = _positive(spec, name)
+        return Profile(v, v)
+    kind = spec.get("profile")
+    if kind == "constant":
+        return _profile(spec.get("value"), name)
+    if kind != "exp_ramp":
+        raise ConfigError("unknown profile %r for '%s'" % (kind, name))
+    values = [spec.get(key) for key in ("start", "end", "rate")]
+    if not all(map(finite_number, values)):
+        raise ConfigError("'%s' exp_ramp needs finite numbers start/end/rate" % name)
+    start, end, rate = map(float, values)
+    if rate <= 0.0 or start <= 0.0 or end <= 0.0:
+        raise ConfigError("'%s' exp_ramp needs positive start/end/rate" % name)
+    return Profile(start, end, rate)
+
+
+# each system's parameters and the parser of a value, swept values included
+_PARAMS = {
+    "fb1": {"alpha": _number, "eta": _number, "lambda": _profile},
+    "grad1": {"alpha": _number, "lambda": _profile},
+    "fb2": {"alpha": _number, "delta": _number, "lambda": _profile, "gamma": _profile},
+    "grad2": {"alpha_bar": _positive, "alpha": _profile, "lambda": _profile,
+              "gamma": _profile},
+}
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
     problem: object           # registry name or inline descriptor dict
     system: str
-    params: dict
+    params: dict              # parameter -> parsed value (a float or a Profile)
     initial: dict             # x0 (and v0): lists of finite numbers
-    sweep: dict               # swept parameter -> its grid points
+    sweep: dict               # swept parameter -> its grid points, each one parseable
     seed: int
     output_dir: Optional[str]
     t_end: Optional[float]    # None: each command's default horizon
@@ -116,10 +151,12 @@ class ExperimentConfig:
             if banned in params:
                 raise ConfigError(
                     "'%s' cannot be overridden; it is read from the instance" % banned)
-        unknown = set(params) - _PARAM_KEYS[system]
+        parsers = _PARAMS[system]
+        unknown = set(params) - set(parsers)
         if unknown:
             raise ConfigError("parameters %s do not apply to system '%s'"
                               % (sorted(unknown), system))
+        params = {name: parsers[name](v, name) for name, v in params.items()}
         integrator = doc.get("integrator", {})
         initial = doc.get("initial", {})
         sweep = doc.get("sweep", {})
@@ -134,11 +171,14 @@ class ExperimentConfig:
                                   % (key, vec))
         if "v0" in initial and system in ("fb1", "grad1"):
             raise ConfigError("v0 given but system '%s' is first order" % system)
-        for name in sweep:
-            if name not in _PARAM_KEYS[system]:
+        grids = {}
+        for name, spec in sweep.items():
+            if name not in parsers:
                 raise ConfigError("sweep parameter '%s' does not apply to '%s'"
                                   % (name, system))
-        grids = {name: _sweep_values(name, spec) for name, spec in sweep.items()}
+            grids[name] = _sweep_values(name, spec)
+            for v in grids[name]:
+                parsers[name](v, name)
         t_end, control, n_dense = _integrator(integrator)
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -151,54 +191,23 @@ class ExperimentConfig:
                    control=control, n_dense=n_dense)
 
 
-def _profile(spec, name: str) -> Profile:
-    """Resolve a positive number, a constant profile or an exp_ramp profile to a Profile."""
-    if finite_number(spec) and spec > 0:
-        v = float(spec)
-        return Profile(v, v)
-    if isinstance(spec, dict):
-        kind = spec.get("profile")
-        if kind == "constant":
-            return _profile(spec.get("value"), name)
-        if kind == "exp_ramp":
-            values = [spec.get(key) for key in ("start", "end", "rate")]
-            if not all(map(finite_number, values)):
-                raise ConfigError("'%s' exp_ramp needs finite numbers start/end/rate"
-                                  % name)
-            start, end, rate = map(float, values)
-            if rate <= 0.0 or start <= 0.0 or end <= 0.0:
-                raise ConfigError("'%s' exp_ramp needs positive start/end/rate" % name)
-            return Profile(start, end, rate)
-        raise ConfigError("unknown profile %r for '%s'" % (kind, name))
-    raise ConfigError("'%s' must be a positive finite number or a profile object, got %r"
-                      % (name, spec))
-
-
 def _require(params: dict, key: str):
     if key not in params:
         raise ConfigError("system parameter '%s' is required" % key)
     return params[key]
 
 
-def _build_schedule(cfg: ExperimentConfig) -> Schedule:
-    params = cfg.params
-    lam = _profile(_require(params, "lambda"), "lambda")
+def _build_schedule(system: str, params: dict) -> Schedule:
+    lam = _require(params, "lambda")
     gamma = alpha = None
-    if cfg.system in ("fb2", "grad2"):
-        gamma = _profile(_require(params, "gamma"), "gamma")
-    if cfg.system == "grad2":
-        key = "alpha" if "alpha" in params else "alpha_bar"
-        if key in params:
-            alpha = _profile(params[key], key)
+    if system in ("fb2", "grad2"):
+        gamma = _require(params, "gamma")
+    if system == "grad2":
+        alpha = params.get("alpha")
+        if alpha is None and "alpha_bar" in params:
+            alpha = Profile(params["alpha_bar"], params["alpha_bar"])
     return Schedule(lam=lam, lambda_lower=min(lam.start, lam.end),
                     lambda_upper=max(lam.start, lam.end), gamma=gamma, alpha=alpha)
-
-
-def _scalar(params: dict, key: str) -> float:
-    v = _require(params, key)
-    if not finite_number(v):
-        raise ConfigError("'%s' must be a finite number, got %r" % (key, v))
-    return float(v)
 
 
 def _load_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
@@ -222,51 +231,40 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
                 "part; its ground truth solves f+g" % (cfg.system, inst.name))
 
 
-def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
-    p = cfg.params
+def _certify(cfg: ExperimentConfig, inst, params: dict, sched: Schedule):
     grid_end = cfg.t_end or _CERT_GRID_END
     if cfg.system == "fb1":
         return certificates.certify_fb1(inst.rho, inst.beta, sched.lambda_lower,
-                                        sched.lambda_upper, _scalar(p, "alpha"),
-                                        _scalar(p, "eta"))
+                                        sched.lambda_upper, _require(params, "alpha"),
+                                        _require(params, "eta"))
     if cfg.system == "grad1":
         return certificates.certify_grad1(inst.rho, inst.beta, sched.lambda_lower,
-                                          _scalar(p, "alpha"))
+                                          _require(params, "alpha"))
     if cfg.system == "fb2":
-        return certificates.certify_fb2(inst.rho, inst.beta, _scalar(p, "alpha"),
-                                        _scalar(p, "delta"), sched,
+        return certificates.certify_fb2(inst.rho, inst.beta, _require(params, "alpha"),
+                                        _require(params, "delta"), sched,
                                         t_grid_end=grid_end)
     if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-    alpha_bar = None
-    if "alpha_bar" in p:
-        alpha_bar = _profile(_scalar(p, "alpha_bar"), "alpha_bar").end
-    elif sched.alpha.start == sched.alpha.end:
+    alpha_bar = params.get("alpha_bar")
+    if alpha_bar is None and sched.alpha.start == sched.alpha.end:
         alpha_bar = sched.alpha.end
     return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
                                       alpha_bar=alpha_bar,
                                       t_grid_end=grid_end)
 
 
-def _flow_eta(cfg: ExperimentConfig, inst) -> Optional[float]:
+def _build_flow(cfg: ExperimentConfig, inst, sched: Schedule) -> flows.FlowRHS:
     if cfg.system == "fb1":
-        return _scalar(cfg.params, "eta")
+        return flows.fb1_rhs(inst.a, inst.b, _require(cfg.params, "eta"), sched)
     if cfg.system == "fb2":
         # eta is derived from (alpha, delta), never configured
         _, inv_eta, _, _ = certificates._fb2_constants(
-            inst.rho, inst.beta, _scalar(cfg.params, "alpha"),
-            _scalar(cfg.params, "delta"))
+            inst.rho, inst.beta, _require(cfg.params, "alpha"),
+            _require(cfg.params, "delta"))
         if inv_eta <= 0.0:
             raise CertificateError(["1/eta > 0 violated"])
-        return 1.0 / inv_eta
-    return None
-
-
-def _build_flow(cfg: ExperimentConfig, inst, sched: Schedule) -> flows.FlowRHS:
-    if cfg.system == "fb1":
-        return flows.fb1_rhs(inst.a, inst.b, _flow_eta(cfg, inst), sched)
-    if cfg.system == "fb2":
-        return flows.fb2_rhs(inst.a, inst.b, _flow_eta(cfg, inst), sched)
+        return flows.fb2_rhs(inst.a, inst.b, 1.0 / inv_eta, sched)
     if cfg.system == "grad1":
         return flows.grad1_rhs(inst.g, sched)
     return flows.grad2_rhs(inst.g, sched)
@@ -381,7 +379,7 @@ def _sweep_values(name: str, spec) -> list:
 
 def execute(config, command: str, out_dir: Optional[str] = None,
             seed: Optional[int] = None, quiet: bool = False) -> int:
-    """Run one command against a parsed or raw config dict; returns the exit code."""
+    """Run one command against a config dict; returns the exit code."""
     if command == "list":
         for name in problems.list_problems():
             inst = problems.get_problem(name)
@@ -390,8 +388,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
         return EXIT_OK
 
     try:
-        cfg = config if isinstance(config, ExperimentConfig) \
-            else ExperimentConfig.from_dict(config)
+        cfg = ExperimentConfig.from_dict(config)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -402,15 +399,15 @@ def execute(config, command: str, out_dir: Optional[str] = None,
     try:
         inst = _load_problem(cfg)
         _check_compat(cfg, inst)
-        sched = _build_schedule(cfg)
+        if command == "sweep":
+            return _cmd_sweep(cfg, inst, out_dir, quiet)
+        sched = _build_schedule(cfg.system, cfg.params)
         if command == "certify":
             return _cmd_certify(cfg, inst, sched, out_dir, quiet)
         if command == "simulate":
             return _cmd_simulate(cfg, inst, sched, out_dir, quiet)
         if command == "verify":
             return _cmd_verify(cfg, inst, sched, out_dir, quiet)
-        if command == "sweep":
-            return _cmd_sweep(cfg, inst, out_dir, quiet)
         print("unknown command %r" % command, file=sys.stderr)
         return EXIT_BAD_CONFIG
     except KeyError as exc:
@@ -433,7 +430,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
 
 
 def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
-    cert = _certify(cfg, inst, sched)
+    cert = _certify(cfg, inst, cfg.params, sched)
     os.makedirs(out_dir, exist_ok=True)
     integrate.write_json(os.path.join(out_dir, "certificate.json"), cert)
     _say(quiet, "certified %s on %s: decay exponent %.6g%s"
@@ -445,7 +442,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
-    t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, sched))
+    t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, cfg.params, sched))
     traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
     csv_path = _write_run_artifacts(out_dir, traj, metrics)
     _say(quiet, "simulated %s on %s for t_end=%g (%d samples, %d accepted steps)"
@@ -456,7 +453,7 @@ def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
-    cert = _certify(cfg, inst, sched)
+    cert = _certify(cfg, inst, cfg.params, sched)
     t_end = cfg.t_end or _default_t_end(cert)
     traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))
     reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
@@ -508,22 +505,23 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep command needs a 'sweep' block")
     names = sorted(cfg.sweep)
-    grids = [cfg.sweep[name] for name in names]
+    parsers = _PARAMS[cfg.system]
     rows = []
     best = None
-    for combo in itertools.product(*grids):
-        params = dict(cfg.params)
-        params.update(dict(zip(names, combo)))
-        cell_cfg = dataclasses.replace(cfg, params=params)
+    for combo in itertools.product(*(cfg.sweep[name] for name in names)):
+        params = {**cfg.params,
+                  **{name: parsers[name](v, name) for name, v in zip(names, combo)}}
         try:
-            sched = _build_schedule(cell_cfg)
-            cert = _certify(cell_cfg, inst, sched)
+            sched = _build_schedule(cfg.system, params)
+            cert = _certify(cfg, inst, params, sched)
             rate = cert.decay_exponent
             gamma_lower = cert.derived.get("gamma_lower", math.nan)
             rows.append(combo + (1, rate, gamma_lower, ""))
             if best is None or rate > best[0]:
                 best = (rate, {k: float(v) for k, v in zip(names, combo)})
-        except (CertificateError, ConfigError, ScheduleError, ValueError) as exc:
+        except ConfigError:
+            raise   # a missing parameter is missing from every cell
+        except (CertificateError, ScheduleError, ValueError) as exc:
             first = exc.failures[0] if isinstance(exc, CertificateError) else str(exc)
             rows.append(combo + (0, math.nan, math.nan, first))
 

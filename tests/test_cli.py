@@ -275,12 +275,16 @@ def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     ("initial", {"x0": ["a", 0.0]}, "x0 must be a list"),
     ("sweep", {"gamma": {"values": [1.0]}}, "does not apply"),
     ("sweep", {"eta": {"min": 1.0}}, "min/max/num"),
+    ("params", {"eta": "x"}, "'eta' must be a finite number"),
+    ("params", {"lambda": {"profile": "bogus"}}, "unknown profile"),
+    ("sweep", {"lambda": {"values": [-1.0]}}, "'lambda' must be a positive"),
 ], ids=["t_end-negative", "n_dense-negative", "rel_tol-string", "x0-string",
-        "sweep-foreign-param", "sweep-no-num"])
+        "sweep-foreign-param", "sweep-no-num", "params-eta-string",
+        "params-unknown-profile", "sweep-negative-lambda"])
 def test_every_command_validates_the_whole_config(tmp_path, capsys, command, block,
                                                   entry, fragment):
     # the config is parsed before any command runs, including the blocks that
-    # the command does not use
+    # the command does not use, every params value and every swept value
     doc = _patched({**FB1_VERIFY, "sweep": {"eta": {"values": [0.5, 1.0]}}},
                    block, **entry)
     out = tmp_path / "o"
@@ -512,6 +516,31 @@ def test_sweep_validation(tmp_path, capsys):
         cfg = write_config(tmp_path, {**base, "sweep": {"alpha": spec}})
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4, spec
         assert "config error: sweep 'alpha'" in capsys.readouterr().err
+
+
+def test_sweep_missing_parameter_exit_4(tmp_path, capsys):
+    # a parameter that is neither in params nor swept is missing from every
+    # cell: a config error, not a grid of infeasible rows
+    doc = {"problem": "skew-rotation", "system": "fb1", "params": {"lambda": 1.0},
+           "sweep": {"alpha": {"values": [0.5, 1.0]}}}
+    out = tmp_path / "o"
+    assert cli.execute(doc, "sweep", out_dir=str(out), quiet=True) == 4
+    assert "system parameter 'eta' is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_parameter_only_in_sweep_block(tmp_path):
+    # a swept parameter needs no base value in params
+    doc = {"problem": "skew-rotation", "system": "fb1",
+           "params": {"alpha": 0.5, "eta": 1.0},
+           "sweep": {"lambda": {"values": [0.5, 1.0]}}}
+    out = tmp_path / "o"
+    assert cli.execute(doc, "sweep", out_dir=str(out), quiet=True) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "lambda,feasible,decay_exponent,gamma_lower,failure"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["0.5", "1"], ["1", "1"]]
+    assert [float(row[2]) for row in rows] == pytest.approx([1 / 6, 1 / 2], rel=1e-12)
 
 
 def test_sweep_range_grid(tmp_path):
