@@ -298,11 +298,12 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
                   t_grid_end: float = 50.0) -> RateCertificate:
     """Certify the damped second-order gradient flow.
 
-    ``alpha_fn`` is the relaxation floor profile alpha(t) (a constant or a
+    ``alpha_fn`` is the relaxation floor alpha(t) (a number or a coefficient
     callable; None falls back to the schedule's alpha).  ``alpha_bar`` is the
-    constant lower bound with alpha_bar > 1; it defaults to alpha_fn when that
-    is constant.  Checks rho*beta <= 1, the alpha floor, the lambda and gamma
-    windows on a grid, and the two monotonicity conditions.
+    constant lower bound with alpha_bar > 1; when it is None, it is the value
+    of alpha(t) on the grid if alpha(t) answers with one value (a constant),
+    and a ValueError otherwise.  Checks rho*beta <= 1, the alpha floor, the
+    lambda and gamma windows on a grid, and the two monotonicity conditions.
     """
     if not (rho > 0.0 and beta > 0.0):
         raise ValueError("rho and beta must be positive")
@@ -311,16 +312,15 @@ def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
     if alpha_fn is None:
         raise ValueError("no alpha(t) profile given")
     if not callable(alpha_fn):
-        const = float(alpha_fn)
-        if alpha_bar is None:
-            alpha_bar = const
-        alpha_fn = Profile(const, const)
-    if alpha_bar is None:
-        raise ValueError("alpha_bar required when alpha(t) is not constant")
-    alpha_bar = float(alpha_bar)
+        alpha_fn = Profile(float(alpha_fn), float(alpha_fn))
     if alpha_fn is not sched.alpha:
         sched = dataclasses.replace(sched, alpha=alpha_fn)
     _, lam, gam, a_t = sched.check(t_grid_end)
+    if alpha_bar is None:
+        if np.ndim(a_t) > 0:
+            raise ValueError("alpha_bar required when alpha(t) is not constant")
+        alpha_bar = a_t
+    alpha_bar = float(alpha_bar)
 
     checks = [
         Check("rho*beta <= 1", lhs=rho * beta, rhs=1.0,
@@ -396,7 +396,10 @@ class LemmaCoefficients:
     in its integrated form with these coefficients, the Lyapunov quantity
     L(t) = e^t h'(t) + (gamma(t)-1) e^t h(t) + b2(t) e^t u(t) is nonincreasing
     from its initial value M (``lemma_M``), and h obeys ``lemma_bound`` with
-    the certificate's gamma_lower.  Exposed for Lyapunov testing.
+    the certificate's gamma_lower.  Each coefficient takes a float t or an
+    array of times, and a constant may answer an array with its one value;
+    ``analysis.verify_lyapunov`` calls gamma and b2 once on the sample times.
+    Exposed for Lyapunov testing.
     """
 
     b1: Callable[[float], float]

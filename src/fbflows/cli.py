@@ -246,11 +246,8 @@ def _certify(cfg: ExperimentConfig, inst, params: dict, sched: Schedule):
                                         t_grid_end=grid_end)
     if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-    alpha_bar = params.get("alpha_bar")
-    if alpha_bar is None and sched.alpha.start == sched.alpha.end:
-        alpha_bar = sched.alpha.end
     return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
-                                      alpha_bar=alpha_bar,
+                                      alpha_bar=params.get("alpha_bar"),
                                       t_grid_end=grid_end)
 
 
@@ -355,8 +352,15 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
 
 
 def _sweep_values(name: str, spec) -> list:
-    """The points of one sweep axis: a ``values`` list, or ``min``/``max``/``num``."""
-    if isinstance(spec, dict) and "values" in spec:
+    """The points of one sweep axis: a ``values`` list alone, or ``min``/``max``/
+    ``num`` with an optional boolean ``log``."""
+    if not isinstance(spec, dict):
+        raise ConfigError("sweep '%s' needs min/max/num or values" % name)
+    _unknown(spec, {"values", "min", "max", "num", "log"}, "sweep '%s' keys" % name)
+    if "values" in spec:
+        if len(spec) > 1:
+            raise ConfigError("sweep '%s' mixes 'values' with %s"
+                              % (name, sorted(set(spec) - {"values"})))
         vals = spec["values"]
         if not isinstance(vals, list) or not vals or not all(map(finite_number, vals)):
             raise ConfigError("sweep '%s' values must be a nonempty list of finite "
@@ -364,15 +368,18 @@ def _sweep_values(name: str, spec) -> list:
         return [float(v) for v in vals]
     try:
         lo, hi, num = spec["min"], spec["max"], spec["num"]
-    except (KeyError, TypeError):
+    except KeyError:
         raise ConfigError("sweep '%s' needs min/max/num or values" % name)
+    log = spec.get("log", False)
+    if not isinstance(log, bool):
+        raise ConfigError("sweep '%s' 'log' must be true or false, got %r" % (name, log))
     if not (all(map(finite_number, (lo, hi, num))) and num == int(num)):
         raise ConfigError("sweep '%s' needs finite numbers min/max and an integer num, "
                           "got %r" % (name, spec))
     if num < 1 or not (0.0 < lo <= hi):
         raise ConfigError("sweep '%s' needs 0 < min <= max and num >= 1" % name)
     lo, hi, num = float(lo), float(hi), int(num)
-    if spec.get("log"):
+    if log:
         return list(np.geomspace(lo, hi, num))
     return list(np.linspace(lo, hi, num))
 
@@ -387,13 +394,13 @@ def execute(config, command: str, out_dir: Optional[str] = None,
                   % (name, inst.dim, inst.rho, inst.beta, inst.description))
         return EXIT_OK
 
+    if seed is not None and isinstance(config, dict):
+        config = {**config, "seed": seed}   # the override obeys the config's rule
     try:
         cfg = ExperimentConfig.from_dict(config)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if seed is not None:
-        cfg.seed = seed
     out_dir = out_dir or cfg.output_dir or "out"
 
     try:

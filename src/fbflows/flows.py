@@ -31,8 +31,9 @@ LAMBDA_SLACK = 1e-9  # how far lambda(t) may leave its declared bounds on the gr
 class Profile:
     """The coefficient end + (start - end) * exp(-rate * t); a constant when start == end.
 
-    An array of times is evaluated with one ``np.exp`` call, a float t with
-    ``math.exp``, unless the profile is a constant, which needs no exp.
+    A constant needs no exp: it answers a float t with a float and an array
+    of times with one ``np.float64``.  A ramp evaluates an array with one
+    ``np.exp`` call and a float t with ``math.exp``.
     """
 
     start: float
@@ -40,25 +41,12 @@ class Profile:
     rate: float = 0.0
 
     def __call__(self, t):
+        if self.start == self.end:
+            value = self.end + 0.0  # the formula's value: -0.0 comes out as +0.0
+            return np.float64(value) if isinstance(t, np.ndarray) else value
         if isinstance(t, np.ndarray):
             return self.end + (self.start - self.end) * np.exp(-self.rate * t)
-        if self.start == self.end:
-            return self.end + 0.0  # the formula's value: -0.0 comes out as +0.0
         return self.end + (self.start - self.end) * math.exp(-self.rate * t)
-
-
-def sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """fn on the times ts: one call for a Profile, point by point for any other callable."""
-    if isinstance(fn, Profile):
-        return fn(ts)
-    return np.array([fn(t) for t in ts], dtype=float)
-
-
-def _at(fn: Callable, t):
-    """fn at a float t, or at each time of an array t, such as a column (n, 1)."""
-    if isinstance(t, np.ndarray):
-        return sample(fn, t.ravel()).reshape(t.shape)
-    return fn(t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -69,25 +57,16 @@ def _grid(t_end: float) -> np.ndarray:
     return ts
 
 
-def _coefficient(fn: Callable, ts: np.ndarray):
-    """A constant Profile as its value, any other coefficient sampled on ts.
-
-    The value is a numpy float64, so arithmetic on it follows the same rules
-    (division by zero, nan) as on the samples it stands for.
-    """
-    if isinstance(fn, Profile) and fn.start == fn.end:
-        return np.float64(fn(0.0))
-    return sample(fn, ts)
-
-
 @dataclasses.dataclass
 class Schedule:
     """Time-dependent coefficients lambda(t), gamma(t), alpha(t) with declared lambda bounds.
 
     ``lam`` (relaxation) is required; ``gamma`` (damping) and ``alpha`` (a
     second-order relaxation floor) are optional.  Each is a Profile or any
-    callable of t.  The certificates check their conditions on the samples of
-    ``check``, so they hold on that grid's interval only.
+    callable that takes a float t or a numpy array of times; a constant may
+    answer an array with its one value.  The certificates check their
+    conditions on the samples of ``check``, so they hold on that grid's
+    interval only.
     """
 
     lam: Callable[[float], float]
@@ -117,20 +96,19 @@ class Schedule:
         """(ts, lam, gamma, alpha) on an even grid over [0, t_end], lambda inside its bounds.
 
         The grid has ``GRID_POINTS`` points, the bounds ``LAMBDA_SLACK`` of slack.
-        Each coefficient is sampled once; gamma and alpha are None when absent.
-        A constant Profile (start == end) is returned as its float value, which
-        every grid sample would repeat, so it is checked once at that value;
-        the certificates record the same numbers, t_grid_end and n_grid as on
-        the full grid.  ts is the read-only grid a varying coefficient is
-        sampled on.
+        Each coefficient is called once, on the whole grid; gamma and alpha are
+        None when absent.  A constant answers with its one value, which every
+        grid sample would repeat, so it is checked once at that value; the
+        certificates record the same numbers, t_grid_end and n_grid as on the
+        full grid.  ts is the read-only grid a varying coefficient is sampled on.
         """
         ts = _grid(float(t_end))
-        lam = _coefficient(self.lam, ts)
-        if ((lam < self.lambda_lower - LAMBDA_SLACK)
-                | (lam > self.lambda_upper + LAMBDA_SLACK)).any():
+        lam = self.lam(ts)
+        if np.count_nonzero((lam < self.lambda_lower - LAMBDA_SLACK)
+                            | (lam > self.lambda_upper + LAMBDA_SLACK)):
             raise ScheduleError("lambda(t) leaves its declared bounds")
-        gam = None if self.gamma is None else _coefficient(self.gamma, ts)
-        alpha = None if self.alpha is None else _coefficient(self.alpha, ts)
+        gam = None if self.gamma is None else self.gamma(ts)
+        alpha = None if self.alpha is None else self.alpha(ts)
         return ts, lam, gam, alpha
 
 
@@ -162,7 +140,7 @@ def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
 
     def rhs(t, x):
         x = np.asarray(x, dtype=float)
-        return _at(sched.lam, t) * (_forward_backward_step(a, b, eta, x) - x)
+        return sched.lam(t) * (_forward_backward_step(a, b, eta, x) - x)
 
     return FlowRHS(order=1, rhs=rhs, description="first-order forward-backward flow")
 
@@ -188,8 +166,8 @@ def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         raise ValueError("gradient flow needs a smooth oracle with a gradient")
 
     def rhs(t, x):
-        return -_at(sched.lam, t) * np.asarray(g.gradient(np.asarray(x, dtype=float)),
-                                               dtype=float)
+        return -sched.lam(t) * np.asarray(g.gradient(np.asarray(x, dtype=float)),
+                                          dtype=float)
 
     return FlowRHS(order=1, rhs=rhs, description="first-order gradient flow")
 

@@ -257,30 +257,37 @@ def test_grad2_rejects_alpha_bar_at_one():
 
 
 def test_grad2_alpha_sources():
-    # profile taken from the schedule; the floor stays explicit
+    # profile taken from the schedule; an explicit floor is used as given
     cert = certify_grad2(1.0, 1.0, None, GRAD2_SCHED, alpha_bar=1.5)
     assert cert.inputs["alpha_bar"] == 1.5
-    with pytest.raises(ValueError, match="alpha_bar required"):
-        certify_grad2(1.0, 1.0, None, GRAD2_SCHED)
-    # time-varying profile with explicit floor
+    # no floor: a constant alpha(t) is its own floor, from the schedule or a callable
     sched = Schedule(lam=lambda t: 1.7, lambda_lower=1.7, lambda_upper=1.7,
                      gamma=lambda t: 2.45)
-    cert = certify_grad2(1.0, 1.0, lambda t: 1.5 + 0.1 * math.exp(-t), sched,
-                         alpha_bar=1.5)
+    for alpha_fn, s in [(None, GRAD2_SCHED), (lambda t: 1.5, sched), (1.5, sched)]:
+        cert = certify_grad2(1.0, 1.0, alpha_fn, s)
+        assert cert.inputs["alpha_bar"] == 1.5 and cert.derived["alpha_inf"] == 1.5
+    # time-varying profile: the floor is required, and used when given
+    def varying(t):
+        return 1.5 + 0.1 * np.exp(-t)
+
+    cert = certify_grad2(1.0, 1.0, varying, sched, alpha_bar=1.5)
     assert_allclose(cert.derived["alpha_inf"], 1.5, atol=1e-3)
-    with pytest.raises(ValueError):
-        certify_grad2(1.0, 1.0, lambda t: 1.5, sched)  # floor missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha_bar required"):
+        certify_grad2(1.0, 1.0, varying, sched)
+    with pytest.raises(ValueError, match="alpha_bar required"):
+        certify_grad2(1.0, 1.0, Profile(1.6, 1.5, 0.5), sched)
+    with pytest.raises(ValueError, match="no alpha"):
         certify_grad2(1.0, 1.0, None, Schedule.constant(1.5, gamma=2.4))
 
 
 # --- constant coefficients: checked once at their value, as on the full grid
 
 def _plain(sched):
-    """The schedule with each constant Profile as a callable sampled point by point."""
+    """The schedule with each constant Profile as a callable that answers an array
+    of times with the full array of its value."""
     def plain(fn):
         if isinstance(fn, Profile) and fn.start == fn.end:
-            return lambda t, v=fn.start: v
+            return lambda t, v=fn.start: v + 0.0 * t
         return fn
     return dataclasses.replace(sched, lam=plain(sched.lam), gamma=plain(sched.gamma),
                                alpha=plain(sched.alpha))

@@ -131,6 +131,18 @@ def test_output_dir_and_seed_are_validated(tmp_path, monkeypatch, capsys, entrie
     assert not os.listdir(tmp_path)
 
 
+def test_seed_override_follows_the_config_rule(tmp_path, capsys):
+    # --seed -1 is rejected like "seed": -1, before any work and any output
+    cfg = write_config(tmp_path, FB1_VERIFY)
+    out = tmp_path / "o"
+    assert run(["verify", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 4
+    assert "'seed' must be a nonnegative integer" in capsys.readouterr().err
+    assert cli.execute(FB1_VERIFY, "certify", out_dir=str(out), seed=True,
+                       quiet=True) == 4
+    assert not out.exists()
+    assert run(["certify", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+
+
 def test_invalid_json_exit_4(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -278,9 +290,16 @@ def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     ("params", {"eta": "x"}, "'eta' must be a finite number"),
     ("params", {"lambda": {"profile": "bogus"}}, "unknown profile"),
     ("sweep", {"lambda": {"values": [-1.0]}}, "'lambda' must be a positive"),
+    ("sweep", {"eta": {"min": 0.25, "max": 1.0, "num": 3, "lgo": True}},
+     "unknown sweep 'eta' keys ['lgo']"),
+    ("sweep", {"eta": {"min": 0.25, "max": 1.0, "num": 3, "log": "no"}},
+     "sweep 'eta' 'log' must be true or false"),
+    ("sweep", {"eta": {"values": [0.5], "log": True, "num": 7}},
+     "sweep 'eta' mixes 'values' with ['log', 'num']"),
 ], ids=["t_end-negative", "n_dense-negative", "rel_tol-string", "x0-string",
         "sweep-foreign-param", "sweep-no-num", "params-eta-string",
-        "params-unknown-profile", "sweep-negative-lambda"])
+        "params-unknown-profile", "sweep-negative-lambda", "sweep-unknown-axis-key",
+        "sweep-log-not-bool", "sweep-values-mixed"])
 def test_every_command_validates_the_whole_config(tmp_path, capsys, command, block,
                                                   entry, fragment):
     # the config is parsed before any command runs, including the blocks that

@@ -14,13 +14,11 @@ from fbflows.flows import (
     Profile,
     Schedule,
     ScheduleError,
-    _at,
     fb1_rhs,
     fb2_rhs,
     grad1_rhs,
     grad2_rhs,
     residual,
-    sample,
 )
 from fbflows.operators import (
     FunctionOracle,
@@ -118,7 +116,7 @@ def proxgrad1_rhs(f: FunctionOracle, g: FunctionOracle, eta: float,
     def rhs(t, x):
         x = np.asarray(x, dtype=float)
         step = f.prox(eta, x - eta * np.asarray(g.gradient(x), dtype=float))
-        return _at(sched.lam, t) * (step - x)
+        return sched.lam(t) * (step - x)
 
     return FlowRHS(order=1, rhs=rhs, description="proximal-gradient flow")
 
@@ -194,19 +192,24 @@ def test_schedule_constant_builds_profiles():
 
 
 def test_schedule_check_samples_each_coefficient_once():
-    calls = []
+    calls = {"lam": [], "gamma": []}
 
-    def lam(t):
-        calls.append(t)
-        return 1.0
+    def counted(name, fn):
+        def call(t):
+            calls[name].append(t)
+            return fn(t)
+        return call
 
     ramp = Profile(3.0, 2.0, 0.5)
-    sched = Schedule(lam=lam, lambda_lower=1.0, lambda_upper=1.0, gamma=ramp)
+    sched = Schedule(lam=counted("lam", lambda t: 1.0), lambda_lower=1.0,
+                     lambda_upper=1.0, gamma=counted("gamma", ramp))
     ts, lam_t, gam_t, alpha_t = sched.check(4.0)
     assert GRID_POINTS == 2000
-    assert len(calls) == 2000 and alpha_t is None
+    # one call per coefficient, with the whole grid
+    assert len(calls["lam"]) == len(calls["gamma"]) == 1 and alpha_t is None
+    assert calls["lam"][0] is ts and calls["gamma"][0] is ts
     assert np.array_equal(ts, np.linspace(0.0, 4.0, 2000))
-    assert np.all(lam_t == 1.0) and np.array_equal(gam_t, ramp(ts))
+    assert lam_t == 1.0 and np.array_equal(gam_t, ramp(ts))
 
 
 def test_schedule_check_constant_is_a_float():
@@ -220,19 +223,23 @@ def test_schedule_check_constant_is_a_float():
 
 def test_sample_profiles():
     ts = np.linspace(0.0, 50.0, 2000)
-    # constants: one array evaluation equals the point-by-point values bitwise
+    # constants: an array of times gets one np.float64, bitwise every point's value
     for v in (40.0, 11.0, 1.6875, 2.4519716382329886, 0.1):
         p = Profile(v, v)
         per_point = np.array([p(t) for t in ts])
-        assert np.array_equal(sample(p, ts), per_point)
+        for times in (ts, ts[:, None]):
+            got = p(times)
+            assert type(got) is np.float64
+            assert got.tobytes() == np.float64(v).tobytes()
         assert np.all(per_point == v)
-        assert np.array_equal(sample(lambda t, v=v: v, ts), per_point)
-    # ramps: a float t goes through math.exp, an array is within 1 ulp of it
+    # ramps: a float t goes through math.exp, an array (of any shape) is
+    # evaluated in one call, within 1 ulp of it
     for a, b, r in [(15.0, 14.0, 0.5), (11.0, 10.9, 0.2), (1.0, 3.0, 0.07)]:
         p = Profile(a, b, r)
         exact = np.array([b + (a - b) * math.exp(-r * t) for t in ts])
         assert np.array_equal(np.array([p(t) for t in ts]), exact)
-        assert np.all(np.abs(sample(p, ts) - exact) <= np.spacing(exact))
+        assert np.all(np.abs(p(ts) - exact) <= np.spacing(exact))
+        assert np.array_equal(p(ts[:, None]), p(ts)[:, None])
 
 
 def test_constant_profile_at_a_float_is_the_formula_bitwise():
@@ -248,10 +255,10 @@ def test_constant_profile_at_a_float_is_the_formula_bitwise():
 
 
 def test_first_order_fields_take_a_column_of_times():
-    # a block call is bitwise the per-row calls; a plain callable lam is sampled
-    # point by point (math.exp takes no array)
+    # a block call is bitwise the per-row calls: the field calls lam once on the
+    # column of times, and this ramp is the same arithmetic on a float and an array
     inst = problems.get_problem("skew-rotation")
-    ramp = Schedule(lam=lambda t: 2.0 - math.exp(-t), lambda_lower=1.0, lambda_upper=2.0)
+    ramp = Schedule(lam=lambda t: 1.0 + 0.5 * t, lambda_lower=1.0, lambda_upper=2.5)
     for flow in (fb1_rhs(inst.a, inst.b, eta=0.5, sched=ramp),
                  grad1_rhs(scaled_sqnorm(1.5), ramp),
                  proxgrad1_rhs(l1_norm(0.3), scaled_sqnorm(1.5), eta=0.5, sched=ramp)):

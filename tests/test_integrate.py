@@ -327,16 +327,6 @@ def test_first_order_v_with_a_ramp_is_within_4_ulps(name):
     assert np.all(np.abs(traj.v - ref) <= 4.0 * np.spacing(np.abs(ref)))
 
 
-def test_plain_callable_lambda_integrates():
-    # math.exp takes no array, so the samples are evaluated one time at a time
-    sched = Schedule(lam=lambda t: 1.0 + 0.5 * math.exp(-t), lambda_lower=1.0,
-                     lambda_upper=1.5)
-    _, flow, x0 = _first_order_case("grad1-quadratic-2d", sched)
-    traj = integrate(flow, x0, t_end=10.0)
-    assert traj.v.tobytes() == _per_sample_v(flow, traj).tobytes()
-    assert np.linalg.norm(traj.x[-1] - np.array([1.0, 1.0])) <= 1e-4
-
-
 def _metrics_reference(traj, inst):
     """The per-row gap and gradnorm formulas that the block path replaced, with
     the old point formulas of the l1 and quadratic values."""
