@@ -41,7 +41,7 @@ s = suggest_constants_grad2(inst.rho, inst.beta)
 print("suggested alpha=%.4f lambda=%.4f gamma=%.4f" % (s.alpha, s.lam, s.gamma))
 
 sched = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
-cert2 = certify_grad2(inst.rho, inst.beta, 1.5, sched)
+cert2 = certify_grad2(inst.rho, inst.beta, sched)
 coeffs = grad2_lemma_coefficients(inst.beta, sched)
 x0, v0 = np.array([3.0]), np.zeros(1)
 m_raw = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)

@@ -25,6 +25,8 @@ ENVELOPE_TOL_ABS = 1e-8
 TAIL_FRACTION = 0.25     # the trailing share of the samples that fit_rate fits
 CHAIN_SLACK = 1e-8       # value_chain slack per unit of 1 + |lhs| + |rhs|
 DRIFT_SCALE = 1e-6       # Lyapunov drift allowed per unit time and unit of 1 + |L(0)|
+# the metric each system's certificate bounds: h = ||x - x*||^2 or the value gap
+CERTIFIED_METRIC = {"fb1": "h", "fb2": "h", "grad1": "gap", "grad2": "gap"}
 
 
 class RateFitError(ValueError):
@@ -59,24 +61,27 @@ def build_envelope(cert: RateCertificate, h0: Optional[float] = None,
                    m: Optional[float] = None) -> Callable:
     """Closed-form envelope of the certificate's guarantee, anchored at t=0.
 
-    fb1, grad1: anchor * exp(-r*t) with r the certified decay exponent
-                (anchor h0 = ||x0 - x*||^2 for fb1, gap0 for grad1)
-    fb2, grad2: certificates.lemma_bound(gamma_lower, anchor, m, t) with the
-                certified gamma_lower (fb2: anchor h0 and m = 2*M;
-                grad2: anchor gap0 and m = M)
+    The anchor is the initial value of the system's ``CERTIFIED_METRIC``:
+    h0 = ||x0 - x*||^2 (fb1, fb2) or gap0 (grad1, grad2); the other anchor
+    is ignored.
+
+    first order (no transient exponent): anchor * exp(-r*t) with r the
+        certified decay exponent
+    second order: certificates.lemma_bound(gamma_lower, anchor, m, t) with the
+        certified gamma_lower (fb2: m = 2*M; grad2: m = M)
 
     Missing anchors and an invalid lemma bound raise here, not at the first
     call.  The returned callable accepts scalars or arrays.
     """
     system = cert.system
-    name, anchor = ("h0", h0) if system in ("fb1", "fb2") else ("gap0", gap0)
-    if system in ("fb1", "grad1"):
+    if system not in CERTIFIED_METRIC:
+        raise ValueError("unknown certificate system %r" % system)
+    name, anchor = ("h0", h0) if CERTIFIED_METRIC[system] == "h" else ("gap0", gap0)
+    if cert.transient_exponent is None:
         if anchor is None:
             raise ValueError("%s envelope needs %s" % (system, name))
         rate = cert.decay_exponent
         return lambda t: anchor * np.exp(-rate * np.asarray(t, dtype=float))
-    if system not in ("fb2", "grad2"):
-        raise ValueError("unknown certificate system %r" % system)
     if anchor is None or m is None:
         raise ValueError("%s envelope needs %s and m" % (system, name))
     gl, a, m = cert.derived["gamma_lower"], float(anchor), float(m)

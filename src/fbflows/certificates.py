@@ -23,10 +23,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flows import GRID_POINTS, Profile, Schedule
+from .flows import GRID_POINTS, Schedule
 
 GRID_SLACK = 1e-9
 ROUND_SLACK = 1e-12
+GRID_END = 50.0  # the default t_grid_end of the second-order certificates
 
 
 class CertificateError(ValueError):
@@ -200,7 +201,7 @@ def _check_unit_interval(name, v):
 
 
 def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
-                sched: Schedule, t_grid_end: float = 50.0) -> RateCertificate:
+                sched: Schedule, t_grid_end: float = GRID_END) -> RateCertificate:
     """Certify the damped second-order forward-backward flow.
 
     Derives eta from 1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta - rho,
@@ -293,28 +294,22 @@ def suggest_constants_fb2(rho: float, beta: float, alpha: float,
 # second-order gradient flow
 
 
-def certify_grad2(rho: float, beta: float, alpha_fn, sched: Schedule,
+def certify_grad2(rho: float, beta: float, sched: Schedule,
                   alpha_bar: Optional[float] = None,
-                  t_grid_end: float = 50.0) -> RateCertificate:
+                  t_grid_end: float = GRID_END) -> RateCertificate:
     """Certify the damped second-order gradient flow.
 
-    ``alpha_fn`` is the relaxation floor alpha(t) (a number or a coefficient
-    callable; None falls back to the schedule's alpha).  ``alpha_bar`` is the
-    constant lower bound with alpha_bar > 1; when it is None, it is the value
-    of alpha(t) on the grid if alpha(t) answers with one value (a constant),
-    and a ValueError otherwise.  Checks rho*beta <= 1, the alpha floor, the
-    lambda and gamma windows on a grid, and the two monotonicity conditions.
+    The relaxation floor alpha(t) is the schedule's ``alpha``.  ``alpha_bar``
+    is the constant lower bound with alpha_bar > 1; when it is None, it is the
+    value of alpha(t) on the grid if alpha(t) answers with one value (a
+    constant), and a ValueError otherwise.  Checks rho*beta <= 1, the alpha
+    floor, the lambda and gamma windows on a grid, and the two monotonicity
+    conditions.
     """
     if not (rho > 0.0 and beta > 0.0):
         raise ValueError("rho and beta must be positive")
-    if alpha_fn is None:
-        alpha_fn = sched.alpha
-    if alpha_fn is None:
-        raise ValueError("no alpha(t) profile given")
-    if not callable(alpha_fn):
-        alpha_fn = Profile(float(alpha_fn), float(alpha_fn))
-    if alpha_fn is not sched.alpha:
-        sched = dataclasses.replace(sched, alpha=alpha_fn)
+    if sched.alpha is None:
+        raise ValueError("no alpha(t) in the schedule")
     _, lam, gam, a_t = sched.check(t_grid_end)
     if alpha_bar is None:
         if np.ndim(a_t) > 0:

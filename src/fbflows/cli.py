@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, certificates, flows, integrate, problems
 from .certificates import CertificateError
-from .flows import Profile, Schedule, ScheduleError
+from .flows import Profile, Schedule
 from .problems import finite_number
 
 EXIT_OK = 0
@@ -41,9 +41,9 @@ class IncompatibleSystemError(ValueError):
 
 
 _SYSTEMS = ("fb1", "fb2", "grad1", "grad2")
+_COMMANDS = ("certify", "simulate", "verify", "sweep")  # the commands that take a config
 _TOP_KEYS = {"problem", "system", "params", "integrator", "initial", "sweep", "seed",
              "output_dir"}
-_CERT_GRID_END = 50.0  # the fb2/grad2 certificate horizon when t_end is unset
 
 
 def _unknown(doc: dict, allowed: set, where: str) -> None:
@@ -57,7 +57,8 @@ def _integrator(block: dict):
     """(t_end, control, n_dense) from the integrator block; an absent or null
     setting takes its default, and t_end None means each command's default."""
     _unknown(block, {"t_end", "rel_tol", "abs_tol", "n_dense"}, "integrator settings")
-    values = {"t_end": None, "rel_tol": 1e-9, "abs_tol": 1e-12, "n_dense": 500}
+    values = {"t_end": None, "rel_tol": integrate.Adaptive.rel_tol,
+              "abs_tol": integrate.Adaptive.abs_tol, "n_dense": integrate.N_DENSE}
     for key in values:
         v = block.get(key)
         if v is None:
@@ -125,7 +126,7 @@ class ExperimentConfig:
     system: str
     params: dict              # parameter -> parsed value (a float or a Profile)
     initial: dict             # x0 (and v0): lists of finite numbers
-    sweep: dict               # swept parameter -> its grid points, each one parseable
+    sweep: dict               # swept parameter -> its (grid point, parsed value) pairs
     seed: int
     output_dir: Optional[str]
     t_end: Optional[float]    # None: each command's default horizon
@@ -176,9 +177,7 @@ class ExperimentConfig:
             if name not in parsers:
                 raise ConfigError("sweep parameter '%s' does not apply to '%s'"
                                   % (name, system))
-            grids[name] = _sweep_values(name, spec)
-            for v in grids[name]:
-                parsers[name](v, name)
+            grids[name] = [(v, parsers[name](v, name)) for v in _sweep_values(name, spec)]
         t_end, control, n_dense = _integrator(integrator)
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -232,7 +231,7 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
 
 
 def _certify(cfg: ExperimentConfig, inst, params: dict, sched: Schedule):
-    grid_end = cfg.t_end or _CERT_GRID_END
+    grid_end = cfg.t_end or certificates.GRID_END
     if cfg.system == "fb1":
         return certificates.certify_fb1(inst.rho, inst.beta, sched.lambda_lower,
                                         sched.lambda_upper, _require(params, "alpha"),
@@ -246,7 +245,9 @@ def _certify(cfg: ExperimentConfig, inst, params: dict, sched: Schedule):
                                         t_grid_end=grid_end)
     if sched.alpha is None:
         raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-    return certificates.certify_grad2(inst.rho, inst.beta, None, sched,
+    if "alpha_bar" not in params and sched.alpha.start != sched.alpha.end:
+        raise ConfigError("grad2 needs 'alpha_bar' when 'alpha' is not constant")
+    return certificates.certify_grad2(inst.rho, inst.beta, sched,
                                       alpha_bar=params.get("alpha_bar"),
                                       t_grid_end=grid_end)
 
@@ -302,7 +303,7 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _write_run_artifacts(out_dir, traj, metrics, envelope=None, which=None):
+def _write_run_artifacts(out_dir, traj, metrics, which, envelope=None):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     integrate.to_csv(traj, metrics, csv_path)
@@ -310,8 +311,6 @@ def _write_run_artifacts(out_dir, traj, metrics, envelope=None, which=None):
     if envelope is not None:
         env_csv = os.path.join(out_dir, "envelope.csv")
         analysis.write_envelope_csv(env_csv, metrics.t, envelope)
-    if which is None:
-        which = "gap" if metrics.gap is not None else "h"
     analysis.emit_plot_script(
         os.path.join(out_dir, "plot_metrics.gp"), "trajectory.csv",
         dim=traj.x.shape[1], which=which,
@@ -320,34 +319,27 @@ def _write_run_artifacts(out_dir, traj, metrics, envelope=None, which=None):
 
 
 def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
-    """Envelope + (system-specific) chain / Lyapunov reports, the envelope, and
-    the lemma constant M of a second-order system (None for first order)."""
-    reports = {}
-    m_raw = None
-    if cfg.system == "fb1":
-        env = analysis.build_envelope(cert, h0=float(metrics.h[0]))
-        reports["envelope"] = analysis.verify_envelope(
-            metrics, "h", env, rate=cert.decay_exponent)
-    elif cfg.system == "grad1":
-        env = analysis.build_envelope(cert, gap0=float(metrics.gap[0]))
-        reports["envelope"] = analysis.verify_envelope(
-            metrics, "gap", env, rate=cert.decay_exponent)
-        reports["chain"] = analysis.verify_value_chain(metrics, inst.rho, inst.beta)
-    elif cfg.system == "fb2":
+    """The envelope report, the chain report of a value-gap certificate and the
+    Lyapunov report of fb2; the envelope; and the lemma constant M of a
+    second-order system (None for first order)."""
+    which = analysis.CERTIFIED_METRIC[cfg.system]
+    coeffs = m_raw = m = None
+    if cfg.system == "fb2":
         coeffs = certificates.fb2_lemma_coefficients(
             inst.rho, inst.beta, cert.inputs["alpha"], cert.inputs["delta"], sched)
         m_raw = certificates.fb2_initial_M(coeffs, x0, v0, inst.x_star)
-        env = analysis.build_envelope(cert, h0=float(metrics.h[0]), m=2.0 * m_raw)
-        reports["envelope"] = analysis.verify_envelope(
-            metrics, "h", env, rate=cert.decay_exponent)
-        reports["lyapunov"] = analysis.verify_lyapunov(traj, coeffs, metrics)
-    else:
+        m = 2.0 * m_raw
+    elif cfg.system == "grad2":
         coeffs = certificates.grad2_lemma_coefficients(inst.beta, sched)
-        m_raw = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
-        env = analysis.build_envelope(cert, gap0=float(metrics.gap[0]), m=m_raw)
-        reports["envelope"] = analysis.verify_envelope(
-            metrics, "gap", env, rate=cert.decay_exponent)
+        m_raw = m = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
+    gap0 = None if metrics.gap is None else float(metrics.gap[0])
+    env = analysis.build_envelope(cert, h0=float(metrics.h[0]), gap0=gap0, m=m)
+    reports = {"envelope": analysis.verify_envelope(metrics, which, env,
+                                                    rate=cert.decay_exponent)}
+    if which == "gap":
         reports["chain"] = analysis.verify_value_chain(metrics, inst.rho, inst.beta)
+    if cfg.system == "fb2":
+        reports["lyapunov"] = analysis.verify_lyapunov(traj, coeffs, metrics)
     return reports, env, m_raw
 
 
@@ -393,6 +385,9 @@ def execute(config, command: str, out_dir: Optional[str] = None,
             print("%-16s dim=%-3d rho=%-8g beta=%-8g %s"
                   % (name, inst.dim, inst.rho, inst.beta, inst.description))
         return EXIT_OK
+    if command not in _COMMANDS:
+        print("unknown command %r" % command, file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
     if seed is not None and isinstance(config, dict):
         config = {**config, "seed": seed}   # the override obeys the config's rule
@@ -413,10 +408,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
             return _cmd_certify(cfg, inst, sched, out_dir, quiet)
         if command == "simulate":
             return _cmd_simulate(cfg, inst, sched, out_dir, quiet)
-        if command == "verify":
-            return _cmd_verify(cfg, inst, sched, out_dir, quiet)
-        print("unknown command %r" % command, file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _cmd_verify(cfg, inst, sched, out_dir, quiet)
     except KeyError as exc:
         print("unknown problem: %s" % exc, file=sys.stderr)
         return EXIT_UNKNOWN_PROBLEM
@@ -431,7 +423,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
         for failure in exc.failures:
             print("  - %s" % failure, file=sys.stderr)
         return EXIT_FAILED
-    except (ScheduleError, integrate.IntegrationError, ValueError) as exc:
+    except (integrate.IntegrationError, ValueError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return EXIT_FAILED
 
@@ -451,7 +443,8 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
     t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, cfg.params, sched))
     traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
-    csv_path = _write_run_artifacts(out_dir, traj, metrics)
+    csv_path = _write_run_artifacts(out_dir, traj, metrics,
+                                    analysis.CERTIFIED_METRIC[cfg.system])
     _say(quiet, "simulated %s on %s for t_end=%g (%d samples, %d accepted steps)"
          % (cfg.system, inst.name, float(t_end), traj.t.size,
             traj.meta["accepted"]))
@@ -488,8 +481,8 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
         doc["m_raw"] = m_raw
     os.makedirs(out_dir, exist_ok=True)
     integrate.write_json(os.path.join(out_dir, "certificate.json"), cert)
-    _write_run_artifacts(out_dir, traj, metrics, envelope=env,
-                         which=reports["envelope"].which)
+    _write_run_artifacts(out_dir, traj, metrics, reports["envelope"].which,
+                         envelope=env)
     integrate.write_json(os.path.join(out_dir, "report.json"), doc)
 
     rep = reports["envelope"]
@@ -512,12 +505,11 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep command needs a 'sweep' block")
     names = sorted(cfg.sweep)
-    parsers = _PARAMS[cfg.system]
     rows = []
     best = None
-    for combo in itertools.product(*(cfg.sweep[name] for name in names)):
-        params = {**cfg.params,
-                  **{name: parsers[name](v, name) for name, v in zip(names, combo)}}
+    for cell in itertools.product(*(cfg.sweep[name] for name in names)):
+        combo = tuple(v for v, _ in cell)
+        params = {**cfg.params, **{name: p for name, (_, p) in zip(names, cell)}}
         try:
             sched = _build_schedule(cfg.system, params)
             cert = _certify(cfg, inst, params, sched)
@@ -528,7 +520,7 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
                 best = (rate, {k: float(v) for k, v in zip(names, combo)})
         except ConfigError:
             raise   # a missing parameter is missing from every cell
-        except (CertificateError, ScheduleError, ValueError) as exc:
+        except ValueError as exc:
             first = exc.failures[0] if isinstance(exc, CertificateError) else str(exc)
             rows.append(combo + (0, math.nan, math.nan, first))
 
@@ -552,8 +544,7 @@ def main(argv=None) -> int:
         prog="fbflows",
         description="Certify and verify exponential decay of forward-backward "
                     "and gradient flows.")
-    parser.add_argument("command", choices=["certify", "simulate", "verify",
-                                            "sweep", "list"])
+    parser.add_argument("command", choices=_COMMANDS + ("list",))
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--out", help="output directory (default: config, then ./out)")
     parser.add_argument("--seed", type=int, default=None, help="override the audit seed")

@@ -38,6 +38,9 @@ class Adaptive:
     abs_tol: float = 1e-12
 
 
+N_DENSE = 500  # default count of the even grid of interpolated samples
+
+
 @dataclasses.dataclass
 class Trajectory:
     """Sampled solution: times (strictly increasing), states, velocities.
@@ -248,7 +251,7 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
-              control: Adaptive = Adaptive(), n_dense: int = 500) -> Trajectory:
+              control: Adaptive = Adaptive(), n_dense: int = N_DENSE) -> Trajectory:
     """Integrate a flow over [0, t_end] with DOPRI5; returns a densely sampled Trajectory.
 
     ``control`` holds the tolerances of the local error control.

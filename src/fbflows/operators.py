@@ -299,6 +299,7 @@ class MapAuditReport:
 _BLOCK_FLOATS = 16384
 AUDIT_RADIUS = 10.0  # the audits draw their points from the ball of this radius
 AUDIT_SLACK = 1e-9   # additive slack of the monotone and Lipschitz claims
+AUDIT_PAIRS = 1000   # default sample pairs of a map audit
 
 
 def row_blocks(n: int, dim: int) -> list:
@@ -345,7 +346,7 @@ def audit_map(
     dim: int,
     rho_claim: Optional[float] = None,
     beta_claim: Optional[float] = None,
-    n_pairs: int = 1000,
+    n_pairs: int = AUDIT_PAIRS,
     seed: int = 0,
 ) -> MapAuditReport:
     """Probe a map on random pairs and test the claimed constants.
@@ -359,15 +360,13 @@ def audit_map(
     * cocoercivity margin <dF, dx> - beta_claim * ||dF||^2, counted as a
       violation when below -1e-6 (reported, never enforced).
 
-    ``map_eval`` is a MonotoneMap or a callable on the last axis; it is
-    evaluated once on each block of first points and once on each block of
-    second points, in blocks of at most ``_BLOCK_FLOATS`` numbers (1000 pairs
-    make one block up to dim 16).  A claim left as None is skipped.  A
+    ``map_eval`` is a callable on the last axis (a MonotoneMap's ``eval``,
+    not the MonotoneMap); it is evaluated once on each block of first points
+    and once on each block of second points, in blocks of at most
+    ``_BLOCK_FLOATS`` numbers (1000 pairs make one block up to dim 16).  A claim left as None is skipped.  A
     non-finite map value fails every claim it enters.  Sampling can only
     refute a claim, not certify it.
     """
-    if isinstance(map_eval, MonotoneMap):
-        map_eval = map_eval.eval
     if n_pairs < 1:
         raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(seed)

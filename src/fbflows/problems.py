@@ -25,7 +25,6 @@ from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
 
 MAX_DIM = 100  # shipped suite stays desk scale
 GROUND_TRUTH_TOL = 1e-10  # the sc_lasso fixed-point iteration's target tolerance
-AUDIT_PAIRS = 1000  # sample pairs of each map audit in audit_instance
 
 
 @dataclasses.dataclass
@@ -231,20 +230,20 @@ class InstanceAuditReport:
 
 
 def audit_instance(instance: ProblemInstance, seed: int = 0) -> InstanceAuditReport:
-    """Probe the claimed rho (on a+b) and beta (on b) on ``AUDIT_PAIRS`` pairs each,
-    the solution residual, and, for smooth instances, the value sandwich around
-    x* on 200 points.
+    """Probe the claimed rho (on a+b) and beta (on b) on ``operators.AUDIT_PAIRS``
+    pairs each, the solution residual, and, for smooth instances, the value
+    sandwich around x* on 200 points.
 
     The cocoercivity statistic of b is recorded in ``b_audit`` but is not a
     failure; the suite's skew instance is supposed to violate it.
     """
     failures = []
     sum_audit = audit_map(instance.sum_eval, instance.dim, rho_claim=instance.rho,
-                          beta_claim=None, n_pairs=AUDIT_PAIRS, seed=seed)
+                          seed=seed)
     if not sum_audit.monotone_ok:
         failures.append("strong monotonicity of the sum below the claimed rho")
-    b_audit = audit_map(instance.b, instance.dim, rho_claim=0.0,
-                        beta_claim=instance.beta, n_pairs=AUDIT_PAIRS, seed=seed + 1)
+    b_audit = audit_map(instance.b.eval, instance.dim, rho_claim=0.0,
+                        beta_claim=instance.beta, seed=seed + 1)
     if not b_audit.monotone_ok:
         failures.append("b is not monotone on samples")
     if not b_audit.lipschitz_ok:

@@ -130,7 +130,7 @@ def test_criterion_3_fb2_transient_envelope():
 def test_criterion_4_grad2_gap_envelope():
     inst = make_quadratic(np.array([[1.0]]), np.array([0.0]))
     sched = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
-    cert = certify_grad2(inst.rho, inst.beta, 1.5, sched)
+    cert = certify_grad2(inst.rho, inst.beta, sched)
     coeffs = grad2_lemma_coefficients(inst.beta, sched)
     x0, v0 = np.array([3.0]), np.zeros(1)
     m_raw = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
@@ -213,8 +213,8 @@ def test_criterion_6_suggested_constants_recertify():
                   "delta*beta*rho < 1 violated")
         and rejection(lambda: certify_fb1(1.0, 1.0, 1.0, 1.0, 2.0, 1.0),
                       "alpha < 2*rho*beta^2*lambda_lower violated")
-        and rejection(lambda: certify_grad2(1.0, 1.0, 1.5,
-                                            Schedule.constant(2.0, gamma=2.4)),
+        and rejection(lambda: certify_grad2(1.0, 1.0, Schedule.constant(
+                                                2.0, gamma=2.4, alpha=1.5)),
                       "lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2) violated")
     )
     _report(6, ok and named,

@@ -94,13 +94,13 @@ def test_build_envelope_missing_anchors():
         build_envelope(certify_grad1(1.0, 1.0, 1.0, 2.0))
     with pytest.raises(ValueError, match="m"):
         build_envelope(FB2_CERT, h0=1.0)
-    grad2 = certify_grad2(1.0, 1.0, 1.5, Schedule.constant(1.5, gamma=2.4))
+    grad2 = certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.4, alpha=1.5))
     with pytest.raises(ValueError, match="gap0"):
         build_envelope(grad2, m=1.0)
 
 
 def test_build_envelope_needs_transient_margin():
-    grad2 = certify_grad2(1.0, 1.0, 1.5, Schedule.constant(1.5, gamma=2.4))
+    grad2 = certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.4, alpha=1.5))
     shallow = dataclasses.replace(grad2,
                                   derived={**grad2.derived, "gamma_lower": 1.5})
     with pytest.raises(ValueError, match="gamma_lower > 2"):

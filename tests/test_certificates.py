@@ -154,8 +154,8 @@ def test_increasing_gamma_rejected(system):
         certify = lambda: certify_fb2(1.0, 1.0, 0.5, 0.5, sched)
     else:
         sched = Schedule(lam=lambda t: 1.5, lambda_lower=1.5, lambda_upper=1.5,
-                         gamma=lambda t: 2.4 + 0.001 * t)
-        certify = lambda: certify_grad2(1.0, 1.0, 1.5, sched)
+                         gamma=lambda t: 2.4 + 0.001 * t, alpha=Profile(1.5, 1.5))
+        certify = lambda: certify_grad2(1.0, 1.0, sched)
     with pytest.raises(CertificateError) as exc:
         certify()
     assert exc.value.failures == ["gamma(t) nonincreasing violated",
@@ -216,7 +216,7 @@ GRAD2_SCHED = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
 
 
 def test_grad2_certificate_windows():
-    cert = certify_grad2(1.0, 1.0, 1.5, GRAD2_SCHED)
+    cert = certify_grad2(1.0, 1.0, GRAD2_SCHED)
     assert_allclose(cert.derived["gamma_lower"], (1.0 + math.sqrt(13.0)) / 2.0,
                     rtol=1e-14)
     assert cert.inputs["alpha_bar"] == 1.5
@@ -226,58 +226,59 @@ def test_grad2_certificate_windows():
 
 def test_grad2_lambda_window_violations_named():
     with pytest.raises(CertificateError) as exc:
-        certify_grad2(1.0, 1.0, 1.5, Schedule.constant(2.0, gamma=2.4))
+        certify_grad2(1.0, 1.0, Schedule.constant(2.0, gamma=2.4, alpha=1.5))
     assert ("lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2) violated"
             in exc.value.failures)
     with pytest.raises(CertificateError) as exc:
-        certify_grad2(1.0, 1.0, 1.5, Schedule.constant(1.4, gamma=2.4))
+        certify_grad2(1.0, 1.0, Schedule.constant(1.4, gamma=2.4, alpha=1.5))
     assert "alpha(t)/(beta*rho^2) <= lambda(t) violated" in exc.value.failures
 
 
 def test_grad2_gamma_window_violations_named():
     with pytest.raises(CertificateError) as exc:
-        certify_grad2(1.0, 1.0, 1.5, Schedule.constant(1.5, gamma=2.2))
+        certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.2, alpha=1.5))
     assert ("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t) violated"
             in exc.value.failures)
     with pytest.raises(CertificateError) as exc:
-        certify_grad2(1.0, 1.0, 1.5, Schedule.constant(1.5, gamma=2.6))
+        certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.6, alpha=1.5))
     assert "gamma(t) <= 1 + alpha(t) violated" in exc.value.failures
 
 
 def test_grad2_rejects_rho_beta_above_one():
     with pytest.raises(CertificateError) as exc:
-        certify_grad2(1.0, 2.0, 1.5, GRAD2_SCHED)
+        certify_grad2(1.0, 2.0, GRAD2_SCHED)
     assert "rho*beta <= 1 violated" in exc.value.failures
 
 
 def test_grad2_rejects_alpha_bar_at_one():
     with pytest.raises(CertificateError) as exc:
-        certify_grad2(1.0, 1.0, 1.0, Schedule.constant(1.0, gamma=2.0))
+        certify_grad2(1.0, 1.0, Schedule.constant(1.0, gamma=2.0, alpha=1.0))
     assert "alpha_bar > 1 violated" in exc.value.failures
 
 
 def test_grad2_alpha_sources():
-    # profile taken from the schedule; an explicit floor is used as given
-    cert = certify_grad2(1.0, 1.0, None, GRAD2_SCHED, alpha_bar=1.5)
+    # alpha(t) comes from the schedule; an explicit floor is used as given
+    cert = certify_grad2(1.0, 1.0, GRAD2_SCHED, alpha_bar=1.5)
     assert cert.inputs["alpha_bar"] == 1.5
-    # no floor: a constant alpha(t) is its own floor, from the schedule or a callable
-    sched = Schedule(lam=lambda t: 1.7, lambda_lower=1.7, lambda_upper=1.7,
-                     gamma=lambda t: 2.45)
-    for alpha_fn, s in [(None, GRAD2_SCHED), (lambda t: 1.5, sched), (1.5, sched)]:
-        cert = certify_grad2(1.0, 1.0, alpha_fn, s)
+    # no floor: a constant alpha(t) is its own floor, as a Profile or a callable
+    def with_alpha(alpha):
+        return Schedule(lam=lambda t: 1.7, lambda_lower=1.7, lambda_upper=1.7,
+                        gamma=lambda t: 2.45, alpha=alpha)
+
+    for s in [GRAD2_SCHED, with_alpha(Profile(1.5, 1.5)), with_alpha(lambda t: 1.5)]:
+        cert = certify_grad2(1.0, 1.0, s)
         assert cert.inputs["alpha_bar"] == 1.5 and cert.derived["alpha_inf"] == 1.5
-    # time-varying profile: the floor is required, and used when given
+    # time-varying alpha(t): the floor is required, and used when given
     def varying(t):
         return 1.5 + 0.1 * np.exp(-t)
 
-    cert = certify_grad2(1.0, 1.0, varying, sched, alpha_bar=1.5)
+    cert = certify_grad2(1.0, 1.0, with_alpha(varying), alpha_bar=1.5)
     assert_allclose(cert.derived["alpha_inf"], 1.5, atol=1e-3)
-    with pytest.raises(ValueError, match="alpha_bar required"):
-        certify_grad2(1.0, 1.0, varying, sched)
-    with pytest.raises(ValueError, match="alpha_bar required"):
-        certify_grad2(1.0, 1.0, Profile(1.6, 1.5, 0.5), sched)
+    for alpha in [varying, Profile(1.6, 1.5, 0.5)]:
+        with pytest.raises(ValueError, match="alpha_bar required"):
+            certify_grad2(1.0, 1.0, with_alpha(alpha))
     with pytest.raises(ValueError, match="no alpha"):
-        certify_grad2(1.0, 1.0, None, Schedule.constant(1.5, gamma=2.4))
+        certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.4))
 
 
 # --- constant coefficients: checked once at their value, as on the full grid
@@ -298,7 +299,7 @@ def _fb2(sched):
 
 
 def _grad2(sched):
-    return certify_grad2(1.0, 1.0, None, sched, alpha_bar=1.5, t_grid_end=22.0)
+    return certify_grad2(1.0, 1.0, sched, alpha_bar=1.5, t_grid_end=22.0)
 
 
 def _bits(cert):
@@ -337,7 +338,7 @@ def test_suggest_grad2_midpoints_and_round_trip():
     assert_allclose(s.lam, 1.6875, rtol=1e-14)
     lo = (1.0 + math.sqrt(1.0 + 8.0 * 1.6875)) / 2.0
     assert_allclose(s.gamma, 0.5 * (lo + 2.5), rtol=1e-14)
-    cert = certify_grad2(1.0, 1.0, s.alpha, s.schedule())
+    cert = certify_grad2(1.0, 1.0, s.schedule())
     assert cert.recheck()
 
 
@@ -347,7 +348,7 @@ def test_suggest_grad2_degenerate_window():
     assert_allclose(s.alpha, 31.0, rtol=1e-13)
     assert_allclose(s.lam, 124.0, rtol=1e-13)
     assert_allclose(s.gamma, 32.0, rtol=1e-13)
-    cert = certify_grad2(1.0, 0.25, s.alpha, s.schedule())
+    cert = certify_grad2(1.0, 0.25, s.schedule())
     assert cert.recheck()
 
 
@@ -507,7 +508,7 @@ def test_certificates_recheck_from_stored_numbers():
         certify_fb1(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),
         certify_grad1(1.0, 1.0, 1.0, 2.0),
         certify_fb2(1.0, 1.0, 0.5, 0.5, FB2_SCHED),
-        certify_grad2(1.0, 1.0, 1.5, GRAD2_SCHED),
+        certify_grad2(1.0, 1.0, GRAD2_SCHED),
     ]
     for cert in certs:
         assert cert.recheck()

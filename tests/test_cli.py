@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fbflows import cli
+from fbflows import analysis, certificates, cli, flows, integrate, problems
 
 IDENTITY_2D = {"kind": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}
 
@@ -607,3 +607,76 @@ def test_sweep_grad2_golden(tmp_path):
     assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
     assert digest == "a2871842484ca9bcbf1b7026dbdaa616a994ee8e703f399f2797ab3758f21182"
+
+
+GRAD2_RAMP = {**GRAD2_VERIFY, "params": {
+    "alpha": {"profile": "exp_ramp", "start": 1.6, "end": 1.5, "rate": 0.5},
+    "lambda": 1.6875, "gamma": 2.4519716382329886},
+    "sweep": {"gamma": {"values": [2.4, 2.45]}}}
+
+
+@pytest.mark.parametrize("command", ["certify", "verify", "sweep"])
+def test_grad2_varying_alpha_needs_alpha_bar(tmp_path, capsys, command):
+    # a varying alpha(t) is no floor of its own: a config error before any
+    # output under every command that certifies, also in every sweep cell
+    out = tmp_path / "o"
+    assert cli.execute(GRAD2_RAMP, command, out_dir=str(out), quiet=True) == 4
+    assert ("config error: grad2 needs 'alpha_bar' when 'alpha' is not constant"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    with_floor = _patched(GRAD2_RAMP, "params", alpha_bar=1.5)
+    assert cli.execute(with_floor, command, out_dir=str(tmp_path / "a"), quiet=True) == 0
+    # simulate with a t_end certifies nothing, so it needs no floor
+    assert cli.execute(GRAD2_RAMP, "simulate", out_dir=str(tmp_path / "s"),
+                       quiet=True) == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {**FB1_VERIFY, "problem": "nope"},
+    {**FB1_VERIFY, "params": {"alpha": 1.0, "eta": 1.0}},
+], ids=["unknown-problem", "no-lambda"])
+def test_unknown_command_exits_4_before_any_work(tmp_path, capsys, doc):
+    out = tmp_path / "o"
+    assert cli.execute(doc, "frobnicate", out_dir=str(out)) == 4
+    assert capsys.readouterr().err == "unknown command 'frobnicate'\n"
+    assert not out.exists()
+
+
+def test_simulate_plots_the_certified_metric(tmp_path):
+    # fb1 certifies h = |x - x*|^2, also on an instance that has a value gap
+    col = integrate.trajectory_columns(2).index("h") + 1
+    for command in ("simulate", "verify"):
+        out = tmp_path / command
+        assert cli.execute(_inline(LASSO_INLINE), command, out_dir=str(out),
+                           quiet=True) == 0
+        plot = (out / "plot_metrics.gp").read_text()
+        assert "using 1:%d with lines title 'h'" % col in plot, command
+
+
+# The benchmark's tracer replaces these attributes while a request runs, so a
+# run path must look each one up at call time, never bind it at import.
+PATCH_POINTS = [
+    (certificates, "certify_fb2"), (flows, "fb2_rhs"), (flows.Schedule, "check"),
+    (integrate, "integrate"), (integrate, "record_metrics"), (integrate, "to_csv"),
+    (analysis, "verify_envelope"), (analysis, "verify_lyapunov"),
+    (problems, "audit_instance"), (cli, "_cmd_sweep"),
+]
+README_FB2 = {**FB2_VERIFY,
+              "params": {**FB2_VERIFY["params"],
+                         "gamma": {"profile": "constant", "value": 11.0}},
+              "sweep": {"alpha": {"values": [0.3, 0.5]}}}
+
+
+@pytest.mark.parametrize("command, reached", [
+    ("verify", {name for _, name in PATCH_POINTS} - {"_cmd_sweep"}),
+    ("sweep", {"certify_fb2", "check", "_cmd_sweep"}),
+])
+def test_run_paths_reach_the_patch_points(tmp_path, monkeypatch, command, reached):
+    calls = []
+    for owner, name in PATCH_POINTS:
+        def counting(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    assert cli.execute(README_FB2, command, out_dir=str(tmp_path), quiet=True) == 0
+    assert set(calls) == reached

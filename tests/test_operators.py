@@ -165,7 +165,7 @@ def test_resolvent_firmly_nonexpansive(oracle):
 
 def test_audit_skew_rotation_map():
     smap = MonotoneMap(eval=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1), beta=1.0)
-    rep = audit_map(smap, dim=2, rho_claim=0.0, beta_claim=1.0, n_pairs=500, seed=1)
+    rep = audit_map(smap.eval, dim=2, rho_claim=0.0, beta_claim=1.0, n_pairs=500, seed=1)
     assert rep.passed
     # <Sx, x> = 0 and ||Sx|| = ||x|| exactly
     assert abs(rep.min_monotone_quotient) <= 1e-12
