@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .flows import GRID_POINTS, Schedule
+from .operators import positive
 
 GRID_SLACK = 1e-9
 ROUND_SLACK = 1e-12
@@ -110,9 +111,8 @@ class RateCertificate:
         return all(c.ok for c in self.checks)
 
 
-def _finish(system, inputs, derived, r, transient, checks, extra_failures=()):
+def _finish(system, inputs, derived, r, transient, checks):
     failed = [c.name + " violated" for c in checks if not c.ok]
-    failed += list(extra_failures)
     if failed:
         raise CertificateError(failed)
     return RateCertificate(
@@ -140,8 +140,7 @@ def certify_fb1(rho: float, beta: float, lambda_lower: float, lambda_upper: floa
     """
     for name, v in [("rho", rho), ("beta", beta), ("lambda_lower", lambda_lower),
                     ("lambda_upper", lambda_upper), ("alpha", alpha), ("eta", eta)]:
-        if not (float(v) > 0.0) or not math.isfinite(float(v)):
-            raise ValueError("%s must be positive and finite, got %r" % (name, v))
+        positive(v, name)
     if lambda_lower > lambda_upper:
         raise ValueError("need lambda_lower <= lambda_upper")
 
@@ -169,8 +168,7 @@ def certify_grad1(rho: float, beta: float, lambda_lower: float,
     """
     for name, v in [("rho", rho), ("beta", beta), ("lambda_lower", lambda_lower),
                     ("alpha", alpha)]:
-        if not (float(v) > 0.0) or not math.isfinite(float(v)):
-            raise ValueError("%s must be positive and finite, got %r" % (name, v))
+        positive(v, name)
     rhs = 2.0 * lambda_lower * beta * rho * rho
     checks = [
         Check("alpha <= 2*lambda_lower*beta*rho^2",
@@ -184,8 +182,19 @@ def certify_grad1(rho: float, beta: float, lambda_lower: float,
 # second-order forward-backward
 
 
+def _fb2_inputs(rho, beta, alpha, delta):
+    """Check rho and beta positive, alpha and delta in (0, 1); alpha and delta as floats."""
+    positive(rho, "rho")
+    positive(beta, "beta")
+    alpha, delta = float(alpha), float(delta)
+    for name, v in (("alpha", alpha), ("delta", delta)):
+        if not 0.0 < v < 1.0:
+            raise ValueError("%s must lie in (0, 1), got %r" % (name, v))
+    return alpha, delta
+
+
 def _fb2_constants(rho, beta, alpha, delta):
-    """Shared algebra: S, eta, K, and theta(t)/lambda(t)."""
+    """Shared algebra: S, 1/eta, K, and theta(t)/lambda(t)."""
     big_s = 1.0 / beta + 1.0 / (4.0 * rho * beta * beta * alpha)
     inv_eta = big_s / delta - rho
     k_slope = 2.0 * rho * (1.0 - alpha) / (rho + big_s / delta)
@@ -193,60 +202,56 @@ def _fb2_constants(rho, beta, alpha, delta):
     return big_s, inv_eta, k_slope, theta_coeff
 
 
-def _check_unit_interval(name, v):
-    v = float(v)
-    if not (0.0 < v < 1.0):
-        raise ValueError("%s must lie in (0, 1), got %r" % (name, v))
-    return v
+def fb2_eta(rho: float, beta: float, alpha: float, delta: float) -> float:
+    """The step scale eta of the second-order forward-backward flow.
+
+    1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta - rho; the result is nan
+    unless 1/eta > 0.  The inputs are validated as in certify_fb2.
+    """
+    inv_eta = _fb2_constants(rho, beta, *_fb2_inputs(rho, beta, alpha, delta))[1]
+    return 1.0 / inv_eta if inv_eta > 0.0 else math.nan
 
 
 def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
                 sched: Schedule, t_grid_end: float = GRID_END) -> RateCertificate:
     """Certify the damped second-order forward-backward flow.
 
-    Derives eta from 1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta - rho,
-    then checks on a grid that theta(t) stays below its lambda-quadratic
+    Derives eta with ``fb2_eta``, 1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta
+    - rho, then checks on a grid that theta(t) stays below its lambda-quadratic
     bound, that theta at lambda_lower exceeds 2, that gamma(t) lies in
     [(1+sqrt(1+4*theta(t)))/2, 1 + K*lambda(t)], and that gamma and
     gamma/lambda are nonincreasing.  The envelope combines a transient
     exp(-(gamma_lower-1)*t) with a final exp(-t).
     """
-    if not (rho > 0.0 and beta > 0.0):
-        raise ValueError("rho and beta must be positive")
-    alpha = _check_unit_interval("alpha", alpha)
-    delta = _check_unit_interval("delta", delta)
+    alpha, delta = _fb2_inputs(rho, beta, alpha, delta)
+    if sched.gamma is None:
+        raise ValueError("no gamma(t) in the schedule")
     _, lam, gam, _ = sched.check(t_grid_end)
 
     big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
+    theta_t = theta_coeff * lam
+    theta_floor = theta_coeff * sched.lambda_lower
     checks = [
         Check("delta*beta*rho < 1", lhs=delta * beta * rho, rhs=1.0, strict=True),
         Check("1/eta > 0", lhs=0.0, rhs=inv_eta, strict=True),
+        _worst("theta(t) <= K*lambda(t) + K^2*lambda(t)^2",
+               theta_t, k_slope * lam + k_slope ** 2 * (lam * lam)),
+        Check("theta > 2", lhs=2.0, rhs=theta_floor, strict=True),
+        _worst("(1 + sqrt(1 + 4*theta(t)))/2 <= gamma(t)",
+               (1.0 + np.sqrt(1.0 + 4.0 * theta_t)) / 2.0, gam),
+        _worst("gamma(t) <= 1 + K*lambda(t)", gam, 1.0 + k_slope * lam),
+        *_monotonicity(lam, gam),
     ]
-    extra = []
-
-    theta_t = theta_coeff * lam
-    checks.append(_worst("theta(t) <= K*lambda(t) + K^2*lambda(t)^2",
-                         theta_t, k_slope * lam + k_slope ** 2 * (lam * lam)))
-    theta_floor = theta_coeff * sched.lambda_lower
-    checks.append(Check("theta > 2", lhs=2.0, rhs=theta_floor, strict=True))
 
     gamma_lower = (1.0 + math.sqrt(max(1.0 + 4.0 * theta_floor, 0.0))) / 2.0
-    if gam is None:
-        extra.append("gamma(t) missing from schedule")
-    else:
-        lo = (1.0 + np.sqrt(1.0 + 4.0 * theta_t)) / 2.0
-        checks.append(_worst("(1 + sqrt(1 + 4*theta(t)))/2 <= gamma(t)", lo, gam))
-        checks.append(_worst("gamma(t) <= 1 + K*lambda(t)", gam, 1.0 + k_slope * lam))
-        checks += _monotonicity(lam, gam)
-
-    eta = 1.0 / inv_eta if inv_eta > 0.0 else math.nan
     inputs = {"rho": rho, "beta": beta, "alpha": alpha, "delta": delta,
               "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
               "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
-    derived = {"eta": eta, "S": big_s, "K": k_slope, "theta_coefficient": theta_coeff,
-               "theta": theta_floor, "gamma_lower": gamma_lower}
+    derived = {"eta": fb2_eta(rho, beta, alpha, delta), "S": big_s, "K": k_slope,
+               "theta_coefficient": theta_coeff, "theta": theta_floor,
+               "gamma_lower": gamma_lower}
     return _finish("fb2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
-                   checks=checks, extra_failures=extra)
+                   checks=checks)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,26 +273,21 @@ def suggest_constants_fb2(rho: float, beta: float, alpha: float,
 
     Takes the smallest lambda satisfying both theta > 2 and the quadratic
     feasibility bound (closed form), inflates it by 1% to leave margin, and
-    places gamma at the midpoint of its window.  The result always passes
-    certify_fb2.
+    places gamma at the midpoint of its window.  The pick is certified with
+    certify_fb2, so an infeasible input raises its CertificateError; eta is
+    the certificate's.
     """
-    if not (rho > 0.0 and beta > 0.0):
-        raise ValueError("rho and beta must be positive")
-    alpha = _check_unit_interval("alpha", alpha)
-    delta = _check_unit_interval("delta", delta)
-    if not (delta * beta * rho < 1.0):
-        raise CertificateError(["delta*beta*rho < 1 violated"])
-
-    big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
+    alpha, delta = _fb2_inputs(rho, beta, alpha, delta)
+    _, _, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
     # theta(lam) = theta_coeff*lam <= K*lam + K^2*lam^2 holds for
     # lam >= (theta_coeff - K)/K^2; theta > 2 needs lam > 2/theta_coeff.
     lam_quad = (theta_coeff - k_slope) / k_slope ** 2 if theta_coeff > k_slope else 0.0
     lam = 1.01 * max(lam_quad, 2.0 / theta_coeff)
     lo = (1.0 + math.sqrt(1.0 + 4.0 * theta_coeff * lam)) / 2.0
     hi = 1.0 + k_slope * lam
-    if lo > hi:
-        raise CertificateError(["gamma window empty at suggested lambda"])
-    return SuggestedConstants(lam=lam, gamma=0.5 * (lo + hi), eta=1.0 / inv_eta)
+    gamma = 0.5 * (lo + hi)
+    cert = certify_fb2(rho, beta, alpha, delta, Schedule.constant(lam, gamma=gamma))
+    return SuggestedConstants(lam=lam, gamma=gamma, eta=cert.derived["eta"])
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +306,12 @@ def certify_grad2(rho: float, beta: float, sched: Schedule,
     floor, the lambda and gamma windows on a grid, and the two monotonicity
     conditions.
     """
-    if not (rho > 0.0 and beta > 0.0):
-        raise ValueError("rho and beta must be positive")
+    positive(rho, "rho")
+    positive(beta, "beta")
     if sched.alpha is None:
         raise ValueError("no alpha(t) in the schedule")
+    if sched.gamma is None:
+        raise ValueError("no gamma(t) in the schedule")
     _, lam, gam, a_t = sched.check(t_grid_end)
     if alpha_bar is None:
         if np.ndim(a_t) > 0:
@@ -317,30 +319,22 @@ def certify_grad2(rho: float, beta: float, sched: Schedule,
         alpha_bar = a_t
     alpha_bar = float(alpha_bar)
 
+    floor = max(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
+    gamma_lower = (1.0 + math.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
     checks = [
         Check("rho*beta <= 1", lhs=rho * beta, rhs=1.0,
               slack=_rounding(rho * beta, 1.0)),
         Check("alpha_bar > 1", lhs=1.0, rhs=alpha_bar, strict=True),
+        _worst("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)", floor, a_t),
+        _worst("alpha(t)/(beta*rho^2) <= lambda(t)", a_t / (beta * rho * rho), lam),
+        _worst("lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2)",
+               lam, 0.5 * beta * (a_t + a_t * a_t)),
+        _worst("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t)",
+               (1.0 + np.sqrt(1.0 + 8.0 * lam / beta)) / 2.0, gam),
+        _worst("gamma(t) <= 1 + alpha(t)", gam, 1.0 + a_t),
+        *_monotonicity(lam, gam),
+        Check("gamma_lower > 2", lhs=2.0, rhs=gamma_lower, strict=True),
     ]
-    extra = []
-
-    floor = max(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
-    checks.append(_worst("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)",
-                         floor, a_t))
-    checks.append(_worst("alpha(t)/(beta*rho^2) <= lambda(t)",
-                         a_t / (beta * rho * rho), lam))
-    checks.append(_worst("lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2)",
-                         lam, 0.5 * beta * (a_t + a_t * a_t)))
-
-    gamma_lower = (1.0 + math.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
-    if gam is None:
-        extra.append("gamma(t) missing from schedule")
-    else:
-        lo = (1.0 + np.sqrt(1.0 + 8.0 * lam / beta)) / 2.0
-        checks.append(_worst("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t)", lo, gam))
-        checks.append(_worst("gamma(t) <= 1 + alpha(t)", gam, 1.0 + a_t))
-        checks += _monotonicity(lam, gam)
-    checks.append(Check("gamma_lower > 2", lhs=2.0, rhs=gamma_lower, strict=True))
 
     inputs = {"rho": rho, "beta": beta, "alpha_bar": alpha_bar,
               "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
@@ -348,7 +342,7 @@ def certify_grad2(rho: float, beta: float, sched: Schedule,
     derived = {"gamma_lower": gamma_lower, "alpha_floor": floor,
                "alpha_inf": float(np.min(a_t))}
     return _finish("grad2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
-                   checks=checks, extra_failures=extra)
+                   checks=checks)
 
 
 def suggest_constants_grad2(rho: float, beta: float,
@@ -358,25 +352,23 @@ def suggest_constants_grad2(rho: float, beta: float,
     Default alpha is 2/(beta^2*rho^2) - 1 when beta*rho < 1 (the smallest
     admissible floor) and 1.5 when beta*rho = 1.  lambda and gamma sit at the
     midpoints of their windows, which are nonempty for every admissible alpha.
+    The pick is certified with certify_grad2, so an inadmissible rho*beta or
+    alpha raises its CertificateError.
     """
-    if not (rho > 0.0 and beta > 0.0):
-        raise ValueError("rho and beta must be positive")
-    if rho * beta > 1.0 + ROUND_SLACK:
-        raise CertificateError(["rho*beta <= 1 violated"])
+    positive(rho, "rho")
+    positive(beta, "beta")
     if alpha is None:
         bound = 2.0 / (beta * beta * rho * rho) - 1.0
         alpha = bound if bound > 1.0 else 1.5
-    alpha = float(alpha)
-    if not (alpha > 1.0):
-        raise CertificateError(["alpha_bar > 1 violated"])
+    alpha = positive(alpha, "alpha")
     lam_lo = alpha / (beta * rho * rho)
     lam_hi = 0.5 * beta * (alpha + alpha * alpha)
-    if lam_lo > lam_hi:
-        raise CertificateError(["alpha_bar below 2/(beta^2*rho^2) - 1, lambda window empty"])
     lam = 0.5 * (lam_lo + lam_hi)
     gam_lo = (1.0 + math.sqrt(1.0 + 8.0 * lam / beta)) / 2.0
     gam_hi = 1.0 + alpha
-    return SuggestedConstants(lam=lam, gamma=0.5 * (gam_lo + gam_hi), alpha=alpha)
+    gamma = 0.5 * (gam_lo + gam_hi)
+    certify_grad2(rho, beta, Schedule.constant(lam, gamma=gamma, alpha=alpha))
+    return SuggestedConstants(lam=lam, gamma=gamma, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Configs are JSON documents (schema documented in the README).  Artifacts are
 CSV tables, JSON reports (both through ``integrate``'s writer) and a gnuplot
 script per run.  Exit codes: 0 all checks pass, 1 a certificate or
 verification failed, 2 unknown problem, 3 system kind incompatible with the
-instance, 4 malformed config.
+instance, 4 malformed config or command line.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, analysis, certificates, flows, integrate, problems
 from .certificates import CertificateError
 from .flows import Profile, Schedule
+from .operators import positive
 from .problems import finite_number
 
 EXIT_OK = 0
@@ -66,9 +67,8 @@ def _integrator(block: dict):
         if not finite_number(v):
             raise ConfigError("integrator '%s' must be a finite number, got %r"
                               % (key, v))
-        if key != "n_dense" and not v > 0:
-            raise ConfigError("integrator '%s' must be positive, got %r" % (key, v))
-        values[key] = float(v)
+        values[key] = (float(v) if key == "n_dense"
+                       else positive(v, "integrator '%s'" % key, ConfigError))
     n_dense = values["n_dense"]
     if n_dense < 2 or n_dense != int(n_dense):
         raise ConfigError("integrator 'n_dense' must be an integer >= 2, got %r"
@@ -256,13 +256,11 @@ def _build_flow(cfg: ExperimentConfig, inst, sched: Schedule) -> flows.FlowRHS:
     if cfg.system == "fb1":
         return flows.fb1_rhs(inst.a, inst.b, _require(cfg.params, "eta"), sched)
     if cfg.system == "fb2":
-        # eta is derived from (alpha, delta), never configured
-        _, inv_eta, _, _ = certificates._fb2_constants(
-            inst.rho, inst.beta, _require(cfg.params, "alpha"),
-            _require(cfg.params, "delta"))
-        if inv_eta <= 0.0:
-            raise CertificateError(["1/eta > 0 violated"])
-        return flows.fb2_rhs(inst.a, inst.b, 1.0 / inv_eta, sched)
+        # eta is derived from (alpha, delta), never configured; a nan eta (1/eta
+        # not positive) is rejected by fb2_rhs
+        eta = certificates.fb2_eta(inst.rho, inst.beta, _require(cfg.params, "alpha"),
+                                   _require(cfg.params, "delta"))
+        return flows.fb2_rhs(inst.a, inst.b, eta, sched)
     if cfg.system == "grad1":
         return flows.grad1_rhs(inst.g, sched)
     return flows.grad2_rhs(inst.g, sched)
@@ -539,20 +537,35 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 4, not argparse's 2: that is the unknown-problem code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, "%s: error: %s\n" % (self.prog, message))
+
+
+def _seed_arg(text: str):
+    # an integer literal as an int; any other text goes to execute's seed rule
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbflows",
         description="Certify and verify exponential decay of forward-backward "
                     "and gradient flows.")
-    parser.add_argument("command", choices=_COMMANDS + ("list",))
+    parser.add_argument("command", help="one of %s" % ", ".join(_COMMANDS + ("list",)))
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--out", help="output directory (default: config, then ./out)")
-    parser.add_argument("--seed", type=int, default=None, help="override the audit seed")
+    parser.add_argument("--seed", type=_seed_arg, default=None,
+                        help="override the audit seed")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    if args.command == "list":
-        return execute({}, "list", quiet=args.quiet)
+    if args.command not in _COMMANDS:   # list, or an unknown command for execute to reject
+        return execute({}, args.command, quiet=args.quiet)
     if not args.config:
         print("config error: --config is required for '%s'" % args.command,
               file=sys.stderr)

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operators import FunctionOracle, MonotoneMap, ResolventOracle, as_vector, check_eta
+from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector, check_eta,
+                        positive)
 
 
 class ScheduleError(ValueError):
@@ -85,9 +86,7 @@ class Schedule:
     @classmethod
     def constant(cls, lam: float, gamma: Optional[float] = None,
                  alpha: Optional[float] = None) -> "Schedule":
-        lam = float(lam)
-        if not (lam > 0.0):
-            raise ScheduleError("constant relaxation must be positive, got %r" % lam)
+        lam = positive(lam, "constant relaxation", ScheduleError)
         return cls(lam=Profile(lam, lam), lambda_lower=lam, lambda_upper=lam,
                    gamma=None if gamma is None else Profile(float(gamma), float(gamma)),
                    alpha=None if alpha is None else Profile(float(alpha), float(alpha)))

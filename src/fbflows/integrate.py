@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .flows import FlowRHS
-from .operators import row_blocks
+from .operators import positive, row_blocks
 
 
 class IntegrationError(RuntimeError):
@@ -227,7 +227,7 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
     """
     lefts, widths, *coeffs = steps
     lefts = np.array(lefts, dtype=float)
-    ts = np.concatenate([lefts, [t_fin], np.linspace(0.0, t_end, max(int(n_dense), 2))])
+    ts = np.concatenate([lefts, [t_fin], np.linspace(0.0, t_end, n_dense)])
     ts.sort(kind="stable")
     keep = np.ones(ts.size, dtype=bool)
     keep[1:] = np.diff(ts) > 1e-12 * max(t_end, 1.0)
@@ -256,13 +256,16 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
 
     ``control`` holds the tolerances of the local error control.
     The samples are every accepted step end plus ``n_dense`` evenly spaced
-    interpolated points over [0, t_end].  Second-order flows need ``v0``.
+    interpolated points over [0, t_end], n_dense an integer >= 2; t_end and
+    the tolerances obey ``operators.positive``.  Second-order flows need ``v0``.
     ``meta`` holds the solver name, the tolerances and the accepted, rejected
     and rhs-evaluation counts.
     """
-    t_end = float(t_end)
-    if not (t_end > 0.0):
-        raise ValueError("t_end must be positive, got %r" % t_end)
+    t_end = positive(t_end, "t_end")
+    rtol = positive(control.rel_tol, "rel_tol")
+    atol = positive(control.abs_tol, "abs_tol")
+    if not (isinstance(n_dense, (int, np.integer)) and n_dense >= 2):
+        raise ValueError("n_dense must be an integer >= 2, got %r" % (n_dense,))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.size
     if flow.order == 2:
@@ -284,9 +287,6 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
-    rtol, atol = float(control.rel_tol), float(control.abs_tol)
-    if not (rtol > 0.0 and atol > 0.0):
-        raise ValueError("tolerances must be positive")
     steps, t_fin, y_fin, stats = _dopri5(fun, 0.0, y0, t_end, rtol, atol)
     ts, ys = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
     del steps  # the step data is the largest array set; free it before v

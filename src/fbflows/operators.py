@@ -93,12 +93,17 @@ class FunctionOracle:
     description: str = ""
 
 
+def positive(v, name: str, error: type = ValueError) -> float:
+    """``v`` as a float; a value that is not positive and finite raises ``error``."""
+    v = float(v)
+    if not 0.0 < v < math.inf:
+        raise error("%s must be positive and finite, got %r" % (name, v))
+    return v
+
+
 def check_eta(eta: float) -> float:
-    """``eta`` as a float; a step scale that is not positive and finite is an error."""
-    eta = float(eta)
-    if not (eta > 0.0) or not math.isfinite(eta):
-        raise ValueError("step scale eta must be positive and finite, got %r" % eta)
-    return eta
+    """``eta`` as a float, by the rule of ``positive``."""
+    return positive(eta, "step scale eta")
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +122,7 @@ def zero_function() -> FunctionOracle:
 
 def l1_norm(w: float) -> FunctionOracle:
     """f(x) = w * ||x||_1 with weight w > 0.  Prox is soft thresholding."""
-    w = float(w)
-    if not (w > 0.0):
-        raise ValueError("l1 weight must be positive, got %r" % w)
+    w = positive(w, "l1 weight")
 
     def _prox(eta, x):
         eta = check_eta(eta)
@@ -135,9 +138,7 @@ def l1_norm(w: float) -> FunctionOracle:
 
 def scaled_sqnorm(c: float) -> FunctionOracle:
     """f(x) = (c/2) * ||x||^2 with c > 0.  Prox solves p + eta*c*p = x."""
-    c = float(c)
-    if not (c > 0.0):
-        raise ValueError("square-norm scale must be positive, got %r" % c)
+    c = positive(c, "square-norm scale")
 
     def _value(x):
         x = as_points(x)
@@ -174,9 +175,7 @@ def translated_linear(rho: float, c) -> FunctionOracle:
 
     Gradient rho*x - c; prox solves the shifted linear system in closed form.
     """
-    rho = float(rho)
-    if not (rho > 0.0):
-        raise ValueError("curvature rho must be positive, got %r" % rho)
+    rho = positive(rho, "curvature rho")
     c = as_vector(c)
 
     def _value(x):
@@ -214,9 +213,7 @@ def gradient_map(g: FunctionOracle, beta: float) -> MonotoneMap:
     """Wrap the gradient of a smooth oracle as a (1/beta)-Lipschitz map."""
     if g.gradient is None:
         raise ValueError("function oracle %r has no gradient" % (g.description,))
-    beta = float(beta)
-    if not (beta > 0.0):
-        raise ValueError("beta must be positive, got %r" % beta)
+    beta = positive(beta, "beta")
     return MonotoneMap(eval=g.gradient, beta=beta, description="grad " + g.description)
 
 
@@ -240,8 +237,7 @@ def brute_force_prox(
     the objective is strictly convex, so the bracket search is reliable.
     """
     eta = check_eta(eta)
-    if not (halfwidth > 0.0):
-        raise ValueError("halfwidth must be positive")
+    halfwidth = positive(halfwidth, "halfwidth")
     grid = np.linspace(x - halfwidth, x + halfwidth, n_grid)
     with np.errstate(invalid="ignore"):
         obj = np.asarray(value(grid), dtype=float) + (grid - x) ** 2 / (2.0 * eta)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import analysis, flows, operators
 from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
-                        audit_map, gradient_map, l1_norm, matvec, prox_resolvent,
-                        zero_operator)
+                        audit_map, gradient_map, l1_norm, matvec, positive,
+                        prox_resolvent, zero_operator)
 
 MAX_DIM = 100  # shipped suite stays desk scale
 GROUND_TRUTH_TOL = 1e-10  # the sc_lasso fixed-point iteration's target tolerance
@@ -161,9 +161,7 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
     cocoercive for any beta > 0; the sum is rho-strongly monotone.  The
     resolvent of a is (x + eta*c)/(1 + eta*rho) and x* = (rho*I + S)^{-1} c.
     """
-    rho = float(rho)
-    if not (rho > 0.0):
-        raise ValueError("rho must be positive, got %r" % rho)
+    rho = positive(rho, "rho")
     c = as_vector(c)
     if c.size != 2:
         raise ValueError("skew-rotation instance is 2-D, got c of dimension %d" % c.size)
@@ -196,9 +194,7 @@ def ground_truth(instance: ProblemInstance, tol: float) -> np.ndarray:
     safely inside the contraction region for strongly monotone sums, until the
     update norm falls below tol/100 (at most 1e6 iterations).
     """
-    tol = float(tol)
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive, got %r" % tol)
+    tol = positive(tol, "tol")
     eta = instance.beta * min(1.0, instance.rho * instance.beta)
     x = np.zeros(instance.dim)
     target = tol * 1e-2

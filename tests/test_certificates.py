@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fbflows import certificates
 from fbflows.certificates import (
     GRID_SLACK,
     CertificateError,
@@ -139,10 +140,20 @@ def test_fb2_gamma_window_violations_named():
             in exc.value.failures)
 
 
+def _no_gamma(certify):
+    # a missing gamma(t) fails one way, as a missing alpha(t) does: a plain
+    # ValueError before any check, not a failed inequality
+    with pytest.raises(ValueError, match=r"^no gamma\(t\) in the schedule$") as exc:
+        certify()
+    assert not isinstance(exc.value, CertificateError)
+
+
 def test_fb2_needs_gamma():
-    with pytest.raises(CertificateError) as exc:
-        certify_fb2(1.0, 1.0, 0.5, 0.5, Schedule.constant(40.0))
-    assert "gamma(t) missing from schedule" in exc.value.failures
+    _no_gamma(lambda: certify_fb2(1.0, 1.0, 0.5, 0.5, Schedule.constant(40.0)))
+
+
+def test_grad2_needs_gamma():
+    _no_gamma(lambda: certify_grad2(1.0, 1.0, Schedule.constant(1.5, alpha=1.5)))
 
 
 @pytest.mark.parametrize("system", ["fb2", "grad2"])
@@ -359,6 +370,43 @@ def test_suggest_grad2_rejections():
     with pytest.raises(CertificateError) as exc:
         suggest_constants_grad2(1.0, 1.0, alpha=1.0)
     assert "alpha_bar > 1 violated" in exc.value.failures
+
+
+def test_suggest_grad2_uses_the_certificate_slack():
+    # certify_grad2 admits rho*beta = 1 + 2e-12 within its rounding slack, and
+    # so does suggest, which certifies its pick; beyond the slack both reject
+    s = suggest_constants_grad2(1.0, 1.0 + 2e-12)
+    cert = certify_grad2(1.0, 1.0 + 2e-12, s.schedule())
+    assert cert.recheck() and cert.checks[0].lhs > 1.0
+    for certify in (lambda: suggest_constants_grad2(1.0, 1.0 + 1e-9),
+                    lambda: certify_grad2(1.0, 1.0 + 1e-9, s.schedule())):
+        with pytest.raises(CertificateError) as exc:
+            certify()
+        assert "rho*beta <= 1 violated" in exc.value.failures
+
+
+def test_suggest_rejections_are_the_certificates():
+    # each rejection is certify's CertificateError on the pick, naming the
+    # failed hypotheses; an alpha_bar below the floor empties the lambda window
+    with pytest.raises(CertificateError) as exc:
+        suggest_constants_grad2(1.0, 0.5, alpha=2.0)
+    assert exc.value.failures[:3] == [
+        "inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1) violated",
+        "alpha(t)/(beta*rho^2) <= lambda(t) violated",
+        "lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2) violated"]
+    with pytest.raises(CertificateError) as exc:
+        suggest_constants_fb2(3.0, 1.0, 0.5, 0.5)
+    assert exc.value.failures[:2] == ["delta*beta*rho < 1 violated", "1/eta > 0 violated"]
+
+
+def test_fb2_eta_is_the_certificates():
+    fb2_eta = certificates.fb2_eta
+    assert fb2_eta(1.0, 1.0, 0.5, 0.5) == 0.5
+    assert certify_fb2(1.0, 1.0, 0.5, 0.5, FB2_SCHED).derived["eta"] == 0.5
+    assert suggest_constants_fb2(1.0, 1.0, 0.5, 0.5).eta == 0.5
+    assert math.isnan(fb2_eta(3.0, 1.0, 0.5, 0.5))   # 1/eta = 7/3 - 3 < 0
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        fb2_eta(1.0, 1.0, 0.0, 0.5)
 
 
 # --- decay lemma -----------------------------------------------------------

@@ -160,6 +160,50 @@ def test_unreadable_config_exit_4(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def _exit_code(args):
+    """main's exit code, also when the argument parser exits."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args, message", [
+    (["frobnicate"], "unknown command 'frobnicate'\n"),
+    (["certify", "--seed", "x"], "config error: 'seed' must be a nonnegative integer"),
+    (["certify", "--frobnicate"], "fbflows: error: unrecognized arguments: --frobnicate"),
+], ids=["unknown-command", "seed-not-an-integer", "unknown-flag"])
+def test_command_line_errors_exit_4(tmp_path, capsys, args, message):
+    # exit 2 is the unknown-problem code, so the parser's usage errors exit 4
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {**FB1_VERIFY, "output_dir": str(out)})
+    assert _exit_code(args + ["--config", cfg]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert _exit_code(["--help"]) == 0
+    assert "usage: fbflows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rho, alpha, delta, message", [
+    (3.0, 0.5, 0.5, "step scale eta must be positive and finite, got nan"),
+    (1.0, 0.0, 0.5, "alpha must lie in (0, 1), got 0.0"),
+    (1.0, 0.5, 1.0, "delta must lie in (0, 1), got 1.0"),
+    (1.0, 1.5, 0.5, "alpha must lie in (0, 1), got 1.5"),
+], ids=["eta-nan", "alpha-zero", "delta-one", "alpha-above-1"])
+def test_fb2_simulate_without_a_step_scale_exits_1(tmp_path, capsys, rho, alpha, delta,
+                                                   message):
+    # simulate with a t_end certifies nothing; fb2_eta validates (alpha, delta)
+    # as certify_fb2 does, and its nan (1/eta = 7/3 - 3 at rho 3) stops the flow
+    doc = {**FB2_VERIFY, "problem": {"kind": "skew_rotation", "rho": rho, "c": [1.0, 0.0]},
+           "params": {**FB2_VERIFY["params"], "alpha": alpha, "delta": delta}}
+    assert cli.execute(doc, "simulate", out_dir=str(tmp_path / "o"), quiet=True) == 1
+    assert "run failed: " + message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_initial_state_validation(tmp_path, capsys):
     base = {
         "problem": "skew-rotation",

@@ -109,6 +109,18 @@ def test_integrate_argument_validation():
         integrate(FlowRHS(order=3, rhs=lambda t, x: x), np.array([1.0]), t_end=1.0)
 
 
+@pytest.mark.parametrize("n_dense", [1, 0, -5, 2.7])
+def test_integrate_rejects_an_n_dense_that_is_not_an_integer_above_1(n_dense):
+    # the CLI's integrator rule, with no silent clamp to 2 grid points
+    with pytest.raises(ValueError, match=r"^n_dense must be an integer >= 2, got "):
+        integrate(DECAY, np.array([1.0]), t_end=1.0, n_dense=n_dense)
+
+
+def test_integrate_takes_a_numpy_integer_n_dense():
+    traj = integrate(ZERO, np.array([1.0]), t_end=1.0, n_dense=np.int64(3))
+    assert np.isin(np.linspace(0.0, 1.0, 3), traj.t).all()
+
+
 def _readme_fb1():
     inst = problems.get_problem("skew-rotation")
     flow = fb1_rhs(inst.a, inst.b, eta=1.0, sched=Schedule.constant(1.0))

@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fbflows import operators, problems
+from fbflows import certificates, operators, problems
+from fbflows.certificates import (certify_fb1, certify_fb2, certify_grad1, certify_grad2,
+                                  suggest_constants_fb2, suggest_constants_grad2)
+from fbflows.flows import FlowRHS, Schedule, ScheduleError
+from fbflows.integrate import Adaptive, integrate
 from fbflows.operators import (
     Array,
     FunctionOracle,
@@ -440,3 +445,67 @@ def test_as_vector_coercion_and_rejection():
         as_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_vector([1.0, math.nan])
+
+
+# --- the one positive-and-finite rule --------------------------------------
+
+_FB1 = dict(rho=1.0, beta=1.0, lambda_lower=1.0, lambda_upper=1.0, alpha=0.5, eta=1.0)
+_GRAD1 = dict(rho=1.0, beta=1.0, lambda_lower=1.0, alpha=1.0)
+_DECAY = FlowRHS(order=1, rhs=lambda t, x: -x)
+
+
+def _with(fn, base, key):
+    return lambda v: fn(**{**base, key: v})
+
+
+# (id, the name the message gives, the error type, a call with the value in place)
+POSITIVE_SITES = [
+    ("check_eta", "step scale eta", ValueError, operators.check_eta),
+    ("brute_force_prox", "halfwidth", ValueError,
+     lambda v: brute_force_prox(np.abs, 1.0, 0.0, halfwidth=v)),
+    ("l1_norm", "l1 weight", ValueError, l1_norm),
+    ("scaled_sqnorm", "square-norm scale", ValueError, scaled_sqnorm),
+    ("translated_linear", "curvature rho", ValueError,
+     lambda v: translated_linear(v, [1.0])),
+    ("gradient_map", "beta", ValueError, lambda v: gradient_map(scaled_sqnorm(1.0), v)),
+    ("make_skew_rotation", "rho", ValueError,
+     lambda v: problems.make_skew_rotation(v, [1.0, 0.0])),
+    ("ground_truth", "tol", ValueError,
+     lambda v: problems.ground_truth(problems.get_problem("skew-rotation"), tol=v)),
+    ("Schedule.constant", "constant relaxation", ScheduleError, Schedule.constant),
+    *[("certify_fb1-" + k, k, ValueError, _with(certify_fb1, _FB1, k)) for k in _FB1],
+    *[("certify_grad1-" + k, k, ValueError, _with(certify_grad1, _GRAD1, k))
+      for k in _GRAD1],
+    *[(fn.__name__ + "-" + k, k, ValueError,
+       _with(fn, dict(rho=1.0, beta=1.0, alpha=0.5, delta=0.5, **extra), k))
+      for fn, extra in [(certify_fb2, {"sched": Schedule.constant(40.0, gamma=11.0)}),
+                        (suggest_constants_fb2, {})]
+      for k in ("rho", "beta")],
+    *[("fb2_eta-" + k, k, ValueError,
+       _with(lambda **kw: certificates.fb2_eta(**kw),
+             dict(rho=1.0, beta=1.0, alpha=0.5, delta=0.5), k))
+      for k in ("rho", "beta")],
+    *[("certify_grad2-" + k, k, ValueError,
+       _with(certify_grad2, dict(rho=1.0, beta=1.0,
+                                 sched=Schedule.constant(1.5, gamma=2.4, alpha=1.5)), k))
+      for k in ("rho", "beta")],
+    *[("suggest_constants_grad2-" + k, k, ValueError,
+       _with(suggest_constants_grad2, dict(rho=1.0, beta=1.0, alpha=1.5), k))
+      for k in ("rho", "beta", "alpha")],
+    ("integrate-t_end", "t_end", ValueError, lambda v: integrate(_DECAY, [1.0], t_end=v)),
+    ("integrate-rel_tol", "rel_tol", ValueError,
+     lambda v: integrate(_DECAY, [1.0], t_end=1.0, control=Adaptive(rel_tol=v))),
+    ("integrate-abs_tol", "abs_tol", ValueError,
+     lambda v: integrate(_DECAY, [1.0], t_end=1.0, control=Adaptive(abs_tol=v))),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("name, error, call", [site[1:] for site in POSITIVE_SITES],
+                         ids=[site[0] for site in POSITIVE_SITES])
+def test_positive_rule_guards_every_site(name, error, call, value):
+    message = "^%s must be positive and finite, got " % re.escape(name)
+    with pytest.raises(ValueError, match=message) as exc:
+        call(value)
+    assert type(exc.value) is error
