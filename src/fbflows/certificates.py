@@ -5,6 +5,8 @@ guarantee and returns a RateCertificate holding the inputs, the derived
 constants, and every inequality that was verified (with the numbers that were
 compared, so the certificate can be re-checked later).  Violations raise
 CertificateError naming each failed inequality; nothing is clamped silently.
+Each system's hypotheses are written once, in ``_table``, as broadcast
+expressions; ``certify_grid`` decides them for every cell of a grid at once.
 
 Time-dependent conditions of the second-order systems are verified on the
 samples of ``Schedule.check``: an even grid of ``flows.GRID_POINTS`` (2000)
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .flows import GRID_POINTS, Schedule
-from .operators import positive
+from .flows import GRID_POINTS, LEAVES_BOUNDS, Schedule, in_bounds, time_grid
+from .operators import NOT_POSITIVE, is_positive, positive
 
 GRID_SLACK = 1e-9
 ROUND_SLACK = 1e-12
@@ -39,6 +41,15 @@ class CertificateError(ValueError):
         super().__init__("hypothesis check failed: " + "; ".join(self.failures))
 
 
+def _holds(lhs, rhs, slack, strict):
+    """The decision of a check, elementwise: lhs < rhs when strict, otherwise
+    lhs <= rhs + slack with both sides finite (an infinite side would make a
+    relative slack infinite)."""
+    if strict:
+        return lhs < rhs
+    return np.isfinite(lhs) & np.isfinite(rhs) & (lhs <= rhs + slack)
+
+
 @dataclasses.dataclass(frozen=True)
 class Check:
     """A recorded inequality lhs < rhs (strict) or lhs <= rhs (with slack)."""
@@ -51,42 +62,147 @@ class Check:
 
     @property
     def ok(self) -> bool:
-        if self.strict:
-            return self.lhs < self.rhs
-        return self.lhs <= self.rhs + self.slack
+        return bool(_holds(self.lhs, self.rhs, self.slack, self.strict))
 
 
-def _rounding(lhs: float, rhs: float) -> float:
-    return ROUND_SLACK * (1.0 + abs(lhs) + abs(rhs))
-
-
-def _grid_slack(lhs: float, rhs: float) -> float:
-    return GRID_SLACK * (1.0 + abs(lhs) + abs(rhs))
-
-
-def _worst(name: str, lhs, rhs) -> Check:
-    """Record the grid point where lhs - rhs is largest (the tightest case).
-
-    Two floats (constant coefficients) are compared directly; an array side
-    is broadcast against the other before the argmax.
-    """
-    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-        lhs, rhs = np.broadcast_arrays(lhs, rhs)
-        k = int(np.argmax(lhs - rhs))
-        lhs, rhs = lhs[k], rhs[k]
-    lhs, rhs = float(lhs), float(rhs)
-    return Check(name=name, lhs=lhs, rhs=rhs, slack=_grid_slack(lhs, rhs))
+def _decided(rows):
+    """Each row (name, lhs, rhs, relative slack or None for a strict check) as
+    (name, lhs, rhs, strict, slack) at the tightest time, the first argmax of
+    lhs - rhs along the last (time) axis: numbers, or with a leading cell axis
+    one per cell."""
+    for name, lhs, rhs, rel in rows:
+        if np.ndim(lhs) or np.ndim(rhs):
+            lhs, rhs = np.broadcast_arrays(lhs, rhs)
+            if lhs.shape[-1] > 1:   # samples over time
+                k = np.argmax(lhs - rhs, axis=-1)[..., None]
+                lhs, rhs = np.take_along_axis(lhs, k, -1), np.take_along_axis(rhs, k, -1)
+            lhs, rhs = lhs[..., 0], rhs[..., 0]
+        yield (name, lhs, rhs, rel is None,
+               0.0 if rel is None else rel * (1.0 + abs(lhs) + abs(rhs)))
 
 
 def _steps(v):
-    # a constant's one step v - v: the 0.0 (nan for nan) np.diff gives on its samples
-    return np.diff(v) if isinstance(v, np.ndarray) else v - v
+    # the steps along time; a constant's one step v - v: the 0.0 (nan for nan)
+    # np.diff gives on its samples
+    return np.diff(v) if np.ndim(v) and np.shape(v)[-1] > 1 else v - v
 
 
-def _monotonicity(lam, gam) -> list:
-    """The grid checks that gamma and gamma/lambda are nonincreasing."""
-    return [_worst("gamma(t) nonincreasing", _steps(gam), 0.0),
-            _worst("gamma(t)/lambda(t) nonincreasing", _steps(gam / lam), 0.0)]
+def _squared(x):
+    # libm pow, the bits of Python's float ** 2; ndarray ** 2 multiplies x*x,
+    # which differs in the last bit for about one x in a thousand
+    return np.float_power(x, 2.0)
+
+
+# An input rule is (ok, template, name, value): where ok is False, the input
+# is out of range and the failure reads ``_text(template, name, value)``.
+
+def _text(template, name, value) -> str:
+    return template if name is None else template % (name, float(value))
+
+
+def _positive(**named) -> list:
+    return [(is_positive(v), NOT_POSITIVE, name, v) for name, v in named.items()]
+
+
+def _check_inputs(rules) -> None:
+    """Raise the first failed input rule of one cell as a ValueError."""
+    for ok, *text in rules:
+        if not ok:
+            raise ValueError(_text(*text))
+
+
+def _fb2_rules(rho, beta, alpha, delta) -> list:
+    return _positive(rho=rho, beta=beta) + [
+        ((0.0 < v) & (v < 1.0), "%s must lie in (0, 1), got %r", name, v)
+        for name, v in (("alpha", alpha), ("delta", delta))]
+
+
+def _fb2_constants(rho, beta, alpha, delta):
+    """Shared algebra: S, 1/eta, K, and theta(t)/lambda(t)."""
+    big_s = 1.0 / beta + 1.0 / (4.0 * rho * beta * beta * alpha)
+    inv_eta = big_s / delta - rho
+    k_slope = 2.0 * rho * (1.0 - alpha) / (rho + big_s / delta)
+    theta_coeff = (delta / (1.0 - delta)) * (rho + big_s / delta) / big_s
+    return big_s, inv_eta, k_slope, theta_coeff
+
+
+def _floor(alpha_bar, a_t):
+    """alpha_bar, or when it is None the one value of a constant alpha(t); samples
+    over time (a 1-D array) vary."""
+    if alpha_bar is not None:
+        return alpha_bar
+    if np.ndim(a_t) == 1:
+        raise ValueError("alpha_bar required when alpha(t) is not constant")
+    return a_t
+
+
+def _table(system, rho, beta, v):
+    """The input rules, rows, decay exponent and derived constants of system.
+
+    ``v`` holds the inputs by name: the numbers of certify_<system>, and for a
+    second-order system the samples of lam, gamma (and grad2's alpha) with
+    the lambda bounds.  Numbers are numpy floats, so that a row may divide by
+    an out-of-range input, which its rule rejects.
+    """
+    if system == "fb1":
+        lo, hi, alpha, eta = (v[k] for k in ("lambda_lower", "lambda_upper", "alpha", "eta"))
+        rules = (_positive(rho=rho, beta=beta, lambda_lower=lo, lambda_upper=hi,
+                           alpha=alpha, eta=eta)
+                 + [(lo <= hi, "need lambda_lower <= lambda_upper", None, None)])
+        c_rate = (2.0 * rho * lo - alpha / _squared(beta)) / (2.0 * rho + 1.0 / eta)
+        return rules, [
+            ("alpha < 2*rho*beta^2*lambda_lower", alpha, 2.0 * rho * beta * beta * lo, None),
+            ("1/beta + lambda_upper/(2*alpha) <= rho + 1/eta",
+             1.0 / beta + hi / (2.0 * alpha), rho + 1.0 / eta, ROUND_SLACK),
+        ], c_rate, {"C": c_rate}
+    if system == "grad1":
+        lo, alpha = v["lambda_lower"], v["alpha"]
+        rules = _positive(rho=rho, beta=beta, lambda_lower=lo, alpha=alpha)
+        return rules, [("alpha <= 2*lambda_lower*beta*rho^2",
+                        alpha, 2.0 * lo * beta * rho * rho, ROUND_SLACK)], alpha, {}
+
+    lam, gam = v["lam"], v["gamma"]
+    bounds = [(in_bounds(lam, v["lambda_lower"], v["lambda_upper"]), LEAVES_BOUNDS, None, None)]
+    monotonicity = [("gamma(t) nonincreasing", _steps(gam), 0.0, GRID_SLACK),
+                    ("gamma(t)/lambda(t) nonincreasing", _steps(gam / lam), 0.0, GRID_SLACK)]
+    if system == "fb2":
+        alpha, delta = v["alpha"], v["delta"]
+        rules = _fb2_rules(rho, beta, alpha, delta) + bounds
+        big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
+        theta_t = theta_coeff * lam
+        theta_floor = theta_coeff * v["lambda_lower"]
+        gamma_lower = (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * theta_floor, 0.0))) / 2.0
+        return rules, [
+            ("delta*beta*rho < 1", delta * beta * rho, 1.0, None),
+            ("1/eta > 0", 0.0, inv_eta, None),
+            ("theta(t) <= K*lambda(t) + K^2*lambda(t)^2",
+             theta_t, k_slope * lam + _squared(k_slope) * (lam * lam), GRID_SLACK),
+            ("theta > 2", 2.0, theta_floor, None),
+            ("(1 + sqrt(1 + 4*theta(t)))/2 <= gamma(t)",
+             (1.0 + np.sqrt(1.0 + 4.0 * theta_t)) / 2.0, gam, GRID_SLACK),
+            ("gamma(t) <= 1 + K*lambda(t)", gam, 1.0 + k_slope * lam, GRID_SLACK),
+            *monotonicity,
+        ], 1.0, {"S": big_s, "K": k_slope, "theta_coefficient": theta_coeff,
+                 "theta": theta_floor, "gamma_lower": gamma_lower}
+
+    a_t = v["alpha"]
+    alpha_bar = _floor(v.get("alpha_bar"), a_t)
+    rules = _positive(rho=rho, beta=beta) + bounds + _positive(alpha_bar=alpha_bar)
+    floor = np.maximum(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
+    gamma_lower = (1.0 + np.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
+    return rules, [
+        ("rho*beta <= 1", rho * beta, 1.0, ROUND_SLACK),
+        ("alpha_bar > 1", 1.0, alpha_bar, None),
+        ("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)", floor, a_t, GRID_SLACK),
+        ("alpha(t)/(beta*rho^2) <= lambda(t)", a_t / (beta * rho * rho), lam, GRID_SLACK),
+        ("lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2)",
+         lam, 0.5 * beta * (a_t + a_t * a_t), GRID_SLACK),
+        ("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t)",
+         (1.0 + np.sqrt(1.0 + 8.0 * lam / beta)) / 2.0, gam, GRID_SLACK),
+        ("gamma(t) <= 1 + alpha(t)", gam, 1.0 + a_t, GRID_SLACK),
+        *monotonicity,
+        ("gamma_lower > 2", 2.0, gamma_lower, None),
+    ], 1.0, {"gamma_lower": gamma_lower, "alpha_floor": floor}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,18 +227,22 @@ class RateCertificate:
         return all(c.ok for c in self.checks)
 
 
-def _finish(system, inputs, derived, r, transient, checks):
+def _certify_cell(system, rho, beta, v, inputs, **derived) -> RateCertificate:
+    """One cell's certificate from its table, or the error naming the first failed
+    input rule, or every failed row."""
+    with np.errstate(all="ignore"):   # an out-of-range input fails its rule, raised first
+        rules, rows, rate, table = _table(
+            system, np.float64(rho), np.float64(beta),
+            {k: x if x is None else np.asarray(x, dtype=float) for k, x in v.items()})
+    _check_inputs(rules)
+    checks = tuple(Check(name, float(lhs), float(rhs), strict, float(slack))
+                   for name, lhs, rhs, strict, slack in _decided(rows))
     failed = [c.name + " violated" for c in checks if not c.ok]
     if failed:
         raise CertificateError(failed)
-    return RateCertificate(
-        system=system,
-        inputs=inputs,
-        derived=derived,
-        decay_exponent=r,
-        transient_exponent=transient,
-        checks=tuple(checks),
-    )
+    derived = {k: float(x) for k, x in {**table, **derived}.items()}
+    transient = derived["gamma_lower"] - 1.0 if "gamma_lower" in derived else None
+    return RateCertificate(system, inputs, derived, float(rate), transient, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +258,9 @@ def certify_fb1(rho: float, beta: float, lambda_lower: float, lambda_upper: floa
     C = (2*rho*lambda_lower - alpha/beta^2) / (2*rho + 1/eta) and the distance
     envelope is ||x0 - x*||^2 * exp(-C*t).
     """
-    for name, v in [("rho", rho), ("beta", beta), ("lambda_lower", lambda_lower),
-                    ("lambda_upper", lambda_upper), ("alpha", alpha), ("eta", eta)]:
-        positive(v, name)
-    if lambda_lower > lambda_upper:
-        raise ValueError("need lambda_lower <= lambda_upper")
-
-    lhs2 = 1.0 / beta + lambda_upper / (2.0 * alpha)
-    rhs2 = rho + 1.0 / eta
-    checks = [
-        Check("alpha < 2*rho*beta^2*lambda_lower",
-              lhs=alpha, rhs=2.0 * rho * beta * beta * lambda_lower, strict=True),
-        Check("1/beta + lambda_upper/(2*alpha) <= rho + 1/eta",
-              lhs=lhs2, rhs=rhs2, slack=_rounding(lhs2, rhs2)),
-    ]
-    c_rate = (2.0 * rho * lambda_lower - alpha / beta ** 2) / (2.0 * rho + 1.0 / eta)
     inputs = {"rho": rho, "beta": beta, "lambda_lower": lambda_lower,
               "lambda_upper": lambda_upper, "alpha": alpha, "eta": eta}
-    return _finish("fb1", inputs, {"C": c_rate}, r=c_rate, transient=None, checks=checks)
+    return _certify_cell("fb1", rho, beta, inputs, inputs)
 
 
 def certify_grad1(rho: float, beta: float, lambda_lower: float,
@@ -166,16 +271,8 @@ def certify_grad1(rho: float, beta: float, lambda_lower: float,
     g(x(t)) - g(x*); through (rho/2)*||x - x*||^2 <= gap it also bounds the
     squared distance.
     """
-    for name, v in [("rho", rho), ("beta", beta), ("lambda_lower", lambda_lower),
-                    ("alpha", alpha)]:
-        positive(v, name)
-    rhs = 2.0 * lambda_lower * beta * rho * rho
-    checks = [
-        Check("alpha <= 2*lambda_lower*beta*rho^2",
-              lhs=alpha, rhs=rhs, slack=_rounding(alpha, rhs)),
-    ]
     inputs = {"rho": rho, "beta": beta, "lambda_lower": lambda_lower, "alpha": alpha}
-    return _finish("grad1", inputs, {}, r=alpha, transient=None, checks=checks)
+    return _certify_cell("grad1", rho, beta, inputs, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +281,9 @@ def certify_grad1(rho: float, beta: float, lambda_lower: float,
 
 def _fb2_inputs(rho, beta, alpha, delta):
     """Check rho and beta positive, alpha and delta in (0, 1); alpha and delta as floats."""
-    positive(rho, "rho")
-    positive(beta, "beta")
     alpha, delta = float(alpha), float(delta)
-    for name, v in (("alpha", alpha), ("delta", delta)):
-        if not 0.0 < v < 1.0:
-            raise ValueError("%s must lie in (0, 1), got %r" % (name, v))
+    _check_inputs(_fb2_rules(rho, beta, alpha, delta))
     return alpha, delta
-
-
-def _fb2_constants(rho, beta, alpha, delta):
-    """Shared algebra: S, 1/eta, K, and theta(t)/lambda(t)."""
-    big_s = 1.0 / beta + 1.0 / (4.0 * rho * beta * beta * alpha)
-    inv_eta = big_s / delta - rho
-    k_slope = 2.0 * rho * (1.0 - alpha) / (rho + big_s / delta)
-    theta_coeff = (delta / (1.0 - delta)) * (rho + big_s / delta) / big_s
-    return big_s, inv_eta, k_slope, theta_coeff
 
 
 def fb2_eta(rho: float, beta: float, alpha: float, delta: float) -> float:
@@ -210,6 +294,13 @@ def fb2_eta(rho: float, beta: float, alpha: float, delta: float) -> float:
     """
     inv_eta = _fb2_constants(rho, beta, *_fb2_inputs(rho, beta, alpha, delta))[1]
     return 1.0 / inv_eta if inv_eta > 0.0 else math.nan
+
+
+def _samples(sched: Schedule, t_grid_end: float) -> dict:
+    """The schedule's samples and lambda bounds, by the names of _table."""
+    _, lam, gam, a_t = sched.check(t_grid_end)
+    return {"lam": lam, "gamma": gam, "alpha": a_t, "lambda_lower": sched.lambda_lower,
+            "lambda_upper": sched.lambda_upper}
 
 
 def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
@@ -226,32 +317,11 @@ def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
     alpha, delta = _fb2_inputs(rho, beta, alpha, delta)
     if sched.gamma is None:
         raise ValueError("no gamma(t) in the schedule")
-    _, lam, gam, _ = sched.check(t_grid_end)
-
-    big_s, inv_eta, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
-    theta_t = theta_coeff * lam
-    theta_floor = theta_coeff * sched.lambda_lower
-    checks = [
-        Check("delta*beta*rho < 1", lhs=delta * beta * rho, rhs=1.0, strict=True),
-        Check("1/eta > 0", lhs=0.0, rhs=inv_eta, strict=True),
-        _worst("theta(t) <= K*lambda(t) + K^2*lambda(t)^2",
-               theta_t, k_slope * lam + k_slope ** 2 * (lam * lam)),
-        Check("theta > 2", lhs=2.0, rhs=theta_floor, strict=True),
-        _worst("(1 + sqrt(1 + 4*theta(t)))/2 <= gamma(t)",
-               (1.0 + np.sqrt(1.0 + 4.0 * theta_t)) / 2.0, gam),
-        _worst("gamma(t) <= 1 + K*lambda(t)", gam, 1.0 + k_slope * lam),
-        *_monotonicity(lam, gam),
-    ]
-
-    gamma_lower = (1.0 + math.sqrt(max(1.0 + 4.0 * theta_floor, 0.0))) / 2.0
     inputs = {"rho": rho, "beta": beta, "alpha": alpha, "delta": delta,
               "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
               "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
-    derived = {"eta": fb2_eta(rho, beta, alpha, delta), "S": big_s, "K": k_slope,
-               "theta_coefficient": theta_coeff, "theta": theta_floor,
-               "gamma_lower": gamma_lower}
-    return _finish("fb2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
-                   checks=checks)
+    return _certify_cell("fb2", rho, beta, {**_samples(sched, t_grid_end), **inputs},
+                         inputs, eta=fb2_eta(rho, beta, alpha, delta))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,43 +376,18 @@ def certify_grad2(rho: float, beta: float, sched: Schedule,
     floor, the lambda and gamma windows on a grid, and the two monotonicity
     conditions.
     """
-    positive(rho, "rho")
-    positive(beta, "beta")
+    _check_inputs(_positive(rho=rho, beta=beta))
     if sched.alpha is None:
         raise ValueError("no alpha(t) in the schedule")
     if sched.gamma is None:
         raise ValueError("no gamma(t) in the schedule")
-    _, lam, gam, a_t = sched.check(t_grid_end)
-    if alpha_bar is None:
-        if np.ndim(a_t) > 0:
-            raise ValueError("alpha_bar required when alpha(t) is not constant")
-        alpha_bar = a_t
-    alpha_bar = float(alpha_bar)
-
-    floor = max(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
-    gamma_lower = (1.0 + math.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
-    checks = [
-        Check("rho*beta <= 1", lhs=rho * beta, rhs=1.0,
-              slack=_rounding(rho * beta, 1.0)),
-        Check("alpha_bar > 1", lhs=1.0, rhs=alpha_bar, strict=True),
-        _worst("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)", floor, a_t),
-        _worst("alpha(t)/(beta*rho^2) <= lambda(t)", a_t / (beta * rho * rho), lam),
-        _worst("lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2)",
-               lam, 0.5 * beta * (a_t + a_t * a_t)),
-        _worst("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t)",
-               (1.0 + np.sqrt(1.0 + 8.0 * lam / beta)) / 2.0, gam),
-        _worst("gamma(t) <= 1 + alpha(t)", gam, 1.0 + a_t),
-        *_monotonicity(lam, gam),
-        Check("gamma_lower > 2", lhs=2.0, rhs=gamma_lower, strict=True),
-    ]
-
+    v = _samples(sched, t_grid_end)
+    alpha_bar = float(_floor(alpha_bar, v["alpha"]))
     inputs = {"rho": rho, "beta": beta, "alpha_bar": alpha_bar,
               "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
               "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
-    derived = {"gamma_lower": gamma_lower, "alpha_floor": floor,
-               "alpha_inf": float(np.min(a_t))}
-    return _finish("grad2", inputs, derived, r=1.0, transient=gamma_lower - 1.0,
-                   checks=checks)
+    return _certify_cell("grad2", rho, beta, {**v, "alpha_bar": alpha_bar}, inputs,
+                         alpha_inf=np.min(v["alpha"]))
 
 
 def suggest_constants_grad2(rho: float, beta: float,
@@ -369,6 +414,61 @@ def suggest_constants_grad2(rho: float, beta: float,
     gamma = 0.5 * (gam_lo + gam_hi)
     certify_grad2(rho, beta, Schedule.constant(lam, gamma=gamma, alpha=alpha))
     return SuggestedConstants(lam=lam, gamma=gamma, alpha=alpha)
+
+
+# ---------------------------------------------------------------------------
+# a grid of cells at once
+
+
+class GridVerdict(NamedTuple):
+    """Per cell: feasible, the decay exponent and gamma_lower (nan where infeasible
+    or absent) and the first failure ("" where feasible)."""
+    feasible: np.ndarray
+    decay_exponent: np.ndarray
+    gamma_lower: np.ndarray
+    failure: list
+
+
+def certify_grid(system: str, rho: float, beta: float, cells: dict,
+                 t_grid_end: float = GRID_END) -> GridVerdict:
+    """Decide certify_<system> for every cell of a grid in one array evaluation.
+
+    ``cells`` holds the inputs of ``_table`` by name, each shared by every cell
+    (a number, or for a coefficient a callable such as a Profile, called once
+    on the time grid) or a 1-D array with one number per cell.  A cell's
+    decision, decay exponent and gamma_lower are certify_<system>'s; its
+    failure is its first out-of-range input's text or "<check> violated".
+    """
+    n = max([np.size(x) for x in cells.values() if isinstance(x, np.ndarray)], default=1)
+    ts = time_grid(float(t_grid_end))
+    coefficients = ("lam", "gamma", "alpha") if system == "grad2" else ("lam", "gamma")
+
+    def column(x):   # (n, 1), or (1, 1) for a value every cell shares
+        return np.reshape(np.asarray(x, dtype=float), (-1, 1))
+
+    def value(k, x):
+        if k in coefficients:   # a constant answers as a Profile: -0.0 comes out as +0.0
+            return x(ts) if callable(x) else column(x) + 0.0
+        return None if x is None else column(x)
+
+    with np.errstate(all="ignore"):   # out-of-range cells are decided by their rules
+        rules, rows, rate, derived = _table(system, np.float64(rho), np.float64(beta),
+                                            {k: value(k, x) for k, x in cells.items()})
+        failed = np.empty((len(rules) + len(rows), n), dtype=bool)  # checks x cells
+        for i, ok in enumerate([ok for ok, *_ in rules]
+                               + [_holds(lhs, rhs, slack, strict)
+                                  for _, lhs, rhs, strict, slack in _decided(rows)]):
+            failed[i] = ~np.reshape(ok, -1)
+    first = np.argmax(failed, axis=0)  # each cell's first failure: the first True down
+    feasible = ~failed[first, np.arange(n)]
+    texts = np.array([""] + [None] * len(rules) + [row[0] + " violated" for row in rows])
+    failure = texts[np.where(feasible, 0, first + 1)].tolist()
+    for j in np.flatnonzero(~feasible & (first < len(rules))).tolist():
+        _, template, name, x = rules[first[j]]
+        failure[j] = _text(template, name, x if name is None
+                           else np.broadcast_to(column(x), (n, 1))[j, 0])
+    return GridVerdict(feasible, *(np.where(feasible, column(x)[:, 0], math.nan) for x in (
+        rate, derived.get("gamma_lower", math.nan))), failure)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -126,7 +125,7 @@ class ExperimentConfig:
     system: str
     params: dict              # parameter -> parsed value (a float or a Profile)
     initial: dict             # x0 (and v0): lists of finite numbers
-    sweep: dict               # swept parameter -> its (grid point, parsed value) pairs
+    sweep: dict               # swept parameter -> its grid points, each a float
     seed: int
     output_dir: Optional[str]
     t_end: Optional[float]    # None: each command's default horizon
@@ -177,7 +176,9 @@ class ExperimentConfig:
             if name not in parsers:
                 raise ConfigError("sweep parameter '%s' does not apply to '%s'"
                                   % (name, system))
-            grids[name] = [(v, parsers[name](v, name)) for v in _sweep_values(name, spec)]
+            grids[name] = _sweep_values(name, spec)
+            for v in grids[name]:
+                parsers[name](v, name)
         t_end, control, n_dense = _integrator(integrator)
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -196,17 +197,34 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _build_schedule(system: str, params: dict) -> Schedule:
+def _schedule_fields(system: str, params: dict) -> dict:
+    """The Schedule's fields from params, where a swept parameter is a column of
+    numbers, one per cell; grad2's alpha(t) is alpha_bar when 'alpha' is absent."""
     lam = _require(params, "lambda")
-    gamma = alpha = None
+    bounds = ((min(lam.start, lam.end), max(lam.start, lam.end))
+              if isinstance(lam, Profile) else (lam, lam))
+    fields = {"lam": lam, "lambda_lower": bounds[0], "lambda_upper": bounds[1]}
     if system in ("fb2", "grad2"):
-        gamma = _require(params, "gamma")
+        fields["gamma"] = _require(params, "gamma")
     if system == "grad2":
-        alpha = params.get("alpha")
-        if alpha is None and "alpha_bar" in params:
-            alpha = Profile(params["alpha_bar"], params["alpha_bar"])
-    return Schedule(lam=lam, lambda_lower=min(lam.start, lam.end),
-                    lambda_upper=max(lam.start, lam.end), gamma=gamma, alpha=alpha)
+        alpha = params.get("alpha", params.get("alpha_bar"))
+        fields["alpha"] = Profile(alpha, alpha) if isinstance(alpha, float) else alpha
+    return fields
+
+
+def _certify_inputs(system: str, params: dict, alpha) -> dict:
+    """The arguments of certify_<system> other than rho, beta, the schedule and
+    t_grid_end; a missing or inconsistent parameter is a ConfigError.  alpha is
+    the schedule's alpha(t)."""
+    if system == "grad2":
+        if alpha is None:
+            raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
+        if ("alpha_bar" not in params and isinstance(alpha, Profile)
+                and alpha.start != alpha.end):
+            raise ConfigError("grad2 needs 'alpha_bar' when 'alpha' is not constant")
+        return {"alpha_bar": params.get("alpha_bar")}
+    keys = {"fb1": ("alpha", "eta"), "grad1": ("alpha",), "fb2": ("alpha", "delta")}
+    return {key: _require(params, key) for key in keys[system]}
 
 
 def _load_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
@@ -230,26 +248,20 @@ def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None
                 "part; its ground truth solves f+g" % (cfg.system, inst.name))
 
 
-def _certify(cfg: ExperimentConfig, inst, params: dict, sched: Schedule):
-    grid_end = cfg.t_end or certificates.GRID_END
+def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
+    args = _certify_inputs(cfg.system, cfg.params, sched.alpha)
     if cfg.system == "fb1":
         return certificates.certify_fb1(inst.rho, inst.beta, sched.lambda_lower,
-                                        sched.lambda_upper, _require(params, "alpha"),
-                                        _require(params, "eta"))
+                                        sched.lambda_upper, **args)
     if cfg.system == "grad1":
-        return certificates.certify_grad1(inst.rho, inst.beta, sched.lambda_lower,
-                                          _require(params, "alpha"))
-    if cfg.system == "fb2":
-        return certificates.certify_fb2(inst.rho, inst.beta, _require(params, "alpha"),
-                                        _require(params, "delta"), sched,
-                                        t_grid_end=grid_end)
-    if sched.alpha is None:
-        raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-    if "alpha_bar" not in params and sched.alpha.start != sched.alpha.end:
-        raise ConfigError("grad2 needs 'alpha_bar' when 'alpha' is not constant")
-    return certificates.certify_grad2(inst.rho, inst.beta, sched,
-                                      alpha_bar=params.get("alpha_bar"),
-                                      t_grid_end=grid_end)
+        return certificates.certify_grad1(inst.rho, inst.beta, sched.lambda_lower, **args)
+    certify = (certificates.certify_fb2 if cfg.system == "fb2"
+               else certificates.certify_grad2)
+    return certify(inst.rho, inst.beta, sched=sched, t_grid_end=_grid_end(cfg), **args)
+
+
+def _grid_end(cfg: ExperimentConfig) -> float:
+    return cfg.t_end or certificates.GRID_END
 
 
 def _build_flow(cfg: ExperimentConfig, inst, sched: Schedule) -> flows.FlowRHS:
@@ -401,7 +413,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
         _check_compat(cfg, inst)
         if command == "sweep":
             return _cmd_sweep(cfg, inst, out_dir, quiet)
-        sched = _build_schedule(cfg.system, cfg.params)
+        sched = Schedule(**_schedule_fields(cfg.system, cfg.params))
         if command == "certify":
             return _cmd_certify(cfg, inst, sched, out_dir, quiet)
         if command == "simulate":
@@ -427,7 +439,7 @@ def execute(config, command: str, out_dir: Optional[str] = None,
 
 
 def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
-    cert = _certify(cfg, inst, cfg.params, sched)
+    cert = _certify(cfg, inst, sched)
     os.makedirs(out_dir, exist_ok=True)
     integrate.write_json(os.path.join(out_dir, "certificate.json"), cert)
     _say(quiet, "certified %s on %s: decay exponent %.6g%s"
@@ -439,7 +451,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
-    t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, cfg.params, sched))
+    t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, sched))
     traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
     csv_path = _write_run_artifacts(out_dir, traj, metrics,
                                     analysis.CERTIFIED_METRIC[cfg.system])
@@ -451,7 +463,7 @@ def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
 
 
 def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
-    cert = _certify(cfg, inst, cfg.params, sched)
+    cert = _certify(cfg, inst, sched)
     t_end = cfg.t_end or _default_t_end(cert)
     traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))
     reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
@@ -503,36 +515,30 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep command needs a 'sweep' block")
     names = sorted(cfg.sweep)
-    rows = []
-    best = None
-    for cell in itertools.product(*(cfg.sweep[name] for name in names)):
-        combo = tuple(v for v, _ in cell)
-        params = {**cfg.params, **{name: p for name, (_, p) in zip(names, cell)}}
-        try:
-            sched = _build_schedule(cfg.system, params)
-            cert = _certify(cfg, inst, params, sched)
-            rate = cert.decay_exponent
-            gamma_lower = cert.derived.get("gamma_lower", math.nan)
-            rows.append(combo + (1, rate, gamma_lower, ""))
-            if best is None or rate > best[0]:
-                best = (rate, {k: float(v) for k, v in zip(names, combo)})
-        except ConfigError:
-            raise   # a missing parameter is missing from every cell
-        except ValueError as exc:
-            first = exc.failures[0] if isinstance(exc, CertificateError) else str(exc)
-            rows.append(combo + (0, math.nan, math.nan, first))
+    # one column per axis, its cells in itertools.product order
+    columns = [c.ravel() for c in np.meshgrid(*(cfg.sweep[name] for name in names),
+                                              indexing="ij")]
+    params = {**cfg.params, **dict(zip(names, columns))}
+    cells = _schedule_fields(cfg.system, params)
+    cells.update(_certify_inputs(cfg.system, params, cells.get("alpha")))
+    grid = certificates.certify_grid(cfg.system, inst.rho, inst.beta, cells,
+                                     t_grid_end=_grid_end(cfg))
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
     header = names + ["feasible", "decay_exponent", "gamma_lower", "failure"]
     row_format = ",".join([integrate.FLOAT] * len(names)
                           + ["%d", integrate.FLOAT, integrate.FLOAT, '"%s"'])
-    integrate.write_csv(path, header, row_format, rows)
-    n_feasible = sum(r[len(names)] for r in rows)
+    integrate.write_csv(path, header, row_format, zip(
+        *(c.tolist() for c in columns), grid.feasible.tolist(),
+        grid.decay_exponent.tolist(), grid.gamma_lower.tolist(), grid.failure))
+    feasible = np.flatnonzero(grid.feasible)
     _say(quiet, "sweep over %s: %d/%d cells feasible"
-         % ("+".join(names), n_feasible, len(rows)))
-    if best is not None:
-        _say(quiet, "best decay exponent %.6g at %s" % (best[0], best[1]))
+         % ("+".join(names), feasible.size, grid.feasible.size))
+    if feasible.size:
+        best = feasible[np.argmax(grid.decay_exponent[feasible])]  # the first maximum
+        _say(quiet, "best decay exponent %.6g at %s"
+             % (grid.decay_exponent[best], {k: float(c[best]) for k, c in zip(names, columns)}))
     _say(quiet, "wrote %s" % path)
     return EXIT_OK
 

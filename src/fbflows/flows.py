@@ -51,11 +51,21 @@ class Profile:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(t_end: float) -> np.ndarray:
+def time_grid(t_end: float) -> np.ndarray:
     """The even grid over [0, t_end], read-only because every caller shares it."""
     ts = np.linspace(0.0, t_end, GRID_POINTS)
     ts.flags.writeable = False
     return ts
+
+
+LEAVES_BOUNDS = "lambda(t) leaves its declared bounds"
+
+
+def in_bounds(lam, lower, upper):
+    """Whether the samples of lambda(t) stay in [lower, upper], ``LAMBDA_SLACK`` of
+    slack; along the last (time) axis, so one answer per cell of a grid."""
+    outside = (lam < lower - LAMBDA_SLACK) | (lam > upper + LAMBDA_SLACK)
+    return ~np.any(np.atleast_1d(outside), axis=-1)
 
 
 @dataclasses.dataclass
@@ -87,9 +97,12 @@ class Schedule:
     def constant(cls, lam: float, gamma: Optional[float] = None,
                  alpha: Optional[float] = None) -> "Schedule":
         lam = positive(lam, "constant relaxation", ScheduleError)
+        gamma, alpha = (None if v is None else positive(v, name, ScheduleError)
+                        for v, name in ((gamma, "constant damping"),
+                                        (alpha, "constant relaxation floor")))
         return cls(lam=Profile(lam, lam), lambda_lower=lam, lambda_upper=lam,
-                   gamma=None if gamma is None else Profile(float(gamma), float(gamma)),
-                   alpha=None if alpha is None else Profile(float(alpha), float(alpha)))
+                   gamma=None if gamma is None else Profile(gamma, gamma),
+                   alpha=None if alpha is None else Profile(alpha, alpha))
 
     def check(self, t_end: float):
         """(ts, lam, gamma, alpha) on an even grid over [0, t_end], lambda inside its bounds.
@@ -101,11 +114,10 @@ class Schedule:
         certificates record the same numbers, t_grid_end and n_grid as on the
         full grid.  ts is the read-only grid a varying coefficient is sampled on.
         """
-        ts = _grid(float(t_end))
+        ts = time_grid(float(t_end))
         lam = self.lam(ts)
-        if np.count_nonzero((lam < self.lambda_lower - LAMBDA_SLACK)
-                            | (lam > self.lambda_upper + LAMBDA_SLACK)):
-            raise ScheduleError("lambda(t) leaves its declared bounds")
+        if not in_bounds(lam, self.lambda_lower, self.lambda_upper):
+            raise ScheduleError(LEAVES_BOUNDS)
         gam = None if self.gamma is None else self.gamma(ts)
         alpha = None if self.alpha is None else self.alpha(ts)
         return ts, lam, gam, alpha

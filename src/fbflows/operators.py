@@ -93,11 +93,19 @@ class FunctionOracle:
     description: str = ""
 
 
+NOT_POSITIVE = "%s must be positive and finite, got %r"  # % (name, float value)
+
+
+def is_positive(v):
+    """Whether ``v`` is positive and finite; elementwise for an array."""
+    return (0.0 < v) & (v < math.inf)
+
+
 def positive(v, name: str, error: type = ValueError) -> float:
     """``v`` as a float; a value that is not positive and finite raises ``error``."""
     v = float(v)
-    if not 0.0 < v < math.inf:
-        raise error("%s must be positive and finite, got %r" % (name, v))
+    if not is_positive(v):
+        raise error(NOT_POSITIVE % (name, v))
     return v
 
 

@@ -1,6 +1,7 @@
 """Hypothesis certificates: frozen arithmetic, named rejections, lemma machinery."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -13,7 +14,6 @@ from fbflows.certificates import (
     GRID_SLACK,
     CertificateError,
     LemmaCoefficients,
-    _grid_slack,
     certify_fb1,
     certify_fb2,
     certify_grad1,
@@ -480,12 +480,12 @@ def check_lemma_hypotheses(coeffs: LemmaCoefficients, t_end: float, n: int = 200
         if b2t < -slack:
             raise ValueError("b2(%g) = %g negative" % (t, b2t))
         lhs = gt + dot(coeffs.gamma, t)
-        if lhs > b1t + 1.0 + _grid_slack(lhs, b1t + 1.0):
+        if lhs > b1t + 1.0 + GRID_SLACK * (1.0 + abs(lhs) + abs(b1t + 1.0)):
             raise ValueError(
                 "gamma(t) + gamma'(t) <= b1(t) + 1 fails at t=%g (%g > %g)"
                 % (t, lhs, b1t + 1.0))
         lhs = b2t + dot(coeffs.b2, t)
-        if lhs > b3t + _grid_slack(lhs, b3t):
+        if lhs > b3t + GRID_SLACK * (1.0 + abs(lhs) + abs(b3t)):
             raise ValueError(
                 "b2(t) + b2'(t) <= b3(t) fails at t=%g (%g > %g)" % (t, lhs, b3t))
 
@@ -562,3 +562,290 @@ def test_certificates_recheck_from_stored_numbers():
         assert cert.recheck()
         assert cert.decay_exponent > 0.0
         assert all(isinstance(c.name, str) for c in cert.checks)
+
+
+# --- certify_grid: every cell decided as certify_* decides it --------------
+
+def _one(call):
+    """(feasible, decay_exponent, gamma_lower, failure) of one certify_* call, as
+    float.hex; the failure is the first one, as a sweep row reports it."""
+    try:
+        cert = call()
+    except CertificateError as exc:
+        return False, None, None, exc.failures[0]
+    except ValueError as exc:
+        return False, None, None, str(exc)
+    return (True, cert.decay_exponent.hex(),
+            cert.derived.get("gamma_lower", math.nan).hex(), "")
+
+
+def _cells_of(grid):
+    assert np.isnan(grid.decay_exponent[~grid.feasible]).all()
+    assert np.isnan(grid.gamma_lower[~grid.feasible]).all()
+    return [(f, r.hex() if f else None, g.hex() if f else None, text)
+            for f, r, g, text in zip(grid.feasible.tolist(), grid.decay_exponent.tolist(),
+                                     grid.gamma_lower.tolist(), grid.failure)]
+
+
+def _around(*values):
+    """Each value and its two neighbouring floats."""
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v,
+                                        math.nextafter(v, math.inf))]
+
+
+def _edge(fails, lo, hi):
+    """The positive float between lo and hi where the decision fails(v) turns,
+    and its two neighbours: a check with slack turns a few ulps from its
+    equality, a strict one at it."""
+    f_lo = fails(lo)
+    assert fails(hi) != f_lo
+    i, j = (int(np.float64(v).view(np.int64)) for v in (lo, hi))
+    while j - i > 1:   # positive floats are ordered as their bit patterns
+        m = (i + j) // 2
+        i, j = (m, j) if fails(float(np.int64(m).view(np.float64))) == f_lo else (i, m)
+    return _around(float(np.int64(j).view(np.float64)))
+
+
+def _failed(name, call):
+    """Whether the one-cell certificate call fails the check name."""
+    try:
+        call()
+    except CertificateError as exc:
+        return name + " violated" in exc.failures
+    return False
+
+
+def _cells(rows, **columns):
+    """The columns, each extended by its entry of every row (a dict)."""
+    return {k: np.array(list(v) + [row[k] for row in rows]) for k, v in columns.items()}
+
+
+def _constant(v):
+    return Profile(v, v)
+
+
+FB1_STEP = "1/beta + lambda_upper/(2*alpha) <= rho + 1/eta"
+
+
+def _fb1_cells(rng, rho, beta, n=60):
+    lo = rng.uniform(0.2, 3.0, n)
+    rows = []
+    for lam, alpha in [(1.0, 0.4), (0.7, 1.1)]:
+        cell = {"lambda_lower": lam, "lambda_upper": 1.5 * lam, "alpha": alpha, "eta": 1.0}
+        equality = 1.0 / (1.0 / beta + 1.5 * lam / (2.0 * alpha) - rho)
+        rows += [{**cell, "alpha": a} for a in _around(2.0 * rho * beta * beta * lam)]
+        if equality > 0.0:   # else every eta passes the step inequality
+            rows += [{**cell, "eta": e} for e in _edge(
+                lambda e: _failed(FB1_STEP, lambda: certify_fb1(rho, beta, *{
+                    **cell, "eta": e}.values())), 0.5 * equality, 2.0 * equality)]
+    base = {"lambda_lower": 1.0, "lambda_upper": 1.0, "alpha": 0.5, "eta": 1.0}
+    rows += [{**base, k: v} for k, v in [("alpha", 0.0), ("eta", math.inf),
+                                         ("lambda_upper", 0.1), ("lambda_lower", math.nan)]]
+    return _cells(rows, lambda_lower=lo, lambda_upper=lo * rng.choice([1.0, 1.5], n),
+                  alpha=rng.uniform(-0.2, 4.0, n), eta=rng.uniform(-0.5, 3.0, n))
+
+
+def _grad1_cells(rng, rho, beta, n=40):
+    rows = [{"lambda_lower": 1.0, "alpha": v} for v in (0.0, -1.0)]
+    for lam in (1.0, 1.3):
+        bound = 2.0 * lam * beta * rho * rho
+        rows += [{"lambda_lower": lam, "alpha": a} for a in _edge(
+            lambda a: _failed("alpha <= 2*lambda_lower*beta*rho^2",
+                              lambda: certify_grad1(rho, beta, lam, a)),
+            0.5 * bound, 2.0 * bound)]
+    return _cells(rows, lambda_lower=rng.uniform(0.2, 3.0, n),
+                  alpha=rng.uniform(-0.2, 3.0, n))
+
+
+FB2_WINDOW = ("(1 + sqrt(1 + 4*theta(t)))/2 <= gamma(t)", "gamma(t) <= 1 + K*lambda(t)")
+
+
+@functools.lru_cache
+def _fb2_cells(rho, beta, n=60):
+    rng = np.random.default_rng([2, int(rho * 100), int(beta * 100)])
+    # random cells around the suggested constants of two anchors (alpha, delta)
+    anchors = [(0.3, min(0.5, 0.45 / (beta * rho))), (0.2, min(0.35, 0.3 / (beta * rho)))]
+    picks = [suggest_constants_fb2(rho, beta, a, d) for a, d in anchors]
+    rows = []
+    for (alpha, delta), pick in zip(anchors, picks):
+        cell = {"alpha": alpha, "delta": delta, "lam": pick.lam, "gamma": pick.gamma}
+        theta = certificates._fb2_constants(rho, beta, alpha, delta)[3]
+
+        def fails(name, g):
+            return _failed(name, lambda: certify_fb2(
+                rho, beta, alpha, delta, Schedule.constant(pick.lam, gamma=g)))
+        for name, (lo, hi) in zip(FB2_WINDOW, [(1.0, pick.gamma), (pick.gamma, 1e3)]):
+            rows += [{**cell, "gamma": g} for g in _edge(lambda g: fails(name, g), lo, hi)]
+        rows += [{**cell, "lam": x} for x in _around(2.0 / theta)]
+        rows += [{**cell, "delta": d} for d in _around(1.0 / (beta * rho))]
+    base = {"alpha": 0.5, "delta": 0.5, "lam": 40.0, "gamma": 11.0}
+    rows += [{**base, k: v} for k, v in [
+        ("alpha", 0.0), ("alpha", 1.0), ("delta", 1.0), ("alpha", math.nan),
+        ("delta", -math.inf), ("alpha", -0.05), ("delta", 1.05)]]
+    k = rng.integers(0, 2, n)
+    return _cells(rows, alpha=[anchors[i][0] * rng.uniform(0.5, 1.5) for i in k],
+                  delta=[anchors[i][1] * rng.uniform(0.7, 1.3) for i in k],
+                  lam=[picks[i].lam * rng.uniform(0.6, 1.6) for i in k],
+                  gamma=[picks[i].gamma * rng.uniform(0.8, 1.2) for i in k])
+
+
+GRAD2_WINDOWS = {
+    "lam": ("alpha(t)/(beta*rho^2) <= lambda(t)",
+            "lambda(t) <= (beta/2)*(alpha(t) + alpha(t)^2)"),
+    "gamma": ("(1 + sqrt(1 + 8*lambda(t)/beta))/2 <= gamma(t)", "gamma(t) <= 1 + alpha(t)"),
+}
+
+
+@functools.lru_cache
+def _grad2_cells(rho, beta, n=60):
+    rng = np.random.default_rng([3, int(rho * 100), int(beta * 100)])
+    # random cells around the suggested constants of two anchor floors
+    floor = max(2.0 / (beta * beta * rho * rho) - 1.0, 1.0)
+    anchors = [1.2 * floor + 0.3, 1.5 * floor + 0.5]
+    picks = [suggest_constants_grad2(min(rho, 1.0 / beta), beta, a) for a in anchors]
+    rows = []
+    for a, pick in zip(anchors, picks):
+        cell = {"alpha": a, "lam": pick.lam, "gamma": pick.gamma, "alpha_bar": a}
+
+        def fails(name, key, v):
+            c = {**cell, key: v}
+            return _failed(name, lambda: certify_grad2(
+                rho, beta, Schedule.constant(c["lam"], gamma=c["gamma"], alpha=a),
+                alpha_bar=c["alpha_bar"]))
+        for key, names in GRAD2_WINDOWS.items():
+            for name, (lo, hi) in zip(names, [(1e-3, cell[key]), (cell[key], 1e4)]):
+                rows += [{**cell, key: v}
+                         for v in _edge(lambda v: fails(name, key, v), lo, hi)]
+        rows += [{**cell, "alpha_bar": b} for b in _around(1.0) + _edge(
+            lambda b: fails("inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1)",
+                            "alpha_bar", b), 1.0, 2.0 * a)]
+    rows += [{**cell, "alpha_bar": b} for b in (0.0, -1.0, math.inf, math.nan)]
+    k = rng.integers(0, 2, n)
+    alpha = np.array([anchors[i] for i in k]) * rng.uniform(0.9, 1.2, n)
+    return _cells(rows, alpha=alpha, lam=[picks[i].lam * rng.uniform(0.9, 1.1) for i in k],
+                  gamma=[picks[i].gamma * rng.uniform(0.95, 1.05) for i in k],
+                  alpha_bar=alpha * rng.choice([1.0, 0.9, 1.01], n))
+
+
+def _schedule(cells, j, keys, bounds=None, **shared):
+    """Cell j's Schedule of the coefficients keys: each one a shared callable or
+    the cell's constant Profile."""
+    fields = {k: shared.get(k) or _constant(float(cells[k][j])) for k in keys}
+    lower, upper = bounds or (fields["lam"].start,) * 2
+    return Schedule(lambda_lower=lower, lambda_upper=upper, **fields)
+
+
+INSTANCES = [(1.0, 1.0), (1.0, 0.25), (0.5, 1.3), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("rho, beta", INSTANCES)
+def test_grid_matches_certify_fb1_and_grad1(rho, beta):
+    rng = np.random.default_rng([1, int(rho * 100), int(beta * 100)])
+    cells = _fb1_cells(rng, rho, beta)
+    grid = certificates.certify_grid("fb1", rho, beta, cells)
+    assert _cells_of(grid) == [
+        _one(lambda: certify_fb1(rho, beta, *(float(cells[k][j]) for k in cells)))
+        for j in range(len(cells["alpha"]))]
+    cells = _grad1_cells(rng, rho, beta)
+    grid = certificates.certify_grid("grad1", rho, beta, cells)
+    assert _cells_of(grid) == [
+        _one(lambda: certify_grad1(rho, beta, *(float(cells[k][j]) for k in cells)))
+        for j in range(len(cells["alpha"]))]
+    assert grid.feasible.any() and not grid.feasible.all()
+
+
+RAMPS = {
+    "constant": {},
+    "gamma-ramp": {"gamma": Profile(11.5, 10.9, 0.2)},
+    "lambda-ramp": {"lam": Profile(45.0, 40.0, 0.3), "bounds": (40.0, 45.0)},
+    "lambda-escapes": {"lam": lambda t: 40.0 + 0.5 * t, "bounds": (40.0, 45.0)},
+}
+
+
+@pytest.mark.parametrize("shared", RAMPS.values(), ids=RAMPS.keys())
+@pytest.mark.parametrize("rho, beta", INSTANCES)
+def test_grid_matches_certify_fb2(rho, beta, shared):
+    cells = _fb2_cells(rho, beta)
+    n = len(cells["alpha"])
+    grid_cells = {**cells, **shared, "lambda_lower": cells["lam"],
+                  "lambda_upper": cells["lam"]}
+    if "bounds" in shared:
+        grid_cells["lambda_lower"], grid_cells["lambda_upper"] = grid_cells.pop("bounds")
+    grid = certificates.certify_grid("fb2", rho, beta, grid_cells, t_grid_end=20.0)
+    expected = [_one(lambda: certify_fb2(rho, beta, cells["alpha"][j], cells["delta"][j],
+                                         _schedule(cells, j, ("lam", "gamma"), **shared),
+                                         t_grid_end=20.0))
+                for j in range(n)]
+    assert _cells_of(grid) == expected
+    assert len({e[3] for e in expected}) >= 4   # several different first failures
+
+
+GRAD2_KEYS = ("lam", "gamma", "alpha")
+GRAD2_RAMPS = {
+    "constant": {},
+    "alpha-ramp": {"alpha": Profile(1.9, 1.5, 0.5)},
+    "gamma-ramp": {"gamma": Profile(2.6, 2.45, 0.2)},
+    "lambda-ramp": {"lam": Profile(1.8, 1.7, 0.4), "bounds": (1.7, 1.8)},
+}
+
+
+@pytest.mark.parametrize("shared", GRAD2_RAMPS.values(), ids=GRAD2_RAMPS.keys())
+@pytest.mark.parametrize("rho, beta", INSTANCES)
+def test_grid_matches_certify_grad2(rho, beta, shared):
+    cells = _grad2_cells(rho, beta)
+    n = len(cells["alpha"])
+    grid_cells = {**cells, **shared, "lambda_lower": cells["lam"],
+                  "lambda_upper": cells["lam"]}
+    if "bounds" in shared:
+        grid_cells["lambda_lower"], grid_cells["lambda_upper"] = grid_cells.pop("bounds")
+    grid = certificates.certify_grid("grad2", rho, beta, grid_cells, t_grid_end=20.0)
+    expected = [_one(lambda: certify_grad2(rho, beta, _schedule(cells, j, GRAD2_KEYS, **shared),
+                                           alpha_bar=float(cells["alpha_bar"][j]),
+                                           t_grid_end=20.0))
+                for j in range(n)]
+    assert _cells_of(grid) == expected
+    # no alpha_bar: a constant alpha(t) is its own floor
+    if not shared:
+        del grid_cells["alpha_bar"]
+        grid = certificates.certify_grid("grad2", rho, beta, grid_cells, t_grid_end=20.0)
+        assert _cells_of(grid) == [
+            _one(lambda: certify_grad2(rho, beta, _schedule(cells, j, GRAD2_KEYS),
+                                       t_grid_end=20.0))
+            for j in range(n)]
+
+
+def test_grid_needs_alpha_bar_for_a_varying_alpha():
+    cells = {"lam": np.array([1.7, 1.8]), "lambda_lower": np.array([1.7, 1.8]),
+             "lambda_upper": np.array([1.7, 1.8]), "gamma": 2.45,
+             "alpha": Profile(1.6, 1.5, 0.5)}
+    with pytest.raises(ValueError, match="alpha_bar required"):
+        certificates.certify_grid("grad2", 1.0, 1.0, cells)
+
+
+# --- a non-finite side fails its check ---------------------------------------
+
+def test_a_nonstrict_check_with_an_infinite_side_fails():
+    assert not certificates.Check("x", lhs=math.inf, rhs=math.inf, slack=math.inf).ok
+    assert not certificates.Check("x", lhs=1.0, rhs=math.inf).ok
+    assert not certificates.Check("x", lhs=-math.inf, rhs=1.0).ok
+    assert certificates.Check("x", lhs=1.0, rhs=math.inf, strict=True).ok
+    # through a certificate: a callable alpha(t) that answers inf at every time
+    sched = Schedule(lam=_constant(1.5), lambda_lower=1.5, lambda_upper=1.5,
+                     gamma=_constant(2.4), alpha=lambda t: math.inf)
+    with pytest.raises(CertificateError) as exc:
+        certify_grad2(1.0, 1.0, sched, alpha_bar=1.5)
+    assert exc.value.failures[0] == (
+        "inf alpha(t) >= max(alpha_bar, 2/(beta^2*rho^2) - 1) violated")
+
+
+def test_infinite_grad2_floors_raise():
+    # both certified with gamma_lower = inf and alpha_floor = inf before
+    with pytest.raises(ValueError, match="alpha_bar must be positive and finite, got inf"):
+        certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.4, alpha=1.5),
+                      alpha_bar=math.inf)
+    with pytest.raises(ScheduleError, match="must be positive and finite, got inf"):
+        certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.4, alpha=math.inf))
+    sched = Schedule(lam=_constant(1.5), lambda_lower=1.5, lambda_upper=1.5,
+                     gamma=_constant(2.4), alpha=_constant(math.inf))
+    with pytest.raises(ValueError, match="alpha_bar must be positive and finite, got inf"):
+        certify_grad2(1.0, 1.0, sched)

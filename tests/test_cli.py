@@ -653,6 +653,61 @@ def test_sweep_grad2_golden(tmp_path):
     assert digest == "a2871842484ca9bcbf1b7026dbdaa616a994ee8e703f399f2797ab3758f21182"
 
 
+# Goldens over every system: feasible cells, input-range failures and checks
+# failing at a ramp's far end.  Each pins the sweep.csv sha256 and the summary lines.
+SWEEP_GOLDENS = {
+    "fb1-positive": (
+        {"problem": "skew-rotation", "system": "fb1",
+         "params": {"alpha": 0.5, "eta": 1.0,
+                    "lambda": {"profile": "exp_ramp", "start": 1.2, "end": 0.8,
+                               "rate": 0.3}},
+         "sweep": {"alpha": {"values": [-0.5, 0.25, 0.5, 1.0, 1.6, 2.5]},
+                   "eta": {"values": [-1.0, 0.0, 0.25, 0.5, 1.0, 4.0]}}},
+        "91f04985a0a056a7ec8917e44d05ff30aebd0e680f6f276f670179528a56ce31",
+        ["sweep over alpha+eta: 6/36 cells feasible",
+         "best decay exponent 0.275 at {'alpha': 0.5, 'eta': 0.5}"]),
+    "grad1": (
+        {"problem": "quadratic-2d", "system": "grad1",
+         "params": {"alpha": 0.5, "lambda": 1.0},
+         "sweep": {"alpha": {"values": [-0.1, 0.1, 0.25, 0.5, 1.0]},
+                   "lambda": {"values": [0.5, 1.0, 2.0]}}},
+        "f634c3e32e36974c233c524cb38321dc960212132038ac44efae089b5d8a9c9d",
+        ["sweep over alpha+lambda: 9/15 cells feasible",
+         "best decay exponent 1 at {'alpha': 1.0, 'lambda': 2.0}"]),
+    "fb2-gamma-ramp": (
+        {"problem": "skew-rotation", "system": "fb2",
+         "params": {"alpha": 0.5, "delta": 0.5, "lambda": 40.0,
+                    "gamma": {"profile": "exp_ramp", "start": 11.5, "end": 10.9,
+                              "rate": 0.2}},
+         "sweep": {"alpha": {"values": [0.05, 0.3, 0.5, 0.75, 1.0]},
+                   "delta": {"values": [0.2, 0.5, 0.8, 1.0]}}},
+        "cd6fba71646cf5504d5f483b7a7ebe573b11e44f307b5e75a3d24395a5f8e8ad",
+        ["sweep over alpha+delta: 1/20 cells feasible",
+         "best decay exponent 1 at {'alpha': 0.3, 'delta': 0.5}"]),
+    "grad2-alpha-ramp": (
+        {"problem": "quadratic-2d", "system": "grad2",
+         "params": {"alpha": {"profile": "exp_ramp", "start": 40.0, "end": 39.0,
+                              "rate": 0.5},
+                    "alpha_bar": 39.0, "lambda": 180.0, "gamma": 40.0},
+         "sweep": {"alpha_bar": {"values": [0.5, 1.0, 20.0, 39.0, 39.5]},
+                   "gamma": {"values": [36.0, 38.5, 40.0, 40.5]},
+                   "lambda": {"values": [170.0, 180.0]}}},
+        "a05810861e08439a81519314ce3591e9edc5eb0d8499492f771a82136fc5be5f",
+        ["sweep over alpha_bar+gamma+lambda: 8/40 cells feasible",
+         "best decay exponent 1 at {'alpha_bar': 20.0, 'gamma': 38.5, 'lambda': 170.0}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDENS))
+def test_sweep_goldens(tmp_path, capsys, name):
+    doc, sha, summary = SWEEP_GOLDENS[name]
+    out = tmp_path / "golden"
+    assert cli.execute(doc, "sweep", out_dir=str(out)) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == sha
+    assert capsys.readouterr().out.splitlines()[:2] == summary
+
+
 GRAD2_RAMP = {**GRAD2_VERIFY, "params": {
     "alpha": {"profile": "exp_ramp", "start": 1.6, "end": 1.5, "rate": 0.5},
     "lambda": 1.6875, "gamma": 2.4519716382329886},
@@ -703,7 +758,7 @@ PATCH_POINTS = [
     (certificates, "certify_fb2"), (flows, "fb2_rhs"), (flows.Schedule, "check"),
     (integrate, "integrate"), (integrate, "record_metrics"), (integrate, "to_csv"),
     (analysis, "verify_envelope"), (analysis, "verify_lyapunov"),
-    (problems, "audit_instance"), (cli, "_cmd_sweep"),
+    (problems, "audit_instance"), (cli, "_cmd_sweep"), (certificates, "certify_grid"),
 ]
 README_FB2 = {**FB2_VERIFY,
               "params": {**FB2_VERIFY["params"],
@@ -712,8 +767,8 @@ README_FB2 = {**FB2_VERIFY,
 
 
 @pytest.mark.parametrize("command, reached", [
-    ("verify", {name for _, name in PATCH_POINTS} - {"_cmd_sweep"}),
-    ("sweep", {"certify_fb2", "check", "_cmd_sweep"}),
+    ("verify", {name for _, name in PATCH_POINTS} - {"_cmd_sweep", "certify_grid"}),
+    ("sweep", {"certify_grid", "_cmd_sweep"}),
 ])
 def test_run_paths_reach_the_patch_points(tmp_path, monkeypatch, command, reached):
     calls = []

@@ -272,3 +272,15 @@ def test_residual_vanishes_only_at_solution():
     inst = problems.get_problem("skew-rotation")
     assert residual(inst.a, inst.b, 1.0, inst.x_star) <= 1e-9
     assert residual(inst.a, inst.b, 1.0, inst.x_star + np.array([0.1, 0.0])) > 1e-3
+
+
+def test_schedule_constant_applies_the_positive_rule_to_every_coefficient():
+    with pytest.raises(ScheduleError, match="constant damping must be positive"):
+        Schedule.constant(40.0, gamma=math.inf)
+    with pytest.raises(ScheduleError, match="constant relaxation floor must be positive"):
+        Schedule.constant(1.5, gamma=2.4, alpha=math.nan)
+    for v in (0.0, -1.0):
+        with pytest.raises(ScheduleError):
+            Schedule.constant(1.5, gamma=v)
+    sched = Schedule.constant(1.5, gamma=2, alpha=1.5)
+    assert sched.gamma == Profile(2.0, 2.0) and type(sched.gamma.start) is float
