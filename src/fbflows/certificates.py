@@ -6,15 +6,17 @@ constants, and every inequality that was verified (with the numbers that were
 compared, so the certificate can be re-checked later).  Violations raise
 CertificateError naming each failed inequality; nothing is clamped silently.
 Each system's hypotheses are written once, in ``_table``, as broadcast
-expressions; ``certify_grid`` decides them for every cell of a grid at once.
+expressions, and evaluated in one place, ``_evaluate``: ``certify_grid``
+decides them for every cell of a grid at once, a ``certify_*`` call for its
+one cell.
 
 Time-dependent conditions of the second-order systems are verified on the
-samples of ``Schedule.check``: an even grid of ``flows.GRID_POINTS`` (2000)
-points over [0, t_grid_end], slack 1e-9.  The certificate records t_grid_end
-and n_grid in its inputs; it makes no claim beyond that interval.  A constant
-coefficient is checked once at its value, which every grid point would
-repeat, so the recorded numbers, t_grid_end and n_grid are those of the full
-grid.
+even grid ``flows.time_grid`` of 2000 points over [0, t_grid_end], each
+coefficient called once on it, the lambda bounds by ``flows.in_bounds``.
+The certificate records t_grid_end and n_grid in its inputs; it makes no
+claim beyond that interval.  A constant coefficient is checked once at its
+value, which every grid point would repeat, so the recorded numbers,
+t_grid_end and n_grid are those of the full grid.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ class Check:
 
 def _decided(rows):
     """Each row (name, lhs, rhs, relative slack or None for a strict check) as
-    (name, lhs, rhs, strict, slack) at the tightest time, the first argmax of
-    lhs - rhs along the last (time) axis: numbers, or with a leading cell axis
-    one per cell."""
+    (ok, name, lhs, rhs, strict, slack) at the tightest time, the first argmax
+    of lhs - rhs along the last (time) axis: numbers, or with a leading cell
+    axis one per cell."""
     for name, lhs, rhs, rel in rows:
         if np.ndim(lhs) or np.ndim(rhs):
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
@@ -77,8 +79,8 @@ def _decided(rows):
                 k = np.argmax(lhs - rhs, axis=-1)[..., None]
                 lhs, rhs = np.take_along_axis(lhs, k, -1), np.take_along_axis(rhs, k, -1)
             lhs, rhs = lhs[..., 0], rhs[..., 0]
-        yield (name, lhs, rhs, rel is None,
-               0.0 if rel is None else rel * (1.0 + abs(lhs) + abs(rhs)))
+        slack = 0.0 if rel is None else rel * (1.0 + abs(lhs) + abs(rhs))
+        yield _holds(lhs, rhs, slack, rel is None), name, lhs, rhs, rel is None, slack
 
 
 def _steps(v):
@@ -126,23 +128,14 @@ def _fb2_constants(rho, beta, alpha, delta):
     return big_s, inv_eta, k_slope, theta_coeff
 
 
-def _floor(alpha_bar, a_t):
-    """alpha_bar, or when it is None the one value of a constant alpha(t); samples
-    over time (a 1-D array) vary."""
-    if alpha_bar is not None:
-        return alpha_bar
-    if np.ndim(a_t) == 1:
-        raise ValueError("alpha_bar required when alpha(t) is not constant")
-    return a_t
-
-
 def _table(system, rho, beta, v):
     """The input rules, rows, decay exponent and derived constants of system.
 
     ``v`` holds the inputs by name: the numbers of certify_<system>, and for a
     second-order system the samples of lam, gamma (and grad2's alpha) with
     the lambda bounds.  Numbers are numpy floats, so that a row may divide by
-    an out-of-range input, which its rule rejects.
+    an out-of-range input, which its rule rejects.  grad2's derived constants
+    include alpha_bar, resolved from a constant alpha(t) when it is None.
     """
     if system == "fb1":
         lo, hi, alpha, eta = (v[k] for k in ("lambda_lower", "lambda_upper", "alpha", "eta"))
@@ -183,10 +176,13 @@ def _table(system, rho, beta, v):
             ("gamma(t) <= 1 + K*lambda(t)", gam, 1.0 + k_slope * lam, GRID_SLACK),
             *monotonicity,
         ], 1.0, {"S": big_s, "K": k_slope, "theta_coefficient": theta_coeff,
-                 "theta": theta_floor, "gamma_lower": gamma_lower}
+                 "theta": theta_floor, "gamma_lower": gamma_lower, "eta": 1.0 / inv_eta}
 
-    a_t = v["alpha"]
-    alpha_bar = _floor(v.get("alpha_bar"), a_t)
+    a_t, alpha_bar = v["alpha"], v.get("alpha_bar")
+    if alpha_bar is None:   # the one value of a constant alpha(t); samples over time vary
+        if np.ndim(a_t) == 1:
+            raise ValueError("alpha_bar required when alpha(t) is not constant")
+        alpha_bar = a_t
     rules = _positive(rho=rho, beta=beta) + bounds + _positive(alpha_bar=alpha_bar)
     floor = np.maximum(alpha_bar, 2.0 / (beta * beta * rho * rho) - 1.0)
     gamma_lower = (1.0 + np.sqrt(1.0 + 8.0 * alpha_bar / (beta * beta * rho * rho))) / 2.0
@@ -202,7 +198,8 @@ def _table(system, rho, beta, v):
         ("gamma(t) <= 1 + alpha(t)", gam, 1.0 + a_t, GRID_SLACK),
         *monotonicity,
         ("gamma_lower > 2", 2.0, gamma_lower, None),
-    ], 1.0, {"gamma_lower": gamma_lower, "alpha_floor": floor}
+    ], 1.0, {"gamma_lower": gamma_lower, "alpha_floor": floor, "alpha_bar": alpha_bar,
+             "alpha_inf": np.min(np.atleast_1d(a_t), axis=-1)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,20 +224,52 @@ class RateCertificate:
         return all(c.ok for c in self.checks)
 
 
-def _certify_cell(system, rho, beta, v, inputs, **derived) -> RateCertificate:
-    """One cell's certificate from its table, or the error naming the first failed
-    input rule, or every failed row."""
-    with np.errstate(all="ignore"):   # an out-of-range input fails its rule, raised first
-        rules, rows, rate, table = _table(
-            system, np.float64(rho), np.float64(beta),
-            {k: x if x is None else np.asarray(x, dtype=float) for k, x in v.items()})
+def _evaluate(system, rho, beta, cells, t_grid_end):
+    """``_table`` evaluated once for every cell of ``cells`` (as certify_grid
+    takes them), each coefficient called once on the time grid.
+
+    Returns (rules, rows, rate, derived): the input rules (ok, template, name,
+    value), the rows decided at their tightest time (``_decided``), the decay
+    exponent and the derived constants.  Each number is one per cell along
+    its last axis, or one that every cell shares.
+    """
+    ts = time_grid(float(t_grid_end))
+    coefficients = ("lam", "gamma", "alpha") if system == "grad2" else ("lam", "gamma")
+
+    def value(k, x):   # a number every cell shares, or one per cell as a column (n, 1)
+        if k in coefficients and callable(x):
+            return x(ts)
+        if isinstance(x, np.ndarray):
+            x = np.reshape(x.astype(float), (-1, 1))
+        elif x is not None:
+            x = np.float64(x)
+        return x + 0.0 if k in coefficients else x  # as a Profile answers: -0.0 as +0.0
+
+    with np.errstate(all="ignore"):   # out-of-range cells are decided by their rules
+        rules, rows, rate, derived = _table(system, np.float64(rho), np.float64(beta),
+                                            {k: value(k, x) for k, x in cells.items()})
+        rows = list(_decided(rows))
+    return rules, rows, rate, derived
+
+
+def _certify_cell(system, inputs, sched=None) -> RateCertificate:
+    """certify_<system> on the numbers ``inputs`` and the schedule's fields: its
+    certificate, or the error naming its first failed input rule, or every
+    failed row.  A derived constant named like an input (grad2's alpha_bar)
+    is that input, resolved."""
+    if sched is not None and sched.gamma is None:
+        raise ValueError("no gamma(t) in the schedule")
+    cells = inputs if sched is None else {**vars(sched), **inputs}
+    rules, rows, rate, derived = _evaluate(system, inputs["rho"], inputs["beta"], cells,
+                                           inputs.get("t_grid_end", GRID_END))
     _check_inputs(rules)
-    checks = tuple(Check(name, float(lhs), float(rhs), strict, float(slack))
-                   for name, lhs, rhs, strict, slack in _decided(rows))
-    failed = [c.name + " violated" for c in checks if not c.ok]
+    failed = [name + " violated" for ok, name, *_ in rows if not ok]
     if failed:
         raise CertificateError(failed)
-    derived = {k: float(x) for k, x in {**table, **derived}.items()}
+    checks = tuple(Check(name, float(lhs), float(rhs), strict, float(slack))
+                   for _, name, lhs, rhs, strict, slack in rows)
+    derived = {k: float(x) for k, x in derived.items()}
+    inputs = {**inputs, **{k: derived.pop(k) for k in list(derived) if k in inputs}}
     transient = derived["gamma_lower"] - 1.0 if "gamma_lower" in derived else None
     return RateCertificate(system, inputs, derived, float(rate), transient, checks)
 
@@ -258,9 +287,8 @@ def certify_fb1(rho: float, beta: float, lambda_lower: float, lambda_upper: floa
     C = (2*rho*lambda_lower - alpha/beta^2) / (2*rho + 1/eta) and the distance
     envelope is ||x0 - x*||^2 * exp(-C*t).
     """
-    inputs = {"rho": rho, "beta": beta, "lambda_lower": lambda_lower,
-              "lambda_upper": lambda_upper, "alpha": alpha, "eta": eta}
-    return _certify_cell("fb1", rho, beta, inputs, inputs)
+    return _certify_cell("fb1", {"rho": rho, "beta": beta, "lambda_lower": lambda_lower,
+                                 "lambda_upper": lambda_upper, "alpha": alpha, "eta": eta})
 
 
 def certify_grad1(rho: float, beta: float, lambda_lower: float,
@@ -271,57 +299,41 @@ def certify_grad1(rho: float, beta: float, lambda_lower: float,
     g(x(t)) - g(x*); through (rho/2)*||x - x*||^2 <= gap it also bounds the
     squared distance.
     """
-    inputs = {"rho": rho, "beta": beta, "lambda_lower": lambda_lower, "alpha": alpha}
-    return _certify_cell("grad1", rho, beta, inputs, inputs)
+    return _certify_cell("grad1", {"rho": rho, "beta": beta, "lambda_lower": lambda_lower,
+                                   "alpha": alpha})
 
 
 # ---------------------------------------------------------------------------
 # second-order forward-backward
 
 
-def _fb2_inputs(rho, beta, alpha, delta):
-    """Check rho and beta positive, alpha and delta in (0, 1); alpha and delta as floats."""
-    alpha, delta = float(alpha), float(delta)
-    _check_inputs(_fb2_rules(rho, beta, alpha, delta))
-    return alpha, delta
-
-
 def fb2_eta(rho: float, beta: float, alpha: float, delta: float) -> float:
     """The step scale eta of the second-order forward-backward flow.
 
     1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta - rho; the result is nan
-    unless 1/eta > 0.  The inputs are validated as in certify_fb2.
+    unless 1/eta > 0.  The inputs are validated by certify_fb2's input rules.
     """
-    inv_eta = _fb2_constants(rho, beta, *_fb2_inputs(rho, beta, alpha, delta))[1]
+    alpha, delta = float(alpha), float(delta)
+    _check_inputs(_fb2_rules(rho, beta, alpha, delta))
+    inv_eta = _fb2_constants(rho, beta, alpha, delta)[1]
     return 1.0 / inv_eta if inv_eta > 0.0 else math.nan
-
-
-def _samples(sched: Schedule, t_grid_end: float) -> dict:
-    """The schedule's samples and lambda bounds, by the names of _table."""
-    _, lam, gam, a_t = sched.check(t_grid_end)
-    return {"lam": lam, "gamma": gam, "alpha": a_t, "lambda_lower": sched.lambda_lower,
-            "lambda_upper": sched.lambda_upper}
 
 
 def certify_fb2(rho: float, beta: float, alpha: float, delta: float,
                 sched: Schedule, t_grid_end: float = GRID_END) -> RateCertificate:
     """Certify the damped second-order forward-backward flow.
 
-    Derives eta with ``fb2_eta``, 1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta
-    - rho, then checks on a grid that theta(t) stays below its lambda-quadratic
-    bound, that theta at lambda_lower exceeds 2, that gamma(t) lies in
-    [(1+sqrt(1+4*theta(t)))/2, 1 + K*lambda(t)], and that gamma and
-    gamma/lambda are nonincreasing.  The envelope combines a transient
-    exp(-(gamma_lower-1)*t) with a final exp(-t).
+    Derives eta, 1/eta = (1/beta + 1/(4*rho*beta^2*alpha))/delta - rho (the
+    value of ``fb2_eta``), then checks on a grid that theta(t) stays below
+    its lambda-quadratic bound, that theta at lambda_lower exceeds 2, that
+    gamma(t) lies in [(1+sqrt(1+4*theta(t)))/2, 1 + K*lambda(t)], and that
+    gamma and gamma/lambda are nonincreasing.  The envelope combines a
+    transient exp(-(gamma_lower-1)*t) with a final exp(-t).
     """
-    alpha, delta = _fb2_inputs(rho, beta, alpha, delta)
-    if sched.gamma is None:
-        raise ValueError("no gamma(t) in the schedule")
-    inputs = {"rho": rho, "beta": beta, "alpha": alpha, "delta": delta,
-              "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
-              "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
-    return _certify_cell("fb2", rho, beta, {**_samples(sched, t_grid_end), **inputs},
-                         inputs, eta=fb2_eta(rho, beta, alpha, delta))
+    return _certify_cell("fb2", {
+        "rho": rho, "beta": beta, "alpha": float(alpha), "delta": float(delta),
+        "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
+        "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}, sched)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,7 +359,8 @@ def suggest_constants_fb2(rho: float, beta: float, alpha: float,
     certify_fb2, so an infeasible input raises its CertificateError; eta is
     the certificate's.
     """
-    alpha, delta = _fb2_inputs(rho, beta, alpha, delta)
+    alpha, delta = float(alpha), float(delta)
+    _check_inputs(_fb2_rules(rho, beta, alpha, delta))
     _, _, k_slope, theta_coeff = _fb2_constants(rho, beta, alpha, delta)
     # theta(lam) = theta_coeff*lam <= K*lam + K^2*lam^2 holds for
     # lam >= (theta_coeff - K)/K^2; theta > 2 needs lam > 2/theta_coeff.
@@ -376,18 +389,12 @@ def certify_grad2(rho: float, beta: float, sched: Schedule,
     floor, the lambda and gamma windows on a grid, and the two monotonicity
     conditions.
     """
-    _check_inputs(_positive(rho=rho, beta=beta))
     if sched.alpha is None:
         raise ValueError("no alpha(t) in the schedule")
-    if sched.gamma is None:
-        raise ValueError("no gamma(t) in the schedule")
-    v = _samples(sched, t_grid_end)
-    alpha_bar = float(_floor(alpha_bar, v["alpha"]))
-    inputs = {"rho": rho, "beta": beta, "alpha_bar": alpha_bar,
-              "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
-              "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}
-    return _certify_cell("grad2", rho, beta, {**v, "alpha_bar": alpha_bar}, inputs,
-                         alpha_inf=np.min(v["alpha"]))
+    return _certify_cell("grad2", {
+        "rho": rho, "beta": beta, "alpha_bar": alpha_bar,
+        "lambda_lower": sched.lambda_lower, "lambda_upper": sched.lambda_upper,
+        "t_grid_end": float(t_grid_end), "n_grid": GRID_POINTS}, sched)
 
 
 def suggest_constants_grad2(rho: float, beta: float,
@@ -440,34 +447,22 @@ def certify_grid(system: str, rho: float, beta: float, cells: dict,
     failure is its first out-of-range input's text or "<check> violated".
     """
     n = max([np.size(x) for x in cells.values() if isinstance(x, np.ndarray)], default=1)
-    ts = time_grid(float(t_grid_end))
-    coefficients = ("lam", "gamma", "alpha") if system == "grad2" else ("lam", "gamma")
+    rules, rows, rate, derived = _evaluate(system, rho, beta, cells, t_grid_end)
 
-    def column(x):   # (n, 1), or (1, 1) for a value every cell shares
-        return np.reshape(np.asarray(x, dtype=float), (-1, 1))
+    def each(x):   # one number per cell
+        return np.broadcast_to(np.ravel(x), (n,))
 
-    def value(k, x):
-        if k in coefficients:   # a constant answers as a Profile: -0.0 comes out as +0.0
-            return x(ts) if callable(x) else column(x) + 0.0
-        return None if x is None else column(x)
-
-    with np.errstate(all="ignore"):   # out-of-range cells are decided by their rules
-        rules, rows, rate, derived = _table(system, np.float64(rho), np.float64(beta),
-                                            {k: value(k, x) for k, x in cells.items()})
-        failed = np.empty((len(rules) + len(rows), n), dtype=bool)  # checks x cells
-        for i, ok in enumerate([ok for ok, *_ in rules]
-                               + [_holds(lhs, rhs, slack, strict)
-                                  for _, lhs, rhs, strict, slack in _decided(rows)]):
-            failed[i] = ~np.reshape(ok, -1)
+    failed = np.empty((len(rules) + len(rows), n), dtype=bool)   # checks x cells
+    for i, (ok, *_) in enumerate(rules + rows):
+        failed[i] = ~np.ravel(ok)
     first = np.argmax(failed, axis=0)  # each cell's first failure: the first True down
     feasible = ~failed[first, np.arange(n)]
-    texts = np.array([""] + [None] * len(rules) + [row[0] + " violated" for row in rows])
+    texts = np.array([""] + [None] * len(rules) + [row[1] + " violated" for row in rows])
     failure = texts[np.where(feasible, 0, first + 1)].tolist()
     for j in np.flatnonzero(~feasible & (first < len(rules))).tolist():
         _, template, name, x = rules[first[j]]
-        failure[j] = _text(template, name, x if name is None
-                           else np.broadcast_to(column(x), (n, 1))[j, 0])
-    return GridVerdict(feasible, *(np.where(feasible, column(x)[:, 0], math.nan) for x in (
+        failure[j] = _text(template, name, x if name is None else each(x)[j])
+    return GridVerdict(feasible, *(np.where(feasible, each(x), math.nan) for x in (
         rate, derived.get("gamma_lower", math.nan))), failure)
 
 
@@ -477,21 +472,20 @@ def certify_grid(system: str, rho: float, beta: float, cells: dict,
 
 @dataclasses.dataclass(frozen=True)
 class LemmaCoefficients:
-    """Coefficients b1, b2, b3 and damping gamma feeding the decay lemma.
+    """The coefficient b2 and the damping gamma of the decay lemma.
 
     The lemma: if h >= 0 obeys h'' + gamma(t) h' <= -b1(t) h - b2(t) h'' ...
-    in its integrated form with these coefficients, the Lyapunov quantity
+    in its integrated form, the Lyapunov quantity
     L(t) = e^t h'(t) + (gamma(t)-1) e^t h(t) + b2(t) e^t u(t) is nonincreasing
     from its initial value M (``lemma_M``), and h obeys ``lemma_bound`` with
-    the certificate's gamma_lower.  Each coefficient takes a float t or an
-    array of times, and a constant may answer an array with its one value;
-    ``analysis.verify_lyapunov`` calls gamma and b2 once on the sample times.
-    Exposed for Lyapunov testing.
+    the certificate's gamma_lower.  L needs only b2 and gamma; b1 and b3
+    enter the lemma's hypotheses, which the certificate's checks imply.  Each
+    coefficient takes a float t or an array of times, and a constant may
+    answer an array with its one value; ``analysis.verify_lyapunov`` calls
+    gamma and b2 once on the sample times.
     """
 
-    b1: Callable[[float], float]
     b2: Callable[[float], float]
-    b3: Callable[[float], float]
     gamma: Callable[[float], float]
 
 
@@ -500,20 +494,16 @@ def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,
     """Proof-level coefficients of the second-order forward-backward flow.
 
     With S = 1/beta + 1/(4*rho*beta^2*alpha) and 1/eta = S/delta - rho:
-    b1 = lambda(t)*2*rho*(1-alpha)/(2*rho + 1/eta),
-    b2 = (gamma/lambda)*(rho + 1/eta - S)/(2*rho + 1/eta),
-    b3 = gamma^2*(rho + 1/eta - S)/(lambda*(2*rho + 1/eta)) - 1.
+    b2 = (gamma/lambda)*(rho + 1/eta - S)/(2*rho + 1/eta).
     """
     if sched.gamma is None:
         raise ValueError("need a damping gamma(t)")
-    big_s, inv_eta, k_slope, _ = _fb2_constants(rho, beta, alpha, delta)
+    big_s, inv_eta, _, _ = _fb2_constants(rho, beta, alpha, delta)
     numer = rho + inv_eta - big_s      # equals S*(1-delta)/delta
     denom = 2.0 * rho + inv_eta        # equals rho + S/delta
     ratio = numer / denom
     return LemmaCoefficients(
-        b1=lambda t: k_slope * sched.lam(t),
         b2=lambda t: (sched.gamma(t) / sched.lam(t)) * ratio,
-        b3=lambda t: sched.gamma(t) ** 2 * ratio / sched.lam(t) - 1.0,
         gamma=sched.gamma,
     )
 
@@ -521,15 +511,13 @@ def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,
 def grad2_lemma_coefficients(beta: float, sched: Schedule) -> LemmaCoefficients:
     """Proof-level coefficients of the second-order gradient flow.
 
-    b1 = alpha(t), b2 = gamma(t)/(2*lambda(t)), b3 = gamma^2/(2*lambda) - 1/beta.
-    Here the lemma's h is the value gap, not the squared distance.
+    b2 = gamma(t)/(2*lambda(t)).  Here the lemma's h is the value gap, not
+    the squared distance.  ``beta`` enters only the lemma's b3.
     """
     if sched.gamma is None or sched.alpha is None:
         raise ValueError("need gamma(t) and alpha(t)")
     return LemmaCoefficients(
-        b1=sched.alpha,
         b2=lambda t: sched.gamma(t) / (2.0 * sched.lam(t)),
-        b3=lambda t: sched.gamma(t) ** 2 / (2.0 * sched.lam(t)) - 1.0 / beta,
         gamma=sched.gamma,
     )
 

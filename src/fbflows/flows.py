@@ -24,8 +24,8 @@ class ScheduleError(ValueError):
     """A schedule leaves its declared lambda bounds."""
 
 
-GRID_POINTS = 2000   # samples of Schedule.check over [0, t_end]
-LAMBDA_SLACK = 1e-9  # how far lambda(t) may leave its declared bounds on the grid
+GRID_POINTS = 2000   # samples of a schedule's coefficients over [0, t_end]
+LAMBDA_SLACK = 1e-9  # how far lambda(t) may leave its declared bounds, plus 4 ulps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,9 +62,12 @@ LEAVES_BOUNDS = "lambda(t) leaves its declared bounds"
 
 
 def in_bounds(lam, lower, upper):
-    """Whether the samples of lambda(t) stay in [lower, upper], ``LAMBDA_SLACK`` of
-    slack; along the last (time) axis, so one answer per cell of a grid."""
-    outside = (lam < lower - LAMBDA_SLACK) | (lam > upper + LAMBDA_SLACK)
+    """Whether the samples of lambda(t) stay in [lower, upper] along the last (time)
+    axis, so one answer per cell of a grid.  The slack is ``LAMBDA_SLACK`` plus 4
+    ulps of the larger bound: at t = 0 an exp_ramp's end + (start - end) can miss
+    start by an ulp of end.  An infinite bound adds no ulps (fmax drops its nan)."""
+    slack = LAMBDA_SLACK + np.fmax(4.0 * np.spacing(np.maximum(abs(lower), abs(upper))), 0.0)
+    outside = (lam < lower - slack) | (lam > upper + slack)
     return ~np.any(np.atleast_1d(outside), axis=-1)
 
 
@@ -75,9 +78,9 @@ class Schedule:
     ``lam`` (relaxation) is required; ``gamma`` (damping) and ``alpha`` (a
     second-order relaxation floor) are optional.  Each is a Profile or any
     callable that takes a float t or a numpy array of times; a constant may
-    answer an array with its one value.  The certificates check their
-    conditions on the samples of ``check``, so they hold on that grid's
-    interval only.
+    answer an array with its one value.  The certificates call each
+    coefficient once on ``time_grid(t_grid_end)`` and decide the lambda
+    bounds by ``in_bounds``, so they hold on that grid's interval only.
     """
 
     lam: Callable[[float], float]
@@ -107,12 +110,12 @@ class Schedule:
     def check(self, t_end: float):
         """(ts, lam, gamma, alpha) on an even grid over [0, t_end], lambda inside its bounds.
 
-        The grid has ``GRID_POINTS`` points, the bounds ``LAMBDA_SLACK`` of slack.
-        Each coefficient is called once, on the whole grid; gamma and alpha are
-        None when absent.  A constant answers with its one value, which every
-        grid sample would repeat, so it is checked once at that value; the
-        certificates record the same numbers, t_grid_end and n_grid as on the
-        full grid.  ts is the read-only grid a varying coefficient is sampled on.
+        A library helper; the certificates sample the schedule through their
+        own evaluator and do not call it.  The grid is ``time_grid(t_end)``
+        (``GRID_POINTS`` points), the bounds rule ``in_bounds``.  Each
+        coefficient is called once, on the whole grid; gamma and alpha are
+        None when absent, and a constant answers with its one value.  ts is
+        the read-only grid a varying coefficient is sampled on.
         """
         ts = time_grid(float(t_end))
         lam = self.lam(ts)

@@ -216,8 +216,7 @@ def test_lyapunov_flags_uncertified_dynamics():
     osc = FlowRHS(order=2, rhs=lambda t, x, v: -x)
     traj = integrate(osc, np.array([1.0]), v0=np.zeros(1), t_end=10.0)
     metrics = record_metrics(traj, SimpleNamespace(x_star=np.zeros(1), f=None, g=None))
-    coeffs = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: 0.0,
-                               b3=lambda t: 0.0, gamma=lambda t: 3.0)
+    coeffs = LemmaCoefficients(b2=lambda t: 0.0, gamma=lambda t: 3.0)
     rep = verify_lyapunov(traj, coeffs, metrics)
     assert not rep.passed
     assert rep.max_drift_rate > rep.drift_tolerance

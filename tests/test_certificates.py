@@ -184,7 +184,7 @@ def test_fb2_unit_interval_validation():
 def test_fb2_schedule_violations_surface():
     sched = Schedule(lam=lambda t: 40.0 + t, lambda_lower=40.0, lambda_upper=40.0,
                      gamma=lambda t: 11.0)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ValueError, match="lambda\\(t\\) leaves its declared bounds"):
         certify_fb2(1.0, 1.0, 0.5, 0.5, sched)
 
 
@@ -464,9 +464,27 @@ def test_lemma_bound_ii_dominates_transient_term():
                 >= 1.3 * math.exp(-1.7 * t))
 
 
-def check_lemma_hypotheses(coeffs: LemmaCoefficients, t_end: float, n: int = 2000,
-                           slack: float = GRID_SLACK, h_diff: float = 1e-5) -> None:
-    """Verify the lemma's hypotheses on a grid (derivatives by central differences)."""
+def fb2_b1_b3(rho, beta, alpha, delta, sched):
+    """The lemma's b1 and b3 for fb2, with S = 1/beta + 1/(4*rho*beta^2*alpha)
+    and 1/eta = S/delta - rho: b1 = lambda(t)*2*rho*(1-alpha)/(2*rho + 1/eta)
+    and b3 = gamma^2*(rho + 1/eta - S)/(lambda*(2*rho + 1/eta)) - 1."""
+    big_s = 1.0 / beta + 1.0 / (4.0 * rho * beta * beta * alpha)
+    inv_eta = big_s / delta - rho
+    ratio = (rho + inv_eta - big_s) / (2.0 * rho + inv_eta)
+    return (lambda t: sched.lam(t) * 2.0 * rho * (1.0 - alpha) / (2.0 * rho + inv_eta),
+            lambda t: sched.gamma(t) ** 2 * ratio / sched.lam(t) - 1.0)
+
+
+def grad2_b1_b3(beta, sched):
+    """The lemma's b1 = alpha(t) and b3 = gamma^2/(2*lambda) - 1/beta for grad2."""
+    return sched.alpha, lambda t: sched.gamma(t) ** 2 / (2.0 * sched.lam(t)) - 1.0 / beta
+
+
+def check_lemma_hypotheses(coeffs: LemmaCoefficients, b1, b3, t_end: float,
+                           n: int = 2000, slack: float = GRID_SLACK,
+                           h_diff: float = 1e-5) -> None:
+    """Verify the lemma's hypotheses with coefficients b1 and b3 on a grid
+    (derivatives by central differences)."""
     ts = np.linspace(0.0, float(t_end), n)
 
     def dot(f, t):
@@ -475,7 +493,7 @@ def check_lemma_hypotheses(coeffs: LemmaCoefficients, t_end: float, n: int = 200
         return (f(t + h_diff) - f(t - h_diff)) / (2.0 * h_diff)
 
     for t in ts:
-        b1t, b2t, b3t = coeffs.b1(t), coeffs.b2(t), coeffs.b3(t)
+        b1t, b2t, b3t = b1(t), coeffs.b2(t), b3(t)
         gt = coeffs.gamma(t)
         if b2t < -slack:
             raise ValueError("b2(%g) = %g negative" % (t, b2t))
@@ -492,33 +510,33 @@ def check_lemma_hypotheses(coeffs: LemmaCoefficients, t_end: float, n: int = 200
 
 def test_fb2_lemma_coefficients_frozen():
     coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
-    assert_allclose(coeffs.b1(0.0), 10.0, rtol=1e-14)
+    b1, b3 = fb2_b1_b3(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
+    assert_allclose(b1(0.0), 10.0, rtol=1e-14)
     assert_allclose(coeffs.b2(0.0), 0.103125, rtol=1e-14)
-    assert_allclose(coeffs.b3(0.0), 0.134375, rtol=1e-14)
-    check_lemma_hypotheses(coeffs, 30.0)
+    assert_allclose(b3(0.0), 0.134375, rtol=1e-14)
+    check_lemma_hypotheses(coeffs, b1, b3, 30.0)
 
 
 def test_grad2_lemma_coefficients_frozen():
     coeffs = grad2_lemma_coefficients(1.0, GRAD2_SCHED)
-    assert_allclose(coeffs.b1(0.0), 1.5, rtol=1e-14)
+    b1, b3 = grad2_b1_b3(1.0, GRAD2_SCHED)
+    assert_allclose(b1(0.0), 1.5, rtol=1e-14)
     assert_allclose(coeffs.b2(0.0), 0.8, rtol=1e-14)
-    assert_allclose(coeffs.b3(0.0), 0.92, rtol=1e-14)
-    check_lemma_hypotheses(coeffs, 30.0)
+    assert_allclose(b3(0.0), 0.92, rtol=1e-14)
+    check_lemma_hypotheses(coeffs, b1, b3, 30.0)
 
 
 def test_lemma_coefficients_check_rejects_bad_hypotheses():
-    bad = LemmaCoefficients(b1=lambda t: 0.0, b2=lambda t: 0.0,
-                            b3=lambda t: 0.0, gamma=lambda t: 3.0)
+    zero = lambda t: 0.0
+    bad = LemmaCoefficients(b2=zero, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="b1"):
-        check_lemma_hypotheses(bad, 5.0)
-    growing_b2 = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: t,
-                                   b3=lambda t: 0.0, gamma=lambda t: 3.0)
+        check_lemma_hypotheses(bad, zero, zero, 5.0)
+    growing_b2 = LemmaCoefficients(b2=lambda t: t, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="b2"):
-        check_lemma_hypotheses(growing_b2, 5.0)
-    negative_b2 = LemmaCoefficients(b1=lambda t: 5.0, b2=lambda t: -1.0,
-                                    b3=lambda t: 0.0, gamma=lambda t: 3.0)
+        check_lemma_hypotheses(growing_b2, lambda t: 5.0, zero, 5.0)
+    negative_b2 = LemmaCoefficients(b2=lambda t: -1.0, gamma=lambda t: 3.0)
     with pytest.raises(ValueError, match="negative"):
-        check_lemma_hypotheses(negative_b2, 5.0)
+        check_lemma_hypotheses(negative_b2, lambda t: 5.0, zero, 5.0)
 
 
 def test_fb2_initial_m():

@@ -57,6 +57,21 @@ def test_certify_failure_names_inequality(tmp_path, capsys):
     assert "alpha < 2*rho*beta^2*lambda_lower violated" in err
 
 
+def test_certify_accepts_a_ramp_that_rounds_at_its_start(tmp_path):
+    # lambda(0) of this exp_ramp misses its start by an ulp of its end (1.5e-8)
+    cfg = write_config(tmp_path, {
+        "problem": "skew-rotation",
+        "system": "fb2",
+        "params": {"alpha": 0.5, "delta": 0.5, "gamma": 1e5,
+                   "lambda": {"profile": "exp_ramp", "start": 38036474.43400834,
+                              "end": 133040443.7345683, "rate": 0.5}},
+    })
+    out = tmp_path / "out"
+    assert run(["certify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert round(doc["derived"]["gamma_lower"], 2) == 10071.78
+
+
 def test_unknown_problem_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "problem": "rosenbrock",
@@ -752,6 +767,19 @@ def test_simulate_plots_the_certified_metric(tmp_path):
         assert "using 1:%d with lines title 'h'" % col in plot, command
 
 
+def test_the_benchmark_tracer_installs_and_restores_its_patches(monkeypatch):
+    # benchmarks/tracing.py looks up each name it patches by attribute, so one
+    # deleted or renamed under src/ fails here, not only in a traced run
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir,
+                                             "benchmarks"))
+    import tracing
+
+    before = (cli.execute, flows.Schedule.check, certificates.certify_fb2)
+    with tracing.instrumented(tracing.Tracer()):
+        assert cli.execute is not before[0]
+    assert (cli.execute, flows.Schedule.check, certificates.certify_fb2) == before
+
+
 # The benchmark's tracer replaces these attributes while a request runs, so a
 # run path must look each one up at call time, never bind it at import.
 PATCH_POINTS = [
@@ -767,7 +795,7 @@ README_FB2 = {**FB2_VERIFY,
 
 
 @pytest.mark.parametrize("command, reached", [
-    ("verify", {name for _, name in PATCH_POINTS} - {"_cmd_sweep", "certify_grid"}),
+    ("verify", {name for _, name in PATCH_POINTS} - {"_cmd_sweep", "certify_grid", "check"}),
     ("sweep", {"certify_grid", "_cmd_sweep"}),
 ])
 def test_run_paths_reach_the_patch_points(tmp_path, monkeypatch, command, reached):

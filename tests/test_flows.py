@@ -184,6 +184,29 @@ def test_schedule_check_allows_lambda_slack_only():
         Schedule(lam=lambda t: 1.0 - 2e-9, lambda_lower=1.0, lambda_upper=2.0).check(1.0)
 
 
+# an exp_ramp from 3.8e7 to 1.3e8: at t = 0, end + (start - end) misses start by
+# one ulp of end (1.5e-8), more than LAMBDA_SLACK alone allows
+BIG_RAMP = (38036474.43400834, 133040443.7345683)
+
+
+def test_schedule_check_allows_an_ulp_rounded_ramp_start():
+    start, end = BIG_RAMP
+    lam = Profile(start, end, 0.5)
+    assert lam(0.0) != start and lam(np.zeros(1))[0] < start - LAMBDA_SLACK
+    Schedule(lam=lam, lambda_lower=start, lambda_upper=end).check(50.0)
+    # the ulps are a few of the larger bound, not a relative slack
+    with pytest.raises(ScheduleError):
+        Schedule(lam=lambda t: start - 1e-7, lambda_lower=start,
+                 lambda_upper=end).check(1.0)
+
+
+def test_schedule_check_with_an_infinite_upper_bound_keeps_the_lower_one():
+    Schedule(lam=lambda t: 1.0 - 0.5e-9, lambda_lower=1.0, lambda_upper=math.inf).check(1.0)
+    with pytest.raises(ScheduleError):
+        Schedule(lam=lambda t: 1.0 - 2e-9, lambda_lower=1.0,
+                 lambda_upper=math.inf).check(1.0)
+
+
 def test_schedule_constant_builds_profiles():
     sched = Schedule.constant(2.0, gamma=3.0, alpha=1.5)
     assert sched.lam(7.0) == 2.0 and sched.gamma(7.0) == 3.0 and sched.alpha(7.0) == 1.5
