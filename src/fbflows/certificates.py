@@ -494,10 +494,12 @@ def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,
     """Proof-level coefficients of the second-order forward-backward flow.
 
     With S = 1/beta + 1/(4*rho*beta^2*alpha) and 1/eta = S/delta - rho:
-    b2 = (gamma/lambda)*(rho + 1/eta - S)/(2*rho + 1/eta).
+    b2 = (gamma/lambda)*(rho + 1/eta - S)/(2*rho + 1/eta).  The inputs are
+    validated by certify_fb2's input rules.
     """
     if sched.gamma is None:
         raise ValueError("need a damping gamma(t)")
+    _check_inputs(_fb2_rules(rho, beta, alpha, delta))
     big_s, inv_eta, _, _ = _fb2_constants(rho, beta, alpha, delta)
     numer = rho + inv_eta - big_s      # equals S*(1-delta)/delta
     denom = 2.0 * rho + inv_eta        # equals rho + S/delta

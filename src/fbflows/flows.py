@@ -131,12 +131,16 @@ class FlowRHS:
     """A flow field.  order==1: rhs(t, x); order==2: rhs(t, x, v) (acceleration).
 
     A first-order field also takes a column of times (n, 1) with a block of
-    points (n, d) and returns the n velocities, one per row.
+    points (n, d) and returns the n velocities, one per row.  ``smooth``
+    declares the field free of kinks in the state, so ``integrate`` may take
+    a high-order pair; fb1_rhs, fb2_rhs, grad1_rhs and grad2_rhs set it from
+    the oracles they compose.
     """
 
     order: int
     rhs: Callable
     description: str = ""
+    smooth: bool = False
 
     def __call__(self, t, x, v=None):
         if self.order == 1:
@@ -156,7 +160,8 @@ def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
         x = np.asarray(x, dtype=float)
         return sched.lam(t) * (_forward_backward_step(a, b, eta, x) - x)
 
-    return FlowRHS(order=1, rhs=rhs, description="first-order forward-backward flow")
+    return FlowRHS(order=1, rhs=rhs, description="first-order forward-backward flow",
+                   smooth=a.smooth and b.smooth)
 
 
 def fb2_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> FlowRHS:
@@ -171,7 +176,8 @@ def fb2_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
             x - _forward_backward_step(a, b, eta, x)
         )
 
-    return FlowRHS(order=2, rhs=rhs, description="second-order forward-backward flow")
+    return FlowRHS(order=2, rhs=rhs, description="second-order forward-backward flow",
+                   smooth=a.smooth and b.smooth)
 
 
 def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
@@ -183,7 +189,8 @@ def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         return -sched.lam(t) * np.asarray(g.gradient(np.asarray(x, dtype=float)),
                                           dtype=float)
 
-    return FlowRHS(order=1, rhs=rhs, description="first-order gradient flow")
+    return FlowRHS(order=1, rhs=rhs, description="first-order gradient flow",
+                   smooth=g.smooth)
 
 
 def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
@@ -197,7 +204,8 @@ def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         grad = np.asarray(g.gradient(np.asarray(x, dtype=float)), dtype=float)
         return -sched.gamma(t) * np.asarray(v, dtype=float) - sched.lam(t) * grad
 
-    return FlowRHS(order=2, rhs=rhs, description="second-order gradient flow")
+    return FlowRHS(order=2, rhs=rhs, description="second-order gradient flow",
+                   smooth=g.smooth)
 
 
 def residual(a: ResolventOracle, b: MonotoneMap, eta: float, x) -> float:

@@ -1,12 +1,16 @@
 """Numerical integration of the flows with dense trajectory recording.
 
-The one integrator is the Dormand-Prince 5(4) embedded pair with PI
-step-size control and a 4th-order dense interpolant, so trajectories can be
-sampled on an even grid much finer than the accepted steps, with the local
-error of every step held below the tolerances of ``Adaptive``.  Second-order
-flows are integrated by state augmentation (x, v).  The module also owns the
-artifact format: ``write_csv`` (floats as ``FLOAT``, which round-trips),
-``write_json``, ``trajectory_columns``.
+One adaptive step loop runs either of two embedded Dormand-Prince pairs,
+chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
+7th-order dense interpolant, for a ``FlowRHS.smooth`` field, and DOPRI5, the
+5(4) pair with PI step-size control and a 4th-order interpolant, for any
+other (at a kink the 8th-order pair rejects more steps than it saves).
+Either way trajectories can be sampled on an even grid much finer than the
+accepted steps, with the local error of every step held below the
+tolerances of ``Adaptive``.  Second-order flows are integrated by state
+augmentation (x, v).  The module also owns the artifact format:
+``write_csv`` (floats as ``FLOAT``, which round-trips), ``write_json``,
+``trajectory_columns``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,6 +79,62 @@ class MetricSeries:
     x_star: np.ndarray
 
 
+def _combine(K, w):
+    """sum_j w[j] * K[j] over the first len(w) stages.
+
+    The axis-0 reduce adds the rows left to right onto +0.0, as a sequential
+    ``sum`` does (``K.T @ w`` would let BLAS choose the order).  Starting from
+    +0.0 the partial sum is never -0.0, so the zero entries of a tableau row
+    add nothing, bit for bit, while the stages are finite.  A single column
+    is reduced as two equal ones: numpy sums one column of 8 or more rows
+    pairwise.
+    """
+    terms = w * K[:w.shape[0]]
+    if terms.shape[1] == 1:
+        return np.add.reduce(np.broadcast_to(terms, (terms.shape[0], 2)), axis=0,
+                             initial=0.0)[:1]
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+def _rms(v) -> float:
+    return math.sqrt(np.add.reduce(np.square(v)) / v.size)
+
+
+def _columns(rows):
+    """Tableau rows as (k, 1) weight columns for ``_combine``."""
+    return tuple(np.array(row)[:, None] for row in rows)
+
+
+class _Pair(NamedTuple):
+    """An embedded Runge-Kutta pair with first-same-as-last and dense output.
+
+    Stage i >= 1 is the rhs at t + c[i]*h, y + h*_combine(K, a[i]).  The
+    argument of stage ``stages - 1`` is the new solution, so that stage is
+    the next step's first; the stages after it are the dense output's extra
+    stages, taken at accepted steps only.  ``error(K, h)`` gives the vectors
+    of the error estimate, and ``norm(h, sc, *vectors)`` their size in units
+    of the tolerance scale sc.  ``d`` weighs the dense coefficients beyond
+    the four Hermite ones.  An accepted step's ratio h_new/h is
+    0.9 * err**-expo * facold**beta (facold the previous accepted error,
+    beta the PI weight, 0 for none), clipped to [min_ratio, max_ratio]; a
+    rejected step's is 0.9 * err**-expo, at least min_ratio.  The first
+    step scales with the 1/order power of the tolerance.
+    """
+
+    name: str
+    order: int
+    stages: int
+    a: tuple
+    c: tuple
+    error: Callable
+    norm: Callable
+    d: tuple
+    expo: float
+    beta: float
+    min_ratio: float
+    max_ratio: float
+
+
 # Dormand-Prince 5(4) tableau.
 _A = (
     (),
@@ -98,35 +158,145 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
-# The tableau rows as (k, 1) weight columns: stage i combines the stages K[:i],
-# the error estimate and the dense term all seven.
-_A_W = (None,) + tuple(np.array(row)[:, None] for row in _A[1:])
 _E_W = np.array(_E)[:, None]
-_D_W = np.array(_D)[:, None]
+
+
+def _dopri5_error(K, h):
+    return (h * _combine(K, _E_W),)
+
+
+def _dopri5_norm(h, sc, err):
+    return _rms(err / sc)
+
+
+_DOPRI5 = _Pair(name="dopri5(4)-pi", order=5, stages=7, a=(None,) + _columns(_A[1:]),
+                c=_C, error=_dopri5_error, norm=_dopri5_norm, d=_columns([_D]),
+                expo=0.2 - 0.75 * 0.04, beta=0.04, min_ratio=0.2, max_ratio=10.0)
+
+# Dormand-Prince 8(5,3) tableau, with the digits of Hairer's dop853.f (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.5 and II.10).  Row 12 is the 8th-order
+# solution; rows 13-15 are the extra stages of the 7th-order dense output.
+_A8 = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
+    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+     -5.49237485713909884646569340306e-2, 0.0, 0.0, -1.08347328697249322858509316994e-4,
+     3.82571090835658412954920192323e-4, -3.40465008687404560802977114492e-4,
+     1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
+     -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+     -9.15095847217987001081870187138),
+)
+_C8 = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+       0.118350341907227396726757197510, 0.281649658092772603273242802490,
+       0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+       0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+       0.1, 0.2, 0.777777777777777777777777777778)
+# The 5th-order error weights, and the 3rd-order ones as the solution's weights
+# minus those of Hairer's 3rd-order solution, at stages 0, 8 and 11.
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+_E3 = tuple(b - _BHH.get(j, 0.0) for j, b in enumerate(_A8[12]))
+# Weights of the four dense coefficients beyond the Hermite ones, over all 16 stages.
+_D8 = (
+    (-0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0,
+     0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+     0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+     -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+     0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+     0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+     -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0,
+     0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+     -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+     0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+     -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+     -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+     0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+     -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+     0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+     0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+     0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+     -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+     0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+     -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+     0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+     -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+     0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+     0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+     -0.14972683625798562581422125276e+3),
+)
+_E5_W, _E3_W = _columns([_E5, _E3])
+
+
+def _dop853_error(K, h):
+    return _combine(K, _E5_W), _combine(K, _E3_W)
+
+
+def _dop853_norm(h, sc, err5, err3):
+    """Hairer's estimate h*e5/sqrt(n*(e5 + e3/100)), with e5 and e3 the sums of
+    squares of the scaled 5th- and 3rd-order error vectors."""
+    e5 = float(np.add.reduce(np.square(err5 / sc)))
+    if e5 == 0.0:
+        return 0.0
+    e3 = float(np.add.reduce(np.square(err3 / sc)))
+    return h * e5 / math.sqrt((e5 + 0.01 * e3) * sc.size)
+
+
+_DOP853 = _Pair(name="dop853(5,3)", order=8, stages=13, a=(None,) + _columns(_A8[1:]),
+                c=_C8, error=_dop853_error, norm=_dop853_norm, d=_columns(_D8),
+                expo=1 / 8, beta=0.0, min_ratio=1 / 3, max_ratio=6.0)
 
 _SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_PI_BETA = 0.04
-_EXPO = 0.2 - 0.75 * _PI_BETA
 
 
-def _combine(K, w):
-    """sum_j w[j] * K[j] over the first len(w) stages.
-
-    The axis-0 reduce adds the rows left to right onto +0.0, as a sequential
-    ``sum`` does (``K.T @ w`` would let BLAS choose the order).  Starting from
-    +0.0 the partial sum is never -0.0, so the zero entries of a tableau row
-    add nothing, bit for bit, while the stages are finite.
-    """
-    return np.add.reduce(w * K[:w.shape[0]], axis=0, initial=0.0)
-
-
-def _rms(v) -> float:
-    return math.sqrt(np.add.reduce(np.square(v)) / v.size)
-
-
-def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
+def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, order):
     sc = atol + rtol * np.abs(y0)
     d0, d1 = _rms(y0 / sc), _rms(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -136,30 +306,35 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / order)
     return min(100.0 * h0, h1, t_end - t0)
 
 
-def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
-    """Returns (steps, t, y, stats).
+def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
+    """Integrate with ``pair``; returns (steps, t, y, stats).
 
-    ``steps`` holds one list per field of the accepted steps: the left end, the
-    width h and the five dense-output coefficients c1..c5.
+    ``steps`` holds one list per field of the accepted steps: the left end,
+    the width h and the dense-output coefficients (y, the Hermite terms, then
+    one per column of ``pair.d``).
     """
+    a, c, error, norm = pair.a, pair.c, pair.error, pair.norm
+    last = pair.stages - 1  # the stage at the new solution (FSAL)
+    extra = range(pair.stages, len(c))  # the dense output's extra stages
+    fac_min, fac_max = 1.0 / pair.max_ratio, 1.0 / pair.min_ratio  # bounds of h/h_new
     span = t_end - t0
     t = t0
     y = np.array(y0, dtype=float)
-    K = np.empty((7, y.size))  # the stages of the current step, one per row
+    K = np.empty((len(c), y.size))  # the stages of the current step, one per row
     K[0] = fun(t, y)
     if not np.all(np.isfinite(K[0])):
         raise IntegrationError("non-finite rhs at the initial point",
                                {"t": t, "y": y.tolist()})
-    h = _initial_step(fun, t0, y, K[0], t_end, rtol, atol)
+    h = _initial_step(fun, t0, y, K[0], t_end, rtol, atol, pair.order)
     n_rhs = 2  # initial-step estimator
     n_acc = n_rej = 0
     facold = 1e-4
     rejected = False
-    steps = tuple([] for _ in range(7))
+    steps = tuple([] for _ in range(6 + len(pair.d)))
 
     while t < t_end - 1e-14 * max(span, 1.0):
         if n_acc + n_rej >= max_steps:
@@ -172,44 +347,47 @@ def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         h = min(h, t_end - t)
 
-        for i in range(1, 7):
-            yi = y + h * _combine(K, _A_W[i])
-            K[i] = fun(t + _C[i] * h, yi)
-        n_rhs += 6
-        y_new = yi  # stage 7 argument is the 5th-order solution (FSAL)
-        err_vec = h * _combine(K, _E_W)
-        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+        for i in range(1, last + 1):
+            yi = y + h * _combine(K, a[i])
+            K[i] = fun(t + c[i] * h, yi)
+        n_rhs += last
+        y_new = yi  # the last stage's argument is the solution (FSAL)
+        errors = error(K, h)
+        if not (np.isfinite(y_new).all() and all(np.isfinite(e).all() for e in errors)):
             raise IntegrationError(
                 "non-finite state during integration",
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / sc)
+        err = norm(h, sc, *errors)
 
-        fac11 = err ** _EXPO if err > 0.0 else 1e-10
+        fac11 = err ** pair.expo if err > 0.0 else 1e-10
         if err <= 1.0:
-            # accept; PI growth limited by the previous error
-            facold_term = facold ** _PI_BETA
+            # accept; a PI weight limits the growth by the previous error
+            facold_term = facold ** pair.beta
             fac = fac11 / facold_term
-            fac = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, fac / _SAFETY))
+            fac = max(fac_min, min(fac_max, fac / _SAFETY))
             h_new = h / fac
             facold = max(err, 1e-4)
 
+            for i in extra:
+                K[i] = fun(t + c[i] * h, y + h * _combine(K, a[i]))
+            n_rhs += len(extra)
             ydiff = y_new - y
             bspl = h * K[0] - ydiff
-            fields = (t, h, y, ydiff, bspl, ydiff - h * K[6] - bspl,
-                      h * _combine(K, _D_W))
+            fields = (t, h, y, ydiff, bspl, ydiff - h * K[last] - bspl,
+                      *(h * _combine(K, w) for w in pair.d))
             for column, value in zip(steps, fields):
                 column.append(value)
             t = t + h
             y = y_new
-            K[0] = K[6]
+            K[0] = K[last]
             n_acc += 1
             if rejected:
                 h_new = min(h_new, h)
             rejected = False
             h = h_new
         else:
-            h = h / min(1.0 / _MIN_FACTOR, fac11 / _SAFETY)
+            h = h / min(fac_max, fac11 / _SAFETY)
             rejected = True
             n_rej += 1
 
@@ -220,10 +398,11 @@ def _dopri5(fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
 def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
     """Sample times (every step end plus an even grid of n_dense) and the states there.
 
-    One ``searchsorted`` places every sample in its step, and the 4th-order
-    interpolant c1 + th*(c2 + (1-th)*(c3 + th*(c4 + (1-th)*c5))) is evaluated
-    once over all samples, from the inside out, gathering one coefficient at a
-    time.  Sample 0 is y0 and samples from t_fin on are y_fin, untouched.
+    One ``searchsorted`` places every sample in its step, and the interpolant
+    c0 + th*(c1 + (1-th)*(c2 + th*(c3 + ...))), its factors alternating, is
+    evaluated once over all samples, from the inside out, gathering one
+    coefficient at a time.  Sample 0 is y0 and samples from t_fin on are
+    y_fin, untouched.
     """
     lefts, widths, *coeffs = steps
     lefts = np.array(lefts, dtype=float)
@@ -243,17 +422,18 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
     th = ((tau - lefts[idx]) / np.array(widths, dtype=float)[idx])[:, None]
     one_minus = 1.0 - th
     out = ys[1:n_in]
-    np.take(np.array(coeffs[4]), idx, axis=0, out=out)
-    for k, factor in ((3, one_minus), (2, th), (1, one_minus), (0, th)):
-        out *= factor
+    np.take(np.array(coeffs[-1]), idx, axis=0, out=out)
+    for k in range(len(coeffs) - 2, -1, -1):
+        out *= th if k % 2 == 0 else one_minus
         out += np.array(coeffs[k])[idx]
     return ts, ys
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
               control: Adaptive = Adaptive(), n_dense: int = N_DENSE) -> Trajectory:
-    """Integrate a flow over [0, t_end] with DOPRI5; returns a densely sampled Trajectory.
+    """Integrate a flow over [0, t_end]; returns a densely sampled Trajectory.
 
+    A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5.
     ``control`` holds the tolerances of the local error control.
     The samples are every accepted step end plus ``n_dense`` evenly spaced
     interpolated points over [0, t_end], n_dense an integer >= 2; t_end and
@@ -287,10 +467,11 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
-    steps, t_fin, y_fin, stats = _dopri5(fun, 0.0, y0, t_end, rtol, atol)
+    pair = _DOP853 if flow.smooth else _DOPRI5
+    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol)
     ts, ys = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
     del steps  # the step data is the largest array set; free it before v
-    meta = {"solver": "dopri5(4)-pi", "rel_tol": rtol, "abs_tol": atol, **stats}
+    meta = {"solver": pair.name, "rel_tol": rtol, "abs_tol": atol, **stats}
 
     if flow.order == 2:
         x = ys[:, :dim]

@@ -58,11 +58,13 @@ class MonotoneMap:
 
     ``beta`` is the cocoercivity-style scale: the map is claimed to be
     (1/beta)-Lipschitz.  Claims are advisory; ``audit_map`` checks them.
+    ``smooth`` declares the map free of kinks (infinitely differentiable).
     """
 
     eval: Callable[[Array], Array]
     beta: float
     description: str = ""
+    smooth: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,11 +72,13 @@ class ResolventOracle:
     """A maximally monotone operator accessed only through its resolvent.
 
     ``resolve(eta, x)`` returns the unique solution p of x in p + eta*A(p), for
-    each point of x (a point (d,) or a block (n, d)).
+    each point of x (a point (d,) or a block (n, d)).  ``smooth`` declares
+    the resolvent free of kinks in x (infinitely differentiable).
     """
 
     resolve: Callable[[float, Array], Array]
     description: str = ""
+    smooth: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,15 +86,17 @@ class FunctionOracle:
     """A convex function with whatever first-order access it supports.
 
     ``prox(eta, x)`` minimizes f(p) + ||p - x||^2 / (2*eta).  ``gradient`` is
-    present only for smooth entries.  All three act on the last axis:
-    ``value`` gives a scalar for a point (d,) and an array (n,) for a block
-    (n, d).
+    present only for differentiable entries.  All three act on the last
+    axis: ``value`` gives a scalar for a point (d,) and an array (n,) for a
+    block (n, d).  ``smooth`` declares the gradient and the prox free of
+    kinks (infinitely differentiable), as for a quadratic.
     """
 
     value: Callable[[Array], Array]
     gradient: Optional[Callable[[Array], Array]] = None
     prox: Optional[Callable[[float, Array], Array]] = None
     description: str = ""
+    smooth: bool = False
 
 
 NOT_POSITIVE = "%s must be positive and finite, got %r"  # % (name, float value)
@@ -125,6 +131,7 @@ def zero_function() -> FunctionOracle:
         gradient=lambda x: np.zeros_like(as_points(x)),
         prox=lambda eta, x: as_points(x),
         description="zero",
+        smooth=True,
     )
 
 
@@ -157,6 +164,7 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
         gradient=lambda x: c * as_points(x),
         prox=lambda eta, x: as_points(x) / (1.0 + check_eta(eta) * c),
         description="scaled_sqnorm(c=%g)" % c,
+        smooth=True,
     )
 
 
@@ -195,6 +203,7 @@ def translated_linear(rho: float, c) -> FunctionOracle:
         gradient=lambda x: rho * as_points(x) - c,
         prox=lambda eta, x: (as_points(x) + check_eta(eta) * c) / (1.0 + eta * rho),
         description="translated_linear(rho=%g)" % rho,
+        smooth=True,
     )
 
 
@@ -203,10 +212,11 @@ def translated_linear(rho: float, c) -> FunctionOracle:
 
 
 def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
-    """Resolvent of the subdifferential of f, i.e. its prox map."""
+    """Resolvent of the subdifferential of f, i.e. its prox map, as smooth as f."""
     if f.prox is None:
         raise ValueError("function oracle %r has no prox" % (f.description,))
-    return ResolventOracle(resolve=f.prox, description="prox of " + f.description)
+    return ResolventOracle(resolve=f.prox, description="prox of " + f.description,
+                           smooth=f.smooth)
 
 
 def zero_operator() -> ResolventOracle:
@@ -214,15 +224,18 @@ def zero_operator() -> ResolventOracle:
     return ResolventOracle(
         resolve=lambda eta, x: (check_eta(eta), as_points(x))[1],
         description="zero operator",
+        smooth=True,
     )
 
 
 def gradient_map(g: FunctionOracle, beta: float) -> MonotoneMap:
-    """Wrap the gradient of a smooth oracle as a (1/beta)-Lipschitz map."""
+    """Wrap the gradient of a differentiable oracle as a (1/beta)-Lipschitz map,
+    as smooth as g."""
     if g.gradient is None:
         raise ValueError("function oracle %r has no gradient" % (g.description,))
     beta = positive(beta, "beta")
-    return MonotoneMap(eval=g.gradient, beta=beta, description="grad " + g.description)
+    return MonotoneMap(eval=g.gradient, beta=beta, description="grad " + g.description,
+                       smooth=g.smooth)
 
 
 # ---------------------------------------------------------------------------

@@ -65,61 +65,61 @@ GOLDEN = {
         "certificate.json":
             "d85b76302e8ea02d666f428a8e1d9f9d5e5e5cbe345b212519cd780348eabea8",
         "envelope.csv":
-            "30b7a9046847cde77c111441bce28709e1bd34ddaeb462103a2e97e55db5512b",
+            "da1ed26aecc0d7ad5ef5d4ef1c83717517a5adba9203f3aa7ef75f16d8ff6db9",
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "e58a0774a4c2dca60f876cb32986fe97e5ecd8ee970a15880427a5e640b2cc9f",
+            "79b3abd3eee64edbbdcbbd0e7639f4798a53da1410547067945dea77fa70ca7e",
         "trajectory.csv":
-            "f8c267544490e385297b230c2a020fd7323d8eb1a45be1c5bd7ce484a4c2fdca",
+            "fc52e3c216433133a1d9e6ba62ccaa9a9c6619507b7ab70b08ee7650630a7225",
     },
     "grad1": {
         "certificate.json":
             "55ead149fd15e89d1930fd994d60e905f55f3fbcf5a7dc362e0de32b1f8952b6",
         "envelope.csv":
-            "a342ea62fab9473ee2c3e42a9670e60911dd2466c03526dc72005c141e9439b8",
+            "5bfef3661d12938b6a03ee3000385d54885ac24dfef2c324874a9a817f2e2f23",
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "836efc84c1ca3b756ed919955ef2079be8e190f9bcb56238cabc950c37b2bbe9",
+            "9d997ba7d75be2c99eaadcb7869b677145bfe0551b2d0cff9d63e3b5496aa58b",
         "trajectory.csv":
-            "94b843745db95384ca6932d04aa6981b3ac8f11dd3505f3b8ce7dbe95ccfd933",
+            "ac076fd33b355d1f39461d4460d6d755fda7c747695966918ec532552bdd37f8",
     },
     "fb2": {
         "certificate.json":
             "5b0a71d7978a26ced0eb9b020134c38972e8e03065d5ab735187341ab36bab69",
         "envelope.csv":
-            "38cabd6ff81809c432aad60da9d6082d68fa446d6e7b555a1bf48458a741629d",
+            "2b96a2d61c462f5338f78de16e1293f0b479a295686003650865f32f1a81f012",
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "1672a0484ececaec5f2957233fd77a6c2667c3cd1bf4caed2b794db19cb6deb3",
+            "6c992e5bac62dcefdde87470c9cb971a3980375c5f188d3992f1dfb5b8ca10d6",
         "trajectory.csv":
-            "ed2f922124cd9ad3bde901aeead9e0cd2bad807707f6065d048e74bda772162f",
+            "b85db3bac64e61f8480429db5a28d0e5a108d02bf0a432b7d25900bde4bbc9d0",
     },
     "grad2": {
         "certificate.json":
             "dbc6d9e91eb8f014b62a6c593af26e83b9677549165b7f06144a9f82b6df51d0",
         "envelope.csv":
-            "ca14f8de8dbc3be3d7858024dc1e8b4effa63b919438e65584ac8a12d4a72c48",
+            "e1a6c31960e6b3840294fefef1375abc742a73820c5a4b50dab14c83dc8edb33",
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "9ab1eb4acc9a7168074fe0b03952e403608178af34297fa18027579ea9135dec",
+            "9055a5e09f1704a19edecd0bd9df6a58d459383a1aaba05b7c99de81c3a789e5",
         "trajectory.csv":
-            "d155c073c6bd5c8262da9b3adf8d910107b1d26253e1dd8ea0b53bd98a795a43",
+            "6af580d458f966f6342a940b03d6800bfd1f24ba2c9c9a55e57e89be9102373d",
     },
     "fb2-exp-ramp": {
         "certificate.json":
             "d31bda1a4bfcf681e8fb783bef8c7bae003de1c123ccf371048be5a68eb8fb1d",
         "envelope.csv":
-            "98ad090f77e5b9df01aa5e4726478730ba533cd8f0bd18a056564061c9886507",
+            "053e4861bd22a489351145ec9e13261774912bcae06b3486e870523ce7c68a2e",
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "82ac3136be5af70da72b1209889ed9ed738faa84ca4d0e73aaec4e5859c82a08",
+            "d280998e6e8c0e6816f5c21b66a45fc2fa0fc924e2befaed8613da232d891fd6",
         "trajectory.csv":
-            "68ce7fc340cfeb4d53be261ddb9d468beb14aea6a9fc4da88bbb106630812343",
+            "40b42fa1a4c1e4d13c9470375a550006f7692e40e9f1f28520697fc68655ef84",
     },
     "sc-lasso-fb1": {
         "certificate.json":

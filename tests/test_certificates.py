@@ -409,6 +409,17 @@ def test_fb2_eta_is_the_certificates():
         fb2_eta(1.0, 1.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_fb2_lemma_coefficients_obey_certify_fb2_input_rules(alpha):
+    # alpha = 0 once divided by zero, and alpha = 1 returned coefficients
+    with pytest.raises(ValueError) as rejected:
+        certify_fb2(1.0, 1.0, alpha, 0.5, FB2_SCHED)
+    with pytest.raises(ValueError) as exc:
+        fb2_lemma_coefficients(1.0, 1.0, alpha, 0.5, FB2_SCHED)
+    assert str(exc.value) == str(rejected.value) == (
+        "alpha must lie in (0, 1), got %r" % alpha)
+
+
 # --- decay lemma -----------------------------------------------------------
 
 def test_lemma_m_arithmetic():

@@ -774,10 +774,23 @@ def test_the_benchmark_tracer_installs_and_restores_its_patches(monkeypatch):
                                              "benchmarks"))
     import tracing
 
+    def integrator_meta(name, eta):
+        # the run path's calls: each is a patch point while the tracer is installed
+        inst = problems.get_problem(name)
+        flow = flows.fb1_rhs(inst.a, inst.b, eta, flows.Schedule.constant(1.0))
+        x0 = np.linspace(-2.0, 2.0, inst.dim)
+        return integrate.integrate(flow, x0, t_end=2.0).meta
+
+    cases = [("skew-rotation", 1.0), ("sc-lasso-20d", 0.07)]
     before = (cli.execute, flows.Schedule.check, certificates.certify_fb2)
     with tracing.instrumented(tracing.Tracer()):
         assert cli.execute is not before[0]
+        traced = [integrator_meta(*case) for case in cases]
     assert (cli.execute, flows.Schedule.check, certificates.certify_fb2) == before
+    # a traced flow keeps its smoothness, so it runs the pair (and the steps) of
+    # an untraced run: DOP853 on the smooth field, DOPRI5 on the kinked one
+    assert traced == [integrator_meta(*case) for case in cases]
+    assert [meta["solver"] for meta in traced] == ["dop853(5,3)", "dopri5(4)-pi"]
 
 
 # The benchmark's tracer replaces these attributes while a request runs, so a

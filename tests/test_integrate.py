@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from fbflows import integrate as integrate_module
 from fbflows import problems
-from fbflows.flows import FlowRHS, Profile, Schedule, fb1_rhs, fb2_rhs, grad1_rhs
+from fbflows.flows import FlowRHS, Profile, Schedule, fb1_rhs, fb2_rhs, grad1_rhs, grad2_rhs
 from fbflows.integrate import (
     Adaptive,
     IntegrationError,
@@ -23,6 +23,8 @@ DECAY = FlowRHS(order=1, rhs=lambda t, x: -x, description="dx/dt = -x")
 ZERO = FlowRHS(order=1, rhs=lambda t, x: np.zeros_like(x), description="dx/dt = 0")
 DAMPED = FlowRHS(order=2, rhs=lambda t, x, v: -3.0 * v - 2.0 * x,
                  description="x'' + 3x' + 2x = 0")
+DOPRI5, DOP853 = "dopri5(4)-pi", "dop853(5,3)"
+PAIRS = (integrate_module._DOPRI5, integrate_module._DOP853)
 
 
 def test_adaptive_exponential_decay():
@@ -63,36 +65,42 @@ def test_step_size_underflow_aborts_with_diagnostics():
     def singular(t, x):
         return np.array([1.0 / (1.0 - t)]) if t < 1.0 else np.array([1e30])
 
-    flow = FlowRHS(order=1, rhs=singular, description="derivative pole at t=1")
-    with pytest.raises(IntegrationError, match="step size underflow") as exc:
-        integrate(flow, np.array([0.0]), t_end=2.0,
-                  control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
-    diag = exc.value.diagnostics
-    assert {"t", "h", "accepted", "rejected"} <= set(diag)
-    assert 0.9 < diag["t"] <= 1.0
+    # each abort holds for both pairs: a flow declared smooth runs DOP853
+    for smooth in (False, True):
+        flow = FlowRHS(order=1, rhs=singular, description="derivative pole at t=1",
+                       smooth=smooth)
+        with pytest.raises(IntegrationError, match="step size underflow") as exc:
+            integrate(flow, np.array([0.0]), t_end=2.0,
+                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
+        diag = exc.value.diagnostics
+        assert {"t", "h", "accepted", "rejected"} <= set(diag)
+        assert 0.9 < diag["t"] <= 1.0
 
 
 def test_non_finite_state_aborts():
-    flow = FlowRHS(order=1,
-                   rhs=lambda t, x: np.array([1.0]) if t < 0.1 else np.array([np.nan]))
-    with pytest.raises(IntegrationError, match="non-finite state"):
-        integrate(flow, np.array([0.0]), t_end=1.0)
+    for smooth in (False, True):
+        flow = FlowRHS(order=1, smooth=smooth,
+                       rhs=lambda t, x: np.array([1.0]) if t < 0.1 else np.array([np.nan]))
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            integrate(flow, np.array([0.0]), t_end=1.0)
 
 
 def test_non_finite_initial_rhs_aborts():
-    flow = FlowRHS(order=1, rhs=lambda t, x: np.array([np.nan]))
-    with pytest.raises(IntegrationError, match="non-finite rhs at the initial point"):
-        integrate(flow, np.array([0.0]), t_end=1.0)
+    for smooth in (False, True):
+        flow = FlowRHS(order=1, rhs=lambda t, x: np.array([np.nan]), smooth=smooth)
+        with pytest.raises(IntegrationError, match="non-finite rhs at the initial point"):
+            integrate(flow, np.array([0.0]), t_end=1.0)
 
 
 def test_step_budget_aborts_after_max_steps():
     # dx/dt = -x over [0, 100] at tight tolerances needs far more than 5 steps
-    with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
-        integrate_module._dopri5(lambda t, y: -y, 0.0, np.array([1.0]), 100.0,
-                                 1e-10, 1e-13, max_steps=5)
-    diag = exc.value.diagnostics
-    assert diag["accepted"] + diag["rejected"] == 5
-    assert 0.0 < diag["t"] < 100.0
+    for pair in PAIRS:
+        with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
+            integrate_module._accepted_steps(pair, lambda t, y: -y, 0.0, np.array([1.0]),
+                                             100.0, 1e-10, 1e-13, max_steps=5)
+        diag = exc.value.diagnostics
+        assert diag["accepted"] + diag["rejected"] == 5
+        assert 0.0 < diag["t"] < 100.0
 
 
 def test_integrate_argument_validation():
@@ -127,14 +135,44 @@ def _readme_fb1():
     return inst, flow, np.array([3.0, -1.0]), None, 20.0, Adaptive(1e-9, 1e-12)
 
 
-def _readme_fb2():
+def _readme_fb2(sched=None):
     inst = problems.get_problem("skew-rotation")
     # the derived step: 1/eta = S/delta - rho = 2 at alpha = delta = 0.5
-    flow = fb2_rhs(inst.a, inst.b, eta=0.5, sched=Schedule.constant(40.0, gamma=11.0))
+    flow = fb2_rhs(inst.a, inst.b, eta=0.5,
+                   sched=sched or Schedule.constant(40.0, gamma=11.0))
     return inst, flow, np.array([3.0, -1.0]), np.zeros(2), 23.0, Adaptive(1e-10, 1e-13)
 
 
-@pytest.mark.parametrize("case", [_readme_fb1, _readme_fb2], ids=["fb1", "fb2"])
+def _readme_fb2_exp_ramp():
+    return _readme_fb2(Schedule(lam=Profile(60.0, 60.0), lambda_lower=60.0,
+                                lambda_upper=60.0, gamma=Profile(15.0, 14.0, 0.5)))
+
+
+IDENTITY_2D = problems.make_quadratic(np.eye(2), np.zeros(2))
+
+
+def _readme_grad1():
+    flow = grad1_rhs(IDENTITY_2D.g, Schedule.constant(1.0))
+    return IDENTITY_2D, flow, np.array([3.0, 0.0]), None, 12.0, Adaptive(1e-11, 1e-14)
+
+
+def _readme_grad2():
+    flow = grad2_rhs(IDENTITY_2D.g, Schedule.constant(1.6875, gamma=2.4519716382329886))
+    return IDENTITY_2D, flow, np.array([2.0, 1.0]), np.zeros(2), 22.0, Adaptive(1e-10, 1e-13)
+
+
+def _lasso_20d_fb1():
+    inst = problems.get_problem("sc-lasso-20d")
+    flow = fb1_rhs(inst.a, inst.b, eta=0.07, sched=Schedule.constant(1.0))
+    return inst, flow, np.linspace(-2.0, 2.0, 20), None, 30.0, Adaptive()
+
+
+REFERENCE_CASES = {"fb1": _readme_fb1, "fb2": _readme_fb2, "grad1": _readme_grad1,
+                   "grad2": _readme_grad2, "fb2-exp-ramp": _readme_fb2_exp_ramp,
+                   "sc-lasso-20d": _lasso_20d_fb1}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES.values()), ids=list(REFERENCE_CASES))
 def test_trajectory_matches_scipy_dop853_reference(case):
     # an independent integrator at far tighter tolerances, read at integrate's
     # own sample times: max |x - x_ref| / ||x0 - x*|| <= 1e-6
@@ -155,6 +193,35 @@ def test_trajectory_matches_scipy_dop853_reference(case):
     x_ref = sol.sol(traj.t)[:dim].T
     scale = np.linalg.norm(x0 - inst.x_star)
     assert np.max(np.abs(traj.x - x_ref)) / scale <= 1e-6
+
+
+def _sc_lasso_fb1(w):
+    inst = problems.make_sc_lasso(np.diag([1.0, 2.0]), np.array([1.0, -1.0]), w)
+    return fb1_rhs(inst.a, inst.b, eta=0.5, sched=Schedule.constant(1.0))
+
+
+SELECTION = {
+    "fb1-skew": (lambda: _readme_fb1()[1], DOP853),
+    "fb2-skew": (lambda: _readme_fb2()[1], DOP853),
+    "grad1-quadratic": (lambda: _readme_grad1()[1], DOP853),
+    "grad2-quadratic": (lambda: _readme_grad2()[1], DOP853),
+    "fb1-sc-lasso-w0": (lambda: _sc_lasso_fb1(0.0), DOP853),
+    "fb1-sc-lasso-w1": (lambda: _sc_lasso_fb1(1.0), DOPRI5),
+}
+
+
+@pytest.mark.parametrize("name", list(SELECTION))
+def test_flows_pick_the_pair_from_the_declared_smoothness(name):
+    build, solver = SELECTION[name]
+    flow = build()
+    assert flow.smooth == (solver == DOP853)
+    v0 = np.zeros(2) if flow.order == 2 else None
+    meta = integrate(flow, np.array([3.0, -1.0]), v0=v0, t_end=2.0).meta
+    assert meta["solver"] == solver
+    # DOP853: 12 stages per step plus the 3 dense-output stages per accepted step
+    per_step, per_accepted = (12, 3) if solver == DOP853 else (6, 0)
+    assert meta["rhs_evaluations"] == (2 + per_step * (meta["accepted"] + meta["rejected"])
+                                       + per_accepted * meta["accepted"])
 
 
 def test_record_metrics_at_rest():
@@ -241,41 +308,34 @@ def test_csv_missing_metrics_are_nan(tmp_path):
 
 def _interp_reference(steps, tau):
     """The per-sample dense output that the batched path replaced: one
-    searchsorted and one Hermite evaluation per sample time."""
+    searchsorted and one evaluation of the pair's interpolant per sample time,
+    DOPRI5's 4th-order one or DOP853's 7th-order one (Hairer's CONTD8)."""
     lefts, widths, *coeffs = steps
     idx = int(np.searchsorted(np.array(lefts), tau, side="right")) - 1
     idx = min(max(idx, 0), len(lefts) - 1)
-    c1, c2, c3, c4, c5 = (c[idx] for c in coeffs)
-    th = (tau - lefts[idx]) / widths[idx]
-    return c1 + th * (c2 + (1.0 - th) * (c3 + th * (c4 + (1.0 - th) * c5)))
+    c = [column[idx] for column in coeffs]
+    s = (tau - lefts[idx]) / widths[idx]
+    s1 = 1.0 - s
+    if len(c) == 5:
+        return c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * c[4])))
+    conpar = c[4] + s * (c[5] + s1 * (c[6] + s * c[7]))
+    return c[0] + s * (c[1] + s1 * (c[2] + s * (c[3] + s1 * conpar)))
 
 
-def _fb2_skew():
-    inst = problems.get_problem("skew-rotation")
-    sched = Schedule.constant(40.0, gamma=11.0)
-    flow = fb2_rhs(inst.a, inst.b, eta=0.25, sched=sched)
-    return flow, np.array([3.0, -1.0]), np.zeros(2), 23.0, Adaptive(1e-10, 1e-13)
-
-
-def _fb1_lasso_20d():
-    inst = problems.get_problem("sc-lasso-20d")
-    flow = fb1_rhs(inst.a, inst.b, eta=0.07, sched=Schedule.constant(1.0))
-    x0 = np.linspace(-2.0, 2.0, 20)
-    return flow, x0, None, 30.0, Adaptive()
-
-
-@pytest.mark.parametrize("case", [_fb2_skew, _fb1_lasso_20d], ids=["fb2", "sc-lasso-20d"])
-def test_dense_output_matches_per_sample_interpolation(case, monkeypatch):
-    flow, x0, v0, t_end, control = case()
+@pytest.mark.parametrize("name, solver", [("fb2", DOP853), ("sc-lasso-20d", DOPRI5)],
+                         ids=["fb2", "sc-lasso-20d"])
+def test_dense_output_matches_per_sample_interpolation(name, solver, monkeypatch):
+    _, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
     captured = []
-    dopri5 = integrate_module._dopri5
+    accepted_steps = integrate_module._accepted_steps
 
-    def keep_steps(*args):
-        captured.append(dopri5(*args))
+    def keep_steps(pair, *args):
+        captured.append(accepted_steps(pair, *args))
         return captured[-1]
 
-    monkeypatch.setattr(integrate_module, "_dopri5", keep_steps)
+    monkeypatch.setattr(integrate_module, "_accepted_steps", keep_steps)
     traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control, n_dense=700)
+    assert traj.meta["solver"] == solver
     steps, t_fin, y_fin, _ = captured[0]
     assert len(steps[0]) > 50
     ys = np.empty((traj.t.size, y_fin.size))
@@ -286,23 +346,64 @@ def test_dense_output_matches_per_sample_interpolation(case, monkeypatch):
     assert got.tobytes() == ys.tobytes()  # bitwise, signed zeros included
 
 
+def _weight_rows():
+    """Every tableau, error and dense weight row of both pairs, with its column."""
+    m = integrate_module
+    rows = list(m._A[1:]) + [m._E, m._D] + list(m._A8[1:]) + [m._E5, m._E3] + list(m._D8)
+    columns = (list(m._DOPRI5.a[1:]) + [m._E_W] + list(m._DOPRI5.d)
+               + list(m._DOP853.a[1:]) + [m._E5_W, m._E3_W] + list(m._DOP853.d))
+    return rows, columns
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 20])
 def test_stage_combination_matches_sequential_sum(dim):
     # the reduce over K[:len(w)] (zero tableau entries included) gives the bits of
     # a left-to-right sum over the nonzero entries, signed zeros and cancellations too
     rng = np.random.default_rng(dim)
-    rows = [integrate_module._A[i] for i in range(1, 7)]
-    rows += [integrate_module._E, integrate_module._D]
-    weights = list(integrate_module._A_W[1:]) + [integrate_module._E_W,
-                                                 integrate_module._D_W]
+    rows, weights = _weight_rows()
+    assert len(rows) == len(weights) == 6 + 2 + 15 + 2 + 4
     for _ in range(200):
-        K = rng.standard_normal((7, dim)) * 10.0 ** rng.uniform(-8, 8, size=(7, 1))
-        K[rng.random((7, dim)) < 0.2] = -0.0
-        K[rng.random((7, dim)) < 0.1] = 0.0
+        K = rng.standard_normal((16, dim)) * 10.0 ** rng.uniform(-8, 8, size=(16, 1))
+        K[rng.random((16, dim)) < 0.2] = -0.0
+        K[rng.random((16, dim)) < 0.1] = 0.0
         for row, w in zip(rows, weights):
             ref = sum(a * K[j] for j, a in enumerate(row) if a != 0.0)
             got = integrate_module._combine(K, w)
             assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+
+
+def test_dop853_coefficients_match_scipy():
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    m = integrate_module
+
+    def same(ours, theirs):
+        theirs = np.asarray(theirs, dtype=float)
+        assert np.array(ours, dtype=float).tobytes() == theirs[:len(ours)].tobytes()
+        assert not theirs[len(ours):].any()  # only zeros left out
+
+    for i, row in enumerate(m._A8):
+        same(row, coef.A[i])
+    same(m._C8, coef.C)
+    same(m._E5, coef.E5)
+    same(m._E3, coef.E3)
+    for row, theirs in zip(m._D8, coef.D, strict=True):
+        same(row, theirs)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=[DOPRI5, DOP853])
+def test_tableau_rows_are_consistent(pair):
+    # row sums of A give c, the solution weights sum to 1 and the error weights
+    # to 0; each entry is rounded to double, so the bound scales with sum |a_ij|
+    m = integrate_module
+    a, c = (m._A, m._C) if pair is m._DOPRI5 else (m._A8, m._C8)
+    errors = (m._E,) if pair is m._DOPRI5 else (m._E5, m._E3)
+    assert len(a) == len(c) == len(pair.c)
+    assert math.fsum(a[pair.stages - 1]) == 1.0
+    for row, target in list(zip(a[1:], c[1:])) + [(e, 0.0) for e in errors]:
+        bound = 1e-15 * math.fsum(abs(x) for x in row)
+        assert abs(math.fsum(row) - target) <= bound
+    for row, w in zip(a[1:], pair.a[1:]):
+        assert np.array(row)[:, None].tobytes() == w.tobytes()
 
 
 def _per_sample_v(flow, traj):

@@ -147,6 +147,19 @@ def test_resolvent_rejects_nonpositive_eta():
             a.resolve(eta, np.array([1.0]))
 
 
+def test_catalog_declares_smoothness_and_wrappers_inherit_it():
+    smooth = [zero_function(), scaled_sqnorm(2.0), translated_linear(1.0, [1.0, 0.0])]
+    kinked = [l1_norm(1.0), box_indicator(-1.0, 1.0), FunctionOracle(value=abs, prox=abs)]
+    assert all(f.smooth for f in smooth) and not any(f.smooth for f in kinked)
+    for f in smooth + kinked:
+        assert prox_resolvent(f).smooth == f.smooth
+    for f in smooth + [problems.get_problem("quadratic-2d").g]:
+        assert f.smooth and gradient_map(f, 0.5).smooth
+    skew = problems.get_problem("skew-rotation")
+    assert zero_operator().smooth and skew.a.smooth and skew.b.smooth
+    assert not MonotoneMap(eval=abs, beta=1.0).smooth
+
+
 def test_prox_resolvent_needs_prox():
     smooth_only = gradient_map(scaled_sqnorm(1.0), 1.0)  # noqa: F841 exercised below
     with pytest.raises(ValueError):
