@@ -239,7 +239,9 @@ def verify_lyapunov(traj: Trajectory, coeffs: LemmaCoefficients,
 
 
 def write_envelope_csv(path, t, envelope: Callable) -> None:
-    """Write ``t,envelope`` rows: the envelope tabulated at the given times."""
+    """Write ``t,envelope`` rows: the envelope tabulated at the given times,
+    which ``verify`` takes from the trajectory's even grid, the rows of its
+    trajectory.csv."""
     t = np.asarray(t, dtype=float)
     env = np.asarray(envelope(t), dtype=float)
     integrate.write_csv(path, ["t", "envelope"], integrate.FLOAT + "," + integrate.FLOAT,

@@ -320,7 +320,7 @@ def _write_run_artifacts(out_dir, traj, metrics, which, envelope=None):
     env_csv = None
     if envelope is not None:
         env_csv = os.path.join(out_dir, "envelope.csv")
-        analysis.write_envelope_csv(env_csv, metrics.t, envelope)
+        analysis.write_envelope_csv(env_csv, traj.t[traj.grid], envelope)
     analysis.emit_plot_script(
         os.path.join(out_dir, "plot_metrics.gp"), "trajectory.csv",
         dim=traj.x.shape[1], which=which,
@@ -484,6 +484,7 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
             "cocoercivity_violation_fraction":
                 audit.b_audit.cocoercivity_violation_fraction,
         },
+        "integrator": traj.meta,
         "passed": passed,
     }
     doc.update(reports)

@@ -49,11 +49,14 @@ N_DENSE = 500  # default count of the even grid of interpolated samples
 class Trajectory:
     """Sampled solution: times (strictly increasing), states, velocities.
 
-    For first-order flows ``v`` holds the rhs re-evaluated at the samples (the
-    exact velocity), not a finite difference: one call per block of samples,
-    with the sample times as a column, in the row blocks of
-    ``operators.row_blocks``.  Sample 0 is the initial data, untouched by
-    interpolation.
+    The samples are every accepted step end and the even grid; the checks
+    read them all.  ``grid`` holds the increasing sample indices of the even
+    grid's times, a step end standing in for a grid time it meets; those are
+    the rows the artifact writers write.  For first-order flows ``v`` holds
+    the rhs re-evaluated at the samples (the exact velocity), not a finite
+    difference: one call per block of samples, with the sample times as a
+    column, in the row blocks of ``operators.row_blocks``.  Sample 0 is the
+    initial data, untouched by interpolation.
     """
 
     t: np.ndarray
@@ -61,6 +64,7 @@ class Trajectory:
     v: np.ndarray
     order: int
     meta: dict
+    grid: np.ndarray
 
 
 @dataclasses.dataclass
@@ -395,8 +399,26 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
     return steps, t, y, stats
 
 
+def _sample_times(lefts, t_fin, t_end, n_dense):
+    """The sample times (every step end plus an even grid of n_dense) and the
+    sample index of each grid time.
+
+    A time within 1e-12*max(t_end, 1) of the one before it (a step end sorts
+    first on a tie) is that sample, so the grid index is increasing, and has
+    n_dense entries unless the grid is finer than that resolution.
+    """
+    ts = np.concatenate([lefts, [t_fin], np.linspace(0.0, t_end, n_dense)])
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:] = np.diff(ts) > 1e-12 * max(t_end, 1.0)
+    grid = (np.cumsum(keep) - 1)[order > lefts.size]  # the kept sample of each grid time
+    return ts[keep], grid[np.diff(grid, prepend=-1) > 0]
+
+
 def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
-    """Sample times (every step end plus an even grid of n_dense) and the states there.
+    """Sample times, the states there, and the sample index of each grid time
+    (``_sample_times``).
 
     One ``searchsorted`` places every sample in its step, and the interpolant
     c0 + th*(c1 + (1-th)*(c2 + th*(c3 + ...))), its factors alternating, is
@@ -406,17 +428,13 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
     """
     lefts, widths, *coeffs = steps
     lefts = np.array(lefts, dtype=float)
-    ts = np.concatenate([lefts, [t_fin], np.linspace(0.0, t_end, n_dense)])
-    ts.sort(kind="stable")
-    keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = np.diff(ts) > 1e-12 * max(t_end, 1.0)
-    ts = ts[keep]
+    ts, grid = _sample_times(lefts, t_fin, t_end, n_dense)
     ys = np.empty((ts.size, y0.size))
     ys[0] = y0
     n_in = int(np.searchsorted(ts, t_fin))
     ys[n_in:] = y_fin
     if not lefts.size:  # t_end below the step loop's resolution: no step taken
-        return ts, ys
+        return ts, ys, grid
     tau = ts[1:n_in]  # inside (0, t_fin), so every tau has a step to its left
     idx = np.searchsorted(lefts, tau, side="right") - 1
     th = ((tau - lefts[idx]) / np.array(widths, dtype=float)[idx])[:, None]
@@ -426,7 +444,7 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
     for k in range(len(coeffs) - 2, -1, -1):
         out *= th if k % 2 == 0 else one_minus
         out += np.array(coeffs[k])[idx]
-    return ts, ys
+    return ts, ys, grid
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
@@ -436,10 +454,11 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5.
     ``control`` holds the tolerances of the local error control.
     The samples are every accepted step end plus ``n_dense`` evenly spaced
-    interpolated points over [0, t_end], n_dense an integer >= 2; t_end and
-    the tolerances obey ``operators.positive``.  Second-order flows need ``v0``.
-    ``meta`` holds the solver name, the tolerances and the accepted, rejected
-    and rhs-evaluation counts.
+    interpolated points over [0, t_end], n_dense an integer >= 2, and
+    ``Trajectory.grid`` indexes the even grid among them (the rows of
+    ``to_csv``); t_end and the tolerances obey ``operators.positive``.
+    Second-order flows need ``v0``.  ``meta`` holds the solver name, the
+    tolerances and the accepted, rejected and rhs-evaluation counts.
     """
     t_end = positive(t_end, "t_end")
     rtol = positive(control.rel_tol, "rel_tol")
@@ -469,7 +488,7 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
 
     pair = _DOP853 if flow.smooth else _DOPRI5
     steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol)
-    ts, ys = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
+    ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
     del steps  # the step data is the largest array set; free it before v
     meta = {"solver": pair.name, "rel_tol": rtol, "abs_tol": atol, **stats}
 
@@ -481,7 +500,7 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
         v = np.empty_like(x)
         for rows in row_blocks(ts.size, dim):
             v[rows] = flow.rhs(ts[rows, None], x[rows])
-    return Trajectory(t=ts, x=x, v=v, order=flow.order, meta=meta)
+    return Trajectory(t=ts, x=x, v=v, order=flow.order, meta=meta, grid=grid)
 
 
 def record_metrics(traj: Trajectory, problem) -> MetricSeries:
@@ -553,12 +572,14 @@ def write_json(path, doc) -> None:
 
 
 def to_csv(traj: Trajectory, metrics: Optional[MetricSeries], path) -> None:
-    """Write the ``trajectory_columns`` table; an absent metric is written as nan."""
+    """Write the ``trajectory_columns`` table at the even-grid samples
+    (``traj.grid``); an absent metric is written as nan."""
     header = trajectory_columns(traj.x.shape[1])
-    absent = [math.nan] * traj.t.size  # FLOAT formats nan as "nan"
+    grid, index = traj.grid, traj.grid.tolist()
+    absent = [math.nan] * len(index)  # FLOAT formats nan as "nan"
     series = [getattr(metrics, name, None) for name in METRIC_COLUMNS]
-    rows = zip(traj.t.tolist(), map(np.ndarray.tolist, traj.x),
-               map(np.ndarray.tolist, traj.v),
-               *[absent if s is None else s.tolist() for s in series])
+    rows = zip(traj.t[grid].tolist(), (traj.x[i].tolist() for i in index),
+               (traj.v[i].tolist() for i in index),
+               *[absent if s is None else s[grid].tolist() for s in series])
     write_csv(path, header, ",".join([FLOAT] * len(header)),
               ((t, *x, *v, *m) for t, x, v, *m in rows))

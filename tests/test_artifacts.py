@@ -65,73 +65,73 @@ GOLDEN = {
         "certificate.json":
             "d85b76302e8ea02d666f428a8e1d9f9d5e5e5cbe345b212519cd780348eabea8",
         "envelope.csv":
-            "da1ed26aecc0d7ad5ef5d4ef1c83717517a5adba9203f3aa7ef75f16d8ff6db9",
+            "6769aca90d8d3ee66ade5b264c667c32642c19199c6e6a24ae8379ffe7721000",
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "79b3abd3eee64edbbdcbbd0e7639f4798a53da1410547067945dea77fa70ca7e",
+            "cdf5cee4e66f3c60f7312ea3df6e39ed4093d7c3e9b602eff02f6a9246fcc577",
         "trajectory.csv":
-            "fc52e3c216433133a1d9e6ba62ccaa9a9c6619507b7ab70b08ee7650630a7225",
+            "3e84c88dedf5478c87ab3f5b97bf90cef54c533593706a91ba23478f0b7525bd",
     },
     "grad1": {
         "certificate.json":
             "55ead149fd15e89d1930fd994d60e905f55f3fbcf5a7dc362e0de32b1f8952b6",
         "envelope.csv":
-            "5bfef3661d12938b6a03ee3000385d54885ac24dfef2c324874a9a817f2e2f23",
+            "05b7b3556831d22d031049a933ae09ddc157ef2e39072c03a53af8ab819024be",
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "9d997ba7d75be2c99eaadcb7869b677145bfe0551b2d0cff9d63e3b5496aa58b",
+            "85513df1e2f225eda6c0f65b539b64af1206ef8e660845df6438fb6280f388be",
         "trajectory.csv":
-            "ac076fd33b355d1f39461d4460d6d755fda7c747695966918ec532552bdd37f8",
+            "d4ec9b6fdc94d4eaab25584f996882d800a5b3830738993d6af91383d5944532",
     },
     "fb2": {
         "certificate.json":
             "5b0a71d7978a26ced0eb9b020134c38972e8e03065d5ab735187341ab36bab69",
         "envelope.csv":
-            "2b96a2d61c462f5338f78de16e1293f0b479a295686003650865f32f1a81f012",
+            "3517a67d1f9f19497bab0ef5f5795f9f22e5b560b99e86536c2ec6a1cbac1a33",
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "6c992e5bac62dcefdde87470c9cb971a3980375c5f188d3992f1dfb5b8ca10d6",
+            "81b2ca5774ba2797a75cd7fc1e7abbea522f5d3823ca993b4f751604d07591cf",
         "trajectory.csv":
-            "b85db3bac64e61f8480429db5a28d0e5a108d02bf0a432b7d25900bde4bbc9d0",
+            "a81d71495e50e84a6bf833911fe3bafd19be29ccce1f811e46087aa69fc5bbd0",
     },
     "grad2": {
         "certificate.json":
             "dbc6d9e91eb8f014b62a6c593af26e83b9677549165b7f06144a9f82b6df51d0",
         "envelope.csv":
-            "e1a6c31960e6b3840294fefef1375abc742a73820c5a4b50dab14c83dc8edb33",
+            "377fa9d7d7662fdd74659fd1977c3d0a9acb1a6b7f639d6636b5d359b3519244",
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "9055a5e09f1704a19edecd0bd9df6a58d459383a1aaba05b7c99de81c3a789e5",
+            "09c76fefd50cae3bc05cb687ac6643df79fe517901120994828817d177b6a2e8",
         "trajectory.csv":
-            "6af580d458f966f6342a940b03d6800bfd1f24ba2c9c9a55e57e89be9102373d",
+            "c27d79db9642d03267c36f98f3be9533c3203240fcd9f228ed6d6bda513c6dbe",
     },
     "fb2-exp-ramp": {
         "certificate.json":
             "d31bda1a4bfcf681e8fb783bef8c7bae003de1c123ccf371048be5a68eb8fb1d",
         "envelope.csv":
-            "053e4861bd22a489351145ec9e13261774912bcae06b3486e870523ce7c68a2e",
+            "0230218e1bea7b76d3b6044f543a3a1c761ff4391ac9c909b9dc9b409bcd270e",
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "d280998e6e8c0e6816f5c21b66a45fc2fa0fc924e2befaed8613da232d891fd6",
+            "ff6faa5e5190636e32c7d97a03d896a037759a5358928c0171841285c6e7a79e",
         "trajectory.csv":
-            "40b42fa1a4c1e4d13c9470375a550006f7692e40e9f1f28520697fc68655ef84",
+            "4c0eb53ff637dbcf0843c7cf48458c97c00007a5484f305aecbd990199938923",
     },
     "sc-lasso-fb1": {
         "certificate.json":
             "11344e750d9ca162e8f62e4bd3b508c8eb2b7ff7b649c989831239c11578182a",
         "envelope.csv":
-            "3f98fd77ded934290f4606724092eee8178fa0497ddbcef96fc92ebeb8a6f888",
+            "3a27ca7d8657554b064319449f6176b9888d7771bbe244d892cd26d71d31e079",
         "plot_metrics.gp":
             "f87e7df9ab97916cbcfb6ddff1885ee234f783b0bb091f9c8f8fb691607a9ed6",
         "report.json":
-            "b398d2ce4053beec51655e794e2d3ae38a8a0cd5439ed9b0100eb30e6154ce6b",
+            "7c6c8b9dd997d32da34835536ede1b35dd5b9647e525f5980b1fad7aa379dab1",
         "trajectory.csv":
-            "f0da69631f2bfb9e5921f57c81df1ed1ac32222122d666451c5db3166833b533",
+            "67d5262dc051db7797d55cdbf7e742ce5fe05ab68efcccd43f0033555bb97f44",
     },
 }
 

@@ -418,6 +418,31 @@ def test_verify_passes_and_writes_artifacts(tmp_path):
     assert env["envelope"][0] >= traj["h"][0] - 1e-12
 
 
+@pytest.mark.parametrize("n_dense", [500, 64])
+def test_verify_writes_the_even_grid_and_checks_every_sample(tmp_path, n_dense):
+    doc = {**FB2_VERIFY, "integrator": {**FB2_VERIFY["integrator"], "n_dense": n_dense}}
+    out = tmp_path / "run"
+    assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 0
+    t_end = doc["integrator"]["t_end"]
+    traj = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+    # the rows are the grid times, or the step ends standing in for them
+    assert traj.size == n_dense
+    assert np.all(np.abs(traj["t"] - np.linspace(0.0, t_end, n_dense))
+                  <= 1e-12 * t_end)
+    assert np.all(np.diff(traj["t"]) > 0.0)
+    table = [line.split(",")[0] for line in (out / "trajectory.csv").read_text().splitlines()]
+    envelope = [line.split(",")[0] for line in (out / "envelope.csv").read_text().splitlines()]
+    assert envelope[1:] == table[1:]
+    report = json.loads((out / "report.json").read_text())
+    # the checks also read the accepted step ends that the table leaves out
+    assert report["envelope"]["n_samples"] > n_dense
+    assert report["lyapunov"]["n_samples"] == report["envelope"]["n_samples"]
+    assert report["integrator"]["solver"] == "dop853(5,3)"
+    assert sorted(report["integrator"]) == ["abs_tol", "accepted", "rejected",
+                                            "rel_tol", "rhs_evaluations", "solver"]
+    assert report["integrator"]["accepted"] > 0
+
+
 def test_verify_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, FB1_VERIFY)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -129,6 +129,22 @@ def test_integrate_takes_a_numpy_integer_n_dense():
     assert np.isin(np.linspace(0.0, 1.0, 3), traj.t).all()
 
 
+def test_grid_indexes_the_even_grid_among_the_samples():
+    traj = integrate(DECAY, np.array([1.0]), t_end=2.0, n_dense=50)
+    assert traj.t.size > 50
+    assert traj.grid.size == 50 and np.all(np.diff(traj.grid) > 0)
+    assert traj.grid[0] == 0 and traj.grid[-1] == traj.t.size - 1
+    assert np.all(np.abs(traj.t[traj.grid] - np.linspace(0.0, 2.0, 50)) <= 1e-12)
+
+
+def test_grid_below_the_sample_resolution_keeps_one_row_per_sample():
+    # every time of [0, 1e-13] is within 1e-12 of t = 0, so one sample stands in
+    # for the whole grid, once
+    traj = integrate(DECAY, np.array([1.0]), t_end=1e-13)
+    assert traj.t.tolist() == [0.0]
+    assert traj.grid.tolist() == [0]
+
+
 def _readme_fb1():
     inst = problems.get_problem("skew-rotation")
     flow = fb1_rhs(inst.a, inst.b, eta=1.0, sched=Schedule.constant(1.0))
@@ -193,6 +209,41 @@ def test_trajectory_matches_scipy_dop853_reference(case):
     x_ref = sol.sol(traj.t)[:dim].T
     scale = np.linalg.norm(x0 - inst.x_star)
     assert np.max(np.abs(traj.x - x_ref)) / scale <= 1e-6
+
+
+def _affine_field(fun, n):
+    """(M, c) with fun(y) = M @ y + c, read off fun at 0 and at the unit vectors."""
+    c = fun(np.zeros(n))
+    return np.column_stack([fun(e) - c for e in np.eye(n)]), c
+
+
+@pytest.mark.parametrize("name", ["fb1", "grad1", "grad2", "fb2"])
+def test_affine_flows_match_the_exact_solution_at_every_sample(name):
+    # these fields are affine with constant coefficients, so the solution is
+    # y* + V exp(L t) V^-1 (y0 - y*) from one eigendecomposition of the field
+    # matrix; every sample is checked, the step ends trajectory.csv leaves out too
+    inst, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
+    traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control)
+    assert traj.t.size > traj.grid.size
+    dim = x0.size
+    if flow.order == 2:
+        y0 = np.concatenate([x0, v0])
+
+        def fun(y):
+            return np.concatenate([y[dim:], flow.rhs(0.0, y[:dim], y[dim:])])
+    else:
+        y0 = x0
+
+        def fun(y):
+            return flow.rhs(0.0, y)
+    m, c = _affine_field(fun, y0.size)
+    y_star = np.linalg.solve(m, -c)
+    assert_allclose(y_star[:dim], inst.x_star, rtol=0, atol=1e-12)
+    lam, vec = np.linalg.eig(m)
+    coef = np.linalg.solve(vec, y0 - y_star)
+    exact = (y_star + (np.exp(np.outer(traj.t, lam)) * coef) @ vec.T).real
+    scale = np.linalg.norm(x0 - inst.x_star)
+    assert np.max(np.abs(traj.x - exact[:, :dim])) / scale <= 1e-8
 
 
 def _sc_lasso_fb1(w):
@@ -292,9 +343,10 @@ def test_csv_round_trip_and_determinism(tmp_path):
     header = p1.read_text().splitlines()[0]
     assert header == "t,x_0,v_0,h,u,gap,gradnorm"
     data = np.genfromtxt(p1, delimiter=",", names=True)
-    # %.17g round-trips doubles exactly
-    assert np.array_equal(data["t"], traj.t)
-    assert np.array_equal(data["x_0"], traj.x[:, 0])
+    # the rows are the even-grid samples, and %.17g round-trips doubles exactly
+    assert data.size == traj.grid.size < traj.t.size
+    assert np.array_equal(data["t"], traj.t[traj.grid])
+    assert np.array_equal(data["x_0"], traj.x[traj.grid, 0])
 
 
 def test_csv_missing_metrics_are_nan(tmp_path):
