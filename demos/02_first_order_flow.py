@@ -28,7 +28,7 @@ traj = integrate(flow, np.array([5.0, -3.0]), t_end=20.0,
                  control=Adaptive(rel_tol=1e-9, abs_tol=1e-12))
 metrics = record_metrics(traj, inst)
 
-env = build_envelope(cert, h0=float(metrics.h[0]))
+env = build_envelope(cert, float(metrics.h[0]))
 print()
 print("   t      ||x-x*||^2      envelope      ratio")
 for target in (0.0, 2.0, 5.0, 10.0, 15.0, 20.0):

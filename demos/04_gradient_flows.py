@@ -13,8 +13,7 @@ from fbflows.analysis import build_envelope, fit_rate, verify_envelope, \
 from fbflows.certificates import (
     certify_grad1,
     certify_grad2,
-    grad2_initial_M,
-    grad2_lemma_coefficients,
+    lyapunov,
     suggest_constants_grad2,
 )
 from fbflows.flows import Schedule, grad1_rhs, grad2_rhs
@@ -42,16 +41,17 @@ print("suggested alpha=%.4f lambda=%.4f gamma=%.4f" % (s.alpha, s.lam, s.gamma))
 
 sched = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
 cert2 = certify_grad2(inst.rho, inst.beta, sched)
-coeffs = grad2_lemma_coefficients(inst.beta, sched)
 x0, v0 = np.array([3.0]), np.zeros(1)
-m_raw = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
-print("hand constants lambda=1.5 gamma=2.4: gamma floor %.6f, M = %.3f"
-      % (cert2.derived["gamma_lower"], m_raw))
-
 traj = integrate(grad2_rhs(inst.g, sched), x0, v0=v0, t_end=22.0,
                  control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
 metrics = record_metrics(traj, inst)
-env = build_envelope(cert2, gap0=float(metrics.gap[0]), m=m_raw)
+# the lemma's h is the value gap, so h'(0) = <grad g(x0), v0>; M = L(0)
+gap0 = max(float(metrics.gap[0]), 0.0)
+m_raw = float(lyapunov(cert2, sched, 0.0, gap0, float(np.dot(inst.g.gradient(x0), v0)),
+                       metrics.u[0]))
+print("hand constants lambda=1.5 gamma=2.4: gamma floor %.6f, M = %.3f"
+      % (cert2.derived["gamma_lower"], m_raw))
+env = build_envelope(cert2, gap0, m=m_raw)
 rep = verify_envelope(metrics, "gap", env, rate=cert2.decay_exponent)
 print("gap envelope: %d/%d violations, fitted rate %.3f vs certified 1"
       % (rep.violating_samples, rep.n_samples, rep.fitted_exponent))

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import integrate
-from .certificates import LemmaCoefficients, RateCertificate, lemma_bound
-from .integrate import MetricSeries, Trajectory
+from .certificates import RateCertificate, lemma_bound
+from .integrate import MetricSeries
 
 UNDERFLOW_FLOOR = 1e-300
 ENVELOPE_TOL_REL = 1e-6  # a sample passes when metric <= envelope*(1 + rel) + abs
@@ -56,34 +56,28 @@ def fit_rate(t, y) -> float:
     return float(slope)
 
 
-def build_envelope(cert: RateCertificate, h0: Optional[float] = None,
-                   gap0: Optional[float] = None,
+def build_envelope(cert: RateCertificate, anchor: float,
                    m: Optional[float] = None) -> Callable:
     """Closed-form envelope of the certificate's guarantee, anchored at t=0.
 
-    The anchor is the initial value of the system's ``CERTIFIED_METRIC``:
-    h0 = ||x0 - x*||^2 (fb1, fb2) or gap0 (grad1, grad2); the other anchor
-    is ignored.
+    ``anchor`` is the initial value of the system's ``CERTIFIED_METRIC``:
+    h0 = ||x0 - x*||^2 (fb1, fb2) or the value gap (grad1, grad2).
 
     first order (no transient exponent): anchor * exp(-r*t) with r the
         certified decay exponent
     second order: certificates.lemma_bound(gamma_lower, anchor, m, t) with the
-        certified gamma_lower (fb2: m = 2*M; grad2: m = M)
+        certified gamma_lower and m from the decay lemma's M = L(0)
+        (``certificates.lyapunov``): m = 2*M for fb2, whose lemma h is
+        halved, and m = M for grad2
 
-    Missing anchors and an invalid lemma bound raise here, not at the first
-    call.  The returned callable accepts scalars or arrays.
+    A missing m and an invalid lemma bound raise here, not at the first call.
+    The returned callable accepts scalars or arrays.
     """
-    system = cert.system
-    if system not in CERTIFIED_METRIC:
-        raise ValueError("unknown certificate system %r" % system)
-    name, anchor = ("h0", h0) if CERTIFIED_METRIC[system] == "h" else ("gap0", gap0)
     if cert.transient_exponent is None:
-        if anchor is None:
-            raise ValueError("%s envelope needs %s" % (system, name))
         rate = cert.decay_exponent
         return lambda t: anchor * np.exp(-rate * np.asarray(t, dtype=float))
-    if anchor is None or m is None:
-        raise ValueError("%s envelope needs %s and m" % (system, name))
+    if m is None:
+        raise ValueError("%s envelope needs m" % cert.system)
     gl, a, m = cert.derived["gamma_lower"], float(anchor), float(m)
     lemma_bound(gl, a, m, 0.0)  # raise now on an invalid bound
     return lambda t: lemma_bound(gl, a, m, t)
@@ -205,29 +199,12 @@ class LyapunovReport:
     passed: bool
 
 
-def verify_lyapunov(traj: Trajectory, coeffs: LemmaCoefficients,
-                    metrics: MetricSeries) -> LyapunovReport:
-    """Check that the proof-level Lyapunov quantity is nonincreasing.
-
-    Uses the half-scaled distance convention h = ||x - x*||^2 / 2 with the
-    exact derivative identity h' = <x - x*, v>; gamma(t) and b2(t) are each
-    called once, on the array of sample times.  Nonincrease is asserted up to
-    a drift of DRIFT_SCALE*(1 + |L(0)|) per unit time between consecutive
-    samples.
-    """
-    if traj.order != 2:
-        raise ValueError("Lyapunov check applies to second-order trajectories")
-    t = traj.t
-    h_series = 0.5 * metrics.h
-    err = traj.x - metrics.x_star[None, :]
-    hdot_series = np.einsum("ij,ij->i", err, traj.v)
-    lyap = np.exp(t) * (hdot_series + (coeffs.gamma(t) - 1.0) * h_series
-                        + coeffs.b2(t) * metrics.u)
+def verify_lyapunov(t, lyap) -> LyapunovReport:
+    """Check that the Lyapunov quantity, sampled as ``lyap`` at the times ``t``
+    (``certificates.lyapunov``), is nonincreasing: up to a drift of
+    DRIFT_SCALE*(1 + |L(0)|) per unit time between consecutive samples."""
     tol = DRIFT_SCALE * (1.0 + abs(float(lyap[0])))
-    if t.size < 2:
-        max_rate = 0.0
-    else:
-        max_rate = float(np.max(np.diff(lyap) / np.diff(t)))
+    max_rate = float(np.max(np.diff(lyap) / np.diff(t))) if t.size > 1 else 0.0
     return LyapunovReport(
         n_samples=int(t.size),
         initial=float(lyap[0]),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -467,74 +467,33 @@ def certify_grid(system: str, rho: float, beta: float, cells: dict,
 
 
 # ---------------------------------------------------------------------------
-# decay lemma: coefficients, initial constant, closed-form bound
+# decay lemma: the Lyapunov quantity and the closed-form bound
 
 
-@dataclasses.dataclass(frozen=True)
-class LemmaCoefficients:
-    """The coefficient b2 and the damping gamma of the decay lemma.
+def lyapunov(cert: RateCertificate, sched: Schedule, t, h, hdot, u):
+    """The decay lemma's Lyapunov quantity of a second-order certificate,
 
-    The lemma: if h >= 0 obeys h'' + gamma(t) h' <= -b1(t) h - b2(t) h'' ...
-    in its integrated form, the Lyapunov quantity
-    L(t) = e^t h'(t) + (gamma(t)-1) e^t h(t) + b2(t) e^t u(t) is nonincreasing
-    from its initial value M (``lemma_M``), and h obeys ``lemma_bound`` with
-    the certificate's gamma_lower.  L needs only b2 and gamma; b1 and b3
-    enter the lemma's hypotheses, which the certificate's checks imply.  Each
-    coefficient takes a float t or an array of times, and a constant may
-    answer an array with its one value; ``analysis.verify_lyapunov`` calls
-    gamma and b2 once on the sample times.
+        L(t) = e^t * (h' + (gamma(t) - 1)*h + b2(t)*u),  b2(t) = r*gamma(t)/lambda(t),
+
+    at a float t or an array of times, given the lemma's h, its derivative h'
+    and u = ||x'||^2 there.  fb2's h is ||x - x*||^2/2 and
+    r = (rho + 1/eta - S)/(2*rho + 1/eta); grad2's h is the value gap and
+    r = 1/2.  The lemma's hypotheses, which the certificate's checks imply,
+    make L nonincreasing, so h obeys ``lemma_bound`` with M = L(0).  gamma
+    and lambda are each called once on t.
     """
-
-    b2: Callable[[float], float]
-    gamma: Callable[[float], float]
-
-
-def fb2_lemma_coefficients(rho: float, beta: float, alpha: float, delta: float,
-                           sched: Schedule) -> LemmaCoefficients:
-    """Proof-level coefficients of the second-order forward-backward flow.
-
-    With S = 1/beta + 1/(4*rho*beta^2*alpha) and 1/eta = S/delta - rho:
-    b2 = (gamma/lambda)*(rho + 1/eta - S)/(2*rho + 1/eta).  The inputs are
-    validated by certify_fb2's input rules.
-    """
-    if sched.gamma is None:
-        raise ValueError("need a damping gamma(t)")
-    _check_inputs(_fb2_rules(rho, beta, alpha, delta))
-    big_s, inv_eta, _, _ = _fb2_constants(rho, beta, alpha, delta)
-    numer = rho + inv_eta - big_s      # equals S*(1-delta)/delta
-    denom = 2.0 * rho + inv_eta        # equals rho + S/delta
-    ratio = numer / denom
-    return LemmaCoefficients(
-        b2=lambda t: (sched.gamma(t) / sched.lam(t)) * ratio,
-        gamma=sched.gamma,
-    )
-
-
-def grad2_lemma_coefficients(beta: float, sched: Schedule) -> LemmaCoefficients:
-    """Proof-level coefficients of the second-order gradient flow.
-
-    b2 = gamma(t)/(2*lambda(t)).  Here the lemma's h is the value gap, not
-    the squared distance.  ``beta`` enters only the lemma's b3.
-    """
-    if sched.gamma is None or sched.alpha is None:
-        raise ValueError("need gamma(t) and alpha(t)")
-    return LemmaCoefficients(
-        b2=lambda t: sched.gamma(t) / (2.0 * sched.lam(t)),
-        gamma=sched.gamma,
-    )
-
-
-def lemma_M(h0: float, hdot0: float, gamma0: float, b2_0: float, u0: float) -> float:
-    """Initial Lyapunov value M = hdot0 + (gamma0 - 1)*h0 + b2_0*u0.
-
-    The proof shows the Lyapunov quantity is nonincreasing, so M bounds it for
-    all t.  M = 0 for a flow started at rest at the solution.
-    """
-    if h0 < 0.0 or u0 < 0.0 or b2_0 < 0.0:
-        raise ValueError("h0, u0 and b2_0 must be nonnegative")
-    if not (gamma0 > 1.0):
-        raise ValueError("gamma0 must exceed 1, got %r" % gamma0)
-    return hdot0 + (gamma0 - 1.0) * h0 + b2_0 * u0
+    if cert.transient_exponent is None:
+        raise ValueError("the decay lemma needs a second-order certificate, got %s"
+                         % cert.system)
+    gamma, lam = sched.gamma(t), sched.lam(t)
+    if cert.system == "fb2":
+        rho = cert.inputs["rho"]
+        big_s, inv_eta, _, _ = _fb2_constants(rho, *(cert.inputs[k] for k in (
+            "beta", "alpha", "delta")))
+        b2 = (gamma / lam) * ((rho + inv_eta - big_s) / (2.0 * rho + inv_eta))
+    else:
+        b2 = gamma / (2.0 * lam)
+    return np.exp(t) * (hdot + (gamma - 1.0) * h + b2 * u)
 
 
 def lemma_bound(gamma_lower: float, h0: float, m: float, t):
@@ -556,32 +515,3 @@ def lemma_bound(gamma_lower: float, h0: float, m: float, t):
     if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
     return h0 * np.exp(-(gamma_lower - 1.0) * t) + m / (gamma_lower - 2.0) * np.exp(-t)
-
-
-def fb2_initial_M(coeffs: LemmaCoefficients, x0, v0, x_star):
-    """lemma_M for the forward-backward case: h = (1/2)*||x - x*||^2."""
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    e0 = x0 - np.asarray(x_star, dtype=float)
-    return lemma_M(
-        h0=0.5 * float(np.dot(e0, e0)),
-        hdot0=float(np.dot(e0, v0)),
-        gamma0=coeffs.gamma(0.0),
-        b2_0=coeffs.b2(0.0),
-        u0=float(np.dot(v0, v0)),
-    )
-
-
-def grad2_initial_M(coeffs: LemmaCoefficients, g, x0, v0, x_star):
-    """lemma_M for the gradient case: h = g(x) - g(x*)."""
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    gap0 = float(g.value(x0)) - float(g.value(np.asarray(x_star, dtype=float)))
-    grad0 = np.asarray(g.gradient(x0), dtype=float)
-    return lemma_M(
-        h0=max(gap0, 0.0),
-        hdot0=float(np.dot(grad0, v0)),
-        gamma0=coeffs.gamma(0.0),
-        b2_0=coeffs.b2(0.0),
-        u0=float(np.dot(v0, v0)),
-    )

@@ -304,8 +304,7 @@ def _simulate(cfg: ExperimentConfig, inst, sched, t_end: float):
     x0, v0 = _initial_state(cfg, inst, flow.order)
     traj = integrate.integrate(flow, x0, v0=v0, t_end=t_end, control=cfg.control,
                                n_dense=cfg.n_dense)
-    metrics = integrate.record_metrics(traj, inst)
-    return traj, metrics, x0, v0
+    return traj, integrate.record_metrics(traj, inst)
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -328,28 +327,33 @@ def _write_run_artifacts(out_dir, traj, metrics, which, envelope=None):
     return csv_path
 
 
-def _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0):
+def _verify_reports(cfg, inst, cert, sched, traj, metrics):
     """The envelope report, the chain report of a value-gap certificate and the
-    Lyapunov report of fb2; the envelope; and the lemma constant M of a
+    Lyapunov report of fb2; the envelope; and the decay lemma's M = L(0) of a
     second-order system (None for first order)."""
     which = analysis.CERTIFIED_METRIC[cfg.system]
-    coeffs = m_raw = m = None
-    if cfg.system == "fb2":
-        coeffs = certificates.fb2_lemma_coefficients(
-            inst.rho, inst.beta, cert.inputs["alpha"], cert.inputs["delta"], sched)
-        m_raw = certificates.fb2_initial_M(coeffs, x0, v0, inst.x_star)
+    anchor = max(float(getattr(metrics, which)[0]), 0.0)
+    reports = {}
+    if cert.transient_exponent is None:
+        m_raw = m = None
+    elif which == "h":
+        # the lemma's h is ||x - x*||^2/2, so h' = <x - x*, v> and the envelope takes 2M
+        err = traj.x - metrics.x_star[None, :]
+        lyap = certificates.lyapunov(cert, sched, traj.t, 0.5 * metrics.h,
+                                     np.einsum("ij,ij->i", err, traj.v), metrics.u)
+        reports["lyapunov"] = analysis.verify_lyapunov(traj.t, lyap)
+        m_raw = float(lyap[0])
         m = 2.0 * m_raw
-    elif cfg.system == "grad2":
-        coeffs = certificates.grad2_lemma_coefficients(inst.beta, sched)
-        m_raw = m = certificates.grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
-    gap0 = None if metrics.gap is None else float(metrics.gap[0])
-    env = analysis.build_envelope(cert, h0=float(metrics.h[0]), gap0=gap0, m=m)
-    reports = {"envelope": analysis.verify_envelope(metrics, which, env,
-                                                    rate=cert.decay_exponent)}
+    else:
+        # the lemma's h is the value gap, so h'(0) = <grad g(x0), v0>
+        hdot0 = float(np.dot(inst.g.gradient(traj.x[0]), traj.v[0]))
+        m_raw = m = float(certificates.lyapunov(cert, sched, 0.0, anchor, hdot0,
+                                                metrics.u[0]))
+    env = analysis.build_envelope(cert, anchor, m)
+    reports["envelope"] = analysis.verify_envelope(metrics, which, env,
+                                                   rate=cert.decay_exponent)
     if which == "gap":
         reports["chain"] = analysis.verify_value_chain(metrics, inst.rho, inst.beta)
-    if cfg.system == "fb2":
-        reports["lyapunov"] = analysis.verify_lyapunov(traj, coeffs, metrics)
     return reports, env, m_raw
 
 
@@ -452,7 +456,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
     t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, sched))
-    traj, metrics, _, _ = _simulate(cfg, inst, sched, float(t_end))
+    traj, metrics = _simulate(cfg, inst, sched, float(t_end))
     csv_path = _write_run_artifacts(out_dir, traj, metrics,
                                     analysis.CERTIFIED_METRIC[cfg.system])
     _say(quiet, "simulated %s on %s for t_end=%g (%d samples, %d accepted steps)"
@@ -465,8 +469,8 @@ def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
 def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
     cert = _certify(cfg, inst, sched)
     t_end = cfg.t_end or _default_t_end(cert)
-    traj, metrics, x0, v0 = _simulate(cfg, inst, sched, float(t_end))
-    reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics, x0, v0)
+    traj, metrics = _simulate(cfg, inst, sched, float(t_end))
+    reports, env, m_raw = _verify_reports(cfg, inst, cert, sched, traj, metrics)
     audit = problems.audit_instance(inst, seed=cfg.seed)
 
     passed = audit.passed and all(rep.passed for rep in reports.values())

@@ -139,7 +139,6 @@ class FlowRHS:
 
     order: int
     rhs: Callable
-    description: str = ""
     smooth: bool = False
 
     def __call__(self, t, x, v=None):
@@ -160,8 +159,7 @@ def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
         x = np.asarray(x, dtype=float)
         return sched.lam(t) * (_forward_backward_step(a, b, eta, x) - x)
 
-    return FlowRHS(order=1, rhs=rhs, description="first-order forward-backward flow",
-                   smooth=a.smooth and b.smooth)
+    return FlowRHS(order=1, rhs=rhs, smooth=a.smooth and b.smooth)
 
 
 def fb2_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> FlowRHS:
@@ -176,8 +174,7 @@ def fb2_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> 
             x - _forward_backward_step(a, b, eta, x)
         )
 
-    return FlowRHS(order=2, rhs=rhs, description="second-order forward-backward flow",
-                   smooth=a.smooth and b.smooth)
+    return FlowRHS(order=2, rhs=rhs, smooth=a.smooth and b.smooth)
 
 
 def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
@@ -189,8 +186,7 @@ def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         return -sched.lam(t) * np.asarray(g.gradient(np.asarray(x, dtype=float)),
                                           dtype=float)
 
-    return FlowRHS(order=1, rhs=rhs, description="first-order gradient flow",
-                   smooth=g.smooth)
+    return FlowRHS(order=1, rhs=rhs, smooth=g.smooth)
 
 
 def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
@@ -204,8 +200,7 @@ def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
         grad = np.asarray(g.gradient(np.asarray(x, dtype=float)), dtype=float)
         return -sched.gamma(t) * np.asarray(v, dtype=float) - sched.lam(t) * grad
 
-    return FlowRHS(order=2, rhs=rhs, description="second-order gradient flow",
-                   smooth=g.smooth)
+    return FlowRHS(order=2, rhs=rhs, smooth=g.smooth)
 
 
 def residual(a: ResolventOracle, b: MonotoneMap, eta: float, x) -> float:

@@ -24,10 +24,7 @@ from fbflows.certificates import (
     certify_fb2,
     certify_grad1,
     certify_grad2,
-    fb2_initial_M,
-    fb2_lemma_coefficients,
-    grad2_initial_M,
-    grad2_lemma_coefficients,
+    lyapunov,
     suggest_constants_fb2,
 )
 from fbflows.flows import (
@@ -63,7 +60,7 @@ def _criterion_1():
     traj = integrate(flow, np.array([5.0, -3.0]), t_end=20.0,
                      control=Adaptive(rel_tol=1e-9, abs_tol=1e-12))
     metrics = record_metrics(traj, inst)
-    env = build_envelope(cert, h0=float(metrics.h[0]))
+    env = build_envelope(cert, float(metrics.h[0]))
     rep = verify_envelope(metrics, "h", env, rate=cert.decay_exponent)
     elapsed = time.perf_counter() - start
     ok = (cert.derived["C"] == 0.5 and rep.passed
@@ -89,7 +86,7 @@ def test_criterion_2_grad1_exact_rate():
                      control=Adaptive(rel_tol=1e-11, abs_tol=1e-14))
     metrics = record_metrics(traj, inst)
     fitted = fit_rate(metrics.t, metrics.gap)
-    env = build_envelope(cert, gap0=float(metrics.gap[0]))
+    env = build_envelope(cert, float(metrics.gap[0]))
     rep = verify_envelope(metrics, "gap", env, rate=cert.decay_exponent)
     chain = verify_value_chain(metrics, inst.rho, inst.beta)
     elapsed = time.perf_counter() - start
@@ -107,16 +104,19 @@ def test_criterion_3_fb2_transient_envelope():
     inst = get_problem("skew-rotation")
     sched = Schedule.constant(40.0, gamma=11.0)
     cert = certify_fb2(inst.rho, inst.beta, alpha=0.5, delta=0.5, sched=sched)
-    coeffs = fb2_lemma_coefficients(inst.rho, inst.beta, 0.5, 0.5, sched)
     x0, v0 = np.array([2.0, 2.0]), np.zeros(2)
-    m_raw = fb2_initial_M(coeffs, x0, v0, inst.x_star)
     flow = fb2_rhs(inst.a, inst.b, eta=0.5, sched=sched)
     traj = integrate(flow, x0, v0=v0, t_end=23.0,
                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
     metrics = record_metrics(traj, inst)
-    env = build_envelope(cert, h0=float(metrics.h[0]), m=2.0 * m_raw)
+    # the lemma's h = ||x - x*||^2/2 and h' = <x - x*, v>; M = L(0)
+    err = traj.x - inst.x_star
+    big_l = lyapunov(cert, sched, traj.t, 0.5 * metrics.h,
+                     np.einsum("ij,ij->i", err, traj.v), metrics.u)
+    m_raw = float(big_l[0])
+    env = build_envelope(cert, float(metrics.h[0]), m=2.0 * m_raw)
     rep = verify_envelope(metrics, "h", env, rate=cert.decay_exponent)
-    lyap = verify_lyapunov(traj, coeffs, metrics)
+    lyap = verify_lyapunov(traj.t, big_l)
     elapsed = time.perf_counter() - start
     ok = (abs(m_raw - 22.5) <= 1e-12 and rep.passed and lyap.passed
           and elapsed < 5.0)
@@ -131,14 +131,16 @@ def test_criterion_4_grad2_gap_envelope():
     inst = make_quadratic(np.array([[1.0]]), np.array([0.0]))
     sched = Schedule.constant(1.5, gamma=2.4, alpha=1.5)
     cert = certify_grad2(inst.rho, inst.beta, sched)
-    coeffs = grad2_lemma_coefficients(inst.beta, sched)
     x0, v0 = np.array([3.0]), np.zeros(1)
-    m_raw = grad2_initial_M(coeffs, inst.g, x0, v0, inst.x_star)
     flow = grad2_rhs(inst.g, sched)
     traj = integrate(flow, x0, v0=v0, t_end=22.0,
                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
     metrics = record_metrics(traj, inst)
-    env = build_envelope(cert, gap0=float(metrics.gap[0]), m=m_raw)
+    # the lemma's h is the gap, h'(0) = <grad g(x0), v0>; M = L(0)
+    gap0 = max(float(metrics.gap[0]), 0.0)
+    m_raw = float(lyapunov(cert, sched, 0.0, gap0, float(np.dot(inst.g.gradient(x0), v0)),
+                           metrics.u[0]))
+    env = build_envelope(cert, gap0, m=m_raw)
     rep = verify_envelope(metrics, "gap", env, rate=cert.decay_exponent)
     gamma_lower_exact = (1.0 + math.sqrt(13.0)) / 2.0
     ok = (abs(cert.derived["gamma_lower"] - gamma_lower_exact) <= 1e-12

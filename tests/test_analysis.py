@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +19,11 @@ from fbflows.analysis import (
     write_envelope_csv,
 )
 from fbflows.certificates import (
-    LemmaCoefficients,
     certify_fb1,
     certify_fb2,
     certify_grad1,
     certify_grad2,
-    fb2_lemma_coefficients,
+    lyapunov,
 )
 from fbflows.flows import FlowRHS, Schedule, fb2_rhs, grad1_rhs
 from fbflows.integrate import Adaptive, MetricSeries, integrate, record_metrics
@@ -66,21 +64,22 @@ def test_fit_rate_validation():
 # --- envelopes ---------------------------------------------------------------
 
 FB1_CERT = certify_fb1(1.0, 1.0, 1.0, 1.0, alpha=0.5, eta=1.0)  # C = 0.5
-FB2_CERT = certify_fb2(1.0, 1.0, 0.5, 0.5, Schedule.constant(40.0, gamma=11.0))
+FB2_SCHED = Schedule.constant(40.0, gamma=11.0)
+FB2_CERT = certify_fb2(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
 
 
 def test_build_envelope_closed_forms():
-    env = build_envelope(FB1_CERT, h0=4.0)
+    env = build_envelope(FB1_CERT, 4.0)
     assert env(0.0) == 4.0
     assert_allclose(env(2.0), 4.0 * math.exp(-1.0), rtol=1e-15)
     assert_allclose(env(np.array([0.0, 2.0])), [4.0, 4.0 * math.exp(-1.0)])
 
     grad1 = certify_grad1(1.0, 1.0, 1.0, alpha=2.0)
-    env = build_envelope(grad1, gap0=0.5)
+    env = build_envelope(grad1, 0.5)
     assert_allclose(env(1.0), 0.5 * math.exp(-2.0), rtol=1e-15)
 
     gl = FB2_CERT.derived["gamma_lower"]
-    env = build_envelope(FB2_CERT, h0=1.0, m=6.0)
+    env = build_envelope(FB2_CERT, 1.0, m=6.0)
     assert_allclose(env(0.0), 1.0 + 6.0 / (gl - 2.0), rtol=1e-14)
     assert_allclose(env(3.0),
                     math.exp(-(gl - 1.0) * 3.0) + 6.0 / (gl - 2.0) * math.exp(-3.0),
@@ -88,15 +87,15 @@ def test_build_envelope_closed_forms():
 
 
 def test_build_envelope_missing_anchors():
-    with pytest.raises(ValueError, match="h0"):
+    with pytest.raises(TypeError, match="anchor"):
         build_envelope(FB1_CERT)
-    with pytest.raises(ValueError, match="gap0"):
-        build_envelope(certify_grad1(1.0, 1.0, 1.0, 2.0))
-    with pytest.raises(ValueError, match="m"):
-        build_envelope(FB2_CERT, h0=1.0)
+    with pytest.raises(ValueError, match="fb2 envelope needs m"):
+        build_envelope(FB2_CERT, 1.0)
     grad2 = certify_grad2(1.0, 1.0, Schedule.constant(1.5, gamma=2.4, alpha=1.5))
-    with pytest.raises(ValueError, match="gap0"):
-        build_envelope(grad2, m=1.0)
+    with pytest.raises(ValueError, match="grad2 envelope needs m"):
+        build_envelope(grad2, 1.0)
+    with pytest.raises(ValueError, match="h0 must be nonnegative"):
+        build_envelope(grad2, -1e-16, m=1.0)
 
 
 def test_build_envelope_needs_transient_margin():
@@ -104,7 +103,7 @@ def test_build_envelope_needs_transient_margin():
     shallow = dataclasses.replace(grad2,
                                   derived={**grad2.derived, "gamma_lower": 1.5})
     with pytest.raises(ValueError, match="gamma_lower > 2"):
-        build_envelope(shallow, gap0=1.0, m=1.0)
+        build_envelope(shallow, 1.0, m=1.0)
 
 
 def _series(t, h, gap=None, gradnorm=None):
@@ -116,7 +115,7 @@ def _series(t, h, gap=None, gradnorm=None):
 def test_verify_envelope_pass_and_ratio():
     t = np.linspace(0.0, 10.0, 400)
     m = _series(t, np.exp(-2.0 * t))
-    rep = verify_envelope(m, "h", build_envelope(FB1_CERT, h0=1.0), rate=0.5)
+    rep = verify_envelope(m, "h", build_envelope(FB1_CERT, 1.0), rate=0.5)
     assert rep.passed and rep.violating_samples == 0
     assert rep.max_ratio <= 1.0 + 1e-12
     assert_allclose(rep.fitted_exponent, 2.0, atol=1e-6)
@@ -197,51 +196,53 @@ def test_value_chain_needs_value_oracles():
 
 # --- Lyapunov drift ------------------------------------------------------------
 
-def test_lyapunov_holds_along_certified_flow():
-    inst = problems.get_problem("skew-rotation")
-    sched = Schedule.constant(40.0, gamma=11.0)
-    coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, sched)
-    flow = fb2_rhs(inst.a, inst.b, eta=0.5, sched=sched)
-    traj = integrate(flow, np.array([2.0, 2.0]), v0=np.zeros(2), t_end=5.0,
+SKEW = problems.get_problem("skew-rotation")
+
+
+def _fb2_run(x0, t_end, gamma=11.0):
+    """A trajectory of fb2 on skew-rotation damped at gamma from rest at x0, and
+    its L(t) under FB2_CERT: the lemma's h = ||x - x*||^2/2, h' = <x - x*, v>."""
+    flow = fb2_rhs(SKEW.a, SKEW.b, eta=0.5, sched=Schedule.constant(40.0, gamma=gamma))
+    traj = integrate(flow, np.array(x0), v0=np.zeros(2), t_end=t_end,
                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
-    metrics = record_metrics(traj, inst)
-    rep = verify_lyapunov(traj, coeffs, metrics)
+    metrics = record_metrics(traj, SKEW)
+    err = traj.x - metrics.x_star[None, :]
+    lyap = lyapunov(FB2_CERT, FB2_SCHED, traj.t, 0.5 * metrics.h,
+                    np.einsum("ij,ij->i", err, traj.v), metrics.u)
+    return traj, lyap
+
+
+def test_lyapunov_holds_along_certified_flow():
+    traj, lyap = _fb2_run([2.0, 2.0], 5.0)
+    rep = verify_lyapunov(traj.t, lyap)
     assert rep.passed
     assert_allclose(rep.initial, 22.5, rtol=1e-10)
     assert rep.final <= rep.initial + rep.drift_tolerance
 
 
 def test_lyapunov_flags_uncertified_dynamics():
-    # undamped oscillator: energy never decays, L grows like e^t
-    osc = FlowRHS(order=2, rhs=lambda t, x, v: -x)
-    traj = integrate(osc, np.array([1.0]), v0=np.zeros(1), t_end=10.0)
-    metrics = record_metrics(traj, SimpleNamespace(x_star=np.zeros(1), f=None, g=None))
-    coeffs = LemmaCoefficients(b2=lambda t: 0.0, gamma=lambda t: 3.0)
-    rep = verify_lyapunov(traj, coeffs, metrics)
-    assert not rep.passed
-    assert rep.max_drift_rate > rep.drift_tolerance
+    # FB2_CERT certifies gamma in [10.84, 11]; the flow is damped at gamma 3 or 40
+    # while L takes the certificate's gamma 11, so L grows (gamma 6 and 20, also
+    # outside the window, keep L nonincreasing and are not seeded defects)
+    for gamma, drift in ((3.0, 6.9e16), (40.0, 2.9e4)):
+        traj, lyap = _fb2_run([3.0, -1.0], 23.0, gamma=gamma)
+        rep = verify_lyapunov(traj.t, lyap)
+        assert not rep.passed
+        assert rep.initial == 42.5 and rep.drift_tolerance == pytest.approx(4.35e-5)
+        assert rep.max_drift_rate == pytest.approx(drift, rel=0.05)
 
 
 def test_lyapunov_at_equilibrium():
-    inst = problems.get_problem("skew-rotation")
-    sched = Schedule.constant(40.0, gamma=11.0)
-    coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, sched)
-    flow = fb2_rhs(inst.a, inst.b, eta=0.5, sched=sched)
-    traj = integrate(flow, inst.x_star, v0=np.zeros(2), t_end=2.0)
-    metrics = record_metrics(traj, inst)
-    rep = verify_lyapunov(traj, coeffs, metrics)
+    traj, lyap = _fb2_run(SKEW.x_star, 2.0)
+    rep = verify_lyapunov(traj.t, lyap)
     assert rep.passed
     assert abs(rep.initial) <= 1e-12
 
 
 def test_lyapunov_interface_validation():
-    inst = problems.get_problem("skew-rotation")
-    sched = Schedule.constant(40.0, gamma=11.0)
-    coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, sched)
-    traj1 = integrate(FlowRHS(order=1, rhs=lambda t, x: -x), np.ones(2), t_end=1.0)
-    metrics = record_metrics(traj1, inst)
-    with pytest.raises(ValueError, match="second-order"):
-        verify_lyapunov(traj1, coeffs, metrics)
+    with pytest.raises(ValueError, match="second-order certificate, got fb1"):
+        lyapunov(FB1_CERT, Schedule.constant(1.0), np.zeros(1), np.ones(1), np.zeros(1),
+                 np.zeros(1))
 
 
 def test_fixed_verification_constants():
@@ -264,7 +265,7 @@ def test_envelope_tolerance_edge():
 
 
 def test_envelope_dominates_initial_condition():
-    env = build_envelope(FB2_CERT, h0=4.5, m=45.0)
+    env = build_envelope(FB2_CERT, 4.5, m=45.0)
     assert env(0.0) >= 4.5
 
 
@@ -272,7 +273,7 @@ def test_envelope_dominates_initial_condition():
 
 def test_write_envelope_csv(tmp_path):
     t = np.linspace(0.0, 2.0, 7)
-    env = build_envelope(FB1_CERT, h0=1.0)
+    env = build_envelope(FB1_CERT, 1.0)
     path = tmp_path / "envelope.csv"
     write_envelope_csv(path, t, env)
     lines = path.read_text().splitlines()

@@ -13,17 +13,12 @@ from fbflows import certificates
 from fbflows.certificates import (
     GRID_SLACK,
     CertificateError,
-    LemmaCoefficients,
     certify_fb1,
     certify_fb2,
     certify_grad1,
     certify_grad2,
-    fb2_initial_M,
-    fb2_lemma_coefficients,
-    grad2_initial_M,
-    grad2_lemma_coefficients,
-    lemma_M,
     lemma_bound,
+    lyapunov,
     suggest_constants_fb2,
     suggest_constants_grad2,
 )
@@ -410,31 +405,39 @@ def test_fb2_eta_is_the_certificates():
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
-def test_fb2_lemma_coefficients_obey_certify_fb2_input_rules(alpha):
-    # alpha = 0 once divided by zero, and alpha = 1 returned coefficients
+def test_fb2_eta_obeys_certify_fb2_input_rules(alpha):
     with pytest.raises(ValueError) as rejected:
         certify_fb2(1.0, 1.0, alpha, 0.5, FB2_SCHED)
     with pytest.raises(ValueError) as exc:
-        fb2_lemma_coefficients(1.0, 1.0, alpha, 0.5, FB2_SCHED)
+        certificates.fb2_eta(1.0, 1.0, alpha, 0.5)
     assert str(exc.value) == str(rejected.value) == (
         "alpha must lie in (0, 1), got %r" % alpha)
 
 
 # --- decay lemma -----------------------------------------------------------
 
+FB2_CERT = certify_fb2(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
+GRAD2_CERT = certify_grad2(1.0, 1.0, GRAD2_SCHED)
+
+
 def test_lemma_m_arithmetic():
-    assert lemma_M(1.0, 0.0, 3.0, 0.5, 2.0) == 3.0
-    assert lemma_M(0.0, 0.0, 3.0, 0.0, 0.0) == 0.0
-    assert lemma_M(0.0, -1.0, 2.0, 0.0, 0.0) == -1.0
+    # M = L(0) = h'(0) + (gamma(0) - 1)*h(0) + b2(0)*u(0); grad2's b2 = 2.4/(2*1.5)
+    assert_allclose(lyapunov(GRAD2_CERT, GRAD2_SCHED, 0.0, 1.0, 0.0, 2.0), 3.0, rtol=1e-15)
+    assert lyapunov(GRAD2_CERT, GRAD2_SCHED, 0.0, 0.0, 0.0, 0.0) == 0.0
+    assert lyapunov(GRAD2_CERT, GRAD2_SCHED, 0.0, 0.0, -1.0, 0.0) == -1.0
+    # on an array of times, with the factor e^t
+    ts = np.array([0.0, 1.0, 2.0])
+    assert_allclose(lyapunov(GRAD2_CERT, GRAD2_SCHED, ts, 1.0, 0.0, 0.0),
+                    1.4 * np.exp(ts), rtol=1e-15)
 
 
 def test_lemma_m_validation():
-    with pytest.raises(ValueError):
-        lemma_M(-1.0, 0.0, 3.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        lemma_M(1.0, 0.0, 3.0, -0.5, 0.0)
-    with pytest.raises(ValueError):
-        lemma_M(1.0, 0.0, 1.0, 0.0, 0.0)  # gamma0 must exceed 1
+    first_order = certify_fb1(1.0, 1.0, 1.0, 1.0, alpha=0.5, eta=1.0)
+    with pytest.raises(ValueError, match="second-order certificate, got fb1"):
+        lyapunov(first_order, Schedule.constant(1.0), 0.0, 1.0, 0.0, 0.0)
+    m = lyapunov(GRAD2_CERT, GRAD2_SCHED, 0.0, 0.0, -1.0, 0.0)   # moving toward x*
+    with pytest.raises(ValueError, match="M must be nonnegative"):
+        lemma_bound(GRAD2_CERT.derived["gamma_lower"], 0.0, m, 0.0)
 
 
 def test_lemma_bound_values_at_zero():
@@ -491,11 +494,16 @@ def grad2_b1_b3(beta, sched):
     return sched.alpha, lambda t: sched.gamma(t) ** 2 / (2.0 * sched.lam(t)) - 1.0 / beta
 
 
-def check_lemma_hypotheses(coeffs: LemmaCoefficients, b1, b3, t_end: float,
+def lemma_b2(cert, sched):
+    """The lemma's b2(t), read off L(t) = e^t*b2(t) at h = h' = 0 and u = 1."""
+    return lambda t: lyapunov(cert, sched, t, 0.0, 0.0, 1.0) * math.exp(-t)
+
+
+def check_lemma_hypotheses(b2, gamma, b1, b3, t_end: float,
                            n: int = 2000, slack: float = GRID_SLACK,
                            h_diff: float = 1e-5) -> None:
-    """Verify the lemma's hypotheses with coefficients b1 and b3 on a grid
-    (derivatives by central differences)."""
+    """Verify the lemma's hypotheses with coefficients b1, b2, b3 and the
+    damping gamma on a grid (derivatives by central differences)."""
     ts = np.linspace(0.0, float(t_end), n)
 
     def dot(f, t):
@@ -504,68 +512,70 @@ def check_lemma_hypotheses(coeffs: LemmaCoefficients, b1, b3, t_end: float,
         return (f(t + h_diff) - f(t - h_diff)) / (2.0 * h_diff)
 
     for t in ts:
-        b1t, b2t, b3t = b1(t), coeffs.b2(t), b3(t)
-        gt = coeffs.gamma(t)
+        b1t, b2t, b3t = b1(t), b2(t), b3(t)
+        gt = gamma(t)
         if b2t < -slack:
             raise ValueError("b2(%g) = %g negative" % (t, b2t))
-        lhs = gt + dot(coeffs.gamma, t)
+        lhs = gt + dot(gamma, t)
         if lhs > b1t + 1.0 + GRID_SLACK * (1.0 + abs(lhs) + abs(b1t + 1.0)):
             raise ValueError(
                 "gamma(t) + gamma'(t) <= b1(t) + 1 fails at t=%g (%g > %g)"
                 % (t, lhs, b1t + 1.0))
-        lhs = b2t + dot(coeffs.b2, t)
+        lhs = b2t + dot(b2, t)
         if lhs > b3t + GRID_SLACK * (1.0 + abs(lhs) + abs(b3t)):
             raise ValueError(
                 "b2(t) + b2'(t) <= b3(t) fails at t=%g (%g > %g)" % (t, lhs, b3t))
 
 
-def test_fb2_lemma_coefficients_frozen():
-    coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
+def test_fb2_lemma_terms_frozen():
+    b2 = lemma_b2(FB2_CERT, FB2_SCHED)
     b1, b3 = fb2_b1_b3(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
     assert_allclose(b1(0.0), 10.0, rtol=1e-14)
-    assert_allclose(coeffs.b2(0.0), 0.103125, rtol=1e-14)
+    assert_allclose(b2(0.0), 0.103125, rtol=1e-14)
     assert_allclose(b3(0.0), 0.134375, rtol=1e-14)
-    check_lemma_hypotheses(coeffs, b1, b3, 30.0)
+    check_lemma_hypotheses(b2, FB2_SCHED.gamma, b1, b3, 30.0)
 
 
-def test_grad2_lemma_coefficients_frozen():
-    coeffs = grad2_lemma_coefficients(1.0, GRAD2_SCHED)
+def test_grad2_lemma_terms_frozen():
+    b2 = lemma_b2(GRAD2_CERT, GRAD2_SCHED)
     b1, b3 = grad2_b1_b3(1.0, GRAD2_SCHED)
     assert_allclose(b1(0.0), 1.5, rtol=1e-14)
-    assert_allclose(coeffs.b2(0.0), 0.8, rtol=1e-14)
+    assert_allclose(b2(0.0), 0.8, rtol=1e-14)
     assert_allclose(b3(0.0), 0.92, rtol=1e-14)
-    check_lemma_hypotheses(coeffs, b1, b3, 30.0)
+    check_lemma_hypotheses(b2, GRAD2_SCHED.gamma, b1, b3, 30.0)
 
 
 def test_lemma_coefficients_check_rejects_bad_hypotheses():
-    zero = lambda t: 0.0
-    bad = LemmaCoefficients(b2=zero, gamma=lambda t: 3.0)
+    zero, three = (lambda t: 0.0), (lambda t: 3.0)
     with pytest.raises(ValueError, match="b1"):
-        check_lemma_hypotheses(bad, zero, zero, 5.0)
-    growing_b2 = LemmaCoefficients(b2=lambda t: t, gamma=lambda t: 3.0)
-    with pytest.raises(ValueError, match="b2"):
-        check_lemma_hypotheses(growing_b2, lambda t: 5.0, zero, 5.0)
-    negative_b2 = LemmaCoefficients(b2=lambda t: -1.0, gamma=lambda t: 3.0)
+        check_lemma_hypotheses(zero, three, zero, zero, 5.0)
+    with pytest.raises(ValueError, match="b2"):   # growing b2
+        check_lemma_hypotheses(lambda t: t, three, lambda t: 5.0, zero, 5.0)
     with pytest.raises(ValueError, match="negative"):
-        check_lemma_hypotheses(negative_b2, lambda t: 5.0, zero, 5.0)
+        check_lemma_hypotheses(lambda t: -1.0, three, lambda t: 5.0, zero, 5.0)
+
+
+def fb2_m(x0, v0):
+    """FB2_CERT's M = L(0) at x0, v0, with the lemma's h = ||x - x*||^2/2."""
+    e0, v0 = np.subtract(x0, [0.5, 0.5]), np.asarray(v0, dtype=float)
+    return lyapunov(FB2_CERT, FB2_SCHED, np.zeros(1), np.array([0.5 * np.dot(e0, e0)]),
+                    np.array([np.dot(e0, v0)]), np.array([np.dot(v0, v0)]))[0]
 
 
 def test_fb2_initial_m():
-    coeffs = fb2_lemma_coefficients(1.0, 1.0, 0.5, 0.5, FB2_SCHED)
-    x_star = np.array([0.5, 0.5])
-    m_raw = fb2_initial_M(coeffs, np.array([2.0, 2.0]), np.zeros(2), x_star)
     # h0 = 0.5*||(1.5,1.5)||^2 = 2.25, hdot0 = 0, u0 = 0 -> (11-1)*2.25
-    assert_allclose(m_raw, 22.5, rtol=1e-14)
-    m_raw = fb2_initial_M(coeffs, np.array([2.0, 2.0]), np.array([1.0, 0.0]), x_star)
-    assert_allclose(m_raw, 1.5 + 22.5 + 0.103125, rtol=1e-14)
+    assert_allclose(fb2_m([2.0, 2.0], [0.0, 0.0]), 22.5, rtol=1e-14)
+    assert_allclose(fb2_m([2.0, 2.0], [1.0, 0.0]), 1.5 + 22.5 + 0.103125, rtol=1e-14)
 
 
 def test_grad2_initial_m():
-    coeffs = grad2_lemma_coefficients(1.0, GRAD2_SCHED)
     g = scaled_sqnorm(1.0)
-    m_raw = grad2_initial_M(coeffs, g, np.array([3.0]), np.zeros(1), np.zeros(1))
+    x0 = np.array([3.0])
+    gap0, hdot0 = g.value(x0) - g.value(np.zeros(1)), np.dot(g.gradient(x0), np.zeros(1))
     # gap0 = 4.5, hdot0 = 0, u0 = 0 -> (2.4-1)*4.5
-    assert_allclose(m_raw, 6.3, rtol=1e-14)
+    m = lyapunov(GRAD2_CERT, GRAD2_SCHED, np.zeros(1), np.array([gap0]),
+                 np.array([hdot0]), np.zeros(1))[0]
+    assert_allclose(m, 6.3, rtol=1e-14)
 
 
 def test_certificate_json_round_trip(tmp_path):

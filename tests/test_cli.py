@@ -493,6 +493,36 @@ def test_verify_passes_at_rest_at_solution(tmp_path, doc, x_star):
     assert report["passed"] is True
 
 
+def test_verify_grad2_within_ulps_of_the_solution(tmp_path, capsys):
+    # the gap at x0 = x* + 2 ulps rounds to -1.1e-16; the envelope anchors at 0
+    problem = {"kind": "quadratic", "Q": [[1.2, 0.3], [0.3, 1.0]], "b": [0.5, -1.0]}
+    inst = problems.from_descriptor(problem)
+    s = certificates.suggest_constants_grad2(inst.rho, inst.beta)
+    x_star = inst.x_star
+    x0 = [float(x_star[0] - 2.0 * np.spacing(x_star[0])), float(x_star[1])]
+    doc = {"problem": problem, "system": "grad2",
+           "params": {"alpha": s.alpha, "lambda": s.lam, "gamma": s.gamma},
+           "initial": {"x0": x0}}
+    out = tmp_path / "near"
+    # the exit code stays 1: the fitted-rate gate fits the gap's noise floor
+    cli.execute(doc, "verify", out_dir=str(out), quiet=True)
+    assert "run failed" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["envelope"]["violating_samples"] == 0
+    assert report["m_raw"] == 0.0
+
+
+def test_verify_fb2_m_is_the_initial_lyapunov_value(tmp_path):
+    doc = _patched(FB2_VERIFY, "initial", v0=[1.0, -2.0])
+    out = tmp_path / "moving"
+    assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 0
+    report = json.loads((out / "report.json").read_text())
+    # x0 - x* = (2.5, -1.5): h(0) = 8.5/2, h'(0) = 2.5 + 3 = 5.5, u(0) = 5, and
+    # b2(0) = (gamma/lambda)*(rho + 1/eta - S)/(2*rho + 1/eta) = (11/40)*(3/8)
+    hand = 5.5 + (11.0 - 1.0) * 4.25 + (11.0 / 40.0) * 0.375 * 5.0
+    assert report["m_raw"] == report["lyapunov"]["initial"] == hand == 48.515625
+
+
 def test_verify_grad1_on_zero_weight_lasso(tmp_path):
     # w = 0 leaves no nonsmooth part, so the gradient flows accept the instance
     cfg = write_config(tmp_path, {

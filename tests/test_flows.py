@@ -118,7 +118,7 @@ def proxgrad1_rhs(f: FunctionOracle, g: FunctionOracle, eta: float,
         step = f.prox(eta, x - eta * np.asarray(g.gradient(x), dtype=float))
         return sched.lam(t) * (step - x)
 
-    return FlowRHS(order=1, rhs=rhs, description="proximal-gradient flow")
+    return FlowRHS(order=1, rhs=rhs)
 
 
 def test_proxgrad_agrees_with_fb1():

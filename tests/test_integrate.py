@@ -19,10 +19,9 @@ from fbflows.integrate import (
 )
 from fbflows.operators import row_blocks
 
-DECAY = FlowRHS(order=1, rhs=lambda t, x: -x, description="dx/dt = -x")
-ZERO = FlowRHS(order=1, rhs=lambda t, x: np.zeros_like(x), description="dx/dt = 0")
-DAMPED = FlowRHS(order=2, rhs=lambda t, x, v: -3.0 * v - 2.0 * x,
-                 description="x'' + 3x' + 2x = 0")
+DECAY = FlowRHS(order=1, rhs=lambda t, x: -x)                         # dx/dt = -x
+ZERO = FlowRHS(order=1, rhs=lambda t, x: np.zeros_like(x))            # dx/dt = 0
+DAMPED = FlowRHS(order=2, rhs=lambda t, x, v: -3.0 * v - 2.0 * x)     # x'' + 3x' + 2x = 0
 DOPRI5, DOP853 = "dopri5(4)-pi", "dop853(5,3)"
 PAIRS = (integrate_module._DOPRI5, integrate_module._DOP853)
 
@@ -67,8 +66,7 @@ def test_step_size_underflow_aborts_with_diagnostics():
 
     # each abort holds for both pairs: a flow declared smooth runs DOP853
     for smooth in (False, True):
-        flow = FlowRHS(order=1, rhs=singular, description="derivative pole at t=1",
-                       smooth=smooth)
+        flow = FlowRHS(order=1, rhs=singular, smooth=smooth)
         with pytest.raises(IntegrationError, match="step size underflow") as exc:
             integrate(flow, np.array([0.0]), t_end=2.0,
                       control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
