@@ -133,13 +133,17 @@ class FlowRHS:
     A first-order field also takes a column of times (n, 1) with a block of
     points (n, d) and returns the n velocities, one per row.  ``smooth``
     declares the field free of kinks in the state, so ``integrate`` may take
-    a high-order pair; fb1_rhs, fb2_rhs, grad1_rhs and grad2_rhs set it from
-    the oracles they compose.
+    a high-order pair.  ``state_map`` (None unless declared) is the t-free affine
+    F of x' = lambda(t) F(x) or x'' = lambda(t) F(x) - gamma(t) x', with lambda
+    and gamma from ``sched``; ``integrate`` probes it into a matrix, and ``rhs``
+    stays the oracle composition.  The four builders set these from the oracles.
     """
 
     order: int
     rhs: Callable
     smooth: bool = False
+    state_map: Optional[Callable] = None
+    sched: Optional[Schedule] = None
 
     def __call__(self, t, x, v=None):
         if self.order == 1:
@@ -151,56 +155,50 @@ def _forward_backward_step(a: ResolventOracle, b: MonotoneMap, eta: float, x):
     return a.resolve(eta, x - eta * b.eval(x))
 
 
+def _flow(order: int, state_map, sched: Schedule, smooth: bool, affine: bool) -> FlowRHS:
+    """x' = lambda(t) F(x) (order 1) or x'' = lambda(t) F(x) - gamma(t) x' (order 2)."""
+    if order == 2 and sched.gamma is None:
+        raise ValueError("second-order flow needs a damping gamma(t) in the schedule")
+    if order == 1:
+        def rhs(t, x):
+            return sched.lam(t) * state_map(np.asarray(x, dtype=float))
+    else:
+        def rhs(t, x, v):
+            return (-sched.gamma(t) * np.asarray(v, dtype=float)
+                    + sched.lam(t) * state_map(np.asarray(x, dtype=float)))
+    return FlowRHS(order, rhs, smooth, state_map if affine else None, sched)
+
+
+def _fb_flow(order, a: ResolventOracle, b: MonotoneMap, eta: float, sched) -> FlowRHS:
+    eta = check_eta(eta)  # the skew-rotation resolvent does not check eta itself
+    return _flow(order, lambda x: _forward_backward_step(a, b, eta, x) - x, sched,
+                 a.smooth and b.smooth, a.affine and b.affine)
+
+
+def _gradient_flow(order, g: FunctionOracle, sched) -> FlowRHS:
+    if g.gradient is None:
+        raise ValueError("gradient flow needs a smooth oracle with a gradient")
+    return _flow(order, lambda x: -np.asarray(g.gradient(x), float), sched, g.smooth, g.affine)
+
+
 def fb1_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> FlowRHS:
     """First-order flow dx/dt = lambda(t) * (J_{eta A}(x - eta*B(x)) - x)."""
-    eta = check_eta(eta)  # the skew-rotation resolvent does not check eta itself
-
-    def rhs(t, x):
-        x = np.asarray(x, dtype=float)
-        return sched.lam(t) * (_forward_backward_step(a, b, eta, x) - x)
-
-    return FlowRHS(order=1, rhs=rhs, smooth=a.smooth and b.smooth)
+    return _fb_flow(1, a, b, eta, sched)
 
 
 def fb2_rhs(a: ResolventOracle, b: MonotoneMap, eta: float, sched: Schedule) -> FlowRHS:
     """Damped second-order flow x'' + gamma(t) x' + lambda(t) (x - J_{eta A}(x - eta*B(x))) = 0."""
-    eta = check_eta(eta)
-    if sched.gamma is None:
-        raise ValueError("second-order flow needs a damping gamma(t) in the schedule")
-
-    def rhs(t, x, v):
-        x = np.asarray(x, dtype=float)
-        return -sched.gamma(t) * np.asarray(v, dtype=float) - sched.lam(t) * (
-            x - _forward_backward_step(a, b, eta, x)
-        )
-
-    return FlowRHS(order=2, rhs=rhs, smooth=a.smooth and b.smooth)
+    return _fb_flow(2, a, b, eta, sched)
 
 
 def grad1_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
     """Relaxed gradient flow dx/dt = -lambda(t) * grad g(x)."""
-    if g.gradient is None:
-        raise ValueError("gradient flow needs a smooth oracle with a gradient")
-
-    def rhs(t, x):
-        return -sched.lam(t) * np.asarray(g.gradient(np.asarray(x, dtype=float)),
-                                          dtype=float)
-
-    return FlowRHS(order=1, rhs=rhs, smooth=g.smooth)
+    return _gradient_flow(1, g, sched)
 
 
 def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
     """Damped second-order gradient flow x'' + gamma(t) x' + lambda(t) grad g(x) = 0."""
-    if g.gradient is None:
-        raise ValueError("gradient flow needs a smooth oracle with a gradient")
-    if sched.gamma is None:
-        raise ValueError("second-order flow needs a damping gamma(t) in the schedule")
-
-    def rhs(t, x, v):
-        grad = np.asarray(g.gradient(np.asarray(x, dtype=float)), dtype=float)
-        return -sched.gamma(t) * np.asarray(v, dtype=float) - sched.lam(t) * grad
-
-    return FlowRHS(order=2, rhs=rhs, smooth=g.smooth)
+    return _gradient_flow(2, g, sched)
 
 
 def residual(a: ResolventOracle, b: MonotoneMap, eta: float, x) -> float:

@@ -4,12 +4,12 @@ One adaptive step loop runs either of two embedded Dormand-Prince pairs,
 chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 7th-order dense interpolant, for a ``FlowRHS.smooth`` field, and DOPRI5, the
 5(4) pair with PI step-size control and a 4th-order interpolant, for any
-other (at a kink the 8th-order pair rejects more steps than it saves).
-Either way trajectories can be sampled on an even grid much finer than the
-accepted steps, with the local error of every step held below the
-tolerances of ``Adaptive``.  Second-order flows are integrated by state
-augmentation (x, v).  The module also owns the artifact format:
-``write_csv`` (floats as ``FLOAT``, which round-trips), ``write_json``,
+other (at a kink the 8th-order pair rejects more steps than it saves).  Each
+step's local error stays below ``Adaptive``'s tolerances, and samples fill an
+even grid finer than the steps.  A ``FlowRHS.state_map`` is probed into
+matrices once, so its stages are matrix products.  Second-order flows are
+integrated by state augmentation (x, v).  The module also owns the artifact
+format: ``write_csv`` (``FLOAT`` floats round-trip), ``write_json``,
 ``trajectory_columns``.
 """
 
@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .flows import FlowRHS
+from .flows import FlowRHS, Profile
 from .operators import positive, row_blocks
 
 
@@ -447,18 +447,54 @@ def _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense):
     return ts, ys, grid
 
 
+def _probe(state_map, x0):
+    """(G, F(x0)) of an affine F, G's column i F(e_i) - F(0), from one block call."""
+    f = np.asarray(state_map(np.vstack([np.zeros(x0.size), np.eye(x0.size), x0])), float)
+    return (f[1:-1] - f[0]).T, f[-1]
+
+
+def _matrix_field(flow: FlowRHS, y0):
+    """The field of a flow with a ``state_map`` as terms c(t) (M_k (y - y0) + b_k):
+    lambda(t) times the probed G, anchored at the oracles' own F(x0), and x' = v
+    and -gamma(t) v, anchored at M_k y0.  Constant c fold into one (M, b): y0 gets b."""
+    n, dim = y0.size, y0.size // flow.order
+    lift, anchor = np.zeros((n, n)), np.zeros(n)
+    lift[-dim:, :dim], anchor[-dim:] = _probe(flow.state_map, y0[:dim])
+    terms = [(flow.sched.lam, lift, anchor)]
+    if flow.order == 2:
+        moves = np.eye(n, k=dim)  # x' = v
+        damps = -moves.T @ moves  # -v in the rows of v'
+        terms += [(Profile(1.0, 1.0), moves, moves @ y0), (flow.sched.gamma, damps, damps @ y0)]
+    m, b, varying = np.zeros((n, n)), np.zeros(n), []
+    for coef, mk, bk in terms:
+        if isinstance(coef, Profile) and coef.start == coef.end:
+            m, b = m + coef(0.0) * mk, b + coef(0.0) * bk
+        else:
+            varying.append((coef, mk, bk))
+
+    def fun(t, y):
+        d = y - y0
+        out = m.dot(d) + b
+        for coef, mk, bk in varying:
+            out += coef(t) * (mk.dot(d) + bk)
+        return out
+    return fun
+
+
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
               control: Adaptive = Adaptive(), n_dense: int = N_DENSE) -> Trajectory:
     """Integrate a flow over [0, t_end]; returns a densely sampled Trajectory.
 
     A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5.
+    A field with a ``state_map`` runs as matrix products (``_matrix_field``).
     ``control`` holds the tolerances of the local error control.
     The samples are every accepted step end plus ``n_dense`` evenly spaced
     interpolated points over [0, t_end], n_dense an integer >= 2, and
     ``Trajectory.grid`` indexes the even grid among them (the rows of
     ``to_csv``); t_end and the tolerances obey ``operators.positive``.
-    Second-order flows need ``v0``.  ``meta`` holds the solver name, the
-    tolerances and the accepted, rejected and rhs-evaluation counts.
+    Second-order flows need ``v0``.  ``meta`` holds the solver and ``field``
+    (``"matrix"`` or ``"oracle"``), the tolerances, the accepted, rejected and
+    rhs-evaluation counts and the extreme accepted steps ``h_min``/``h_max``.
     """
     t_end = positive(t_end, "t_end")
     rtol = positive(control.rel_tol, "rel_tol")
@@ -486,11 +522,14 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
+    fun = fun if flow.state_map is None else _matrix_field(flow, y0)
     pair = _DOP853 if flow.smooth else _DOPRI5
     steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol)
     ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
+    meta = {"solver": pair.name, "field": "oracle" if flow.state_map is None else "matrix",
+            "rel_tol": rtol, "abs_tol": atol, **stats,
+            "h_min": min(steps[1], default=None), "h_max": max(steps[1], default=None)}
     del steps  # the step data is the largest array set; free it before v
-    meta = {"solver": pair.name, "rel_tol": rtol, "abs_tol": atol, **stats}
 
     if flow.order == 2:
         x = ys[:, :dim]

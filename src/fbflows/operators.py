@@ -58,13 +58,14 @@ class MonotoneMap:
 
     ``beta`` is the cocoercivity-style scale: the map is claimed to be
     (1/beta)-Lipschitz.  Claims are advisory; ``audit_map`` checks them.
-    ``smooth`` declares the map free of kinks (infinitely differentiable).
+    ``smooth`` declares the map free of kinks, ``affine`` affine in x.
     """
 
     eval: Callable[[Array], Array]
     beta: float
     description: str = ""
     smooth: bool = False
+    affine: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,12 +74,13 @@ class ResolventOracle:
 
     ``resolve(eta, x)`` returns the unique solution p of x in p + eta*A(p), for
     each point of x (a point (d,) or a block (n, d)).  ``smooth`` declares
-    the resolvent free of kinks in x (infinitely differentiable).
+    the resolvent free of kinks in x, ``affine`` affine in x for each eta.
     """
 
     resolve: Callable[[float, Array], Array]
     description: str = ""
     smooth: bool = False
+    affine: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +91,7 @@ class FunctionOracle:
     present only for differentiable entries.  All three act on the last
     axis: ``value`` gives a scalar for a point (d,) and an array (n,) for a
     block (n, d).  ``smooth`` declares the gradient and the prox free of
-    kinks (infinitely differentiable), as for a quadratic.
+    kinks, ``affine`` declares them affine in x, both as for a quadratic.
     """
 
     value: Callable[[Array], Array]
@@ -97,6 +99,7 @@ class FunctionOracle:
     prox: Optional[Callable[[float, Array], Array]] = None
     description: str = ""
     smooth: bool = False
+    affine: bool = False
 
 
 NOT_POSITIVE = "%s must be positive and finite, got %r"  # % (name, float value)
@@ -131,7 +134,7 @@ def zero_function() -> FunctionOracle:
         gradient=lambda x: np.zeros_like(as_points(x)),
         prox=lambda eta, x: as_points(x),
         description="zero",
-        smooth=True,
+        smooth=True, affine=True,
     )
 
 
@@ -164,7 +167,7 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
         gradient=lambda x: c * as_points(x),
         prox=lambda eta, x: as_points(x) / (1.0 + check_eta(eta) * c),
         description="scaled_sqnorm(c=%g)" % c,
-        smooth=True,
+        smooth=True, affine=True,
     )
 
 
@@ -203,7 +206,7 @@ def translated_linear(rho: float, c) -> FunctionOracle:
         gradient=lambda x: rho * as_points(x) - c,
         prox=lambda eta, x: (as_points(x) + check_eta(eta) * c) / (1.0 + eta * rho),
         description="translated_linear(rho=%g)" % rho,
-        smooth=True,
+        smooth=True, affine=True,
     )
 
 
@@ -212,11 +215,11 @@ def translated_linear(rho: float, c) -> FunctionOracle:
 
 
 def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
-    """Resolvent of the subdifferential of f, i.e. its prox map, as smooth as f."""
+    """Resolvent of the subdifferential of f (its prox map), as smooth and affine as f."""
     if f.prox is None:
         raise ValueError("function oracle %r has no prox" % (f.description,))
     return ResolventOracle(resolve=f.prox, description="prox of " + f.description,
-                           smooth=f.smooth)
+                           smooth=f.smooth, affine=f.affine)
 
 
 def zero_operator() -> ResolventOracle:
@@ -224,18 +227,18 @@ def zero_operator() -> ResolventOracle:
     return ResolventOracle(
         resolve=lambda eta, x: (check_eta(eta), as_points(x))[1],
         description="zero operator",
-        smooth=True,
+        smooth=True, affine=True,
     )
 
 
 def gradient_map(g: FunctionOracle, beta: float) -> MonotoneMap:
     """Wrap the gradient of a differentiable oracle as a (1/beta)-Lipschitz map,
-    as smooth as g."""
+    as smooth and as affine as g."""
     if g.gradient is None:
         raise ValueError("function oracle %r has no gradient" % (g.description,))
     beta = positive(beta, "beta")
     return MonotoneMap(eval=g.gradient, beta=beta, description="grad " + g.description,
-                       smooth=g.smooth)
+                       smooth=g.smooth, affine=g.affine)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _quadratic_oracle(q: np.ndarray, b: np.ndarray) -> FunctionOracle:
         value=value,
         gradient=lambda x: matvec(q, x) + b,
         description="quadratic",
-        smooth=True,
+        smooth=True, affine=True,
     )
 
 
@@ -176,10 +176,10 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
         a=ResolventOracle(
             resolve=lambda eta, x: (np.asarray(x, dtype=float) + eta * c) / (1.0 + eta * rho),
             description="shifted scaling rho*x - c",
-            smooth=True,
+            smooth=True, affine=True,
         ),
         b=MonotoneMap(eval=lambda x: matvec(s, x), beta=1.0,
-                      description="rotation by 90 degrees", smooth=True),
+                      description="rotation by 90 degrees", smooth=True, affine=True),
         sum_eval=lambda x: rho * np.asarray(x, dtype=float) - c + matvec(s, x),
         x_star=x_star,
         f=None,

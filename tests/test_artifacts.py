@@ -69,9 +69,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "cdf5cee4e66f3c60f7312ea3df6e39ed4093d7c3e9b602eff02f6a9246fcc577",
+            "194db7f3d525f799fdecc7090c6aae902b59a6b51a7e41140f1cb71abd5dbc33",
         "trajectory.csv":
-            "3e84c88dedf5478c87ab3f5b97bf90cef54c533593706a91ba23478f0b7525bd",
+            "e303f0ea2213652f0a3aa2e268028c39b9f83f3e2dc9308909fe7842ae532e0c",
     },
     "grad1": {
         "certificate.json":
@@ -81,9 +81,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "85513df1e2f225eda6c0f65b539b64af1206ef8e660845df6438fb6280f388be",
+            "292bd6b5ae9314886a20b0e0428fa11c7d450370583fb884ccbbbe7f9b109981",
         "trajectory.csv":
-            "d4ec9b6fdc94d4eaab25584f996882d800a5b3830738993d6af91383d5944532",
+            "752990f73a2ff6c53f2b317e22a1f34bb07fdbfe8f1e084bebe7bf0ab41d15c6",
     },
     "fb2": {
         "certificate.json":
@@ -93,9 +93,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "81b2ca5774ba2797a75cd7fc1e7abbea522f5d3823ca993b4f751604d07591cf",
+            "7c216f21fe21e6f36541a04ce7d03845f88e1d88ee7f3fa4205bf04ddd246877",
         "trajectory.csv":
-            "a81d71495e50e84a6bf833911fe3bafd19be29ccce1f811e46087aa69fc5bbd0",
+            "baabaf80cae98aeb8558a33e327eca33894e15dc9335b78dd67cf7d7e7da31f6",
     },
     "grad2": {
         "certificate.json":
@@ -105,9 +105,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "09c76fefd50cae3bc05cb687ac6643df79fe517901120994828817d177b6a2e8",
+            "fa9ef7eeebfb92acfb60a39c9b4e8079b20e9b9883126175b6a33bd0d5db5e3e",
         "trajectory.csv":
-            "c27d79db9642d03267c36f98f3be9533c3203240fcd9f228ed6d6bda513c6dbe",
+            "4db639c49da4bc12e6099fa40567a2c77f12a13df0674c624f442b563f0f5478",
     },
     "fb2-exp-ramp": {
         "certificate.json":
@@ -117,9 +117,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "ff6faa5e5190636e32c7d97a03d896a037759a5358928c0171841285c6e7a79e",
+            "154076502fab2c04497130c078543dc091e819af50608801e2a95644f5a6c538",
         "trajectory.csv":
-            "4c0eb53ff637dbcf0843c7cf48458c97c00007a5484f305aecbd990199938923",
+            "1e4b05b003588b1a4f5b2d6e66aaffec79197d785fb43e01a87fe35c1942891c",
     },
     "sc-lasso-fb1": {
         "certificate.json":
@@ -129,7 +129,7 @@ GOLDEN = {
         "plot_metrics.gp":
             "f87e7df9ab97916cbcfb6ddff1885ee234f783b0bb091f9c8f8fb691607a9ed6",
         "report.json":
-            "7c6c8b9dd997d32da34835536ede1b35dd5b9647e525f5980b1fad7aa379dab1",
+            "45281ac8861846f45842487be23472618e5c3becb0b6c28b273c676437550120",
         "trajectory.csv":
             "67d5262dc051db7797d55cdbf7e742ce5fe05ab68efcccd43f0033555bb97f44",
     },

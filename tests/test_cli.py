@@ -251,6 +251,17 @@ FB2_VERIFY = {
     "integrator": {"t_end": 23.0, "rel_tol": 1e-10, "abs_tol": 1e-13},
     "initial": {"x0": [3.0, -1.0], "v0": [0.0, 0.0]},
 }
+
+
+GRAD1_VERIFY = {
+    "problem": IDENTITY_2D,
+    "system": "grad1",
+    "params": {"alpha": 2.0, "lambda": 1.0},
+    "integrator": {"t_end": 12.0, "rel_tol": 1e-11, "abs_tol": 1e-14},
+    "initial": {"x0": [3.0, 0.0]},
+}
+
+
 GRAD2_VERIFY = {
     "problem": IDENTITY_2D,
     "system": "grad2",
@@ -438,9 +449,12 @@ def test_verify_writes_the_even_grid_and_checks_every_sample(tmp_path, n_dense):
     assert report["envelope"]["n_samples"] > n_dense
     assert report["lyapunov"]["n_samples"] == report["envelope"]["n_samples"]
     assert report["integrator"]["solver"] == "dop853(5,3)"
-    assert sorted(report["integrator"]) == ["abs_tol", "accepted", "rejected",
-                                            "rel_tol", "rhs_evaluations", "solver"]
+    assert sorted(report["integrator"]) == ["abs_tol", "accepted", "field", "h_max", "h_min",
+                                            "rejected", "rel_tol", "rhs_evaluations",
+                                            "solver"]
     assert report["integrator"]["accepted"] > 0
+    assert report["integrator"]["field"] == "matrix"
+    assert 0.0 < report["integrator"]["h_min"] <= report["integrator"]["h_max"] <= t_end
 
 
 def test_verify_is_deterministic(tmp_path):
@@ -480,17 +494,26 @@ def test_verify_grad2_passes_on_smooth_instance(tmp_path, capsys, spell):
     assert "PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("doc, x_star", [(FB2_VERIFY, [0.5, 0.5]),
+@pytest.mark.parametrize("doc, x_star", [(FB1_VERIFY, [0.5, 0.5]),
+                                          (GRAD1_VERIFY, [0.0, 0.0]),
+                                          (FB2_VERIFY, [0.5, 0.5]),
                                           (GRAD2_VERIFY, [0.0, 0.0])],
-                         ids=["fb2", "grad2"])
+                         ids=["fb1", "grad1", "fb2", "grad2"])
 def test_verify_passes_at_rest_at_solution(tmp_path, doc, x_star):
     # x0 = x*, v0 = 0 gives the lemma constant M = 0, which the bound admits
     cfg = write_config(tmp_path, _patched(doc, "initial", x0=x_star))
     out = tmp_path / "rest"
     assert run(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["m_raw"] == 0.0
+    if doc["system"] in ("fb2", "grad2"):  # a first-order report has no M
+        assert report["m_raw"] == 0.0
     assert report["passed"] is True
+    # the matrix field is anchored at x0, where the oracles' field is exactly
+    # zero, so the state never leaves x0 by a single bit
+    assert report["integrator"]["field"] == "matrix"
+    traj = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+    for i, xi in enumerate(x_star):
+        assert np.all(traj["x_%d" % i] == xi)
 
 
 def test_verify_grad2_within_ulps_of_the_solution(tmp_path, capsys):

@@ -17,7 +17,8 @@ from fbflows.integrate import (
     record_metrics,
     to_csv,
 )
-from fbflows.operators import row_blocks
+from fbflows.operators import (MonotoneMap, box_indicator, l1_norm, prox_resolvent, row_blocks,
+                               zero_operator)
 
 DECAY = FlowRHS(order=1, rhs=lambda t, x: -x)                         # dx/dt = -x
 ZERO = FlowRHS(order=1, rhs=lambda t, x: np.zeros_like(x))            # dx/dt = 0
@@ -141,6 +142,10 @@ def test_grid_below_the_sample_resolution_keeps_one_row_per_sample():
     traj = integrate(DECAY, np.array([1.0]), t_end=1e-13)
     assert traj.t.tolist() == [0.0]
     assert traj.grid.tolist() == [0]
+    # below the step loop's resolution no step is taken, so no step width either
+    meta = integrate(DECAY, np.array([1.0]), t_end=1e-15).meta
+    assert meta["accepted"] == meta["rejected"] == 0
+    assert meta["h_min"] is None and meta["h_max"] is None
 
 
 def _readme_fb1():
@@ -215,14 +220,18 @@ def _affine_field(fun, n):
     return np.column_stack([fun(e) - c for e in np.eye(n)]), c
 
 
-@pytest.mark.parametrize("name", ["fb1", "grad1", "grad2", "fb2"])
-def test_affine_flows_match_the_exact_solution_at_every_sample(name):
-    # these fields are affine with constant coefficients, so the solution is
-    # y* + V exp(L t) V^-1 (y0 - y*) from one eigendecomposition of the field
-    # matrix; every sample is checked, the step ends trajectory.csv leaves out too
+def _exact_solution_error(name):
+    """max |x - exact| / ||x0 - x*|| over every sample of a reference case.
+
+    These fields are affine with constant coefficients, so the solution is
+    y* + V exp(L t) V^-1 (y0 - y*) from one eigendecomposition of the field
+    matrix, read off ``flow.rhs`` (the oracles, not integrate's probe).  Every
+    sample is checked, the step ends trajectory.csv leaves out too.
+    """
     inst, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
     traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control)
     assert traj.t.size > traj.grid.size
+    assert traj.meta["field"] == "matrix"
     dim = x0.size
     if flow.order == 2:
         y0 = np.concatenate([x0, v0])
@@ -240,8 +249,92 @@ def test_affine_flows_match_the_exact_solution_at_every_sample(name):
     lam, vec = np.linalg.eig(m)
     coef = np.linalg.solve(vec, y0 - y_star)
     exact = (y_star + (np.exp(np.outer(traj.t, lam)) * coef) @ vec.T).real
-    scale = np.linalg.norm(x0 - inst.x_star)
-    assert np.max(np.abs(traj.x - exact[:, :dim])) / scale <= 1e-8
+    return np.max(np.abs(traj.x - exact[:, :dim])) / np.linalg.norm(x0 - inst.x_star)
+
+
+AFFINE_CASES = ["fb1", "grad1", "grad2", "fb2"]
+
+
+@pytest.mark.parametrize("name", AFFINE_CASES)
+def test_affine_flows_match_the_exact_solution_at_every_sample(name):
+    assert _exact_solution_error(name) <= 1e-8
+
+
+@pytest.mark.parametrize("name", AFFINE_CASES)
+def test_a_perturbed_probe_fails_the_exact_solution_check(monkeypatch, name):
+    # a seeded defect in the matrix path: its probed G off by 1e-6 relative
+    probe = integrate_module._probe
+
+    def perturbed(state_map, x0):
+        g, f0 = probe(state_map, x0)
+        return g * (1.0 + 1e-6), f0
+
+    monkeypatch.setattr(integrate_module, "_probe", perturbed)
+    assert _exact_solution_error(name) > 1e-8
+
+
+SKEW = problems.get_problem("skew-rotation")
+TILTED = problems.make_quadratic(np.array([[1.2, 0.3], [0.3, 1.0]]), np.array([0.5, -1.0]))
+MATRIX_FLOWS = {
+    "fb1-skew": lambda sched: fb1_rhs(SKEW.a, SKEW.b, 0.5, sched),
+    "fb2-skew": lambda sched: fb2_rhs(SKEW.a, SKEW.b, 0.5, sched),
+    "fb1-quadratic": lambda sched: fb1_rhs(TILTED.a, TILTED.b, 0.7, sched),
+    "fb2-quadratic": lambda sched: fb2_rhs(TILTED.a, TILTED.b, 0.7, sched),
+    "grad1-quadratic": lambda sched: grad1_rhs(TILTED.g, sched),
+    "grad2-quadratic": lambda sched: grad2_rhs(TILTED.g, sched),
+}
+MATRIX_SCHEDULES = {
+    "constant": Schedule.constant(1.7, gamma=3.0),
+    "exp-ramp-gamma": Schedule(lam=Profile(1.7, 1.7), lambda_lower=1.7, lambda_upper=1.7,
+                               gamma=Profile(15.0, 14.0, 0.5)),
+    "exp-ramp-both": Schedule(lam=Profile(2.0, 1.5, 0.7), lambda_lower=1.5, lambda_upper=2.0,
+                              gamma=Profile(15.0, 14.0, 0.5)),
+}
+
+
+def _oracle_field(flow):
+    """The augmented field of ``flow.rhs``, as integrate's oracle path forms it."""
+    if flow.order == 1:
+        return flow.rhs
+    dim = 2
+    return lambda t, y: np.concatenate([y[dim:], flow.rhs(t, y[:dim], y[dim:])])
+
+
+@pytest.mark.parametrize("sched", list(MATRIX_SCHEDULES))
+@pytest.mark.parametrize("name", list(MATRIX_FLOWS))
+def test_matrix_field_equals_the_oracle_field(name, sched):
+    flow = MATRIX_FLOWS[name](MATRIX_SCHEDULES[sched])
+    assert flow.state_map is not None
+    rng = np.random.default_rng(21)
+    y0 = rng.uniform(-5.0, 5.0, 2 * flow.order)
+    fun, oracle = integrate_module._matrix_field(flow, y0), _oracle_field(flow)
+    for t, y in zip(rng.uniform(0.0, 20.0, 50), rng.uniform(-5.0, 5.0, (50, y0.size))):
+        ref = oracle(t, y)
+        assert np.linalg.norm(fun(t, y) - ref) <= 1e-13 * np.linalg.norm(ref)
+        # at the anchor the matrix field is the oracles' own value, bit for bit
+        assert np.array_equal(fun(t, y0), oracle(t, y0))
+
+
+@pytest.mark.parametrize("f", [l1_norm(0.5), box_indicator(-1.0, 1.0)], ids=["l1", "box"])
+def test_kinked_oracles_leave_the_field_on_the_oracle_path(f):
+    a = prox_resolvent(f)
+    assert not (f.affine or a.affine)
+    for flow in (fb1_rhs(a, TILTED.b, 0.7, Schedule.constant(1.0)),
+                 fb2_rhs(a, TILTED.b, 0.7, Schedule.constant(1.0, gamma=3.0))):
+        assert flow.state_map is None
+        v0 = np.zeros(2) if flow.order == 2 else None
+        meta = integrate(flow, np.array([3.0, -1.0]), v0=v0, t_end=1.0).meta
+        assert meta["field"] == "oracle"
+        assert meta["solver"] == DOPRI5
+
+
+def test_a_user_oracle_opts_in_by_declaring_affine():
+    rotate = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for affine, field in ((False, "oracle"), (True, "matrix")):
+        b = MonotoneMap(eval=lambda x: (rotate @ np.asarray(x)[..., None])[..., 0], beta=1.0,
+                        smooth=True, affine=affine)
+        flow = fb1_rhs(zero_operator(), b, 0.5, Schedule.constant(1.0))
+        assert integrate(flow, np.array([3.0, -1.0]), t_end=1.0).meta["field"] == field
 
 
 def _sc_lasso_fb1(w):
