@@ -7,7 +7,8 @@ chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 other (at a kink the 8th-order pair rejects more steps than it saves).  Each
 step's local error stays below ``Adaptive``'s tolerances, and samples fill an
 even grid finer than the steps.  A ``FlowRHS.state_map`` is probed into
-matrices once, so its stages are matrix products.  Second-order flows are
+matrices once, so its stages are matrix products, all of a step's from
+powers of one matrix when no coefficient varies.  Second-order flows are
 integrated by state augmentation (x, v).  The module also owns the artifact
 format: ``write_csv`` (``FLOAT`` floats round-trip), ``write_json``,
 ``trajectory_columns``.
@@ -84,19 +85,20 @@ class MetricSeries:
 
 
 def _combine(K, w):
-    """sum_j w[j] * K[j] over the first len(w) stages.
+    """Rows sum_j w[j, r] * K[j] of a (k, rows, 1) weight array, over the first
+    k stages of K, a (stages, 1, n) array.
 
-    The axis-0 reduce adds the rows left to right onto +0.0, as a sequential
-    ``sum`` does (``K.T @ w`` would let BLAS choose the order).  Starting from
-    +0.0 the partial sum is never -0.0, so the zero entries of a tableau row
-    add nothing, bit for bit, while the stages are finite.  A single column
-    is reduced as two equal ones: numpy sums one column of 8 or more rows
-    pairwise.
+    The axis-0 reduce adds the stages left to right onto +0.0, as a sequential
+    ``sum`` does (``K.T @ w`` would let BLAS choose the order), one row's bits
+    whatever rows share the call.  Starting from +0.0 the partial sum is never
+    -0.0, so zero weights add nothing, bit for bit, while the stages are
+    finite.  A single column is reduced as two equal ones: numpy sums one
+    column of 8 or more rows pairwise.
     """
     terms = w * K[:w.shape[0]]
-    if terms.shape[1] == 1:
-        return np.add.reduce(np.broadcast_to(terms, (terms.shape[0], 2)), axis=0,
-                             initial=0.0)[:1]
+    if terms.size == terms.shape[0]:
+        return np.add.reduce(np.broadcast_to(terms, (terms.shape[0], 1, 2)), axis=0,
+                             initial=0.0)[:, :1]
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
@@ -104,25 +106,28 @@ def _rms(v) -> float:
     return math.sqrt(np.add.reduce(np.square(v)) / v.size)
 
 
-def _columns(rows):
-    """Tableau rows as (k, 1) weight columns for ``_combine``."""
-    return tuple(np.array(row)[:, None] for row in rows)
+def _weights(*rows):
+    """Tableau rows as one (k, rows, 1) weight array for ``_combine``, zero-padded."""
+    w = np.zeros((max(map(len, rows)), len(rows), 1))
+    for r, row in enumerate(rows):
+        w[:len(row), r, 0] = row
+    return w
 
 
 class _Pair(NamedTuple):
     """An embedded Runge-Kutta pair with first-same-as-last and dense output.
 
-    Stage i >= 1 is the rhs at t + c[i]*h, y + h*_combine(K, a[i]).  The
+    Stage i >= 1 is the rhs at t + c[i]*h, y + h*sum_j a[i][j] K[j].  The
     argument of stage ``stages - 1`` is the new solution, so that stage is
     the next step's first; the stages after it are the dense output's extra
-    stages, taken at accepted steps only.  ``error(K, h)`` gives the vectors
-    of the error estimate, and ``norm(h, sc, *vectors)`` their size in units
-    of the tolerance scale sc.  ``d`` weighs the dense coefficients beyond
-    the four Hermite ones.  An accepted step's ratio h_new/h is
-    0.9 * err**-expo * facold**beta (facold the previous accepted error,
-    beta the PI weight, 0 for none), clipped to [min_ratio, max_ratio]; a
-    rejected step's is 0.9 * err**-expo, at least min_ratio.  The first
-    step scales with the 1/order power of the tolerance.
+    stages.  ``e`` weighs the vectors of the error estimate, and
+    ``norm(h, sc, errors)`` gives their size in units of the tolerance scale
+    sc.  ``d`` weighs the dense coefficients beyond the four Hermite ones.
+    An accepted step's ratio h_new/h is 0.9 * err**-expo * facold**beta
+    (facold the previous accepted error, beta the PI weight, 0 for none),
+    clipped to [min_ratio, max_ratio]; a rejected step's is
+    0.9 * err**-expo, at least min_ratio.  The first step scales with the
+    1/order power of the tolerance.
     """
 
     name: str
@@ -130,9 +135,9 @@ class _Pair(NamedTuple):
     stages: int
     a: tuple
     c: tuple
-    error: Callable
+    e: np.ndarray
     norm: Callable
-    d: tuple
+    d: np.ndarray
     expo: float
     beta: float
     min_ratio: float
@@ -162,19 +167,15 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
-_E_W = np.array(_E)[:, None]
 
 
-def _dopri5_error(K, h):
-    return (h * _combine(K, _E_W),)
+def _dopri5_norm(h, sc, errors):
+    return _rms(h * errors[0] / sc)
 
 
-def _dopri5_norm(h, sc, err):
-    return _rms(err / sc)
-
-
-_DOPRI5 = _Pair(name="dopri5(4)-pi", order=5, stages=7, a=(None,) + _columns(_A[1:]),
-                c=_C, error=_dopri5_error, norm=_dopri5_norm, d=_columns([_D]),
+_DOPRI5 = _Pair(name="dopri5(4)-pi", order=5, stages=7,
+                a=(None,) + tuple(map(_weights, _A[1:])), c=_C, e=_weights(_E),
+                norm=_dopri5_norm, d=_weights(_D),
                 expo=0.2 - 0.75 * 0.04, beta=0.04, min_ratio=0.2, max_ratio=10.0)
 
 # Dormand-Prince 8(5,3) tableau, with the digits of Hairer's dop853.f (Hairer,
@@ -276,25 +277,21 @@ _D8 = (
      0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
      -0.14972683625798562581422125276e+3),
 )
-_E5_W, _E3_W = _columns([_E5, _E3])
 
 
-def _dop853_error(K, h):
-    return _combine(K, _E5_W), _combine(K, _E3_W)
-
-
-def _dop853_norm(h, sc, err5, err3):
+def _dop853_norm(h, sc, errors):
     """Hairer's estimate h*e5/sqrt(n*(e5 + e3/100)), with e5 and e3 the sums of
     squares of the scaled 5th- and 3rd-order error vectors."""
-    e5 = float(np.add.reduce(np.square(err5 / sc)))
+    e5 = float(np.add.reduce(np.square(errors[0] / sc)))
     if e5 == 0.0:
         return 0.0
-    e3 = float(np.add.reduce(np.square(err3 / sc)))
+    e3 = float(np.add.reduce(np.square(errors[1] / sc)))
     return h * e5 / math.sqrt((e5 + 0.01 * e3) * sc.size)
 
 
-_DOP853 = _Pair(name="dop853(5,3)", order=8, stages=13, a=(None,) + _columns(_A8[1:]),
-                c=_C8, error=_dop853_error, norm=_dop853_norm, d=_columns(_D8),
+_DOP853 = _Pair(name="dop853(5,3)", order=8, stages=13,
+                a=(None,) + tuple(map(_weights, _A8[1:])), c=_C8, e=_weights(_E5, _E3),
+                norm=_dop853_norm, d=_weights(*_D8),
                 expo=1 / 8, beta=0.0, min_ratio=1 / 3, max_ratio=6.0)
 
 _SAFETY = 0.9
@@ -314,14 +311,31 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, order):
     return min(100.0 * h0, h1, t_end - t0)
 
 
-def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
+def _power_table(pair):
+    """alpha[:, p] = A^p 1 for p < len(c), A the pair's tableau with the dense rows."""
+    a = np.zeros((len(pair.c),) * 2)
+    for i, w in enumerate(pair.a[1:], 1):
+        a[i, :w.shape[0]] = w[:, 0, 0]
+    alpha = [np.ones(len(pair.c))]
+    for _ in pair.c[1:]:
+        alpha.append(a @ alpha[-1])
+    return np.column_stack(alpha)
+
+
+def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, max_steps=1_000_000):
     """Integrate with ``pair``; returns (steps, t, y, stats).
 
     ``steps`` holds one list per field of the accepted steps: the left end,
     the width h and the dense-output coefficients (y, the Hermite terms, then
-    one per column of ``pair.d``).
+    one per row of ``pair.d``).  Given the constant matrix m of a field
+    f(y') = f(y) + m (y' - y), every stage is the polynomial
+    K_i = sum_p h^p (A^p 1)_i m^p f(y) (``_power_table``): one product with the
+    powers of m/s, s a norm bound of m so that none overflows, and one with
+    the table scaled by (h s)^p.  One reduce then forms the solution, error
+    and dense rows of the attempt, and an accepted step's last stage is
+    re-evaluated as f(y_new), the next step's first.
     """
-    a, c, error, norm = pair.a, pair.c, pair.error, pair.norm
+    a, c, norm = pair.a, pair.c, pair.norm
     last = pair.stages - 1  # the stage at the new solution (FSAL)
     extra = range(pair.stages, len(c))  # the dense output's extra stages
     fac_min, fac_max = 1.0 / pair.max_ratio, 1.0 / pair.min_ratio  # bounds of h/h_new
@@ -329,6 +343,7 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
     t = t0
     y = np.array(y0, dtype=float)
     K = np.empty((len(c), y.size))  # the stages of the current step, one per row
+    K3 = K[:, None]  # the same stages, in the shape that _combine weighs
     K[0] = fun(t, y)
     if not np.all(np.isfinite(K[0])):
         raise IntegrationError("non-finite rhs at the initial point",
@@ -338,7 +353,17 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
     n_acc = n_rej = 0
     facold = 1e-4
     rejected = False
-    steps = tuple([] for _ in range(6 + len(pair.d)))
+    steps = tuple([] for _ in range(6 + pair.d.shape[1]))
+    if m is not None:
+        table, expo = _power_table(pair)[1:], np.arange(len(c))
+        s = float(np.abs(m).sum(axis=1).max()) or 1.0
+        powers = [np.eye(y.size)]
+        for _ in expo[1:]:
+            powers.append(powers[-1] @ (m / s))
+        powers = np.concatenate(powers)  # (m/s)^p stacked, one block of rows per p
+        weights = np.concatenate([np.pad(w, ((0, len(c) - len(w)), (0, 0), (0, 0)))
+                                  for w in (a[last], pair.e, pair.d)], axis=1)
+        n_err = pair.e.shape[1]
 
     while t < t_end - 1e-14 * max(span, 1.0):
         if n_acc + n_rej >= max_steps:
@@ -351,18 +376,22 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         h = min(h, t_end - t)
 
-        for i in range(1, last + 1):
-            yi = y + h * _combine(K, a[i])
-            K[i] = fun(t + c[i] * h, yi)
+        if m is None:
+            for i in range(1, last + 1):
+                yi = y + h * _combine(K3, a[i])[0]
+                K[i] = fun(t + c[i] * h, yi)
+            y_new, errors = yi, _combine(K3, pair.e)  # the last stage is at the solution
+        else:
+            K[1:] = (table * (h * s) ** expo) @ (powers @ K[0]).reshape(len(c), -1)
+            rows = _combine(K3, weights)
+            y_new, errors = y + h * rows[0], rows[1:1 + n_err]
         n_rhs += last
-        y_new = yi  # the last stage's argument is the solution (FSAL)
-        errors = error(K, h)
-        if not (np.isfinite(y_new).all() and all(np.isfinite(e).all() for e in errors)):
+        if not (np.isfinite(y_new).all() and np.isfinite(errors).all()):
             raise IntegrationError(
                 "non-finite state during integration",
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = norm(h, sc, *errors)
+        err = norm(h, sc, errors)
 
         fac11 = err ** pair.expo if err > 0.0 else 1e-10
         if err <= 1.0:
@@ -373,13 +402,16 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, max_steps=1_000_000):
             h_new = h / fac
             facold = max(err, 1e-4)
 
-            for i in extra:
-                K[i] = fun(t + c[i] * h, y + h * _combine(K, a[i]))
+            if m is None:
+                for i in extra:
+                    K[i] = fun(t + c[i] * h, y + h * _combine(K3, a[i])[0])
+                dense = _combine(K3, pair.d)
+            else:
+                K[last], dense = fun(t + h, y_new), rows[1 + n_err:]
             n_rhs += len(extra)
             ydiff = y_new - y
             bspl = h * K[0] - ydiff
-            fields = (t, h, y, ydiff, bspl, ydiff - h * K[last] - bspl,
-                      *(h * _combine(K, w) for w in pair.d))
+            fields = (t, h, y, ydiff, bspl, ydiff - h * K[last] - bspl, *(h * dense))
             for column, value in zip(steps, fields):
                 column.append(value)
             t = t + h
@@ -454,9 +486,10 @@ def _probe(state_map, x0):
 
 
 def _matrix_field(flow: FlowRHS, y0):
-    """The field of a flow with a ``state_map`` as terms c(t) (M_k (y - y0) + b_k):
-    lambda(t) times the probed G, anchored at the oracles' own F(x0), and x' = v
-    and -gamma(t) v, anchored at M_k y0.  Constant c fold into one (M, b): y0 gets b."""
+    """(field, M) of a flow with a ``state_map``, the field a sum of terms
+    c(t) (M_k (y - y0) + b_k): lambda(t) times the probed G, anchored at the
+    oracles' own F(x0), and x' = v and -gamma(t) v, anchored at M_k y0.
+    Constant c fold into one (M, b): y0 gets b.  M is None if a c varies."""
     n, dim = y0.size, y0.size // flow.order
     lift, anchor = np.zeros((n, n)), np.zeros(n)
     lift[-dim:, :dim], anchor[-dim:] = _probe(flow.state_map, y0[:dim])
@@ -478,7 +511,7 @@ def _matrix_field(flow: FlowRHS, y0):
         for coef, mk, bk in varying:
             out += coef(t) * (mk.dot(d) + bk)
         return out
-    return fun
+    return fun, None if varying else m
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
@@ -486,7 +519,9 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     """Integrate a flow over [0, t_end]; returns a densely sampled Trajectory.
 
     A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5.
-    A field with a ``state_map`` runs as matrix products (``_matrix_field``).
+    A field with a ``state_map`` runs as matrix products (``_matrix_field``),
+    and, when no coefficient varies, forms its stages from powers of the
+    matrix (``_accepted_steps``).
     ``control`` holds the tolerances of the local error control.
     The samples are every accepted step end plus ``n_dense`` evenly spaced
     interpolated points over [0, t_end], n_dense an integer >= 2, and
@@ -495,6 +530,8 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     Second-order flows need ``v0``.  ``meta`` holds the solver and ``field``
     (``"matrix"`` or ``"oracle"``), the tolerances, the accepted, rejected and
     rhs-evaluation counts and the extreme accepted steps ``h_min``/``h_max``.
+    ``rhs_evaluations`` counts stage values, by one formula on every path,
+    although the power form makes one field call per accepted step, not per stage.
     """
     t_end = positive(t_end, "t_end")
     rtol = positive(control.rel_tol, "rel_tol")
@@ -522,9 +559,9 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
-    fun = fun if flow.state_map is None else _matrix_field(flow, y0)
+    fun, m = (fun, None) if flow.state_map is None else _matrix_field(flow, y0)
     pair = _DOP853 if flow.smooth else _DOPRI5
-    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol)
+    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol, m)
     ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
     meta = {"solver": pair.name, "field": "oracle" if flow.state_map is None else "matrix",
             "rel_tol": rtol, "abs_tol": atol, **stats,

@@ -69,9 +69,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "194db7f3d525f799fdecc7090c6aae902b59a6b51a7e41140f1cb71abd5dbc33",
+            "7e5d279c8bc30d7384d5c02c04b26b1df5f9050dfe430102d107e128de458b88",
         "trajectory.csv":
-            "e303f0ea2213652f0a3aa2e268028c39b9f83f3e2dc9308909fe7842ae532e0c",
+            "e00b0a1c286fe24f51cfc3a01bd586cca82025bdaa4943d84f10b7da26395bb0",
     },
     "grad1": {
         "certificate.json":
@@ -81,9 +81,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "292bd6b5ae9314886a20b0e0428fa11c7d450370583fb884ccbbbe7f9b109981",
+            "ebe1ac919d2df61aafc4c3a0359b3448820517455f7d51aaf7a325ff7e99f938",
         "trajectory.csv":
-            "752990f73a2ff6c53f2b317e22a1f34bb07fdbfe8f1e084bebe7bf0ab41d15c6",
+            "c2bdfcf71bb01e04a52480bd3fd11c499b2162f782e39262019897142b51b38a",
     },
     "fb2": {
         "certificate.json":
@@ -93,9 +93,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "7c216f21fe21e6f36541a04ce7d03845f88e1d88ee7f3fa4205bf04ddd246877",
+            "0655b6264cf3a3b9c6d2878353e03a70934479d39dccf3cb7d70f2520a20c63a",
         "trajectory.csv":
-            "baabaf80cae98aeb8558a33e327eca33894e15dc9335b78dd67cf7d7e7da31f6",
+            "1915e3ba8e8b39738dcca991a7c298b0793fd3dfa6256f3c083533d3f73296bf",
     },
     "grad2": {
         "certificate.json":
@@ -105,9 +105,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "fa9ef7eeebfb92acfb60a39c9b4e8079b20e9b9883126175b6a33bd0d5db5e3e",
+            "be58c69bdf98b971c0c82fd1267e254a8ae7c7f88f9fe5c604b0e8a95beccc87",
         "trajectory.csv":
-            "4db639c49da4bc12e6099fa40567a2c77f12a13df0674c624f442b563f0f5478",
+            "8b747cce3eae52b659c043544ce629293a88d1a697f3782bb89d7e37b8c5b7eb",
     },
     "fb2-exp-ramp": {
         "certificate.json":

@@ -1,6 +1,7 @@
 """Integrator behaviour: closed-form and reference accuracy, aborts, CSV."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +274,14 @@ def test_a_perturbed_probe_fails_the_exact_solution_check(monkeypatch, name):
     assert _exact_solution_error(name) > 1e-8
 
 
+@pytest.mark.parametrize("name", AFFINE_CASES)
+def test_a_perturbed_power_table_fails_the_exact_solution_check(monkeypatch, name):
+    # a seeded defect in the power form: its table of A^p 1 off by 1e-6 relative
+    table = integrate_module._power_table
+    monkeypatch.setattr(integrate_module, "_power_table", lambda pair: table(pair) * (1.0 + 1e-6))
+    assert _exact_solution_error(name) > 1e-8
+
+
 SKEW = problems.get_problem("skew-rotation")
 TILTED = problems.make_quadratic(np.array([[1.2, 0.3], [0.3, 1.0]]), np.array([0.5, -1.0]))
 MATRIX_FLOWS = {
@@ -307,12 +316,62 @@ def test_matrix_field_equals_the_oracle_field(name, sched):
     assert flow.state_map is not None
     rng = np.random.default_rng(21)
     y0 = rng.uniform(-5.0, 5.0, 2 * flow.order)
-    fun, oracle = integrate_module._matrix_field(flow, y0), _oracle_field(flow)
+    (fun, m), oracle = integrate_module._matrix_field(flow, y0), _oracle_field(flow)
+    # the constant matrix, for the power form, unless a coefficient the flow reads varies
+    assert (m is None) == (sched == "exp-ramp-both" or flow.order == 2 and sched != "constant")
     for t, y in zip(rng.uniform(0.0, 20.0, 50), rng.uniform(-5.0, 5.0, (50, y0.size))):
         ref = oracle(t, y)
         assert np.linalg.norm(fun(t, y) - ref) <= 1e-13 * np.linalg.norm(ref)
         # at the anchor the matrix field is the oracles' own value, bit for bit
         assert np.array_equal(fun(t, y0), oracle(t, y0))
+
+
+def _constant_case(name):
+    inst = TILTED if "quadratic" in name else SKEW
+    return lambda: (inst, MATRIX_FLOWS[name](MATRIX_SCHEDULES["constant"]), 10.0)
+
+
+def _stiff_grad2():
+    # a dim-20 quadratic with spectrum [50, 100] under lambda 252 and gamma 50.9:
+    # h*||M|| reaches about 1.5e3, so (h M)^p spans dozens of decades over 16 powers
+    basis, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((20, 20)))
+    inst = problems.make_quadratic((basis * np.linspace(50.0, 100.0, 20)) @ basis.T,
+                                   np.linspace(-1.0, 1.0, 20))
+    return inst, grad2_rhs(inst.g, Schedule.constant(252.0, gamma=50.9)), 2.0
+
+
+def _fb2_dopri5():
+    # an affine map declared without smooth: the power form of DOPRI5's tableau
+    spiral = np.array([[0.1, 1.0], [-1.0, 0.1]])
+    b = MonotoneMap(eval=lambda x: (spiral @ np.asarray(x)[..., None])[..., 0], beta=1.0,
+                    affine=True)
+    flow = fb2_rhs(zero_operator(), b, 0.5, Schedule.constant(1.0, gamma=3.0))
+    return SimpleNamespace(dim=2, x_star=np.zeros(2)), flow, 10.0
+
+
+POWER_CASES = {**{name: _constant_case(name) for name in MATRIX_FLOWS},
+               "grad2-stiff-20d": _stiff_grad2, "fb2-dopri5": _fb2_dopri5}
+
+
+@pytest.mark.parametrize("name", list(POWER_CASES))
+def test_power_form_matches_the_stage_loop(monkeypatch, name):
+    # a constant-coefficient field runs the power form; the same field, its matrix
+    # withheld, runs the stage loop: the two agree to 1e-10 at every grid row
+    inst, flow, t_end = POWER_CASES[name]()
+    x0 = np.linspace(3.0, -1.0, inst.dim)
+    v0 = np.linspace(-1.0, 1.0, inst.dim) if flow.order == 2 else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        power = integrate(flow, x0, v0=v0, t_end=t_end)
+    matrix_field = integrate_module._matrix_field
+    monkeypatch.setattr(integrate_module, "_matrix_field",
+                        lambda flow, y0: (matrix_field(flow, y0)[0], None))
+    loop = integrate(flow, x0, v0=v0, t_end=t_end)
+    assert power.meta["field"] == loop.meta["field"] == "matrix"
+    assert power.meta["solver"] == (DOPRI5 if name == "fb2-dopri5" else DOP853)
+    assert np.array_equal(power.t[power.grid], loop.t[loop.grid])
+    gap = np.max(np.abs(power.x[power.grid] - loop.x[loop.grid]))
+    assert gap <= 1e-10 * np.linalg.norm(x0 - inst.x_star)
 
 
 @pytest.mark.parametrize("f", [l1_norm(0.5), box_indicator(-1.0, 1.0)], ids=["l1", "box"])
@@ -490,29 +549,34 @@ def test_dense_output_matches_per_sample_interpolation(name, solver, monkeypatch
 
 
 def _weight_rows():
-    """Every tableau, error and dense weight row of both pairs, with its column."""
+    """Every weight array of both pairs (each stage row, the error rows, the dense
+    rows), with the tableau rows it holds."""
     m = integrate_module
-    rows = list(m._A[1:]) + [m._E, m._D] + list(m._A8[1:]) + [m._E5, m._E3] + list(m._D8)
-    columns = (list(m._DOPRI5.a[1:]) + [m._E_W] + list(m._DOPRI5.d)
-               + list(m._DOP853.a[1:]) + [m._E5_W, m._E3_W] + list(m._DOP853.d))
-    return rows, columns
+    return ([(w, [row]) for w, row in zip(m._DOPRI5.a[1:], m._A[1:])]
+            + [(m._DOPRI5.e, [m._E]), (m._DOPRI5.d, [m._D])]
+            + [(w, [row]) for w, row in zip(m._DOP853.a[1:], m._A8[1:])]
+            + [(m._DOP853.e, [m._E5, m._E3]), (m._DOP853.d, list(m._D8))])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 20])
 def test_stage_combination_matches_sequential_sum(dim):
-    # the reduce over K[:len(w)] (zero tableau entries included) gives the bits of
-    # a left-to-right sum over the nonzero entries, signed zeros and cancellations too
+    # each row of the one reduce over K[:k] (zero and padded entries included) gives
+    # the bits of a left-to-right sum over its nonzero entries, signed zeros and
+    # cancellations too, whatever rows share the call; at dim 1 a single row is a
+    # single column, which numpy would sum pairwise
     rng = np.random.default_rng(dim)
-    rows, weights = _weight_rows()
-    assert len(rows) == len(weights) == 6 + 2 + 15 + 2 + 4
+    weights = _weight_rows()
+    assert [len(rows) for _, rows in weights] == [1] * 8 + [1] * 15 + [2, 4]
     for _ in range(200):
         K = rng.standard_normal((16, dim)) * 10.0 ** rng.uniform(-8, 8, size=(16, 1))
         K[rng.random((16, dim)) < 0.2] = -0.0
         K[rng.random((16, dim)) < 0.1] = 0.0
-        for row, w in zip(rows, weights):
-            ref = sum(a * K[j] for j, a in enumerate(row) if a != 0.0)
-            got = integrate_module._combine(K, w)
-            assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+        for w, rows in weights:
+            got = integrate_module._combine(K[:, None], w)
+            assert got.shape == (len(rows), dim)
+            for row, got_row in zip(rows, got):
+                ref = sum(a * K[j] for j, a in enumerate(row) if a != 0.0)
+                assert got_row.tobytes() == np.asarray(ref, dtype=float).tobytes()
 
 
 def test_dop853_coefficients_match_scipy():
