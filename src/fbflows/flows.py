@@ -136,7 +136,8 @@ class FlowRHS:
     a high-order pair.  ``state_map`` (None unless declared) is the t-free affine
     F of x' = lambda(t) F(x) or x'' = lambda(t) F(x) - gamma(t) x', with lambda
     and gamma from ``sched``; ``integrate`` probes it into a matrix, and ``rhs``
-    stays the oracle composition.  The four builders set these from the oracles.
+    stays the oracle composition.  With a ``kernel`` J (an elementwise resolvent),
+    F is J(P(x)) - x for the ``state_map`` P.  The builders set these from the oracles.
     """
 
     order: int
@@ -144,6 +145,7 @@ class FlowRHS:
     smooth: bool = False
     state_map: Optional[Callable] = None
     sched: Optional[Schedule] = None
+    kernel: Optional[Callable] = None
 
     def __call__(self, t, x, v=None):
         if self.order == 1:
@@ -171,8 +173,12 @@ def _flow(order: int, state_map, sched: Schedule, smooth: bool, affine: bool) ->
 
 def _fb_flow(order, a: ResolventOracle, b: MonotoneMap, eta: float, sched) -> FlowRHS:
     eta = check_eta(eta)  # the skew-rotation resolvent does not check eta itself
-    return _flow(order, lambda x: _forward_backward_step(a, b, eta, x) - x, sched,
+    flow = _flow(order, lambda x: _forward_backward_step(a, b, eta, x) - x, sched,
                  a.smooth and b.smooth, a.affine and b.affine)
+    if flow.state_map is None and b.affine and a.kernel is not None:
+        flow = dataclasses.replace(flow, state_map=lambda x: x - eta * b.eval(x),
+                                   kernel=functools.partial(a.kernel, eta))
+    return flow
 
 
 def _gradient_flow(order, g: FunctionOracle, sched) -> FlowRHS:

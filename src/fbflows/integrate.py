@@ -6,12 +6,12 @@ chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 5(4) pair with PI step-size control and a 4th-order interpolant, for any
 other (at a kink the 8th-order pair rejects more steps than it saves).  Each
 step's local error stays below ``Adaptive``'s tolerances, and samples fill an
-even grid finer than the steps.  A ``FlowRHS.state_map`` is probed into
-matrices once, so its stages are matrix products, all of a step's from
-powers of one matrix when no coefficient varies.  Second-order flows are
-integrated by state augmentation (x, v).  The module also owns the artifact
-format: ``write_csv`` (``FLOAT`` floats round-trip), ``write_json``,
-``trajectory_columns``.
+even grid finer than the steps.  A ``FlowRHS.state_map`` is probed into a
+matrix once, so its stages are matrix products (then a declared ``kernel``),
+all of a step's from powers of one matrix when the field is affine and no
+coefficient varies.  Second-order flows are integrated by state augmentation
+(x, v).  The module also owns the artifact format: ``write_csv`` (``FLOAT``
+floats round-trip), ``write_json``, ``trajectory_columns``.
 """
 
 from __future__ import annotations
@@ -311,34 +311,48 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, order):
     return min(100.0 * h0, h1, t_end - t0)
 
 
-def _power_table(pair):
-    """alpha[:, p] = A^p 1 for p < len(c), A the pair's tableau with the dense rows."""
+def _tableau(pair):
+    """The pair's tableau A, the dense rows included, as a square matrix."""
     a = np.zeros((len(pair.c),) * 2)
     for i, w in enumerate(pair.a[1:], 1):
         a[i, :w.shape[0]] = w[:, 0, 0]
-    alpha = [np.ones(len(pair.c))]
+    return a
+
+
+def _power_table(pair):
+    """alpha[:, p] = A^p 1 for p < len(c), A the pair's ``_tableau``."""
+    a, alpha = _tableau(pair), [np.ones(len(pair.c))]
     for _ in pair.c[1:]:
         alpha.append(a @ alpha[-1])
     return np.column_stack(alpha)
 
 
-def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, max_steps=1_000_000):
+def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
+                    max_steps=1_000_000):
     """Integrate with ``pair``; returns (steps, t, y, stats).
 
     ``steps`` holds one list per field of the accepted steps: the left end,
     the width h and the dense-output coefficients (y, the Hermite terms, then
-    one per row of ``pair.d``).  Given the constant matrix m of a field
+    one per row of ``pair.d``).  An attempt forms every stage, the dense
+    output's extra ones too, then its error and dense rows in one reduce.
+    ``stages(ts)`` gives the field at stage i of an attempt with stage times
+    ts (default ``fun`` at ts[i]), its input one dot of the tableau row with
+    the stages before it.  Given instead the constant matrix m of a field
     f(y') = f(y) + m (y' - y), every stage is the polynomial
     K_i = sum_p h^p (A^p 1)_i m^p f(y) (``_power_table``): one product with the
     powers of m/s, s a norm bound of m so that none overflows, and one with
-    the table scaled by (h s)^p.  One reduce then forms the solution, error
-    and dense rows of the attempt, and an accepted step's last stage is
-    re-evaluated as f(y_new), the next step's first.
+    the table scaled by (h s)^p.  The reduce then also forms the solution,
+    and an accepted step's last stage is re-evaluated as f(y_new).
     """
     a, c, norm = pair.a, pair.c, pair.norm
     last = pair.stages - 1  # the stage at the new solution (FSAL)
     extra = range(pair.stages, len(c))  # the dense output's extra stages
     fac_min, fac_max = 1.0 / pair.max_ratio, 1.0 / pair.min_ratio  # bounds of h/h_new
+    tableau, cs = _tableau(pair), np.array(c)
+    if stages is None:
+        def stages(ts):
+            ts = ts.tolist()
+            return lambda i, y: fun(ts[i], y)
     span = t_end - t0
     t = t0
     y = np.array(y0, dtype=float)
@@ -354,6 +368,9 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, max_steps=1_00
     facold = 1e-4
     rejected = False
     steps = tuple([] for _ in range(6 + pair.d.shape[1]))
+    weights = np.concatenate([np.pad(w, ((0, len(c) - len(w)), (0, 0), (0, 0)))
+                              for w in (a[last], pair.e, pair.d)], axis=1)
+    n_err = pair.e.shape[1]
     if m is not None:
         table, expo = _power_table(pair)[1:], np.arange(len(c))
         s = float(np.abs(m).sum(axis=1).max()) or 1.0
@@ -361,9 +378,6 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, max_steps=1_00
         for _ in expo[1:]:
             powers.append(powers[-1] @ (m / s))
         powers = np.concatenate(powers)  # (m/s)^p stacked, one block of rows per p
-        weights = np.concatenate([np.pad(w, ((0, len(c) - len(w)), (0, 0), (0, 0)))
-                                  for w in (a[last], pair.e, pair.d)], axis=1)
-        n_err = pair.e.shape[1]
 
     while t < t_end - 1e-14 * max(span, 1.0):
         if n_acc + n_rej >= max_steps:
@@ -377,14 +391,18 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, max_steps=1_00
         h = min(h, t_end - t)
 
         if m is None:
-            for i in range(1, last + 1):
-                yi = y + h * _combine(K3, a[i])[0]
-                K[i] = fun(t + c[i] * h, yi)
-            y_new, errors = yi, _combine(K3, pair.e)  # the last stage is at the solution
+            field, ha = stages(t + cs * h), h * tableau
+            for i in range(1, len(c)):
+                yi = y + ha[i, :i].dot(K[:i])
+                K[i] = field(i, yi)
+                if i == last:
+                    y_new = yi  # the last stage is at the solution
+            rows = _combine(K3, weights[:, 1:])
         else:
             K[1:] = (table * (h * s) ** expo) @ (powers @ K[0]).reshape(len(c), -1)
             rows = _combine(K3, weights)
-            y_new, errors = y + h * rows[0], rows[1:1 + n_err]
+            y_new, rows = y + h * rows[0], rows[1:]
+        errors = rows[:n_err]
         n_rhs += last
         if not (np.isfinite(y_new).all() and np.isfinite(errors).all()):
             raise IntegrationError(
@@ -402,12 +420,9 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, max_steps=1_00
             h_new = h / fac
             facold = max(err, 1e-4)
 
-            if m is None:
-                for i in extra:
-                    K[i] = fun(t + c[i] * h, y + h * _combine(K3, a[i])[0])
-                dense = _combine(K3, pair.d)
-            else:
-                K[last], dense = fun(t + h, y_new), rows[1 + n_err:]
+            if m is not None:
+                K[last] = fun(t + h, y_new)
+            dense = rows[n_err:]
             n_rhs += len(extra)
             ydiff = y_new - y
             bspl = h * K[0] - ydiff
@@ -486,10 +501,10 @@ def _probe(state_map, x0):
 
 
 def _matrix_field(flow: FlowRHS, y0):
-    """(field, M) of a flow with a ``state_map``, the field a sum of terms
-    c(t) (M_k (y - y0) + b_k): lambda(t) times the probed G, anchored at the
-    oracles' own F(x0), and x' = v and -gamma(t) v, anchored at M_k y0.
-    Constant c fold into one (M, b): y0 gets b.  M is None if a c varies."""
+    """(field, M) of a flow with an affine ``state_map`` and constant coefficients,
+    the field M (y - y0) + b: M sums the constant times their matrices, lambda
+    times the probed G and x' = v and -gamma v, and b their values at y0, the
+    oracles' own F(x0) and M_k y0."""
     n, dim = y0.size, y0.size // flow.order
     lift, anchor = np.zeros((n, n)), np.zeros(n)
     lift[-dim:, :dim], anchor[-dim:] = _probe(flow.state_map, y0[:dim])
@@ -498,40 +513,75 @@ def _matrix_field(flow: FlowRHS, y0):
         moves = np.eye(n, k=dim)  # x' = v
         damps = -moves.T @ moves  # -v in the rows of v'
         terms += [(Profile(1.0, 1.0), moves, moves @ y0), (flow.sched.gamma, damps, damps @ y0)]
-    m, b, varying = np.zeros((n, n)), np.zeros(n), []
+    m, b = np.zeros((n, n)), np.zeros(n)
     for coef, mk, bk in terms:
-        if isinstance(coef, Profile) and coef.start == coef.end:
-            m, b = m + coef(0.0) * mk, b + coef(0.0) * bk
-        else:
-            varying.append((coef, mk, bk))
+        m, b = m + coef(0.0) * mk, b + coef(0.0) * bk
+    return (lambda t, y: m.dot(y - y0) + b), m
 
-    def fun(t, y):
-        d = y - y0
-        out = m.dot(d) + b
-        for coef, mk, bk in varying:
-            out += coef(t) * (mk.dot(d) + bk)
-        return out
-    return fun, None if varying else m
+
+def _stage_field(flow: FlowRHS, y0):
+    """(field, stages) of a flow with a ``state_map``, from its probe (G, S(x0)):
+    F(x) = G (x - x0) + S(x0), or with a ``kernel`` J, F(x) = J(G (x - x0) + S(x0)) - x,
+    anchored at the oracles' own S(x0).  The field is lambda F(x), or
+    (v, lambda F(x) - gamma v) for a second-order flow; ``stages(ts)`` evaluates
+    the coefficients once on an attempt's stage times ts and gives stage i's."""
+    dim = y0.size // flow.order
+    x0, kernel, coefs = y0[:dim], flow.kernel, (flow.sched.lam, flow.sched.gamma)[:flow.order]
+    g, s0 = _probe(flow.state_map, x0)
+
+    def value(y, lam, gamma=None):
+        x = y[:dim]
+        f = g.dot(x - x0)
+        f += s0
+        if kernel is not None:
+            f = kernel(f)
+            f -= x
+        f *= lam
+        if flow.order == 1:
+            return f
+        v = y[dim:]
+        return np.concatenate([v, f - gamma * v])
+
+    def stages(ts):  # np.full: a constant may answer the times with its one value
+        at = list(zip(*[np.full(ts.shape, coef(ts)).tolist() for coef in coefs]))
+        return lambda i, y: value(y, *at[i])
+    return (lambda t, y: value(y, *[coef(t) for coef in coefs])), stages
+
+
+def _field(flow: FlowRHS, y0):
+    """(path, field, M, stages) of a flow on y = x or (x, v), for ``_accepted_steps``:
+    ``"matrix"`` with M if the ``state_map`` is affine and no coefficient the
+    field reads (lambda, and gamma at order 2) varies, else with ``stages``, or
+    ``"kinked"`` with them given a kernel; without a ``state_map``, ``"oracle"``."""
+    dim = y0.size // flow.order
+    if flow.state_map is None:
+        if flow.order == 1:
+            return "oracle", lambda t, y: np.asarray(flow.rhs(t, y), dtype=float), None, None
+        return "oracle", lambda t, y: np.concatenate(
+            [y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]), dtype=float)]), None, None
+    if flow.kernel is None and all(isinstance(coef, Profile) and coef.start == coef.end
+                                   for coef in (flow.sched.lam, flow.sched.gamma)[:flow.order]):
+        return ("matrix", *_matrix_field(flow, y0), None)
+    fun, stages = _stage_field(flow, y0)
+    return "kinked" if flow.kernel else "matrix", fun, None, stages
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
               control: Adaptive = Adaptive(), n_dense: int = N_DENSE) -> Trajectory:
     """Integrate a flow over [0, t_end]; returns a densely sampled Trajectory.
 
-    A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5.
-    A field with a ``state_map`` runs as matrix products (``_matrix_field``),
-    and, when no coefficient varies, forms its stages from powers of the
-    matrix (``_accepted_steps``).
+    A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5,
+    on the path that ``_field`` picks from the flow's declarations.
     ``control`` holds the tolerances of the local error control.
     The samples are every accepted step end plus ``n_dense`` evenly spaced
     interpolated points over [0, t_end], n_dense an integer >= 2, and
     ``Trajectory.grid`` indexes the even grid among them (the rows of
     ``to_csv``); t_end and the tolerances obey ``operators.positive``.
-    Second-order flows need ``v0``.  ``meta`` holds the solver and ``field``
-    (``"matrix"`` or ``"oracle"``), the tolerances, the accepted, rejected and
-    rhs-evaluation counts and the extreme accepted steps ``h_min``/``h_max``.
-    ``rhs_evaluations`` counts stage values, by one formula on every path,
-    although the power form makes one field call per accepted step, not per stage.
+    Second-order flows need ``v0``.  ``meta`` holds the solver, the path
+    ``field``, the tolerances, the accepted, rejected and rhs-evaluation counts
+    and the extreme accepted steps ``h_min``/``h_max``.  ``rhs_evaluations``
+    counts stage values by one formula on every path (the dense output's extra
+    stages once per accepted step), whichever stages were field calls.
     """
     t_end = positive(t_end, "t_end")
     rtol = positive(control.rel_tol, "rel_tol")
@@ -543,27 +593,20 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     if flow.order == 2:
         if v0 is None:
             raise ValueError("second-order flow needs initial velocity v0")
-        v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-        y0 = np.concatenate([x0, v0])
-
-        def fun(t, y):
-            return np.concatenate([y[dim:],
-                                   np.asarray(flow.rhs(t, y[:dim], y[dim:]), dtype=float)])
+        y0 = np.concatenate([x0, np.atleast_1d(np.asarray(v0, dtype=float))])
     elif flow.order == 1:
         if v0 is not None:
             raise ValueError("first-order flow takes no v0")
         y0 = x0.copy()
-
-        def fun(t, y):
-            return np.asarray(flow.rhs(t, y), dtype=float)
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
-    fun, m = (fun, None) if flow.state_map is None else _matrix_field(flow, y0)
+    field, fun, m, stages = _field(flow, y0)
     pair = _DOP853 if flow.smooth else _DOPRI5
-    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol, m)
+    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol, m,
+                                                 stages)
     ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
-    meta = {"solver": pair.name, "field": "oracle" if flow.state_map is None else "matrix",
+    meta = {"solver": pair.name, "field": field,
             "rel_tol": rtol, "abs_tol": atol, **stats,
             "h_min": min(steps[1], default=None), "h_max": max(steps[1], default=None)}
     del steps  # the step data is the largest array set; free it before v

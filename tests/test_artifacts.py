@@ -117,9 +117,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "154076502fab2c04497130c078543dc091e819af50608801e2a95644f5a6c538",
+            "771d9d90132d927b60f652cdf534b18671cafd972b9ad4bf865f5014707a9b47",
         "trajectory.csv":
-            "1e4b05b003588b1a4f5b2d6e66aaffec79197d785fb43e01a87fe35c1942891c",
+            "e97e21ec0ffe5ac4c926395fe49e28dba5732516075a4d37bfadeb693d48c9d0",
     },
     "sc-lasso-fb1": {
         "certificate.json":
@@ -129,9 +129,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "f87e7df9ab97916cbcfb6ddff1885ee234f783b0bb091f9c8f8fb691607a9ed6",
         "report.json":
-            "45281ac8861846f45842487be23472618e5c3becb0b6c28b273c676437550120",
+            "498907f2fda23dc13eafd8bd747e0abd9893224f7b3e913f02c0c60e2bd4e1c1",
         "trajectory.csv":
-            "67d5262dc051db7797d55cdbf7e742ce5fe05ab68efcccd43f0033555bb97f44",
+            "344b27afe4ace1ce35c727649ee8ee3436e636acec258d616a85c189828c55bb",
     },
 }
 

@@ -1,5 +1,8 @@
 """Integrator behaviour: closed-form and reference accuracy, aborts, CSV."""
 
+import dataclasses
+import functools
+import itertools
 import math
 import warnings
 from types import SimpleNamespace
@@ -18,8 +21,8 @@ from fbflows.integrate import (
     record_metrics,
     to_csv,
 )
-from fbflows.operators import (MonotoneMap, box_indicator, l1_norm, prox_resolvent, row_blocks,
-                               zero_operator)
+from fbflows.operators import (MonotoneMap, ResolventOracle, box_indicator, l1_norm,
+                               prox_resolvent, row_blocks, zero_operator)
 
 DECAY = FlowRHS(order=1, rhs=lambda t, x: -x)                         # dx/dt = -x
 ZERO = FlowRHS(order=1, rhs=lambda t, x: np.zeros_like(x))            # dx/dt = 0
@@ -309,21 +312,93 @@ def _oracle_field(flow):
     return lambda t, y: np.concatenate([y[dim:], flow.rhs(t, y[:dim], y[dim:])])
 
 
+def _field_gaps(flow, y0, fun, stages=None):
+    """Whether ``fun`` has the oracle field's bits at y0, and the largest gap
+    |fun - oracle| / |oracle| over 50 seeded random (t, y), and that of the
+    attempt form ``stages(ts)`` at ts[i] (its ramps sampled by np.exp)."""
+    rng, oracle = np.random.default_rng(21), _oracle_field(flow)
+    exact, gap = True, 0.0
+    for t, y in zip(rng.uniform(0.0, 20.0, 50), rng.uniform(-5.0, 5.0, (50, y0.size))):
+        ts = t + rng.uniform(0.0, 1.0, 16)
+        i = int(rng.integers(16))
+        ref = oracle(t, y)
+        gap = max(gap, np.linalg.norm(fun(t, y) - ref) / np.linalg.norm(ref))
+        if stages is not None:
+            ref = oracle(ts[i], y)
+            gap = max(gap, np.linalg.norm(stages(ts)(i, y) - ref) / np.linalg.norm(ref))
+        exact &= np.array_equal(fun(t, y0), oracle(t, y0))
+    return exact, gap
+
+
 @pytest.mark.parametrize("sched", list(MATRIX_SCHEDULES))
 @pytest.mark.parametrize("name", list(MATRIX_FLOWS))
 def test_matrix_field_equals_the_oracle_field(name, sched):
     flow = MATRIX_FLOWS[name](MATRIX_SCHEDULES[sched])
-    assert flow.state_map is not None
-    rng = np.random.default_rng(21)
-    y0 = rng.uniform(-5.0, 5.0, 2 * flow.order)
-    (fun, m), oracle = integrate_module._matrix_field(flow, y0), _oracle_field(flow)
-    # the constant matrix, for the power form, unless a coefficient the flow reads varies
-    assert (m is None) == (sched == "exp-ramp-both" or flow.order == 2 and sched != "constant")
-    for t, y in zip(rng.uniform(0.0, 20.0, 50), rng.uniform(-5.0, 5.0, (50, y0.size))):
-        ref = oracle(t, y)
-        assert np.linalg.norm(fun(t, y) - ref) <= 1e-13 * np.linalg.norm(ref)
-        # at the anchor the matrix field is the oracles' own value, bit for bit
-        assert np.array_equal(fun(t, y0), oracle(t, y0))
+    assert flow.state_map is not None and flow.kernel is None
+    y0 = np.random.default_rng(21).uniform(-5.0, 5.0, 2 * flow.order)
+    path, fun, m, stages = integrate_module._field(flow, y0)
+    # the power form's constant matrix, unless a coefficient the flow reads varies;
+    # then the stage loop.  At the anchor either field is the oracles' own value,
+    # bit for bit; the stage field is checked on constant coefficients too
+    varying = sched == "exp-ramp-both" or flow.order == 2 and sched != "constant"
+    assert path == "matrix" and (m is None) == (stages is not None) == varying
+    for field in ((fun, stages), integrate_module._stage_field(flow, y0)):
+        exact, gap = _field_gaps(flow, y0, *field)
+        assert exact and gap <= 1e-13
+
+
+KINKED_PROXES = {"l1": l1_norm(0.5), "box": box_indicator(-1.0, 1.0)}
+KINKED_FLOWS = {"fb1": fb1_rhs, "fb2": fb2_rhs}
+
+
+def _kinked_flow(prox, system, sched):
+    return KINKED_FLOWS[system](prox_resolvent(KINKED_PROXES[prox]), TILTED.b, 0.7,
+                                MATRIX_SCHEDULES[sched])
+
+
+def _kinked_field_gaps(flow):
+    y0 = np.random.default_rng(21).uniform(-5.0, 5.0, 2 * flow.order)
+    path, fun, m, stages = integrate_module._field(flow, y0)
+    assert path == "kinked" and m is None
+    return _field_gaps(flow, y0, fun, stages)
+
+
+@pytest.mark.parametrize("sched", list(MATRIX_SCHEDULES))
+@pytest.mark.parametrize("system", list(KINKED_FLOWS))
+@pytest.mark.parametrize("prox", list(KINKED_PROXES))
+def test_kinked_field_equals_the_oracle_field(prox, system, sched):
+    # lambda (J(G (x - x0) + P(x0)) - x), and x' = v and -gamma v for fb2, against
+    # flow.rhs; y and the 16 stage times are drawn across the kinks
+    flow = _kinked_flow(prox, system, sched)
+    assert flow.kernel is not None and not flow.smooth
+    exact, gap = _kinked_field_gaps(flow)
+    assert exact and gap <= 1e-13
+
+
+def _perturbed_probe(monkeypatch, defect):
+    probe = integrate_module._probe
+    monkeypatch.setattr(integrate_module, "_probe", lambda state_map, x0: defect(
+        state_map, x0, *probe(state_map, x0)))
+
+
+KINKED_DEFECTS = {
+    # G off by 1e-6 relative
+    "probe": lambda mp, flow: _perturbed_probe(mp, lambda s, x0, g, p0: (g * (1 + 1e-6), p0)),
+    # the anchor value as G x0 + P(0), not the oracles' own P(x0)
+    "anchor": lambda mp, flow: _perturbed_probe(
+        mp, lambda s, x0, g, p0: (g, g @ x0 + s(np.zeros_like(x0)))),
+    # the soft threshold eta*w off by 1e-6 relative
+    "threshold": lambda mp, flow: dataclasses.replace(
+        flow, kernel=functools.partial(KINKED_PROXES["l1"].kernel, 0.7 * (1 + 1e-6))),
+}
+
+
+@pytest.mark.parametrize("defect", list(KINKED_DEFECTS))
+def test_a_seeded_defect_fails_the_kinked_field_check(monkeypatch, defect):
+    flow = _kinked_flow("l1", "fb1", "constant")
+    flow = KINKED_DEFECTS[defect](monkeypatch, flow) or flow
+    exact, gap = _kinked_field_gaps(flow)
+    assert not (exact and gap <= 1e-13)
 
 
 def _constant_case(name):
@@ -374,17 +449,56 @@ def test_power_form_matches_the_stage_loop(monkeypatch, name):
     assert gap <= 1e-10 * np.linalg.norm(x0 - inst.x_star)
 
 
-@pytest.mark.parametrize("f", [l1_norm(0.5), box_indicator(-1.0, 1.0)], ids=["l1", "box"])
-def test_kinked_oracles_leave_the_field_on_the_oracle_path(f):
-    a = prox_resolvent(f)
-    assert not (f.affine or a.affine)
-    for flow in (fb1_rhs(a, TILTED.b, 0.7, Schedule.constant(1.0)),
-                 fb2_rhs(a, TILTED.b, 0.7, Schedule.constant(1.0, gamma=3.0))):
-        assert flow.state_map is None
-        v0 = np.zeros(2) if flow.order == 2 else None
-        meta = integrate(flow, np.array([3.0, -1.0]), v0=v0, t_end=1.0).meta
-        assert meta["field"] == "oracle"
-        assert meta["solver"] == DOPRI5
+def _lasso_20d_run(system, sched):
+    inst = problems.get_problem("sc-lasso-20d")
+    flow = KINKED_FLOWS[system](inst.a, inst.b, 0.07, MATRIX_SCHEDULES[sched])
+    return flow, np.linspace(-2.0, 2.0, 20), np.zeros(20) if system == "fb2" else None, 30.0
+
+
+def _tilted_run(prox, system):
+    v0 = np.array([0.5, 0.5]) if system == "fb2" else None
+    return _kinked_flow(prox, system, "exp-ramp-both"), np.array([3.0, -1.0]), v0, 10.0
+
+
+KINKED_RUNS = {
+    "sc-lasso-20d-fb1": functools.partial(_lasso_20d_run, "fb1", "constant"),
+    "sc-lasso-20d-fb2-ramps": functools.partial(_lasso_20d_run, "fb2", "exp-ramp-both"),
+    **{"%s-%s-ramps" % key: functools.partial(_tilted_run, *key)
+       for key in itertools.product(KINKED_PROXES, KINKED_FLOWS)},
+}
+
+
+@pytest.mark.parametrize("name", list(KINKED_RUNS))
+def test_kinked_loop_matches_the_oracle_loop(name):
+    # the kinked loop against the same flow with its state_map and kernel withheld:
+    # at every grid row within 1e-7 of the distance the oracle run travels
+    # (measured up to 1.3e-8, on the dim-20 lasso at the default tolerances)
+    flow, x0, v0, t_end = KINKED_RUNS[name]()
+    kinked = integrate(flow, x0, v0=v0, t_end=t_end)
+    oracle = integrate(dataclasses.replace(flow, state_map=None, kernel=None), x0, v0=v0,
+                       t_end=t_end)
+    assert (kinked.meta["field"], oracle.meta["field"]) == ("kinked", "oracle")
+    assert kinked.meta["solver"] == oracle.meta["solver"] == DOPRI5
+    assert np.array_equal(kinked.t[kinked.grid], oracle.t[oracle.grid])
+    gap = np.max(np.abs(kinked.x[kinked.grid] - oracle.x[oracle.grid]))
+    assert gap <= 1e-7 * np.linalg.norm(x0 - oracle.x[-1])
+
+
+@pytest.mark.parametrize("prox", list(KINKED_PROXES))
+def test_kinked_oracles_take_the_kinked_loop_when_they_declare_a_kernel(prox):
+    # the catalog's l1 and box resolvents declare a kernel; the same resolvent
+    # without one stays on the oracle path.  Both run DOPRI5
+    f = KINKED_PROXES[prox]
+    for a, field in ((prox_resolvent(f), "kinked"),
+                     (ResolventOracle(resolve=f.prox), "oracle")):
+        assert not a.affine and (a.kernel is None) == (field == "oracle")
+        for flow in (fb1_rhs(a, TILTED.b, 0.7, Schedule.constant(1.0)),
+                     fb2_rhs(a, TILTED.b, 0.7, Schedule.constant(1.0, gamma=3.0))):
+            assert (flow.state_map is None) == (field == "oracle")
+            v0 = np.zeros(2) if flow.order == 2 else None
+            meta = integrate(flow, np.array([3.0, -1.0]), v0=v0, t_end=1.0).meta
+            assert meta["field"] == field
+            assert meta["solver"] == DOPRI5
 
 
 def test_a_user_oracle_opts_in_by_declaring_affine():

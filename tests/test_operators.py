@@ -160,6 +160,32 @@ def test_catalog_declares_smoothness_and_wrappers_inherit_it():
     assert not MonotoneMap(eval=abs, beta=1.0).smooth
 
 
+@pytest.mark.parametrize("f, formula", [
+    (l1_norm(0.7), lambda eta, x: np.sign(x) * np.maximum(np.abs(x) - eta * 0.7, 0.0)),
+    (box_indicator(-1.0, 2.0), lambda eta, x: np.clip(x, -1.0, 2.0)),
+], ids=["l1", "box"])
+def test_catalog_prox_returns_the_bits_of_its_kernel(f, formula):
+    # the kernel is the prox without its input checks: on valid points and blocks,
+    # kinks and zeros included, the prox has the kernel's bits and the textbook
+    # formula's values (a signed zero aside), and the resolvent keeps the kernel
+    assert prox_resolvent(f).kernel is f.kernel
+    rng = np.random.default_rng(5)
+    for eta in (1e-3, 0.35, 1.0, 7.0):
+        x = rng.uniform(-3.0, 3.0, (40, 5))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[0] = [eta * 0.7, -eta * 0.7, -1.0, 2.0, -0.0]
+        for points in (x, x[0], x[1]):
+            got = f.prox(eta, points)
+            assert got.tobytes() == f.kernel(eta, points).tobytes()
+            assert np.array_equal(got, formula(eta, points))
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf])):
+        with pytest.raises(ValueError, match="non-finite"):
+            f.prox(1.0, bad)
+    for eta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            f.prox(eta, np.ones(2))
+
+
 def test_prox_resolvent_needs_prox():
     smooth_only = gradient_map(scaled_sqnorm(1.0), 1.0)  # noqa: F841 exercised below
     with pytest.raises(ValueError):
