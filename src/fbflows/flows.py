@@ -147,11 +147,6 @@ class FlowRHS:
     sched: Optional[Schedule] = None
     kernel: Optional[Callable] = None
 
-    def __call__(self, t, x, v=None):
-        if self.order == 1:
-            return self.rhs(t, x)
-        return self.rhs(t, x, v)
-
 
 def _forward_backward_step(a: ResolventOracle, b: MonotoneMap, eta: float, x):
     return a.resolve(eta, x - eta * b.eval(x))

@@ -6,12 +6,12 @@ chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 5(4) pair with PI step-size control and a 4th-order interpolant, for any
 other (at a kink the 8th-order pair rejects more steps than it saves).  Each
 step's local error stays below ``Adaptive``'s tolerances, and samples fill an
-even grid finer than the steps.  A ``FlowRHS.state_map`` is probed into a
-matrix once, so its stages are matrix products (then a declared ``kernel``),
-all of a step's from powers of one matrix when the field is affine and no
-coefficient varies.  Second-order flows are integrated by state augmentation
-(x, v).  The module also owns the artifact format: ``write_csv`` (``FLOAT``
-floats round-trip), ``write_json``, ``trajectory_columns``.
+even grid finer than the steps.  A ``FlowRHS.state_map`` is probed once, so
+its stages are matrix products (then a declared ``kernel``), all of a step's
+from powers of the matrix read off that probe when the field is affine and
+every coefficient a constant ``Profile``.  Second-order flows are integrated
+by state augmentation (x, v).  The module also owns the artifact format:
+``write_csv`` (``FLOAT`` floats round-trip), ``write_json``, ``trajectory_columns``.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     output's extra ones too, then its error and dense rows in one reduce.
     ``stages(ts)`` gives the field at stage i of an attempt with stage times
     ts (default ``fun`` at ts[i]), its input one dot of the tableau row with
-    the stages before it.  Given instead the constant matrix m of a field
+    the stages before it.  Given the constant matrix m of a field
     f(y') = f(y) + m (y' - y), every stage is the polynomial
     K_i = sum_p h^p (A^p 1)_i m^p f(y) (``_power_table``): one product with the
     powers of m/s, s a norm bound of m so that none overflows, and one with
@@ -500,31 +500,15 @@ def _probe(state_map, x0):
     return (f[1:-1] - f[0]).T, f[-1]
 
 
-def _matrix_field(flow: FlowRHS, y0):
-    """(field, M) of a flow with an affine ``state_map`` and constant coefficients,
-    the field M (y - y0) + b: M sums the constant times their matrices, lambda
-    times the probed G and x' = v and -gamma v, and b their values at y0, the
-    oracles' own F(x0) and M_k y0."""
-    n, dim = y0.size, y0.size // flow.order
-    lift, anchor = np.zeros((n, n)), np.zeros(n)
-    lift[-dim:, :dim], anchor[-dim:] = _probe(flow.state_map, y0[:dim])
-    terms = [(flow.sched.lam, lift, anchor)]
-    if flow.order == 2:
-        moves = np.eye(n, k=dim)  # x' = v
-        damps = -moves.T @ moves  # -v in the rows of v'
-        terms += [(Profile(1.0, 1.0), moves, moves @ y0), (flow.sched.gamma, damps, damps @ y0)]
-    m, b = np.zeros((n, n)), np.zeros(n)
-    for coef, mk, bk in terms:
-        m, b = m + coef(0.0) * mk, b + coef(0.0) * bk
-    return (lambda t, y: m.dot(y - y0) + b), m
-
-
 def _stage_field(flow: FlowRHS, y0):
-    """(field, stages) of a flow with a ``state_map``, from its probe (G, S(x0)):
+    """(field, M, stages) of a flow with a ``state_map``, from its probe (G, S(x0)):
     F(x) = G (x - x0) + S(x0), or with a ``kernel`` J, F(x) = J(G (x - x0) + S(x0)) - x,
     anchored at the oracles' own S(x0).  The field is lambda F(x), or
     (v, lambda F(x) - gamma v) for a second-order flow; ``stages(ts)`` evaluates
-    the coefficients once on an attempt's stage times ts and gives stage i's."""
+    the coefficients once on an attempt's stage times ts and gives stage i's.
+    With no kernel and every coefficient it reads a constant ``Profile``, the
+    field is M (y - y0) + b, b its value at y0 and M lambda G, or
+    [[0, I], [lambda G, -gamma I]] at order 2, with no stages; else M is None."""
     dim = y0.size // flow.order
     x0, kernel, coefs = y0[:dim], flow.kernel, (flow.sched.lam, flow.sched.gamma)[:flow.order]
     g, s0 = _probe(flow.state_map, x0)
@@ -545,25 +529,30 @@ def _stage_field(flow: FlowRHS, y0):
     def stages(ts):  # np.full: a constant may answer the times with its one value
         at = list(zip(*[np.full(ts.shape, coef(ts)).tolist() for coef in coefs]))
         return lambda i, y: value(y, *at[i])
-    return (lambda t, y: value(y, *[coef(t) for coef in coefs])), stages
+    if kernel is not None or not all(isinstance(coef, Profile) and coef.start == coef.end
+                                     for coef in coefs):
+        return (lambda t, y: value(y, *[coef(t) for coef in coefs])), None, stages
+    consts = [coef(0.0) for coef in coefs]
+    m = np.zeros((y0.size,) * 2)
+    m[-dim:, :dim] += consts[0] * g
+    if flow.order == 2:
+        m[:dim, dim:] += np.eye(dim)
+        m[dim:, dim:] -= consts[1] * np.eye(dim)
+    b = value(y0, *consts)
+    return (lambda t, y: m.dot(y - y0) + b), m, None
 
 
 def _field(flow: FlowRHS, y0):
     """(path, field, M, stages) of a flow on y = x or (x, v), for ``_accepted_steps``:
-    ``"matrix"`` with M if the ``state_map`` is affine and no coefficient the
-    field reads (lambda, and gamma at order 2) varies, else with ``stages``, or
-    ``"kinked"`` with them given a kernel; without a ``state_map``, ``"oracle"``."""
+    ``"matrix"`` if the ``state_map`` is affine, or ``"kinked"`` given a kernel,
+    with M and stages from ``_stage_field``; without a ``state_map``, ``"oracle"``."""
     dim = y0.size // flow.order
     if flow.state_map is None:
         if flow.order == 1:
             return "oracle", lambda t, y: np.asarray(flow.rhs(t, y), dtype=float), None, None
         return "oracle", lambda t, y: np.concatenate(
             [y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]), dtype=float)]), None, None
-    if flow.kernel is None and all(isinstance(coef, Profile) and coef.start == coef.end
-                                   for coef in (flow.sched.lam, flow.sched.gamma)[:flow.order]):
-        return ("matrix", *_matrix_field(flow, y0), None)
-    fun, stages = _stage_field(flow, y0)
-    return "kinked" if flow.kernel else "matrix", fun, None, stages
+    return ("kinked" if flow.kernel else "matrix", *_stage_field(flow, y0))
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,

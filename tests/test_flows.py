@@ -35,9 +35,9 @@ def test_fb1_rhs_hand_arithmetic():
     # A = 0 so J is the identity: rhs = lam * ((x - eta*x) - x) = -lam*eta*x
     flow = fb1_rhs(zero_operator(), IDENTITY_MAP, eta=0.5, sched=Schedule.constant(1.0))
     assert flow.order == 1
-    assert_allclose(flow(0.0, np.array([2.0])), [-1.0])
+    assert_allclose(flow.rhs(0.0, np.array([2.0])), [-1.0])
     flow3 = fb1_rhs(zero_operator(), IDENTITY_MAP, eta=0.5, sched=Schedule.constant(3.0))
-    assert_allclose(flow3(0.0, np.array([2.0])), [-3.0])
+    assert_allclose(flow3.rhs(0.0, np.array([2.0])), [-3.0])
 
 
 def test_fb1_rhs_linear_in_lambda():
@@ -47,7 +47,7 @@ def test_fb1_rhs_linear_in_lambda():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.uniform(-5, 5, size=2)
-        assert_allclose(scaled(0.0, x), 3.7 * base(0.0, x), rtol=1e-14)
+        assert_allclose(scaled.rhs(0.0, x), 3.7 * base.rhs(0.0, x), rtol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
@@ -56,7 +56,7 @@ def test_fb1_vanishes_at_solution(name, eta):
     inst = problems.get_problem(name)
     flow = fb1_rhs(inst.a, inst.b, eta=eta, sched=Schedule.constant(2.0))
     for t in np.linspace(0.0, 10.0, 7):
-        assert np.linalg.norm(flow(t, inst.x_star)) <= 1e-9
+        assert np.linalg.norm(flow.rhs(t, inst.x_star)) <= 1e-9
 
 
 def test_fb2_rhs_equilibrium_and_damping():
@@ -64,9 +64,9 @@ def test_fb2_rhs_equilibrium_and_damping():
     sched = Schedule.constant(40.0, gamma=2.0)
     flow = fb2_rhs(inst.a, inst.b, eta=0.5, sched=sched)
     assert flow.order == 2
-    assert np.linalg.norm(flow(0.0, inst.x_star, np.zeros(2))) <= 1e-9
+    assert np.linalg.norm(flow.rhs(0.0, inst.x_star, np.zeros(2))) <= 1e-9
     # at x* only the damping term survives
-    assert_allclose(flow(1.0, inst.x_star, np.array([1.0, 0.0])), [-2.0, 0.0],
+    assert_allclose(flow.rhs(1.0, inst.x_star, np.array([1.0, 0.0])), [-2.0, 0.0],
                     atol=1e-12)
 
 
@@ -74,30 +74,30 @@ def test_fb2_rhs_hand_arithmetic():
     sched = Schedule.constant(1.0, gamma=3.0)
     flow = fb2_rhs(zero_operator(), IDENTITY_MAP, eta=0.5, sched=sched)
     # -gamma*v - lam*(x - J(x - eta*x)) = -3*0.5 - (2 - 1) = -2.5
-    assert_allclose(flow(0.0, np.array([2.0]), np.array([0.5])), [-2.5])
+    assert_allclose(flow.rhs(0.0, np.array([2.0]), np.array([0.5])), [-2.5])
 
 
 def test_grad1_rhs_is_negative_scaled_gradient():
     g = scaled_sqnorm(1.0)
     flow = grad1_rhs(g, Schedule.constant(2.0))
-    assert_allclose(flow(0.0, np.array([1.0, 1.0])), [-2.0, -2.0])
-    assert_allclose(flow(0.0, np.zeros(2)), [0.0, 0.0])
+    assert_allclose(flow.rhs(0.0, np.array([1.0, 1.0])), [-2.0, -2.0])
+    assert_allclose(flow.rhs(0.0, np.zeros(2)), [0.0, 0.0])
 
 
 def test_grad1_rhs_vanishing_gain():
     # declared bounds are trusted; the rhs only reads the callable
     sched = Schedule(lam=lambda t: 0.0, lambda_lower=1.0, lambda_upper=1.0)
     flow = grad1_rhs(scaled_sqnorm(1.0), sched)
-    assert_allclose(flow(0.0, np.array([5.0, -3.0])), [0.0, 0.0])
+    assert_allclose(flow.rhs(0.0, np.array([5.0, -3.0])), [0.0, 0.0])
 
 
 def test_grad2_rhs_hand_arithmetic():
     g = scaled_sqnorm(1.0)
     sched = Schedule.constant(1.5, gamma=2.4)
     flow = grad2_rhs(g, sched)
-    assert_allclose(flow(0.0, np.array([1.0]), np.array([0.0])), [-1.5])
-    assert_allclose(flow(0.0, np.array([0.0]), np.array([1.0])), [-2.4])
-    assert np.linalg.norm(flow(0.0, np.zeros(1), np.zeros(1))) == 0.0
+    assert_allclose(flow.rhs(0.0, np.array([1.0]), np.array([0.0])), [-1.5])
+    assert_allclose(flow.rhs(0.0, np.array([0.0]), np.array([1.0])), [-2.4])
+    assert np.linalg.norm(flow.rhs(0.0, np.zeros(1), np.zeros(1))) == 0.0
 
 
 def proxgrad1_rhs(f: FunctionOracle, g: FunctionOracle, eta: float,
@@ -129,7 +129,7 @@ def test_proxgrad_agrees_with_fb1():
     rng = np.random.default_rng(17)
     for _ in range(25):
         x = rng.uniform(-3, 3, size=20)
-        assert np.max(np.abs(via_resolvent(0.0, x) - direct(0.0, x))) <= 1e-12
+        assert np.max(np.abs(via_resolvent.rhs(0.0, x) - direct.rhs(0.0, x))) <= 1e-12
 
 
 def test_second_order_needs_gamma():

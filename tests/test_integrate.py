@@ -301,6 +301,9 @@ MATRIX_SCHEDULES = {
                                gamma=Profile(15.0, 14.0, 0.5)),
     "exp-ramp-both": Schedule(lam=Profile(2.0, 1.5, 0.7), lambda_lower=1.5, lambda_upper=2.0,
                               gamma=Profile(15.0, 14.0, 0.5)),
+    # constant in value, but plain callables: not read as constants
+    "callable-constant": Schedule(lam=lambda t: 1.7, lambda_lower=1.7, lambda_upper=1.7,
+                                  gamma=lambda t: 3.0),
 }
 
 
@@ -337,14 +340,14 @@ def test_matrix_field_equals_the_oracle_field(name, sched):
     assert flow.state_map is not None and flow.kernel is None
     y0 = np.random.default_rng(21).uniform(-5.0, 5.0, 2 * flow.order)
     path, fun, m, stages = integrate_module._field(flow, y0)
-    # the power form's constant matrix, unless a coefficient the flow reads varies;
-    # then the stage loop.  At the anchor either field is the oracles' own value,
-    # bit for bit; the stage field is checked on constant coefficients too
-    varying = sched == "exp-ramp-both" or flow.order == 2 and sched != "constant"
-    assert path == "matrix" and (m is None) == (stages is not None) == varying
-    for field in ((fun, stages), integrate_module._stage_field(flow, y0)):
-        exact, gap = _field_gaps(flow, y0, *field)
-        assert exact and gap <= 1e-13
+    # the power form's constant matrix when every coefficient the flow reads is a
+    # constant Profile; else (a ramp, or a plain callable) M is None and the stage
+    # loop runs.  At the anchor the field is the oracles' own value, bit for bit
+    stage_loop = sched in ("exp-ramp-both", "callable-constant") or (
+        flow.order == 2 and sched == "exp-ramp-gamma")
+    assert path == "matrix" and (m is None) == (stages is not None) == stage_loop
+    exact, gap = _field_gaps(flow, y0, fun, stages)
+    assert exact and gap <= 1e-13
 
 
 KINKED_PROXES = {"l1": l1_norm(0.5), "box": box_indicator(-1.0, 1.0)}
@@ -438,15 +441,49 @@ def test_power_form_matches_the_stage_loop(monkeypatch, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         power = integrate(flow, x0, v0=v0, t_end=t_end)
-    matrix_field = integrate_module._matrix_field
-    monkeypatch.setattr(integrate_module, "_matrix_field",
-                        lambda flow, y0: (matrix_field(flow, y0)[0], None))
+    field = integrate_module._field
+
+    def withheld(flow, y0):
+        path, fun, m, stages = field(flow, y0)
+        assert m is not None
+        return path, fun, None, stages
+
+    monkeypatch.setattr(integrate_module, "_field", withheld)
     loop = integrate(flow, x0, v0=v0, t_end=t_end)
     assert power.meta["field"] == loop.meta["field"] == "matrix"
     assert power.meta["solver"] == (DOPRI5 if name == "fb2-dopri5" else DOP853)
     assert np.array_equal(power.t[power.grid], loop.t[loop.grid])
     gap = np.max(np.abs(power.x[power.grid] - loop.x[loop.grid]))
     assert gap <= 1e-10 * np.linalg.norm(x0 - inst.x_star)
+
+
+ONE_PROBE_RUNS = {
+    "fb1-constant": _readme_fb1, "fb2-constant": _readme_fb2,
+    "fb2-exp-ramp": _readme_fb2_exp_ramp,
+    "l1-fb1-kinked": lambda: (TILTED, _kinked_flow("l1", "fb1", "constant"),
+                              np.array([3.0, -1.0]), None, 10.0, Adaptive()),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_PROBE_RUNS))
+def test_integrate_probes_the_state_map_once_and_no_stage_calls_the_oracles(name):
+    # one state_map call, the probe; flow.rhs is called only by the first-order
+    # velocity pass, once per row block of the samples, and never at order 2
+    inst, flow, x0, v0, t_end, control = ONE_PROBE_RUNS[name]()
+    calls = {"state_map": 0, "rhs": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    flow = dataclasses.replace(flow, state_map=counted("state_map", flow.state_map),
+                               rhs=counted("rhs", flow.rhs))
+    traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control)
+    assert traj.meta["field"] == ("kinked" if flow.kernel else "matrix")
+    velocity = len(row_blocks(traj.t.size, x0.size)) if flow.order == 1 else 0
+    assert calls == {"state_map": 1, "rhs": velocity}
 
 
 def _lasso_20d_run(system, sched):
