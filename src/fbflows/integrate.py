@@ -84,45 +84,29 @@ class MetricSeries:
     x_star: np.ndarray
 
 
-def _combine(K, w):
-    """Rows sum_j w[j, r] * K[j] of a (k, rows, 1) weight array, over the first
-    k stages of K, a (stages, 1, n) array.
-
-    The axis-0 reduce adds the stages left to right onto +0.0, as a sequential
-    ``sum`` does (``K.T @ w`` would let BLAS choose the order), one row's bits
-    whatever rows share the call.  Starting from +0.0 the partial sum is never
-    -0.0, so zero weights add nothing, bit for bit, while the stages are
-    finite.  A single column is reduced as two equal ones: numpy sums one
-    column of 8 or more rows pairwise.
-    """
-    terms = w * K[:w.shape[0]]
-    if terms.size == terms.shape[0]:
-        return np.add.reduce(np.broadcast_to(terms, (terms.shape[0], 1, 2)), axis=0,
-                             initial=0.0)[:, :1]
-    return np.add.reduce(terms, axis=0, initial=0.0)
-
-
 def _rms(v) -> float:
     return math.sqrt(np.add.reduce(np.square(v)) / v.size)
 
 
-def _weights(*rows):
-    """Tableau rows as one (k, rows, 1) weight array for ``_combine``, zero-padded."""
-    w = np.zeros((max(map(len, rows)), len(rows), 1))
+def _matrix(rows, width):
+    """Tableau rows as one zero-padded (len(rows), width) matrix."""
+    out = np.zeros((len(rows), width))
     for r, row in enumerate(rows):
-        w[:len(row), r, 0] = row
-    return w
+        out[r, :len(row)] = row
+    return out
 
 
 class _Pair(NamedTuple):
     """An embedded Runge-Kutta pair with first-same-as-last and dense output.
 
-    Stage i >= 1 is the rhs at t + c[i]*h, y + h*sum_j a[i][j] K[j].  The
-    argument of stage ``stages - 1`` is the new solution, so that stage is
-    the next step's first; the stages after it are the dense output's extra
-    stages.  ``e`` weighs the vectors of the error estimate, and
-    ``norm(h, sc, errors)`` gives their size in units of the tolerance scale
-    sc.  ``d`` weighs the dense coefficients beyond the four Hermite ones.
+    Stage i >= 1 is the rhs at t + c[i]*h, y + h*sum_j a[i, j] K[j], ``a``
+    the square tableau.  The argument of stage ``stages - 1`` is the new
+    solution, so that stage is the next step's first; the stages after it are
+    the dense output's extra stages.  Each row of ``w`` weighs the stages K
+    (one per row) into one vector of ``w @ K``: the solution's row
+    a[stages - 1], then the ``n_err`` rows of the error estimate, whose size
+    in units of the tolerance scale sc is ``norm(h, sc, errors)``, then the
+    dense coefficients beyond the four Hermite ones.
     An accepted step's ratio h_new/h is 0.9 * err**-expo * facold**beta
     (facold the previous accepted error, beta the PI weight, 0 for none),
     clipped to [min_ratio, max_ratio]; a rejected step's is
@@ -133,11 +117,11 @@ class _Pair(NamedTuple):
     name: str
     order: int
     stages: int
-    a: tuple
+    a: np.ndarray
     c: tuple
-    e: np.ndarray
+    w: np.ndarray
+    n_err: int
     norm: Callable
-    d: np.ndarray
     expo: float
     beta: float
     min_ratio: float
@@ -173,9 +157,8 @@ def _dopri5_norm(h, sc, errors):
     return _rms(h * errors[0] / sc)
 
 
-_DOPRI5 = _Pair(name="dopri5(4)-pi", order=5, stages=7,
-                a=(None,) + tuple(map(_weights, _A[1:])), c=_C, e=_weights(_E),
-                norm=_dopri5_norm, d=_weights(_D),
+_DOPRI5 = _Pair(name="dopri5(4)-pi", order=5, stages=7, a=_matrix(_A, 7), c=_C,
+                w=_matrix((_A[6], _E, _D), 7), n_err=1, norm=_dopri5_norm,
                 expo=0.2 - 0.75 * 0.04, beta=0.04, min_ratio=0.2, max_ratio=10.0)
 
 # Dormand-Prince 8(5,3) tableau, with the digits of Hairer's dop853.f (Hairer,
@@ -289,9 +272,8 @@ def _dop853_norm(h, sc, errors):
     return h * e5 / math.sqrt((e5 + 0.01 * e3) * sc.size)
 
 
-_DOP853 = _Pair(name="dop853(5,3)", order=8, stages=13,
-                a=(None,) + tuple(map(_weights, _A8[1:])), c=_C8, e=_weights(_E5, _E3),
-                norm=_dop853_norm, d=_weights(*_D8),
+_DOP853 = _Pair(name="dop853(5,3)", order=8, stages=13, a=_matrix(_A8, 16), c=_C8,
+                w=_matrix((_A8[12], _E5, _E3, *_D8), 16), n_err=2, norm=_dop853_norm,
                 expo=1 / 8, beta=0.0, min_ratio=1 / 3, max_ratio=6.0)
 
 _SAFETY = 0.9
@@ -311,19 +293,11 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, order):
     return min(100.0 * h0, h1, t_end - t0)
 
 
-def _tableau(pair):
-    """The pair's tableau A, the dense rows included, as a square matrix."""
-    a = np.zeros((len(pair.c),) * 2)
-    for i, w in enumerate(pair.a[1:], 1):
-        a[i, :w.shape[0]] = w[:, 0, 0]
-    return a
-
-
 def _power_table(pair):
-    """alpha[:, p] = A^p 1 for p < len(c), A the pair's ``_tableau``."""
-    a, alpha = _tableau(pair), [np.ones(len(pair.c))]
+    """alpha[:, p] = A^p 1 for p < len(c), A the pair's tableau ``a``."""
+    alpha = [np.ones(len(pair.c))]
     for _ in pair.c[1:]:
-        alpha.append(a @ alpha[-1])
+        alpha.append(pair.a @ alpha[-1])
     return np.column_stack(alpha)
 
 
@@ -333,22 +307,22 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
 
     ``steps`` holds one list per field of the accepted steps: the left end,
     the width h and the dense-output coefficients (y, the Hermite terms, then
-    one per row of ``pair.d``).  An attempt forms every stage, the dense
-    output's extra ones too, then its error and dense rows in one reduce.
-    ``stages(ts)`` gives the field at stage i of an attempt with stage times
-    ts (default ``fun`` at ts[i]), its input one dot of the tableau row with
-    the stages before it.  Given the constant matrix m of a field
-    f(y') = f(y) + m (y' - y), every stage is the polynomial
+    one per dense row of ``pair.w``).  An attempt forms every stage, the dense
+    output's extra ones too, then its error and dense rows as one product
+    ``pair.w[1:] @ K``.  ``stages(ts)`` gives the field at stage i of an
+    attempt with stage times ts (default ``fun`` at ts[i]), its input one dot
+    of the tableau row with the stages before it.  Given the constant matrix
+    m of a field f(y') = f(y) + m (y' - y), every stage is the polynomial
     K_i = sum_p h^p (A^p 1)_i m^p f(y) (``_power_table``): one product with the
     powers of m/s, s a norm bound of m so that none overflows, and one with
-    the table scaled by (h s)^p.  The reduce then also forms the solution,
+    the table scaled by (h s)^p.  Then ``pair.w @ K`` also forms the solution,
     and an accepted step's last stage is re-evaluated as f(y_new).
     """
-    a, c, norm = pair.a, pair.c, pair.norm
+    c, norm, n_err = pair.c, pair.norm, pair.n_err
     last = pair.stages - 1  # the stage at the new solution (FSAL)
     extra = range(pair.stages, len(c))  # the dense output's extra stages
     fac_min, fac_max = 1.0 / pair.max_ratio, 1.0 / pair.min_ratio  # bounds of h/h_new
-    tableau, cs = _tableau(pair), np.array(c)
+    cs = np.array(c)
     if stages is None:
         def stages(ts):
             ts = ts.tolist()
@@ -357,7 +331,6 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     t = t0
     y = np.array(y0, dtype=float)
     K = np.empty((len(c), y.size))  # the stages of the current step, one per row
-    K3 = K[:, None]  # the same stages, in the shape that _combine weighs
     K[0] = fun(t, y)
     if not np.all(np.isfinite(K[0])):
         raise IntegrationError("non-finite rhs at the initial point",
@@ -367,10 +340,7 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     n_acc = n_rej = 0
     facold = 1e-4
     rejected = False
-    steps = tuple([] for _ in range(6 + pair.d.shape[1]))
-    weights = np.concatenate([np.pad(w, ((0, len(c) - len(w)), (0, 0), (0, 0)))
-                              for w in (a[last], pair.e, pair.d)], axis=1)
-    n_err = pair.e.shape[1]
+    steps = tuple([] for _ in range(5 + len(pair.w) - n_err))  # 6 + the dense rows
     if m is not None:
         table, expo = _power_table(pair)[1:], np.arange(len(c))
         s = float(np.abs(m).sum(axis=1).max()) or 1.0
@@ -391,16 +361,16 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
         h = min(h, t_end - t)
 
         if m is None:
-            field, ha = stages(t + cs * h), h * tableau
+            field, ha = stages(t + cs * h), h * pair.a
             for i in range(1, len(c)):
                 yi = y + ha[i, :i].dot(K[:i])
                 K[i] = field(i, yi)
                 if i == last:
                     y_new = yi  # the last stage is at the solution
-            rows = _combine(K3, weights[:, 1:])
+            rows = pair.w[1:] @ K
         else:
             K[1:] = (table * (h * s) ** expo) @ (powers @ K[0]).reshape(len(c), -1)
-            rows = _combine(K3, weights)
+            rows = pair.w @ K
             y_new, rows = y + h * rows[0], rows[1:]
         errors = rows[:n_err]
         n_rhs += last
@@ -614,7 +584,9 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
 def record_metrics(traj: Trajectory, problem) -> MetricSeries:
     """Compute h, u, gap and gradnorm along a trajectory against problem ground truth.
 
-    Values and gradients are taken one call per row block of the samples.
+    Values and gradients are taken one call per row block of the samples.  A
+    gap below -(1e-10 + 4 eps (|F(x)| + |F(x*)|)), more than the rounding of
+    F(x) - F(x*), raises ValueError: x_star is not the minimiser.
     """
     x_star = getattr(problem, "x_star", None)
     if x_star is None:
@@ -638,13 +610,15 @@ def record_metrics(traj: Trajectory, problem) -> MetricSeries:
             return s
 
         base = float(total(x_star))
-        gap = np.empty(traj.t.size)
+        gap, size = np.empty(traj.t.size), np.empty(traj.t.size)
         for rows in blocks:
-            gap[rows] = total(traj.x[rows]) - base
-        if np.min(gap) < -1e-10:
-            raise ValueError(
-                "value gap fell below the -1e-10 floor (min %g); x_star is suspect"
-                % float(np.min(gap)))
+            value = total(traj.x[rows])
+            gap[rows], size[rows] = value - base, np.abs(value)
+        floor = -1e-10 - 4.0 * np.finfo(float).eps * (size + abs(base))
+        i = int(np.argmin(gap - floor))
+        if gap[i] < floor[i]:
+            raise ValueError("value gap %g fell below its floor %g at t = %g; x_star is suspect"
+                             % (gap[i], floor[i], traj.t[i]))
     gradnorm = None
     if g is not None and g.gradient is not None:
         gradnorm = np.empty(traj.t.size)

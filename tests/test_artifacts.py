@@ -69,9 +69,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "7e5d279c8bc30d7384d5c02c04b26b1df5f9050dfe430102d107e128de458b88",
+            "a158022d035dbfdaa313be825249f63a13864d288cc3d43ba7a12edd17e755d6",
         "trajectory.csv":
-            "e00b0a1c286fe24f51cfc3a01bd586cca82025bdaa4943d84f10b7da26395bb0",
+            "d085e3c81df2defcb701a9c72cd5e8fbab487ed366688df579b33e11c74a8f6d",
     },
     "grad1": {
         "certificate.json":
@@ -81,9 +81,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "ebe1ac919d2df61aafc4c3a0359b3448820517455f7d51aaf7a325ff7e99f938",
+            "0ad7a36fd867a6e72b2ee659957306fbbb912eafe8c046b8365ccbee51c24927",
         "trajectory.csv":
-            "c2bdfcf71bb01e04a52480bd3fd11c499b2162f782e39262019897142b51b38a",
+            "cf0078d85dfd4dda6c77bc62b6f55489045287e68470a522316375391feb6c65",
     },
     "fb2": {
         "certificate.json":
@@ -93,9 +93,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "0655b6264cf3a3b9c6d2878353e03a70934479d39dccf3cb7d70f2520a20c63a",
+            "34093be8cc027c42efdc31f3dffc6f3e6a15183dc8116cfced232206cee9f70d",
         "trajectory.csv":
-            "1915e3ba8e8b39738dcca991a7c298b0793fd3dfa6256f3c083533d3f73296bf",
+            "a9a81dada5d2dae8296ad45d5af0d726e499bacf5cc2ad9364499813539dcc96",
     },
     "grad2": {
         "certificate.json":
@@ -105,9 +105,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "be58c69bdf98b971c0c82fd1267e254a8ae7c7f88f9fe5c604b0e8a95beccc87",
+            "8ea049e66ba720ac4f1ad55c44d73e04fb1f5a9f5edd8ec80d0d647d91f31f48",
         "trajectory.csv":
-            "8b747cce3eae52b659c043544ce629293a88d1a697f3782bb89d7e37b8c5b7eb",
+            "2d3a024351d38e004853eb65595261c648d805bf723b6c7675ff4cd0d13dc3aa",
     },
     "fb2-exp-ramp": {
         "certificate.json":
@@ -117,9 +117,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "771d9d90132d927b60f652cdf534b18671cafd972b9ad4bf865f5014707a9b47",
+            "6a19a4383d197d9e909f558c3032b0fc6db2c9b31ff6e56f979ad91325480b8c",
         "trajectory.csv":
-            "e97e21ec0ffe5ac4c926395fe49e28dba5732516075a4d37bfadeb693d48c9d0",
+            "933584bee31e89ec674e3f52dc242d09bcae785955b012db8e55b410baedc731",
     },
     "sc-lasso-fb1": {
         "certificate.json":
@@ -129,9 +129,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "f87e7df9ab97916cbcfb6ddff1885ee234f783b0bb091f9c8f8fb691607a9ed6",
         "report.json":
-            "498907f2fda23dc13eafd8bd747e0abd9893224f7b3e913f02c0c60e2bd4e1c1",
+            "699892abe2935b203d8044db8c243f5d441803a08ae918e060a7940439aeb03f",
         "trajectory.csv":
-            "344b27afe4ace1ce35c727649ee8ee3436e636acec258d616a85c189828c55bb",
+            "0515559fb0ad8ca1a4fa1a4c67bd988f79357a6f3753502166c1f64cacaa04bf",
     },
 }
 

@@ -457,15 +457,29 @@ def test_verify_writes_the_even_grid_and_checks_every_sample(tmp_path, n_dense):
     assert 0.0 < report["integrator"]["h_min"] <= report["integrator"]["h_max"] <= t_end
 
 
+DETERMINISM_CASES = {  # name: (config, integrator.field)
+    "power-form": (FB1_VERIFY, "matrix"),
+    "ramp-stage-loop": (_patched(FB2_VERIFY, "params", **{
+        "lambda": 60.0, "gamma": {"profile": "exp_ramp", "start": 15, "end": 14,
+                                  "rate": 0.5}}), "matrix"),
+    "kinked-loop": ({"problem": "sc-lasso-20d", "system": "fb1",
+                     "params": {"alpha": 0.05, "eta": 0.07, "lambda": 1.0},
+                     "initial": {"x0": np.linspace(-2.0, 2.0, 20).tolist()}}, "kinked"),
+}
+
+
 def test_verify_is_deterministic(tmp_path):
-    cfg = write_config(tmp_path, FB1_VERIFY)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["verify", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
-    assert run(["verify", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
-    assert ((out1 / "trajectory.csv").read_bytes()
-            == (out2 / "trajectory.csv").read_bytes())
-    assert ((out1 / "envelope.csv").read_bytes()
-            == (out2 / "envelope.csv").read_bytes())
+    # one config per integrator path, whose stage sums follow BLAS order: a
+    # second run writes the same report.json, certificate.json and CSVs
+    for name, (doc, field) in DETERMINISM_CASES.items():
+        cfg = write_config(tmp_path, doc, name + ".json")
+        out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+        assert run(["verify", "--config", cfg, "--out", str(out1), "--quiet"]) == 0, name
+        assert run(["verify", "--config", cfg, "--out", str(out2), "--quiet"]) == 0, name
+        report = json.loads((out1 / "report.json").read_text())
+        assert report["integrator"]["field"] == field, name
+        for artifact in ("trajectory.csv", "envelope.csv", "report.json", "certificate.json"):
+            assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes(), name
 
 
 def constant(v):
@@ -533,6 +547,26 @@ def test_verify_grad2_within_ulps_of_the_solution(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["envelope"]["violating_samples"] == 0
     assert report["m_raw"] == 0.0
+
+
+def test_verify_grad1_far_from_the_origin_keeps_the_gap_within_its_floor(tmp_path, capsys):
+    # F(x*) is about -1.8e6, so the gap's rounding reaches 2 ulps of it, 4.7e-10:
+    # below a fixed -1e-10 floor, but within -(1e-10 + 4 eps (|F(x)| + |F(x*)|))
+    doc = {"problem": {"kind": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.5]],
+                       "b": [1e3, -2e3]},
+           "system": "grad1", "params": {"alpha": 1.0, "lambda": 1.0},
+           "integrator": {"rel_tol": 1e-10, "abs_tol": 1e-13},
+           "initial": {"x0": [2.0, -3.0]}}
+    out = tmp_path / "far"
+    # the exit code stays 1: the fitted-rate gate fits the gap's rounding floor
+    assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 1
+    assert "run failed" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["envelope"]["violating_samples"] == 0
+    assert report["envelope"]["rate_ok"] is False
+    assert report["chain"]["passed"] and report["audit"]["passed"]
+    gap = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)["gap"]
+    assert gap.min() < -1e-10
 
 
 def test_verify_fb2_m_is_the_initial_lyapunov_value(tmp_path):

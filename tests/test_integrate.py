@@ -699,37 +699,6 @@ def test_dense_output_matches_per_sample_interpolation(name, solver, monkeypatch
     assert got.tobytes() == ys.tobytes()  # bitwise, signed zeros included
 
 
-def _weight_rows():
-    """Every weight array of both pairs (each stage row, the error rows, the dense
-    rows), with the tableau rows it holds."""
-    m = integrate_module
-    return ([(w, [row]) for w, row in zip(m._DOPRI5.a[1:], m._A[1:])]
-            + [(m._DOPRI5.e, [m._E]), (m._DOPRI5.d, [m._D])]
-            + [(w, [row]) for w, row in zip(m._DOP853.a[1:], m._A8[1:])]
-            + [(m._DOP853.e, [m._E5, m._E3]), (m._DOP853.d, list(m._D8))])
-
-
-@pytest.mark.parametrize("dim", [1, 2, 4, 20])
-def test_stage_combination_matches_sequential_sum(dim):
-    # each row of the one reduce over K[:k] (zero and padded entries included) gives
-    # the bits of a left-to-right sum over its nonzero entries, signed zeros and
-    # cancellations too, whatever rows share the call; at dim 1 a single row is a
-    # single column, which numpy would sum pairwise
-    rng = np.random.default_rng(dim)
-    weights = _weight_rows()
-    assert [len(rows) for _, rows in weights] == [1] * 8 + [1] * 15 + [2, 4]
-    for _ in range(200):
-        K = rng.standard_normal((16, dim)) * 10.0 ** rng.uniform(-8, 8, size=(16, 1))
-        K[rng.random((16, dim)) < 0.2] = -0.0
-        K[rng.random((16, dim)) < 0.1] = 0.0
-        for w, rows in weights:
-            got = integrate_module._combine(K[:, None], w)
-            assert got.shape == (len(rows), dim)
-            for row, got_row in zip(rows, got):
-                ref = sum(a * K[j] for j, a in enumerate(row) if a != 0.0)
-                assert got_row.tobytes() == np.asarray(ref, dtype=float).tobytes()
-
-
 def test_dop853_coefficients_match_scipy():
     coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     m = integrate_module
@@ -755,13 +724,23 @@ def test_tableau_rows_are_consistent(pair):
     m = integrate_module
     a, c = (m._A, m._C) if pair is m._DOPRI5 else (m._A8, m._C8)
     errors = (m._E,) if pair is m._DOPRI5 else (m._E5, m._E3)
+    dense = (m._D,) if pair is m._DOPRI5 else m._D8
     assert len(a) == len(c) == len(pair.c)
     assert math.fsum(a[pair.stages - 1]) == 1.0
     for row, target in list(zip(a[1:], c[1:])) + [(e, 0.0) for e in errors]:
         bound = 1e-15 * math.fsum(abs(x) for x in row)
         assert abs(math.fsum(row) - target) <= bound
-    for row, w in zip(a[1:], pair.a[1:]):
-        assert np.array(row)[:, None].tobytes() == w.tobytes()
+
+    def padded(rows):
+        return np.array([list(row) + [0.0] * (len(c) - len(row)) for row in rows])
+
+    # the matrices hold those rows bit for bit, zero padding included: the
+    # tableau, then the solution row, the error rows and the dense rows
+    assert pair.a.shape == (len(c), len(c)) and pair.a.tobytes() == padded(a).tobytes()
+    w = padded((a[pair.stages - 1], *errors, *dense))
+    assert pair.n_err == len(errors) and pair.w.shape == w.shape
+    for got, want in zip(pair.w, w):
+        assert got.tobytes() == want.tobytes()
 
 
 def _per_sample_v(flow, traj):
