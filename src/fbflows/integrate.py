@@ -3,10 +3,11 @@
 One adaptive step loop runs either of two embedded Dormand-Prince pairs,
 chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 7th-order dense interpolant, for a ``FlowRHS.smooth`` field, and DOPRI5, the
-5(4) pair with PI step-size control and a 4th-order interpolant, for any
-other (at a kink the 8th-order pair rejects more steps than it saves).  Each
-step's local error stays below ``Adaptive``'s tolerances, and samples fill an
-even grid finer than the steps.  A ``FlowRHS.state_map`` is probed once, so
+5(4) pair with a 4th-order interpolant, for any other (at a kink the
+8th-order pair rejects more steps than it saves).  A pair is its tableau:
+both run under one step-size rule and one error norm.  Each step's local
+error stays below ``Adaptive``'s tolerances, and samples fill an even grid
+finer than the steps.  A ``FlowRHS.state_map`` is probed once, so
 its stages are matrix products (then a declared ``kernel``), all of a step's
 from powers of the matrix read off that probe when the field is affine and
 every coefficient a constant ``Profile``.  Second-order flows are integrated
@@ -19,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -104,14 +105,9 @@ class _Pair(NamedTuple):
     solution, so that stage is the next step's first; the stages after it are
     the dense output's extra stages.  Each row of ``w`` weighs the stages K
     (one per row) into one vector of ``w @ K``: the solution's row
-    a[stages - 1], then the ``n_err`` rows of the error estimate, whose size
-    in units of the tolerance scale sc is ``norm(h, sc, errors)``, then the
-    dense coefficients beyond the four Hermite ones.
-    An accepted step's ratio h_new/h is 0.9 * err**-expo * facold**beta
-    (facold the previous accepted error, beta the PI weight, 0 for none),
-    clipped to [min_ratio, max_ratio]; a rejected step's is
-    0.9 * err**-expo, at least min_ratio.  The first step scales with the
-    1/order power of the tolerance.
+    a[stages - 1], then the ``n_err`` rows of the error estimate (sized by
+    ``_error_norm``), then the dense coefficients beyond the four Hermite
+    ones.  ``order`` sets the exponent of the step-size rule and of the first step.
     """
 
     name: str
@@ -121,11 +117,6 @@ class _Pair(NamedTuple):
     c: tuple
     w: np.ndarray
     n_err: int
-    norm: Callable
-    expo: float
-    beta: float
-    min_ratio: float
-    max_ratio: float
 
 
 # Dormand-Prince 5(4) tableau.
@@ -153,13 +144,8 @@ _D = (
 )
 
 
-def _dopri5_norm(h, sc, errors):
-    return _rms(h * errors[0] / sc)
-
-
-_DOPRI5 = _Pair(name="dopri5(4)-pi", order=5, stages=7, a=_matrix(_A, 7), c=_C,
-                w=_matrix((_A[6], _E, _D), 7), n_err=1, norm=_dopri5_norm,
-                expo=0.2 - 0.75 * 0.04, beta=0.04, min_ratio=0.2, max_ratio=10.0)
+_DOPRI5 = _Pair(name="dopri5(4)", order=5, stages=7, a=_matrix(_A, 7), c=_C,
+                w=_matrix((_A[6], _E, _D), 7), n_err=1)
 
 # Dormand-Prince 8(5,3) tableau, with the digits of Hairer's dop853.f (Hairer,
 # Norsett & Wanner, Solving ODEs I, II.5 and II.10).  Row 12 is the 8th-order
@@ -262,21 +248,22 @@ _D8 = (
 )
 
 
-def _dop853_norm(h, sc, errors):
-    """Hairer's estimate h*e5/sqrt(n*(e5 + e3/100)), with e5 and e3 the sums of
-    squares of the scaled 5th- and 3rd-order error vectors."""
-    e5 = float(np.add.reduce(np.square(errors[0] / sc)))
-    if e5 == 0.0:
-        return 0.0
-    e3 = float(np.add.reduce(np.square(errors[1] / sc)))
-    return h * e5 / math.sqrt((e5 + 0.01 * e3) * sc.size)
-
-
 _DOP853 = _Pair(name="dop853(5,3)", order=8, stages=13, a=_matrix(_A8, 16), c=_C8,
-                w=_matrix((_A8[12], _E5, _E3, *_D8), 16), n_err=2, norm=_dop853_norm,
-                expo=1 / 8, beta=0.0, min_ratio=1 / 3, max_ratio=6.0)
+                w=_matrix((_A8[12], _E5, _E3, *_D8), 16), n_err=2)
 
 _SAFETY = 0.9
+_MIN_RATIO, _MAX_RATIO = 1 / 3, 6.0  # the bounds of h_new/h
+
+
+def _error_norm(h, sc, errors):
+    """Hairer's estimate h*e/sqrt(n*(e + e3/100)), with e and e3 the sums of
+    squares of the error rows scaled by sc, e3 = 0 for a single row: then it
+    is the RMS norm of h*errors[0]/sc."""
+    e = float(np.add.reduce(np.square(errors[0] / sc)))
+    if e == 0.0:
+        return 0.0
+    e3 = float(np.add.reduce(np.square(errors[1] / sc))) if len(errors) > 1 else 0.0
+    return h * e / math.sqrt((e + 0.01 * e3) * sc.size)
 
 
 def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, order):
@@ -317,11 +304,15 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     powers of m/s, s a norm bound of m so that none overflows, and one with
     the table scaled by (h s)^p.  Then ``pair.w @ K`` also forms the solution,
     and an accepted step's last stage is re-evaluated as f(y_new).
+    Both pairs take one step-size rule: the ratio h_new/h is
+    0.9 * err**(-1/order), err the ``_error_norm`` of the attempt, within
+    [``_MIN_RATIO``, ``_MAX_RATIO``], and no larger than 1 right after a
+    rejection.
     """
-    c, norm, n_err = pair.c, pair.norm, pair.n_err
+    c, n_err, inv_order = pair.c, pair.n_err, 1 / pair.order
     last = pair.stages - 1  # the stage at the new solution (FSAL)
     extra = range(pair.stages, len(c))  # the dense output's extra stages
-    fac_min, fac_max = 1.0 / pair.max_ratio, 1.0 / pair.min_ratio  # bounds of h/h_new
+    fac_min, fac_max = 1.0 / _MAX_RATIO, 1.0 / _MIN_RATIO  # bounds of h/h_new
     cs = np.array(c)
     if stages is None:
         def stages(ts):
@@ -338,7 +329,6 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     h = _initial_step(fun, t0, y, K[0], t_end, rtol, atol, pair.order)
     n_rhs = 2  # initial-step estimator
     n_acc = n_rej = 0
-    facold = 1e-4
     rejected = False
     steps = tuple([] for _ in range(5 + len(pair.w) - n_err))  # 6 + the dense rows
     if m is not None:
@@ -379,17 +369,11 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
                 "non-finite state during integration",
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = norm(h, sc, errors)
+        err = _error_norm(h, sc, errors)
 
-        fac11 = err ** pair.expo if err > 0.0 else 1e-10
+        fac11 = err ** inv_order if err > 0.0 else 1e-10
         if err <= 1.0:
-            # accept; a PI weight limits the growth by the previous error
-            facold_term = facold ** pair.beta
-            fac = fac11 / facold_term
-            fac = max(fac_min, min(fac_max, fac / _SAFETY))
-            h_new = h / fac
-            facold = max(err, 1e-4)
-
+            h_new = h / max(fac_min, min(fac_max, fac11 / _SAFETY))
             if m is not None:
                 K[last] = fun(t + h, y_new)
             dense = rows[n_err:]

@@ -129,9 +129,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "f87e7df9ab97916cbcfb6ddff1885ee234f783b0bb091f9c8f8fb691607a9ed6",
         "report.json":
-            "699892abe2935b203d8044db8c243f5d441803a08ae918e060a7940439aeb03f",
+            "fefd87460611c78a69bdd40d20e492428dbaf046503fefb12b2eed0dec4429ff",
         "trajectory.csv":
-            "0515559fb0ad8ca1a4fa1a4c67bd988f79357a6f3753502166c1f64cacaa04bf",
+            "de3ae1ea89d063fe9f84bb9f575700c5825f09ce03aad66a8962d418719e5ed5",
     },
 }
 

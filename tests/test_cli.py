@@ -902,7 +902,7 @@ def test_the_benchmark_tracer_installs_and_restores_its_patches(monkeypatch):
     # a traced flow keeps its smoothness, so it runs the pair (and the steps) of
     # an untraced run: DOP853 on the smooth field, DOPRI5 on the kinked one
     assert traced == [integrator_meta(*case) for case in cases]
-    assert [meta["solver"] for meta in traced] == ["dop853(5,3)", "dopri5(4)-pi"]
+    assert [meta["solver"] for meta in traced] == ["dop853(5,3)", "dopri5(4)"]
 
 
 # The benchmark's tracer replaces these attributes while a request runs, so a
