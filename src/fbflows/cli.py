@@ -439,6 +439,10 @@ def execute(config, command: str, out_dir: Optional[str] = None,
         return EXIT_FAILED
     except (integrate.IntegrationError, ValueError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
+        if isinstance(exc, integrate.IntegrationError):
+            os.makedirs(out_dir, exist_ok=True)
+            integrate.write_json(os.path.join(out_dir, "error.json"), {
+                "command": command, "error": str(exc), "diagnostics": exc.diagnostics})
         return EXIT_FAILED
 
 

@@ -7,10 +7,10 @@ chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 8th-order pair rejects more steps than it saves).  A pair is its tableau:
 both run under one step-size rule and one error norm.  Each step's local
 error stays below ``Adaptive``'s tolerances, and samples fill an even grid
-finer than the steps.  A ``FlowRHS.state_map`` is probed once, so
-its stages are matrix products (then a declared ``kernel``), all of a step's
-from powers of the matrix read off that probe when the field is affine and
-every coefficient a constant ``Profile``.  Second-order flows are integrated
+finer than the steps.  A ``FlowRHS.state_map`` is probed once, so its stages
+are matrix products (then a declared ``kernel``): of an affine field's (M, b),
+stacked per attempt over the stage times, or all of a step's from powers of M
+when every coefficient is a constant ``Profile``.  Second-order flows are integrated
 by state augmentation (x, v).  The module also owns the artifact format:
 ``write_csv`` (``FLOAT`` floats round-trip), ``write_json``, ``trajectory_columns``.
 """
@@ -296,9 +296,11 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     the width h and the dense-output coefficients (y, the Hermite terms, then
     one per dense row of ``pair.w``).  An attempt forms every stage, the dense
     output's extra ones too, then its error and dense rows as one product
-    ``pair.w[1:] @ K``.  ``stages(ts)`` gives the field at stage i of an
-    attempt with stage times ts (default ``fun`` at ts[i]), its input one dot
-    of the tableau row with the stages before it.  Given the constant matrix
+    ``pair.w[1:] @ K``.  ``stages(ts, y)`` gives the field at stage i of an
+    attempt from y with stage times ts (default ``fun`` at ts[i]), at y + u for
+    u one dot of the tableau row with the stages before it.  One test of the error
+    norm plus the largest tolerance scale (|y| carried from the last step)
+    stops a non-finite new state or error row.  Given the constant matrix
     m of a field f(y') = f(y) + m (y' - y), every stage is the polynomial
     K_i = sum_p h^p (A^p 1)_i m^p f(y) (``_power_table``): one product with the
     powers of m/s, s a norm bound of m so that none overflows, and one with
@@ -314,13 +316,12 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     extra = range(pair.stages, len(c))  # the dense output's extra stages
     fac_min, fac_max = 1.0 / _MAX_RATIO, 1.0 / _MIN_RATIO  # bounds of h/h_new
     cs = np.array(c)
-    if stages is None:
-        def stages(ts):
-            ts = ts.tolist()
-            return lambda i, y: fun(ts[i], y)
+    if stages is None:  # fun at each stage time
+        stages = lambda ts, y: (lambda i, u, ts=ts.tolist(): fun(ts[i], y + u))
     span = t_end - t0
     t = t0
     y = np.array(y0, dtype=float)
+    ay = np.abs(y)  # |y|, for the tolerance scale
     K = np.empty((len(c), y.size))  # the stages of the current step, one per row
     K[0] = fun(t, y)
     if not np.all(np.isfinite(K[0])):
@@ -351,25 +352,25 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
         h = min(h, t_end - t)
 
         if m is None:
-            field, ha = stages(t + cs * h), h * pair.a
+            field, ha = stages(t + cs * h, y), h * pair.a
             for i in range(1, len(c)):
-                yi = y + ha[i, :i].dot(K[:i])
-                K[i] = field(i, yi)
+                u = ha[i, :i].dot(K[:i])
+                K[i] = field(i, u)
                 if i == last:
-                    y_new = yi  # the last stage is at the solution
+                    y_new = y + u  # the last stage is at the solution
             rows = pair.w[1:] @ K
         else:
             K[1:] = (table * (h * s) ** expo) @ (powers @ K[0]).reshape(len(c), -1)
             rows = pair.w @ K
             y_new, rows = y + h * rows[0], rows[1:]
-        errors = rows[:n_err]
         n_rhs += last
-        if not (np.isfinite(y_new).all() and np.isfinite(errors).all()):
+        ay_new = np.abs(y_new)
+        sc = atol + rtol * np.maximum(ay, ay_new)
+        err = _error_norm(h, sc, rows[:n_err])
+        if not math.isfinite(err + np.maximum.reduce(sc)):  # a nan or inf in y_new or errors
             raise IntegrationError(
                 "non-finite state during integration",
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(h, sc, errors)
 
         fac11 = err ** inv_order if err > 0.0 else 1e-10
         if err <= 1.0:
@@ -384,7 +385,7 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
             for column, value in zip(steps, fields):
                 column.append(value)
             t = t + h
-            y = y_new
+            y, ay = y_new, ay_new
             K[0] = K[last]
             n_acc += 1
             if rejected:
@@ -458,41 +459,50 @@ def _stage_field(flow: FlowRHS, y0):
     """(field, M, stages) of a flow with a ``state_map``, from its probe (G, S(x0)):
     F(x) = G (x - x0) + S(x0), or with a ``kernel`` J, F(x) = J(G (x - x0) + S(x0)) - x,
     anchored at the oracles' own S(x0).  The field is lambda F(x), or
-    (v, lambda F(x) - gamma v) for a second-order flow; ``stages(ts)`` evaluates
-    the coefficients once on an attempt's stage times ts and gives stage i's.
-    With no kernel and every coefficient it reads a constant ``Profile``, the
-    field is M (y - y0) + b, b its value at y0 and M lambda G, or
-    [[0, I], [lambda G, -gamma I]] at order 2, with no stages; else M is None."""
-    dim = y0.size // flow.order
+    (v, lambda F(x) - gamma v) at order 2; ``stages(ts, y)`` gives stage i's at
+    y + u and stage times ts, sampling once on ts each coefficient but a constant
+    ``Profile``.  With no kernel the field is M (y - y0) + b, b its value at y0,
+    [M | b] = T_0 + lambda T_1 + gamma T_2 (the x' = v, lambda G and -gamma v
+    rows): all constant, M is returned for the power form with no stages; else
+    M is None and an attempt stacks (M_i, b_i): stage i is (M_i (y - y0) + b_i) + M_i u."""
+    dim, n = y0.size // flow.order, y0.size
     x0, kernel, coefs = y0[:dim], flow.kernel, (flow.sched.lam, flow.sched.gamma)[:flow.order]
     g, s0 = _probe(flow.state_map, x0)
+    fixed = [coef(0.0) if isinstance(coef, Profile) and coef.start == coef.end else None
+             for coef in coefs]
+    if kernel is not None:
+        def value(y, lam, gamma=None):
+            x, v = y[:dim], y[dim:]
+            f = (kernel(g.dot(x - x0) + s0) - x) * lam
+            return f if flow.order == 1 else np.concatenate([v, f - gamma * v])
 
-    def value(y, lam, gamma=None):
-        x = y[:dim]
-        f = g.dot(x - x0)
-        f += s0
-        if kernel is not None:
-            f = kernel(f)
-            f -= x
-        f *= lam
-        if flow.order == 1:
-            return f
-        v = y[dim:]
-        return np.concatenate([v, f - gamma * v])
+        def stages(ts, y):  # np.full: a callable may answer the times with its one value
+            at = list(zip(*[np.full(ts.shape, coef(ts)).tolist() if c is None else [c] * ts.size
+                            for c, coef in zip(fixed, coefs)]))
+            return lambda i, u: value(y + u, *at[i])
+        return (lambda t, y: value(y, *[coef(t) if c is None else c
+                                        for c, coef in zip(fixed, coefs)])), None, stages
 
-    def stages(ts):  # np.full: a constant may answer the times with its one value
-        at = list(zip(*[np.full(ts.shape, coef(ts)).tolist() for coef in coefs]))
-        return lambda i, y: value(y, *at[i])
-    if kernel is not None or not all(isinstance(coef, Profile) and coef.start == coef.end
-                                     for coef in coefs):
-        return (lambda t, y: value(y, *[coef(t) for coef in coefs])), None, stages
-    consts = [coef(0.0) for coef in coefs]
-    m = np.zeros((y0.size,) * 2)
-    m[-dim:, :dim] += consts[0] * g
+    terms = np.zeros((flow.order + 1, n + 1, n))  # T_k as [M | b] transposed: b the last row
+    terms[1, n - dim:n, :dim], terms[1, n, n - dim:] = g, s0
     if flow.order == 2:
-        m[:dim, dim:] += np.eye(dim)
-        m[dim:, dim:] -= consts[1] * np.eye(dim)
-    b = value(y0, *consts)
+        terms[0, :dim, dim:], terms[0, n, :dim] = np.eye(dim), y0[dim:]
+        terms[2, dim:n, dim:], terms[2, n, dim:] = -np.eye(dim), -y0[dim:]
+    base = terms[0] + sum(c * term for c, term in zip(fixed, terms[1:]) if c is not None)
+    vary = [(coef, term) for c, coef, term in zip(fixed, coefs, terms[1:]) if c is None]
+
+    def affine(t):  # (M, b) at a float t, or stacked over the stage times t
+        ab = base + sum(np.multiply.outer(np.full(np.shape(t), coef(t)), term)
+                        for coef, term in vary)
+        return ab[..., :n, :], ab[..., n, :]
+
+    def stages(ts, y):  # at a float ts, the one (M, b), indexed by ...
+        ms, bs = affine(ts)
+        cs = ms @ (y - y0) + bs
+        return lambda i, u: ms[i].dot(u) + cs[i]
+    if vary:
+        return (lambda t, y: stages(t, y0)(..., y - y0)), None, stages
+    m, b = affine(0.0)
     return (lambda t, y: m.dot(y - y0) + b), m, None
 
 

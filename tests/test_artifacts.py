@@ -117,9 +117,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "6a19a4383d197d9e909f558c3032b0fc6db2c9b31ff6e56f979ad91325480b8c",
+            "1b7fb1f21119c6e401236388152383a0fe4b7233f34037b5697009e75810a6f2",
         "trajectory.csv":
-            "933584bee31e89ec674e3f52dc242d09bcae785955b012db8e55b410baedc731",
+            "c156f9e1d1493042a62ee3a0312a646d9ba5ac6198cec690990c7f5f0ce5888e",
     },
     "sc-lasso-fb1": {
         "certificate.json":

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
+import functools
 import hashlib
 import json
 import os
@@ -217,6 +218,23 @@ def test_fb2_simulate_without_a_step_scale_exits_1(tmp_path, capsys, rho, alpha,
     assert cli.execute(doc, "simulate", out_dir=str(tmp_path / "o"), quiet=True) == 1
     assert "run failed: " + message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_an_integration_error_writes_error_json(tmp_path, capsys, monkeypatch, command):
+    # a step budget of 5: the run stops with "step budget exhausted"; the stderr
+    # line and exit 1 stay, and error.json holds the message and its diagnostics
+    monkeypatch.setattr(integrate, "_accepted_steps",
+                        functools.partial(integrate._accepted_steps, max_steps=5))
+    out = tmp_path / "o"
+    assert cli.execute(FB1_VERIFY, command, out_dir=str(out), quiet=True) == 1
+    assert "run failed: step budget exhausted" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["command"] == command and doc["error"] == "step budget exhausted"
+    diag = doc["diagnostics"]
+    assert set(diag) == {"t", "accepted", "rejected"}
+    assert diag["accepted"] + diag["rejected"] == 5 and 0.0 < diag["t"] < 20.0
 
 
 def test_initial_state_validation(tmp_path, capsys):

@@ -88,6 +88,67 @@ def test_non_finite_state_aborts():
             integrate(flow, np.array([0.0]), t_end=1.0)
 
 
+def _affine_b(k, d):
+    """B(x) = -k x + d, declared affine: fb1 with A = 0 and eta 1 gives F(x) = k x - d."""
+    return MonotoneMap(eval=lambda x: -k * np.asarray(x, dtype=float) + d, beta=1.0,
+                       smooth=True, affine=True)
+
+
+RAMP_SCHED = Schedule(lam=Profile(2.0, 1.5, 0.7), lambda_lower=1.5, lambda_upper=2.0,
+                      gamma=Profile(15.0, 14.0, 0.5))
+# (flow of B, v0 or None, path): one per path that forms stages from a probe
+PROBED_PATHS = {
+    "power": (lambda b: fb1_rhs(zero_operator(), b, 1.0, Schedule.constant(1.0)), None,
+              "matrix"),
+    "ramp": (lambda b: fb2_rhs(zero_operator(), b, 1.0, RAMP_SCHED), np.zeros(2), "matrix"),
+    "kinked": (lambda b: fb1_rhs(prox_resolvent(l1_norm(0.5)), b, 1.0, Schedule.constant(1.0)),
+               None, "kinked"),
+}
+
+
+def _assert_non_finite_abort(flow, x0, v0, t_end, field):
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError,
+                                                  match="non-finite state") as exc:
+        integrate(flow, x0, v0=v0, t_end=t_end)
+    diag = exc.value.diagnostics
+    assert set(diag) == {"t", "h", "accepted", "rejected"}
+    assert 0.0 < diag["t"] < t_end and diag["h"] > 0.0 and diag["accepted"] > 0
+    assert integrate_module._field(flow, np.concatenate([x0, v0]) if flow.order == 2
+                                   else x0)[0] == field
+
+
+@pytest.mark.parametrize("path", list(PROBED_PATHS))
+def test_a_state_run_past_overflow_aborts_on_every_probed_path(path):
+    # F(x) = 100 x: a large positive eigenvalue, so the state overflows long before t_end
+    build, v0, field = PROBED_PATHS[path]
+    _assert_non_finite_abort(build(_affine_b(100.0, np.zeros(2))), np.array([3.0, -1.0]),
+                             v0, 200.0, field)
+
+
+@pytest.mark.parametrize("path", ["power", "ramp", "oracle"])
+def test_a_state_turned_infinite_aborts_while_the_error_rows_stay_finite(monkeypatch, path):
+    # a constant field from near the largest float: the state turns +inf and -inf,
+    # while every stage is the constant, so on the power form and the oracle path
+    # (where no stage is evaluated at the new state) the error rows stay finite
+    seen = []
+    error_norm = integrate_module._error_norm
+
+    def spy(h, sc, errors):
+        seen.append((np.isfinite(sc).all(), np.isfinite(errors).all()))
+        return error_norm(h, sc, errors)
+
+    monkeypatch.setattr(integrate_module, "_error_norm", spy)
+    x0, c = np.array([1.7e308, -1.7e308]), np.array([1e306, -1e306])
+    if path == "oracle":
+        flow, v0, field = FlowRHS(order=1, rhs=lambda t, x: c), None, "oracle"
+    else:
+        build, v0, field = PROBED_PATHS[path]
+        flow, v0 = build(_affine_b(0.0, -c)), None if v0 is None else c
+    _assert_non_finite_abort(flow, x0, v0, 1e4, field)
+    if path != "ramp":  # a stage at the infinite state makes the ramp's error rows nan
+        assert seen[-1] == (False, True)
+
+
 def test_non_finite_initial_rhs_aborts():
     for smooth in (False, True):
         flow = FlowRHS(order=1, rhs=lambda t, x: np.array([np.nan]), smooth=smooth)
@@ -318,7 +379,8 @@ def _oracle_field(flow):
 def _field_gaps(flow, y0, fun, stages=None):
     """Whether ``fun`` has the oracle field's bits at y0, and the largest gap
     |fun - oracle| / |oracle| over 50 seeded random (t, y), and that of the
-    attempt form ``stages(ts)`` at ts[i] (its ramps sampled by np.exp)."""
+    attempt form ``stages(ts, base)`` at ts[i] and y = base + u, base between y0
+    and y (its ramps sampled by np.exp)."""
     rng, oracle = np.random.default_rng(21), _oracle_field(flow)
     exact, gap = True, 0.0
     for t, y in zip(rng.uniform(0.0, 20.0, 50), rng.uniform(-5.0, 5.0, (50, y0.size))):
@@ -328,7 +390,9 @@ def _field_gaps(flow, y0, fun, stages=None):
         gap = max(gap, np.linalg.norm(fun(t, y) - ref) / np.linalg.norm(ref))
         if stages is not None:
             ref = oracle(ts[i], y)
-            gap = max(gap, np.linalg.norm(stages(ts)(i, y) - ref) / np.linalg.norm(ref))
+            base = (y0 + y) / 2
+            gap = max(gap, np.linalg.norm(stages(ts, base)(i, y - base) - ref)
+                      / np.linalg.norm(ref))
         exact &= np.array_equal(fun(t, y0), oracle(t, y0))
     return exact, gap
 
@@ -519,6 +583,88 @@ def test_kinked_loop_matches_the_oracle_loop(name):
     assert np.array_equal(kinked.t[kinked.grid], oracle.t[oracle.grid])
     gap = np.max(np.abs(kinked.x[kinked.grid] - oracle.x[oracle.grid]))
     assert gap <= 1e-7 * np.linalg.norm(x0 - oracle.x[-1])
+
+
+def _ramp_grad2_20d():
+    basis, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((20, 20)))
+    inst = problems.make_quadratic((basis * np.linspace(1.0, 2.0, 20)) @ basis.T,
+                                   np.linspace(-1.0, 1.0, 20))
+    return inst, grad2_rhs(inst.g, MATRIX_SCHEDULES["exp-ramp-both"])
+
+
+RAMP_RUNS = {
+    **{"%s-%s" % (name, sched): functools.partial(
+        lambda name, sched: (TILTED if "quadratic" in name else SKEW,
+                             MATRIX_FLOWS[name](MATRIX_SCHEDULES[sched])), name, sched)
+       for name in MATRIX_FLOWS for sched in ("exp-ramp-gamma", "exp-ramp-both")},
+    "grad2-20d-exp-ramp-both": _ramp_grad2_20d,
+}
+
+
+@pytest.mark.parametrize("name", list(RAMP_RUNS))
+def test_ramp_loop_matches_the_oracle_loop(name):
+    # a field with a ramp (its stages from per-attempt stacks of [M | b], or the
+    # power form when the ramp is a gamma that a first-order flow does not read)
+    # against the same flow with its state_map withheld: within 1e-10 of
+    # ||x0 - x*|| at every grid row, n = 40 state components on the 20d run
+    inst, flow = RAMP_RUNS[name]()
+    x0 = np.linspace(3.0, -1.0, inst.dim)
+    v0 = np.linspace(-1.0, 1.0, inst.dim) if flow.order == 2 else None
+    ramp = integrate(flow, x0, v0=v0, t_end=10.0)
+    oracle = integrate(dataclasses.replace(flow, state_map=None), x0, v0=v0, t_end=10.0)
+    assert (ramp.meta["field"], oracle.meta["field"]) == ("matrix", "oracle")
+    assert ramp.meta["solver"] == oracle.meta["solver"] == DOP853
+    assert np.array_equal(ramp.t[ramp.grid], oracle.t[oracle.grid])
+    gap = np.max(np.abs(ramp.x[ramp.grid] - oracle.x[oracle.grid]))
+    assert gap <= 1e-10 * np.linalg.norm(x0 - inst.x_star)
+
+
+SAMPLED_RUNS = {
+    "fb2-ramp-gamma": (lambda: MATRIX_FLOWS["fb2-skew"](MATRIX_SCHEDULES["exp-ramp-gamma"]),
+                       DOP853),
+    "fb2-constant": (lambda: MATRIX_FLOWS["fb2-skew"](MATRIX_SCHEDULES["constant"]), DOP853),
+    "l1-fb1-constant": (lambda: _kinked_flow("l1", "fb1", "constant"), DOPRI5),
+    "l1-fb2-ramps": (lambda: _kinked_flow("l1", "fb2", "exp-ramp-both"), DOPRI5),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLED_RUNS))
+def test_the_step_loop_samples_a_ramp_once_per_attempt_and_no_constant(monkeypatch, name):
+    # Profile calls made inside the step loop: none by a constant; by a ramp, one
+    # call on each attempt's array of stage times, and two on a float t (the
+    # initial stage and the first step's estimate)
+    build, solver = SAMPLED_RUNS[name]
+    calls, in_loop = [], []
+    profile_call, accepted_steps = Profile.__call__, integrate_module._accepted_steps
+
+    def counted(self, t):
+        if in_loop:
+            calls.append((self, t))
+        return profile_call(self, t)
+
+    def looped(*args, **kwargs):
+        in_loop.append(True)
+        try:
+            return accepted_steps(*args, **kwargs)
+        finally:
+            in_loop.clear()
+
+    monkeypatch.setattr(Profile, "__call__", counted)
+    monkeypatch.setattr(integrate_module, "_accepted_steps", looped)
+    flow = build()
+    v0 = np.zeros(2) if flow.order == 2 else None
+    meta = integrate(flow, np.array([3.0, -1.0]), v0=v0, t_end=5.0).meta
+    assert meta["solver"] == solver
+    coefs = (flow.sched.lam, flow.sched.gamma)[:flow.order]
+    ramps = [coef for coef in coefs if coef.start != coef.end]
+    assert {id(coef) for coef, _ in calls} == {id(coef) for coef in ramps}
+    n_stages = len(PAIRS[solver == DOP853].c)
+    for ramp in ramps:
+        ts = [t for coef, t in calls if coef is ramp]
+        arrays = [t for t in ts if isinstance(t, np.ndarray)]
+        assert len(arrays) == meta["accepted"] + meta["rejected"]
+        assert all(t.shape == (n_stages,) for t in arrays)
+        assert len(ts) - len(arrays) == 2
 
 
 @pytest.mark.parametrize("prox", list(KINKED_PROXES))
