@@ -7,12 +7,13 @@ chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 8th-order pair rejects more steps than it saves).  A pair is its tableau:
 both run under one step-size rule and one error norm.  Each step's local
 error stays below ``Adaptive``'s tolerances, and samples fill an even grid
-finer than the steps.  A ``FlowRHS.state_map`` is probed once, so its stages
-are matrix products (then a declared ``kernel``): of an affine field's (M, b),
-stacked per attempt over the stage times, or all of a step's from powers of M
-when every coefficient is a constant ``Profile``.  Second-order flows are integrated
-by state augmentation (x, v).  The module also owns the artifact format:
-``write_csv`` (``FLOAT`` floats round-trip), ``write_json``, ``trajectory_columns``.
+finer than the steps.  ``_field`` builds each run's field: a ``FlowRHS.state_map``
+is probed once, so the stages are matrix products (then a declared ``kernel``):
+of an affine field's (M, b), stacked per attempt over the stage times, or all
+of a step's from powers of M when every coefficient is a constant ``Profile``.
+Second-order flows are integrated by state augmentation (x, v).  The module
+also owns the artifact format: ``write_csv`` (``FLOAT`` floats round-trip),
+``write_json``, ``trajectory_columns``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
-    order: int
     meta: dict
     grid: np.ndarray
 
@@ -266,18 +266,23 @@ def _error_norm(h, sc, errors):
     return h * e / math.sqrt((e + 0.01 * e3) * sc.size)
 
 
-def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, order):
+def _initial_step(fun, y0, f0, t_end, rtol, atol, order):
+    """The first step from t = 0 (Hairer, Norsett & Wanner, Solving ODEs I, II.4); an
+    overflow in the scaled norms d0 of y0 and d1 of f0 leaving no finite h0 > 0 raises
+    ``IntegrationError``."""
     sc = atol + rtol * np.abs(y0)
     d0, d1 = _rms(y0 / sc), _rms(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if not 0.0 < h0 < math.inf:
+        raise IntegrationError("no finite starting step", {"t": 0.0, "d0": d0, "d1": d1})
     y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
+    f1 = fun(h0, y1)
     d2 = _rms((f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / order)
-    return min(100.0 * h0, h1, t_end - t0)
+    return min(100.0 * h0, h1, t_end)
 
 
 def _power_table(pair):
@@ -288,9 +293,9 @@ def _power_table(pair):
     return np.column_stack(alpha)
 
 
-def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
+def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None,
                     max_steps=1_000_000):
-    """Integrate with ``pair``; returns (steps, t, y, stats).
+    """Integrate with ``pair`` from t = 0; returns (steps, t, y, stats).
 
     ``steps`` holds one list per field of the accepted steps: the left end,
     the width h and the dense-output coefficients (y, the Hermite terms, then
@@ -318,8 +323,7 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     cs = np.array(c)
     if stages is None:  # fun at each stage time
         stages = lambda ts, y: (lambda i, u, ts=ts.tolist(): fun(ts[i], y + u))
-    span = t_end - t0
-    t = t0
+    t = 0.0
     y = np.array(y0, dtype=float)
     ay = np.abs(y)  # |y|, for the tolerance scale
     K = np.empty((len(c), y.size))  # the stages of the current step, one per row
@@ -327,7 +331,7 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
     if not np.all(np.isfinite(K[0])):
         raise IntegrationError("non-finite rhs at the initial point",
                                {"t": t, "y": y.tolist()})
-    h = _initial_step(fun, t0, y, K[0], t_end, rtol, atol, pair.order)
+    h = _initial_step(fun, y, K[0], t_end, rtol, atol, pair.order)
     n_rhs = 2  # initial-step estimator
     n_acc = n_rej = 0
     rejected = False
@@ -340,12 +344,12 @@ def _accepted_steps(pair, fun, t0, y0, t_end, rtol, atol, m=None, stages=None,
             powers.append(powers[-1] @ (m / s))
         powers = np.concatenate(powers)  # (m/s)^p stacked, one block of rows per p
 
-    while t < t_end - 1e-14 * max(span, 1.0):
+    while t < t_end - 1e-14 * max(t_end, 1.0):
         if n_acc + n_rej >= max_steps:
             raise IntegrationError(
                 "step budget exhausted",
                 {"t": t, "accepted": n_acc, "rejected": n_rej})
-        if h < 1e-14 * max(span, 1.0):
+        if h < 1e-14 * max(t_end, 1.0):
             raise IntegrationError(
                 "step size underflow",
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
@@ -455,33 +459,37 @@ def _probe(state_map, x0):
     return (f[1:-1] - f[0]).T, f[-1]
 
 
-def _stage_field(flow: FlowRHS, y0):
-    """(field, M, stages) of a flow with a ``state_map``, from its probe (G, S(x0)):
-    F(x) = G (x - x0) + S(x0), or with a ``kernel`` J, F(x) = J(G (x - x0) + S(x0)) - x,
-    anchored at the oracles' own S(x0).  The field is lambda F(x), or
-    (v, lambda F(x) - gamma v) at order 2; ``stages(ts, y)`` gives stage i's at
-    y + u and stage times ts, sampling once on ts each coefficient but a constant
-    ``Profile``.  With no kernel the field is M (y - y0) + b, b its value at y0,
-    [M | b] = T_0 + lambda T_1 + gamma T_2 (the x' = v, lambda G and -gamma v
-    rows): all constant, M is returned for the power form with no stages; else
-    M is None and an attempt stacks (M_i, b_i): stage i is (M_i (y - y0) + b_i) + M_i u."""
+def _field(flow: FlowRHS, y0):
+    """(path, field, M, stages) of a flow on y = x or (x, v), for ``_accepted_steps``.
+
+    Without a ``state_map`` the path is ``"oracle"``, the field of ``flow.rhs``.
+    Else the map is probed once into (G, S(x0)), each constant ``Profile``
+    coefficient is bound to its value, and the field is lambda F(x), or
+    (v, lambda F(x) - gamma v) at order 2, F anchored at the oracles' own S(x0).
+    Given a ``kernel`` J the path is ``"kinked"``: F(x) = J(G (x - x0) + S(x0)) - x,
+    with the step loop's default stages.  Else it is ``"matrix"``: F(x) =
+    G (x - x0) + S(x0), the field M (y - y0) + b with [M | b] = T_0 + lambda T_1
+    + gamma T_2 (the x' = v, lambda G and -gamma v rows).  All constant, M is
+    returned for the power form with no stages; else M is None and ``stages(ts, y)``
+    stacks (M_i, b_i) over the stage times ts: stage i at y + u is
+    (M_i (y - y0) + b_i) + M_i u."""
     dim, n = y0.size // flow.order, y0.size
+    if flow.state_map is None:
+        if flow.order == 1:
+            return "oracle", lambda t, y: np.asarray(flow.rhs(t, y), dtype=float), None, None
+        return "oracle", lambda t, y: np.concatenate(
+            [y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]), dtype=float)]), None, None
     x0, kernel, coefs = y0[:dim], flow.kernel, (flow.sched.lam, flow.sched.gamma)[:flow.order]
     g, s0 = _probe(flow.state_map, x0)
     fixed = [coef(0.0) if isinstance(coef, Profile) and coef.start == coef.end else None
              for coef in coefs]
     if kernel is not None:
-        def value(y, lam, gamma=None):
+        def kinked(t, y):
+            at = [coef(t) if c is None else c for c, coef in zip(fixed, coefs)]  # lambda, gamma
             x, v = y[:dim], y[dim:]
-            f = (kernel(g.dot(x - x0) + s0) - x) * lam
-            return f if flow.order == 1 else np.concatenate([v, f - gamma * v])
-
-        def stages(ts, y):  # np.full: a callable may answer the times with its one value
-            at = list(zip(*[np.full(ts.shape, coef(ts)).tolist() if c is None else [c] * ts.size
-                            for c, coef in zip(fixed, coefs)]))
-            return lambda i, u: value(y + u, *at[i])
-        return (lambda t, y: value(y, *[coef(t) if c is None else c
-                                        for c, coef in zip(fixed, coefs)])), None, stages
+            f = (kernel(g.dot(x - x0) + s0) - x) * at[0]
+            return f if flow.order == 1 else np.concatenate([v, f - at[1] * v])
+        return "kinked", kinked, None, None
 
     terms = np.zeros((flow.order + 1, n + 1, n))  # T_k as [M | b] transposed: b the last row
     terms[1, n - dim:n, :dim], terms[1, n, n - dim:] = g, s0
@@ -501,22 +509,9 @@ def _stage_field(flow: FlowRHS, y0):
         cs = ms @ (y - y0) + bs
         return lambda i, u: ms[i].dot(u) + cs[i]
     if vary:
-        return (lambda t, y: stages(t, y0)(..., y - y0)), None, stages
+        return "matrix", (lambda t, y: stages(t, y0)(..., y - y0)), None, stages
     m, b = affine(0.0)
-    return (lambda t, y: m.dot(y - y0) + b), m, None
-
-
-def _field(flow: FlowRHS, y0):
-    """(path, field, M, stages) of a flow on y = x or (x, v), for ``_accepted_steps``:
-    ``"matrix"`` if the ``state_map`` is affine, or ``"kinked"`` given a kernel,
-    with M and stages from ``_stage_field``; without a ``state_map``, ``"oracle"``."""
-    dim = y0.size // flow.order
-    if flow.state_map is None:
-        if flow.order == 1:
-            return "oracle", lambda t, y: np.asarray(flow.rhs(t, y), dtype=float), None, None
-        return "oracle", lambda t, y: np.concatenate(
-            [y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]), dtype=float)]), None, None
-    return ("kinked" if flow.kernel else "matrix", *_stage_field(flow, y0))
+    return "matrix", (lambda t, y: m.dot(y - y0) + b), m, None
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
@@ -556,8 +551,7 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
 
     field, fun, m, stages = _field(flow, y0)
     pair = _DOP853 if flow.smooth else _DOPRI5
-    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, 0.0, y0, t_end, rtol, atol, m,
-                                                 stages)
+    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, y0, t_end, rtol, atol, m, stages)
     ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
     meta = {"solver": pair.name, "field": field,
             "rel_tol": rtol, "abs_tol": atol, **stats,
@@ -572,7 +566,7 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
         v = np.empty_like(x)
         for rows in row_blocks(ts.size, dim):
             v[rows] = flow.rhs(ts[rows, None], x[rows])
-    return Trajectory(t=ts, x=x, v=v, order=flow.order, meta=meta, grid=grid)
+    return Trajectory(t=ts, x=x, v=v, meta=meta, grid=grid)
 
 
 def record_metrics(traj: Trajectory, problem) -> MetricSeries:
@@ -593,20 +587,12 @@ def record_metrics(traj: Trajectory, problem) -> MetricSeries:
     f = getattr(problem, "f", None)
     g = getattr(problem, "g", None)
     blocks = row_blocks(*traj.x.shape)
-    gap = None
-    if f is not None or g is not None:
-        def total(x):
-            s = 0.0
-            if f is not None:
-                s = s + f.value(x)
-            if g is not None:
-                s = s + g.value(x)
-            return s
-
-        base = float(total(x_star))
+    gap, present = None, [op for op in (f, g) if op is not None]
+    if present:
+        base = float(sum(op.value(x_star) for op in present))
         gap, size = np.empty(traj.t.size), np.empty(traj.t.size)
         for rows in blocks:
-            value = total(traj.x[rows])
+            value = sum(op.value(traj.x[rows]) for op in present)
             gap[rows], size[rows] = value - base, np.abs(value)
         floor = -1e-10 - 4.0 * np.finfo(float).eps * (size + abs(base))
         i = int(np.argmin(gap - floor))

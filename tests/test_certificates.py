@@ -146,6 +146,60 @@ def test_grad1_rejects_fast_alpha():
     assert exc.value.failures == ["alpha <= 2*lambda_lower*beta*rho^2 violated"]
 
 
+def _grad1_linear_instances(rng, count):
+    """``count`` random quadratics g = x'Qx/2 of dim 1-4, each certified by
+    ``certify_grad1``: (Q, lambda, alpha) with Q SPD of spectrum in [0.1, 2],
+    rho = lambda_min(Q), 1/beta = lambda_max(Q), a constant lambda in [0.5, 2]
+    and alpha a random fraction in [0.5, 1] of 2 lambda beta rho^2."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q = (basis * rng.uniform(0.1, 2.0, n)) @ basis.T
+        spectrum = np.linalg.eigvalsh(q)
+        rho, beta, lam = spectrum[0], 1.0 / spectrum[-1], rng.uniform(0.5, 2.0)
+        alpha = rng.uniform(0.5, 1.0) * 2.0 * lam * beta * rho * rho
+        out.append((q, lam, certify_grad1(rho, beta, lam, alpha).decay_exponent))
+    return out
+
+
+def _grad1_worst_ratio(q, lam, alpha, alpha_check):
+    """max over x0 and a 200-point grid of gap(t)/(gap(0) e^{-alpha_check t}), the
+    grid running until e^{-alpha t} reaches 1e-9.  The gap is e'Qe/2 at
+    e = x - x* = E e0, E = e^{-lambda Q t}, so its worst ratio at t is the top
+    eigenvalue of the pencil (E'QE, Q): with Q = LL', that of L^-1 E'QE L^-T."""
+    t = np.linspace(0.0, math.log(1e9) / alpha, 200)
+    w, v = np.linalg.eigh(q)
+    flow = (v * np.exp(-lam * np.multiply.outer(t, w))[:, None, :]) @ v.T
+    inv_chol = np.linalg.inv(np.linalg.cholesky(q))
+    pencil = inv_chol @ flow.transpose(0, 2, 1) @ q @ flow @ inv_chol.T
+    return float(np.max(np.linalg.eigvalsh(pencil)[:, -1] * np.exp(alpha_check * t)))
+
+
+def test_grad1_certificate_holds_for_every_x0_on_random_quadratics():
+    # the grad1 flow on g = x'Qx/2 is x' = -lambda Q x, so the worst gap(t)/gap(0)
+    # over x0 is e^{-2 lambda rho t}, and the claim gap(t) <= gap(0) e^{-alpha t}
+    # for every x0 is that ratio times e^{alpha t} <= 1 on the grid.  Sharpness
+    # 2 lambda rho / alpha = 1 / (beta rho) over alpha's fraction of its bound
+    # (min 1.02, median 2.65 on this sample)
+    instances = _grad1_linear_instances(np.random.default_rng(14), 200)
+    assert max(_grad1_worst_ratio(q, lam, a, a) for q, lam, a in instances) <= 1.0 + 1e-12
+    sharpness = [2.0 * lam * np.linalg.eigvalsh(q)[0] / a for q, lam, a in instances]
+    assert min(sharpness) >= 1.0
+
+
+def test_grad1_certificate_is_tight_on_a_scaled_identity():
+    # Q = rho I has beta rho = 1, so alpha at its bound 2 lambda beta rho^2 is the
+    # exact rate 2 lambda rho: alpha x 1.01 fails the envelope, and the certificate
+    rho, lam = 0.7, 1.3
+    q, beta = rho * np.eye(3), 1.0 / rho
+    alpha = certify_grad1(rho, beta, lam, 2.0 * lam * beta * rho * rho).decay_exponent
+    assert _grad1_worst_ratio(q, lam, alpha, alpha) <= 1.0 + 1e-12
+    assert _grad1_worst_ratio(q, lam, alpha, 1.01 * alpha) > 1.0 + 1e-12
+    with pytest.raises(CertificateError):
+        certify_grad1(rho, beta, lam, 1.01 * alpha)
+
+
 # --- second-order forward-backward ----------------------------------------
 
 FB2_SCHED = Schedule.constant(40.0, gamma=11.0)

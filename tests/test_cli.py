@@ -237,6 +237,22 @@ def test_an_integration_error_writes_error_json(tmp_path, capsys, monkeypatch, c
     assert diag["accepted"] + diag["rejected"] == 5 and 0.0 < diag["t"] < 20.0
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_an_overflowing_first_rhs_exits_1_with_error_json(tmp_path, capsys, command):
+    # x0 = (1e300, 0) overflows the starting-step estimate: an IntegrationError
+    # with exit 1 and error.json, not an exception escaping execute.  The
+    # overflow itself is the input
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert cli.execute({**FB1_VERIFY, "initial": {"x0": [1e300, 0.0]}}, command,
+                           out_dir=str(out), quiet=True) == 1
+    assert "run failed: no finite starting step" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["command"] == command and doc["error"] == "no finite starting step"
+    assert doc["diagnostics"]["t"] == 0.0 and np.isinf(doc["diagnostics"]["d1"])
+
+
 def test_initial_state_validation(tmp_path, capsys):
     base = {
         "problem": "skew-rotation",

@@ -160,11 +160,27 @@ def test_step_budget_aborts_after_max_steps():
     # dx/dt = -x over [0, 100] at tight tolerances needs far more than 5 steps
     for pair in PAIRS:
         with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
-            integrate_module._accepted_steps(pair, lambda t, y: -y, 0.0, np.array([1.0]),
+            integrate_module._accepted_steps(pair, lambda t, y: -y, np.array([1.0]),
                                              100.0, 1e-10, 1e-13, max_steps=5)
         diag = exc.value.diagnostics
         assert diag["accepted"] + diag["rejected"] == 5
         assert 0.0 < diag["t"] < 100.0
+
+
+@pytest.mark.parametrize("field", ["matrix", "oracle"])
+def test_a_first_rhs_past_overflow_has_no_starting_step(field):
+    # fb1 on skew-rotation from x0 = (1e300, 0): the zero component's tolerance
+    # scale is abs_tol, so f0/sc overflows, d1 is inf and the trial step
+    # 0.01 d0/d1 would be 0.  The overflow itself is the input
+    flow = fb1_rhs(SKEW.a, SKEW.b, 1.0, Schedule.constant(1.0))
+    if field == "oracle":
+        flow = dataclasses.replace(flow, state_map=None)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError,
+                                                  match="no finite starting step") as exc:
+        integrate(flow, np.array([1e300, 0.0]), t_end=20.0)
+    diag = exc.value.diagnostics
+    assert set(diag) == {"t", "d0", "d1"} and diag["t"] == 0.0
+    assert math.isfinite(diag["d0"]) and diag["d1"] == math.inf
 
 
 def test_integrate_argument_validation():
@@ -630,9 +646,10 @@ SAMPLED_RUNS = {
 
 @pytest.mark.parametrize("name", list(SAMPLED_RUNS))
 def test_the_step_loop_samples_a_ramp_once_per_attempt_and_no_constant(monkeypatch, name):
-    # Profile calls made inside the step loop: none by a constant; by a ramp, one
-    # call on each attempt's array of stage times, and two on a float t (the
-    # initial stage and the first step's estimate)
+    # Profile calls made inside the step loop: none by a constant; by a ramp on
+    # the matrix path, one call on each attempt's array of stage times, and on
+    # the kinked path one on each stage's float time; and two more on a float t
+    # (the initial stage and the first step's estimate)
     build, solver = SAMPLED_RUNS[name]
     calls, in_loop = [], []
     profile_call, accepted_steps = Profile.__call__, integrate_module._accepted_steps
@@ -659,10 +676,14 @@ def test_the_step_loop_samples_a_ramp_once_per_attempt_and_no_constant(monkeypat
     ramps = [coef for coef in coefs if coef.start != coef.end]
     assert {id(coef) for coef, _ in calls} == {id(coef) for coef in ramps}
     n_stages = len(PAIRS[solver == DOP853].c)
+    attempts = meta["accepted"] + meta["rejected"]
     for ramp in ramps:
         ts = [t for coef, t in calls if coef is ramp]
         arrays = [t for t in ts if isinstance(t, np.ndarray)]
-        assert len(arrays) == meta["accepted"] + meta["rejected"]
+        if meta["field"] == "kinked":
+            assert not arrays and len(ts) == attempts * (n_stages - 1) + 2
+            continue
+        assert len(arrays) == attempts
         assert all(t.shape == (n_stages,) for t in arrays)
         assert len(ts) - len(arrays) == 2
 
