@@ -22,14 +22,15 @@ import numpy as np
 from . import __version__, analysis, certificates, flows, integrate, problems
 from .certificates import CertificateError
 from .flows import Profile, Schedule
-from .operators import positive
-from .problems import finite_number
+from .operators import finite_number, number, positive
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_UNKNOWN_PROBLEM = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_BAD_CONFIG = 4
+
+MAX_SWEEP_CELLS = 10 ** 6  # about 300 MB to parse, mesh and certify
 
 
 class ConfigError(ValueError):
@@ -60,14 +61,9 @@ def _integrator(block: dict):
     values = {"t_end": None, "rel_tol": integrate.Adaptive.rel_tol,
               "abs_tol": integrate.Adaptive.abs_tol, "n_dense": integrate.N_DENSE}
     for key in values:
-        v = block.get(key)
-        if v is None:
-            continue
-        if not finite_number(v):
-            raise ConfigError("integrator '%s' must be a finite number, got %r"
-                              % (key, v))
-        values[key] = (float(v) if key == "n_dense"
-                       else positive(v, "integrator '%s'" % key, ConfigError))
+        if block.get(key) is not None:
+            parse = _number if key == "n_dense" else _positive
+            values[key] = parse(block[key], "integrator '%s'" % key)
     n_dense = values["n_dense"]
     if n_dense < 2 or n_dense != int(n_dense):
         raise ConfigError("integrator 'n_dense' must be an integer >= 2, got %r"
@@ -76,35 +72,36 @@ def _integrator(block: dict):
             int(n_dense))
 
 
-def _number(spec, name: str) -> float:
-    if not finite_number(spec):
-        raise ConfigError("'%s' must be a finite number, got %r" % (name, spec))
-    return float(spec)
+# A parser takes a value and its label, the name as an error shows it: "'lambda'"
+
+def _number(spec, label: str) -> float:
+    return number(spec, label, ConfigError)
 
 
-def _positive(spec, name: str) -> float:
-    if not (finite_number(spec) and spec > 0):
-        raise ConfigError("'%s' must be a positive finite number, got %r" % (name, spec))
-    return float(spec)
+def _positive(spec, label: str) -> float:
+    return positive(number(spec, label, ConfigError), label, ConfigError)
 
 
-def _profile(spec, name: str) -> Profile:
+def _numbers(spec, label: str) -> list:
+    """A nonempty list of finite numbers, as floats."""
+    if not isinstance(spec, list) or not spec or not all(map(finite_number, spec)):
+        raise ConfigError("%s must be a nonempty list of finite numbers, got %r"
+                          % (label, spec))
+    return [float(v) for v in spec]
+
+
+def _profile(spec, label: str) -> Profile:
     """Parse a positive number, a constant profile or an exp_ramp profile to a Profile."""
     if not isinstance(spec, dict):
-        v = _positive(spec, name)
+        v = _positive(spec, label)
         return Profile(v, v)
     kind = spec.get("profile")
     if kind == "constant":
-        return _profile(spec.get("value"), name)
+        return _profile(spec.get("value"), label)
     if kind != "exp_ramp":
-        raise ConfigError("unknown profile %r for '%s'" % (kind, name))
-    values = [spec.get(key) for key in ("start", "end", "rate")]
-    if not all(map(finite_number, values)):
-        raise ConfigError("'%s' exp_ramp needs finite numbers start/end/rate" % name)
-    start, end, rate = map(float, values)
-    if rate <= 0.0 or start <= 0.0 or end <= 0.0:
-        raise ConfigError("'%s' exp_ramp needs positive start/end/rate" % name)
-    return Profile(start, end, rate)
+        raise ConfigError("unknown profile %r for %s" % (kind, label))
+    return Profile(*(_positive(spec.get(key), "%s exp_ramp '%s'" % (label, key))
+                     for key in ("start", "end", "rate")))
 
 
 # each system's parameters and the parser of a value, swept values included
@@ -124,7 +121,7 @@ class ExperimentConfig:
     problem: object           # registry name or inline descriptor dict
     system: str
     params: dict              # parameter -> parsed value (a float or a Profile)
-    initial: dict             # x0 (and v0): lists of finite numbers
+    initial: dict             # x0 (and v0): nonempty lists of floats
     sweep: dict               # swept parameter -> its grid points, each a float
     seed: int
     output_dir: Optional[str]
@@ -144,9 +141,11 @@ class ExperimentConfig:
         if system not in _SYSTEMS:
             raise ConfigError("config needs 'system' in %s, got %r"
                               % ("/".join(_SYSTEMS), system))
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("'params' must be an object")
+        blocks = {name: doc.get(name, {}) for name in ("params", "integrator", "initial", "sweep")}
+        for name, blk in blocks.items():
+            if not isinstance(blk, dict):
+                raise ConfigError("'%s' must be an object" % name)
+        params, integrator, initial, sweep = blocks.values()
         for banned in ("rho", "beta"):
             if banned in params:
                 raise ConfigError(
@@ -156,19 +155,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("parameters %s do not apply to system '%s'"
                               % (sorted(unknown), system))
-        params = {name: parsers[name](v, name) for name, v in params.items()}
-        integrator = doc.get("integrator", {})
-        initial = doc.get("initial", {})
-        sweep = doc.get("sweep", {})
-        for name, blk in [("integrator", integrator), ("initial", initial),
-                          ("sweep", sweep)]:
-            if not isinstance(blk, dict):
-                raise ConfigError("'%s' must be an object" % name)
+        params = {name: parsers[name](v, "'%s'" % name) for name, v in params.items()}
         _unknown(initial, {"x0", "v0"}, "'initial' keys")
-        for key, vec in initial.items():
-            if not isinstance(vec, list) or not all(map(finite_number, vec)):
-                raise ConfigError("%s must be a list of finite numbers, got %r"
-                                  % (key, vec))
+        initial = {key: _numbers(vec, "initial '%s'" % key) for key, vec in initial.items()}
         if "v0" in initial and system in ("fb1", "grad1"):
             raise ConfigError("v0 given but system '%s' is first order" % system)
         grids = {}
@@ -176,9 +165,12 @@ class ExperimentConfig:
             if name not in parsers:
                 raise ConfigError("sweep parameter '%s' does not apply to '%s'"
                                   % (name, system))
-            grids[name] = _sweep_values(name, spec)
+            label = "'%s'" % name
+            grids[name] = _sweep_values(label, spec)
             for v in grids[name]:
-                parsers[name](v, name)
+                parsers[name](v, label)
+        if math.prod(map(len, grids.values())) > MAX_SWEEP_CELLS:
+            raise ConfigError("the sweep grid has more than %d cells" % MAX_SWEEP_CELLS)
         t_end, control, n_dense = _integrator(integrator)
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -232,7 +224,8 @@ def _load_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
         return problems.get_problem(cfg.problem)
     try:
         return problems.from_descriptor(cfg.problem)
-    except (ValueError, KeyError, TypeError) as exc:
+    # a RuntimeError is an sc_lasso ground truth that did not converge
+    except (ValueError, KeyError, TypeError, RuntimeError) as exc:
         raise ConfigError("bad inline problem descriptor: %s" % exc)
 
 
@@ -357,37 +350,28 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics):
     return reports, env, m_raw
 
 
-def _sweep_values(name: str, spec) -> list:
+def _sweep_values(label: str, spec) -> list:
     """The points of one sweep axis: a ``values`` list alone, or ``min``/``max``/
-    ``num`` with an optional boolean ``log``."""
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep '%s' needs min/max/num or values" % name)
-    _unknown(spec, {"values", "min", "max", "num", "log"}, "sweep '%s' keys" % name)
+    ``num`` with an optional boolean ``log``, num at most ``MAX_SWEEP_CELLS``."""
+    axis = "sweep " + label
+    if not (isinstance(spec, dict) and ("values" in spec or {"min", "max", "num"} <= set(spec))):
+        raise ConfigError(axis + " needs min/max/num or values")
+    _unknown(spec, {"values", "min", "max", "num", "log"}, axis + " keys")
     if "values" in spec:
         if len(spec) > 1:
-            raise ConfigError("sweep '%s' mixes 'values' with %s"
-                              % (name, sorted(set(spec) - {"values"})))
-        vals = spec["values"]
-        if not isinstance(vals, list) or not vals or not all(map(finite_number, vals)):
-            raise ConfigError("sweep '%s' values must be a nonempty list of finite "
-                              "numbers, got %r" % (name, vals))
-        return [float(v) for v in vals]
-    try:
-        lo, hi, num = spec["min"], spec["max"], spec["num"]
-    except KeyError:
-        raise ConfigError("sweep '%s' needs min/max/num or values" % name)
+            raise ConfigError("%s mixes 'values' with %s" % (axis, sorted(set(spec) - {"values"})))
+        return _numbers(spec["values"], axis + " values")
     log = spec.get("log", False)
     if not isinstance(log, bool):
-        raise ConfigError("sweep '%s' 'log' must be true or false, got %r" % (name, log))
-    if not (all(map(finite_number, (lo, hi, num))) and num == int(num)):
-        raise ConfigError("sweep '%s' needs finite numbers min/max and an integer num, "
-                          "got %r" % (name, spec))
-    if num < 1 or not (0.0 < lo <= hi):
-        raise ConfigError("sweep '%s' needs 0 < min <= max and num >= 1" % name)
-    lo, hi, num = float(lo), float(hi), int(num)
-    if log:
-        return list(np.geomspace(lo, hi, num))
-    return list(np.linspace(lo, hi, num))
+        raise ConfigError("%s 'log' must be true or false, got %r" % (axis, log))
+    lo, hi = _positive(spec["min"], axis + " 'min'"), _positive(spec["max"], axis + " 'max'")
+    num = _number(spec["num"], axis + " 'num'")
+    if not (1 <= num <= MAX_SWEEP_CELLS and num == int(num)):
+        raise ConfigError("%s 'num' must be an integer in [1, %d], got %r"
+                          % (axis, MAX_SWEEP_CELLS, num))
+    if lo > hi:
+        raise ConfigError("%s needs min <= max, got %r > %r" % (axis, lo, hi))
+    return list((np.geomspace if log else np.linspace)(lo, hi, int(num)))
 
 
 def execute(config, command: str, out_dir: Optional[str] = None,
@@ -440,9 +424,12 @@ def execute(config, command: str, out_dir: Optional[str] = None,
     except (integrate.IntegrationError, ValueError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         if isinstance(exc, integrate.IntegrationError):
+            # RFC 8259 has no inf or nan: a non-finite diagnostic becomes "inf", "-inf", "nan"
+            diagnostics = json.loads(json.dumps(exc.diagnostics), parse_constant={
+                "Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}.get)
             os.makedirs(out_dir, exist_ok=True)
             integrate.write_json(os.path.join(out_dir, "error.json"), {
-                "command": command, "error": str(exc), "diagnostics": exc.diagnostics})
+                "command": command, "error": str(exc), "diagnostics": diagnostics})
         return EXIT_FAILED
 
 

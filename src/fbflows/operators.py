@@ -110,6 +110,21 @@ class FunctionOracle:
 NOT_POSITIVE = "%s must be positive and finite, got %r"  # % (name, float value)
 
 
+def finite_number(v) -> bool:
+    """Whether a JSON value is a finite number (an int or float, not a bool)."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def number(v, name: str, error: type = ValueError) -> float:
+    """A JSON value ``v`` as a float; one that fails ``finite_number`` raises ``error``."""
+    if not finite_number(v):
+        raise error("%s must be a finite number, got %r" % (name, v))
+    return float(v)
+
+
 def is_positive(v):
     """Whether ``v`` is positive and finite; elementwise for an array."""
     return (0.0 < v) & (v < math.inf)

@@ -13,18 +13,18 @@ more.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import analysis, flows, operators
 from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
-                        audit_map, gradient_map, l1_norm, matvec, positive,
+                        audit_map, gradient_map, l1_norm, matvec, number, positive,
                         prox_resolvent, zero_operator)
 
 MAX_DIM = 100  # shipped suite stays desk scale
 GROUND_TRUTH_TOL = 1e-10  # the sc_lasso fixed-point iteration's target tolerance
+GROUND_TRUTH_ITERATIONS = 1_000_000  # and its budget
 
 
 @dataclasses.dataclass
@@ -194,21 +194,21 @@ def ground_truth(instance: ProblemInstance, tol: float) -> np.ndarray:
 
     Runs x+ = J_{eta a}(x - eta*b(x)) with eta = beta*min(1, rho*beta), a step
     safely inside the contraction region for strongly monotone sums, until the
-    update norm falls below tol/100 (at most 1e6 iterations).
+    update norm falls below tol/100, within ``GROUND_TRUTH_ITERATIONS``.
     """
     tol = positive(tol, "tol")
     eta = instance.beta * min(1.0, instance.rho * instance.beta)
     x = np.zeros(instance.dim)
     target = tol * 1e-2
-    for _ in range(1_000_000):
+    for _ in range(GROUND_TRUTH_ITERATIONS):
         x_next = instance.a.resolve(eta, x - eta * instance.b.eval(x))
         res = float(np.linalg.norm(x_next - x))
         x = x_next
         if res <= target:
             return x
     raise RuntimeError(
-        "fixed-point iteration did not reach residual %g within 1e6 iterations "
-        "(last residual %g)" % (target, res))
+        "fixed-point iteration did not reach residual %g within %d iterations "
+        "(last residual %g)" % (target, GROUND_TRUTH_ITERATIONS, res))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,39 +318,32 @@ def get_problem(name: str) -> ProblemInstance:
     return inst
 
 
-def finite_number(v) -> bool:
-    """Whether a JSON value is a finite number (an int or float, not a bool)."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _number(desc: dict, key: str) -> float:
-    if not finite_number(desc[key]):
-        raise ValueError("'%s' must be a finite number, got %r" % (key, desc[key]))
-    return float(desc[key])
-
-
 def _numbers(desc: dict, key: str) -> np.ndarray:
     """A number or (nested) lists of numbers as a float array, each entry finite."""
     v = np.asarray(desc[key], dtype=object)
-    if not all(finite_number(e) for e in v.flat):
+    if not all(map(operators.finite_number, v.flat)):
         raise ValueError("'%s' must hold finite numbers only" % key)
     return v.astype(float)
 
 
+_DESCRIPTOR_KEYS = {"quadratic": {"kind", "Q", "b"}, "sc_lasso": {"kind", "Q", "b", "w"},
+                    "skew_rotation": {"kind", "rho", "c"}}
+
+
 def from_descriptor(desc: dict) -> ProblemInstance:
-    """Build an instance from its JSON descriptor; every number must pass ``finite_number``."""
+    """Build an instance from its JSON descriptor: the keys of its kind, and every
+    number passing ``operators.finite_number``."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("problem descriptor must be a dict with a 'kind' field")
     kind = desc["kind"]
+    keys = _DESCRIPTOR_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError("unknown problem kind %r" % (kind,))
+    if not keys.issuperset(desc):
+        raise ValueError("unknown %s keys %s; allowed: %s"
+                         % (kind, sorted(set(desc) - keys), sorted(keys)))
     if kind == "quadratic":
         return make_quadratic(_numbers(desc, "Q"), _numbers(desc, "b"))
     if kind == "sc_lasso":
-        return make_sc_lasso(_numbers(desc, "Q"), _numbers(desc, "b"), _number(desc, "w"))
-    if kind == "skew_rotation":
-        return make_skew_rotation(_number(desc, "rho"), _numbers(desc, "c"))
-    raise ValueError("unknown problem kind %r" % kind)
+        return make_sc_lasso(_numbers(desc, "Q"), _numbers(desc, "b"), number(desc["w"], "'w'"))
+    return make_skew_rotation(number(desc["rho"], "'rho'"), _numbers(desc, "c"))

@@ -75,31 +75,41 @@ def test_fb1_rate_degrades_monotonically():
     assert all(r2 >= r1 - 1e-15 for r1, r2 in zip(rates, rates[1:]))
 
 
-def _fb1_linear_instances(rng, count):
-    """``count`` random linear fb1 instances of dim 1-4 in the paper's class, each
-    certified by ``certify_fb1``: (M, C) with M = lambda((I + eta A)^-1 (I - eta B) - I)
-    the flow's matrix and C the certified rate.
+def _linear_pair(rng):
+    """A random linear pair (A, B) of dim 1-4 in the paper's class, with its rho and
+    beta: A = S + w K and B = P + w' L, S and P PSD, K and L skew,
+    rho = lambda_min(sym(A + B)) and 1/beta = ||B||_2."""
+    n = int(rng.integers(1, 5))
+    x, y, u, v = rng.standard_normal((4, n, n))
+    a = x @ x.T + rng.uniform(0.0, 2.0) * (y - y.T)
+    b = u @ u.T + rng.uniform(0.0, 2.0) * (v - v.T)
+    return a, b, np.linalg.eigvalsh((a + a.T + b + b.T) / 2.0)[0], 1.0 / np.linalg.norm(b, 2)
 
-    A = S + w K and B = P + w' L, S and P PSD, K and L skew; rho = lambda_min(sym(A + B))
-    above 1e-3, 1/beta = ||B||_2, a constant lambda in [0.5, 2], alpha a random
-    fraction of 2 rho beta^2 lambda and 1/eta at the bound of the second fb1 inequality
-    (a draw where that bound is not positive is skipped)."""
+
+def _resolvent_step(a, b, eta):
+    """The matrix (I + eta A)^-1 (I - eta B) of x -> J_{eta A}(x - eta B x)."""
+    eye = np.eye(len(a))
+    return np.linalg.solve(eye + eta * a, eye - eta * b)
+
+
+def _fb1_linear_instances(rng, count):
+    """``count`` random linear fb1 instances (``_linear_pair``), each certified by
+    ``certify_fb1``: (M, C) with M = lambda((I + eta A)^-1 (I - eta B) - I) the
+    flow's matrix and C the certified rate.
+
+    rho above 1e-3, a constant lambda in [0.5, 2], alpha a random fraction of
+    2 rho beta^2 lambda and 1/eta at the bound of the second fb1 inequality (a
+    draw where that bound is not positive is skipped)."""
     out = []
     while len(out) < count:
-        n = int(rng.integers(1, 5))
-        x, y, u, v = rng.standard_normal((4, n, n))
-        a = x @ x.T + rng.uniform(0.0, 2.0) * (y - y.T)
-        b = u @ u.T + rng.uniform(0.0, 2.0) * (v - v.T)
-        rho = np.linalg.eigvalsh((a + a.T + b + b.T) / 2.0)[0]
-        beta = 1.0 / np.linalg.norm(b, 2)
+        a, b, rho, beta = _linear_pair(rng)
         lam = rng.uniform(0.5, 2.0)
         alpha = rng.uniform(0.01, 0.99) * 2.0 * rho * beta * beta * lam
         inv_eta = 1.0 / beta + lam / (2.0 * alpha) - rho
         if rho <= 1e-3 or inv_eta <= 0.0:
             continue
         cert = certify_fb1(rho, beta, lam, lam, alpha, 1.0 / inv_eta)
-        eye = np.eye(n)
-        m = lam * (np.linalg.solve(eye + a / inv_eta, eye - b / inv_eta) - eye)
+        m = lam * (_resolvent_step(a, b, 1.0 / inv_eta) - np.eye(len(a)))
         out.append((m, cert.decay_exponent))
     return out
 
@@ -322,6 +332,112 @@ def test_suggest_fb2_random_round_trips():
         cert = certify_fb2(rho, beta, alpha, delta, s.schedule())
         assert cert.recheck()
         done += 1
+
+
+def _fb2_constant_schedule(rho, beta, alpha, delta, lam_factor, gamma_fraction):
+    """A constant (lambda, gamma) for fb2: lambda at ``lam_factor`` times the smallest
+    lambda of the two theta conditions, gamma at ``gamma_fraction`` of its window
+    [(1 + sqrt(1 + 4 theta lambda))/2, 1 + K lambda]; None if the window is empty."""
+    _, _, k, theta = certificates._fb2_constants(rho, beta, alpha, delta)
+    lam = lam_factor * max((theta - k) / (k * k), 2.0 / theta)
+    lo, hi = (1.0 + math.sqrt(1.0 + 4.0 * theta * lam)) / 2.0, 1.0 + k * lam
+    return (lam, lo + gamma_fraction * (hi - lo)) if lo < hi else None
+
+
+def _fb2_linear_instance(a, b, alpha, delta, lam_factor, gamma_fraction):
+    """(A, B, cert, lambda, gamma) with ``_fb2_constant_schedule``'s constant (lambda,
+    gamma) certified by ``certify_fb2``, or None where it has no such schedule."""
+    rho = np.linalg.eigvalsh((a + a.T + b + b.T) / 2.0)[0]
+    beta = 1.0 / np.linalg.norm(b, 2)
+    if delta * beta * rho >= 1.0:
+        return None
+    constants = _fb2_constant_schedule(rho, beta, alpha, delta, lam_factor, gamma_fraction)
+    if constants is None:
+        return None
+    lam, gamma = constants
+    cert = certify_fb2(rho, beta, alpha, delta, Schedule.constant(lam, gamma=gamma))
+    return a, b, cert, lam, gamma
+
+
+def _fb2_linear_instances(rng, count):
+    """``count`` random linear fb2 instances (``_linear_pair``, rho above 1e-3) in
+    ``_fb2_linear_instance``'s form, with alpha, delta and gamma's fraction of its
+    window in [0.01, 0.99] and lambda 1.01 to 3 times its smallest value."""
+    out = []
+    while len(out) < count:
+        a, b, rho, _ = _linear_pair(rng)
+        draw = rng.uniform([0.01, 0.01, 1.01, 0.01], [0.99, 0.99, 3.0, 0.99])
+        inst = _fb2_linear_instance(a, b, *draw) if rho > 1e-3 else None
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
+FB2_TIMES = np.linspace(0.0, 30.0, 200)
+
+
+def _fb2_worst_ratio(a, b, cert, lam, gamma, gamma_lower):
+    """max over (x0, v0) and ``FB2_TIMES`` of |x(t) - x*|^2 over the fb2 envelope
+    with this gamma_lower.  With z = (x - x*, v) the flow is z' = Fz, so
+    |x(t) - x*|^2 = z0' Phi' E Phi z0 with Phi = e^{Ft} and E = diag(I, 0); the
+    envelope h0 e^{-(gamma_lower - 1)t} + M e^{-t}/(gamma_lower - 2) is the form
+    z0' Q(t) z0, h0 by E and M = 2 L(0) (fb2's lemma h is |x - x*|^2/2) by
+    [[(gamma - 1) I, I], [I, 2 b2 I]].  The worst ratio at t is the top
+    eigenvalue of the pencil (Phi' E Phi, Q(t)): with Q = LL', that of
+    L^-1 Phi' E Phi L^-T.  A Q(t) that is not positive definite fails here: then
+    L(0) < 0 is possible, which ``lemma_bound`` does not allow."""
+    n = len(a)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    flow = np.block([[zero, eye],
+                     [-lam * (eye - _resolvent_step(a, b, cert.derived["eta"])), -gamma * eye]])
+    w, v = np.linalg.eig(flow)
+    phi = ((v[None] * np.exp(np.multiply.outer(FB2_TIMES, w))[:, None, :])
+           @ np.linalg.inv(v)).real
+    e = np.block([[eye, zero], [zero, zero]])
+    m = np.block([[(gamma - 1.0) * eye, eye],
+                  [eye, 2.0 * lemma_b2(cert, Schedule.constant(lam, gamma=gamma))(0.0) * eye]])
+    q = (lemma_bound(gamma_lower, 1.0, 0.0, FB2_TIMES)[:, None, None] * e
+         + lemma_bound(gamma_lower, 0.0, 1.0, FB2_TIMES)[:, None, None] * m)
+    try:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(q))
+    except np.linalg.LinAlgError:
+        pytest.fail("the fb2 envelope form Q(t) is not positive definite: L(0) < 0 is "
+                    "possible for some (x0, v0)")
+    pencil = inv_chol @ phi.transpose(0, 2, 1) @ e @ phi @ inv_chol.transpose(0, 2, 1)
+    return float(np.max(np.linalg.eigvalsh(pencil)[:, -1]))
+
+
+def test_fb2_certificate_holds_for_every_initial_state_on_random_linear_instances():
+    # on a linear instance the fb2 claim |x(t) - x*|^2 <= envelope(t) for every
+    # (x0, v0) is one generalised eigenvalue problem per time: a class-wide
+    # falsifier of the certificate's algebra and of the lemma's M = L(0)
+    # (passing proves nothing off the linear subclass).  Worst ratio 0.986 on
+    # this sample, median 0.63
+    instances = _fb2_linear_instances(np.random.default_rng(14), 200)
+    worst = [_fb2_worst_ratio(*inst, inst[2].derived["gamma_lower"]) for inst in instances]
+    assert max(worst) <= 1.0 + 1e-12
+
+
+# the tightest fb2 instance a search found (Nelder-Mead over dim-2 pairs and the
+# four draws of _fb2_linear_instances), rounded: alpha at its floor 0.01, lambda
+# just above its smallest value and gamma near the bottom of its window
+FB2_WITNESS = (np.array([[4.418, -2.054], [-0.721, 0.442]]),
+               np.array([[0.547, 37.066], [-34.291, 4.522]]), 0.01, 0.7, 1.0015, 0.001)
+
+
+def test_fb2_certificate_is_nearly_tight_on_a_searched_instance():
+    # the witness is in the paper's class (sym(A), sym(B) PSD) and its envelope
+    # holds with a worst ratio of 0.99963; gamma_lower - 1 inflated by 1.0004
+    # fails the check (the smallest inflation that fails is 1.000374), 1.0003 does not
+    a, b = FB2_WITNESS[:2]
+    for op in (a, b):
+        assert np.linalg.eigvalsh(op + op.T)[0] >= 0.0
+    a, b, cert, lam, gamma = _fb2_linear_instance(*FB2_WITNESS)
+    gamma_lower = cert.derived["gamma_lower"]
+    ratio = functools.partial(_fb2_worst_ratio, a, b, cert, lam, gamma)
+    assert 0.9996 <= ratio(gamma_lower) <= 1.0 + 1e-12
+    assert ratio(1.0 + 1.0003 * (gamma_lower - 1.0)) <= 1.0 + 1e-12
+    assert ratio(1.0 + 1.0004 * (gamma_lower - 1.0)) > 1.0 + 1e-12
 
 
 # --- second-order gradient flow --------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -248,9 +249,14 @@ def test_an_overflowing_first_rhs_exits_1_with_error_json(tmp_path, capsys, comm
                            out_dir=str(out), quiet=True) == 1
     assert "run failed: no finite starting step" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["error.json"]
-    doc = json.loads((out / "error.json").read_text())
+    doc = json.loads((out / "error.json").read_text(), parse_constant=_not_rfc_8259)
     assert doc["command"] == command and doc["error"] == "no finite starting step"
-    assert doc["diagnostics"]["t"] == 0.0 and np.isinf(doc["diagnostics"]["d1"])
+    # RFC 8259 JSON has no Infinity: the overflowed d1 is the string "inf"
+    assert doc["diagnostics"]["t"] == 0.0 and doc["diagnostics"]["d1"] == "inf"
+
+
+def _not_rfc_8259(constant):
+    raise ValueError("%s is not RFC 8259 JSON" % constant)
 
 
 def test_initial_state_validation(tmp_path, capsys):
@@ -320,11 +326,12 @@ def _inline(problem, **entries):
 
 
 @pytest.mark.parametrize("doc, code, fragment", [
-    (_patched(FB2_VERIFY, "initial", x0=["a", "b"]), 4, "x0 must be a list"),
-    (_patched(FB2_VERIFY, "initial", x0=[float("nan"), 0.0]), 4, "x0 must be a list"),
-    (_patched(FB2_VERIFY, "initial", v0=["x", 0.0]), 4, "v0 must be a list"),
-    (_patched(FB1_VERIFY, "initial", x0=[True, 0.0]), 4, "x0 must be a list"),
-    (_patched(FB2_VERIFY, "initial", v0=[True, 0.0]), 4, "v0 must be a list"),
+    (_patched(FB2_VERIFY, "initial", x0=["a", "b"]), 4, "'x0' must be a nonempty list"),
+    (_patched(FB2_VERIFY, "initial", x0=[float("nan"), 0.0]), 4,
+     "'x0' must be a nonempty list"),
+    (_patched(FB2_VERIFY, "initial", v0=["x", 0.0]), 4, "'v0' must be a nonempty list"),
+    (_patched(FB1_VERIFY, "initial", x0=[True, 0.0]), 4, "'x0' must be a nonempty list"),
+    (_patched(FB2_VERIFY, "initial", v0=[True, 0.0]), 4, "'v0' must be a nonempty list"),
     (_patched(FB2_VERIFY, "integrator", t_end="long"), 4, "'t_end' must be"),
     (_patched(FB2_VERIFY, "integrator", rel_tol="tight"), 4, "'rel_tol' must be"),
     (_patched(FB2_VERIFY, "integrator", abs_tol="tiny"), 4, "'abs_tol' must be"),
@@ -348,12 +355,12 @@ def _inline(problem, **entries):
     (_patched(FB2_VERIFY, "integrator", n_dense=2.7), 4, "'n_dense' must be an integer"),
     (_patched(FB2_VERIFY, "integrator", t_end=10 ** 400), 4, "'t_end' must be a finite"),
     (_patched(FB1_VERIFY, "params", **{"lambda": 10 ** 400}), 4,
-     "'lambda' must be a positive finite number"),
+     "'lambda' must be a finite number"),
     (_patched(FB1_VERIFY, "params", alpha=10 ** 400), 4, "'alpha' must be a finite number"),
     (_patched(FB1_VERIFY, "params", eta=10 ** 400), 4, "'eta' must be a finite number"),
     (_patched(FB2_VERIFY, "params", gamma={"profile": "exp_ramp", "start": 10 ** 400,
                                            "end": 11.0, "rate": 0.5}), 4,
-     "'gamma' exp_ramp needs finite numbers"),
+     "'gamma' exp_ramp 'start' must be a finite number"),
     (_inline(IDENTITY_2D, Q=[[10 ** 400, 0.0], [0.0, 1.0]]), 4, "'Q' must hold finite"),
     (_inline(IDENTITY_2D, b=[10 ** 400, 0.0]), 4, "'b' must hold finite"),
     (_inline(SKEW_INLINE, c=[10 ** 400, 0.0]), 4, "'c' must hold finite"),
@@ -388,12 +395,12 @@ def test_number_validation_exit_codes(tmp_path, capsys, doc, code, fragment):
     ("integrator", {"t_end": -1}, "'t_end' must be positive"),
     ("integrator", {"n_dense": -3}, "'n_dense' must be an integer"),
     ("integrator", {"rel_tol": "x"}, "'rel_tol' must be a finite number"),
-    ("initial", {"x0": ["a", 0.0]}, "x0 must be a list"),
+    ("initial", {"x0": ["a", 0.0]}, "'x0' must be a nonempty list"),
     ("sweep", {"gamma": {"values": [1.0]}}, "does not apply"),
     ("sweep", {"eta": {"min": 1.0}}, "min/max/num"),
     ("params", {"eta": "x"}, "'eta' must be a finite number"),
     ("params", {"lambda": {"profile": "bogus"}}, "unknown profile"),
-    ("sweep", {"lambda": {"values": [-1.0]}}, "'lambda' must be a positive"),
+    ("sweep", {"lambda": {"values": [-1.0]}}, "'lambda' must be positive and finite"),
     ("sweep", {"eta": {"min": 0.25, "max": 1.0, "num": 3, "lgo": True}},
      "unknown sweep 'eta' keys ['lgo']"),
     ("sweep", {"eta": {"min": 0.25, "max": 1.0, "num": 3, "log": "no"}},
@@ -966,3 +973,166 @@ def test_run_paths_reach_the_patch_points(tmp_path, monkeypatch, command, reache
         monkeypatch.setattr(owner, name, counting)
     assert cli.execute(README_FB2, command, out_dir=str(tmp_path), quiet=True) == 0
     assert set(calls) == reached
+
+
+# --- the config rules: one rule per kind of input number ---------------------
+
+def _ramp(**field):
+    return {"profile": "exp_ramp", "start": 15.0, "end": 14.0, "rate": 0.5, **field}
+
+
+# each site of a positive number: (label in the error text, config with v there)
+POSITIVE_SITES = {
+    "lambda": ("'lambda'", lambda v: _patched(FB2_VERIFY, "params", **{"lambda": v})),
+    "gamma": ("'gamma'", lambda v: _patched(FB2_VERIFY, "params", gamma=v)),
+    "exp_ramp-start": ("'gamma' exp_ramp 'start'",
+                       lambda v: _patched(FB2_VERIFY, "params", gamma=_ramp(start=v))),
+    "exp_ramp-end": ("'gamma' exp_ramp 'end'",
+                     lambda v: _patched(FB2_VERIFY, "params", gamma=_ramp(end=v))),
+    "exp_ramp-rate": ("'gamma' exp_ramp 'rate'",
+                      lambda v: _patched(FB2_VERIFY, "params", gamma=_ramp(rate=v))),
+    "alpha_bar": ("'alpha_bar'", lambda v: _patched(GRAD2_VERIFY, "params", alpha_bar=v)),
+    "t_end": ("integrator 't_end'", lambda v: _patched(FB2_VERIFY, "integrator", t_end=v)),
+    "rel_tol": ("integrator 'rel_tol'",
+                lambda v: _patched(FB2_VERIFY, "integrator", rel_tol=v)),
+    "abs_tol": ("integrator 'abs_tol'",
+                lambda v: _patched(FB2_VERIFY, "integrator", abs_tol=v)),
+    "sweep-min": ("sweep 'alpha' 'min'", lambda v: {
+        **FB2_VERIFY, "sweep": {"alpha": {"min": v, "max": 0.5, "num": 3}}}),
+    "sweep-max": ("sweep 'alpha' 'max'", lambda v: {
+        **FB2_VERIFY, "sweep": {"alpha": {"min": 0.1, "max": v, "num": 3}}}),
+    "swept-lambda": ("'lambda'", lambda v: {
+        **FB2_VERIFY, "sweep": {"lambda": {"values": [40.0, v]}}}),
+}
+
+
+@pytest.mark.parametrize("v", [0, -1.0])
+@pytest.mark.parametrize("site", sorted(POSITIVE_SITES))
+def test_every_positive_config_number_takes_the_library_rule(site, v):
+    # the config states no positive rule of its own: each site raises
+    # operators.positive's text as a ConfigError
+    label, doc = POSITIVE_SITES[site]
+    cli.ExperimentConfig.from_dict(doc(0.2))  # well formed at a positive value
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.ExperimentConfig.from_dict(doc(v))
+    assert str(exc.value) == "%s must be positive and finite, got %r" % (label, float(v))
+
+
+@pytest.mark.parametrize("doc, command, fragment", [
+    ([FB1_VERIFY], "verify", "config root must be a JSON object"),
+    ({**FB1_VERIFY, "params": [1.0]}, "certify", "'params' must be an object"),
+    ({**FB1_VERIFY, "integrator": 20.0}, "verify", "'integrator' must be an object"),
+    ({**FB1_VERIFY, "initial": [3.0, -1.0]}, "simulate", "'initial' must be an object"),
+    ({**FB1_VERIFY, "sweep": "eta"}, "sweep", "'sweep' must be an object"),
+    ({**GRAD2_VERIFY, "params": {"lambda": 1.6875, "gamma": 2.45}}, "verify",
+     "grad2 needs 'alpha' (profile) or 'alpha_bar'"),
+    ({**FB1_VERIFY, "initial": {}}, "simulate", "'initial' block needs x0"),
+    ({**FB1_VERIFY, "initial": {}}, "verify", "'initial' block needs x0"),
+    (_patched(FB1_VERIFY, "initial", x0=[]), "certify",
+     "initial 'x0' must be a nonempty list of finite numbers, got []"),
+    ({**FB1_VERIFY, "sweep": {"eta": [0.5, 1.0]}}, "sweep",
+     "sweep 'eta' needs min/max/num or values"),
+    ({**FB1_VERIFY, "sweep": {"eta": {"min": 1.0, "max": 0.5, "num": 3}}}, "sweep",
+     "sweep 'eta' needs min <= max, got 1.0 > 0.5"),
+    ({**FB1_VERIFY, "sweep": {"eta": {"min": 0.5, "max": 1.0, "num": 0}}}, "sweep",
+     "sweep 'eta' 'num' must be an integer in [1, 1000000], got 0.0"),
+    (_inline(LASSO_INLINE, b=[1.0, 2.0, 3.0]), "verify",
+     "bad inline problem descriptor: b has dimension 3, Q is 2-dimensional"),
+], ids=["root-list", "params-list", "integrator-number", "initial-list", "sweep-string",
+        "grad2-no-alpha", "simulate-no-x0", "verify-no-x0", "x0-empty",
+        "sweep-axis-list", "sweep-min-above-max", "sweep-num-zero", "lasso-b-length"])
+def test_config_rules_exit_4(tmp_path, capsys, doc, command, fragment):
+    out = tmp_path / "o"
+    assert cli.execute(doc, command, out_dir=str(out), quiet=True) == 4
+    assert "config error: %s" % fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({**GRAD1_VERIFY, "problem": {**IDENTITY_2D, "w": 5.0}},
+     "unknown quadratic keys ['w']; allowed: ['Q', 'b', 'kind']"),
+    (_inline(LASSO_INLINE, wieght=1.0),
+     "unknown sc_lasso keys ['wieght']; allowed: ['Q', 'b', 'kind', 'w']"),
+    (_inline(SKEW_INLINE, Q=[[1.0]]),
+     "unknown skew_rotation keys ['Q']; allowed: ['c', 'kind', 'rho']"),
+], ids=["quadratic-w", "lasso-misspelt-weight", "skew-Q"])
+def test_an_unknown_descriptor_key_exits_4(tmp_path, capsys, doc, fragment):
+    # a key that no builder reads is a config error, not a silently plainer instance
+    out = tmp_path / "o"
+    assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 4
+    err = capsys.readouterr().err
+    assert err == "config error: bad inline problem descriptor: %s\n" % fragment
+    assert not out.exists()
+
+
+def test_a_ground_truth_that_does_not_converge_exits_4(tmp_path, capsys, monkeypatch):
+    # Q = diag(1, 1000) contracts the fixed-point iteration by 1 - 1e-6 a step, so
+    # the budget of 10^6 iterations runs out (about 17 s); a budget of 1000 runs
+    # out the same way at once.  One stderr line and exit 4, not a traceback
+    monkeypatch.setattr(problems, "GROUND_TRUTH_ITERATIONS", 1000)
+    out = tmp_path / "o"
+    doc = _inline(LASSO_INLINE, Q=[[1.0, 0.0], [0.0, 1000.0]])
+    assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad inline problem descriptor: fixed-point "
+                          "iteration did not reach residual 1e-12 within 1000 iterations")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("an oversized sweep reached a step it must not reach")
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_an_oversized_sweep_axis_exits_4_before_any_array(tmp_path, capsys, monkeypatch,
+                                                          log):
+    monkeypatch.setattr(cli.np, "linspace", _not_reached)
+    monkeypatch.setattr(cli.np, "geomspace", _not_reached)
+    doc = {**FB1_VERIFY, "sweep": {"eta": {"min": 0.5, "max": 1.0, "num": 10 ** 12,
+                                           "log": log}}}
+    out = tmp_path / "o"
+    assert cli.execute(doc, "sweep", out_dir=str(out), quiet=True) == 4
+    assert ("config error: sweep 'eta' 'num' must be an integer in [1, 1000000], "
+            "got 1000000000000.0" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_an_oversized_sweep_grid_exits_4_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # each axis is within the cap, their product is not; a grid at the cap parses
+    monkeypatch.setattr(cli, "_cmd_sweep", _not_reached)
+    axis = {"min": 0.5, "max": 1.0, "num": 1000}
+    at_cap = {**FB1_VERIFY, "sweep": {"eta": axis, "alpha": axis}}
+    assert len(cli.ExperimentConfig.from_dict(at_cap).sweep["eta"]) == 1000
+    doc = {**at_cap, "sweep": {"eta": axis, "alpha": {**axis, "num": 1001}}}
+    out = tmp_path / "o"
+    assert cli.execute(doc, "sweep", out_dir=str(out), quiet=True) == 4
+    assert ("config error: the sweep grid has more than 1000000 cells"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_log_sweep_axis_takes_geometric_points(tmp_path):
+    doc = {"problem": "skew-rotation", "system": "fb1",
+           "params": {"alpha": 0.5, "lambda": 1.0},
+           "sweep": {"eta": {"min": 0.1, "max": 10.0, "num": 5, "log": True}}}
+    points = cli.ExperimentConfig.from_dict(doc).sweep["eta"]
+    assert points == list(np.geomspace(0.1, 10.0, 5))
+    out = tmp_path / "o"
+    assert cli.execute(doc, "sweep", out_dir=str(out), quiet=True) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "24ee08094aac84830d34fab8648a66bac923c62c400ea2e6c5e60a3da36026e4"
+
+
+def test_verify_fails_the_audit_of_a_b_that_is_not_monotone(tmp_path, monkeypatch):
+    # b(x) = Sx - x/2 has monotone quotient -1/2: the instance audit fails, so
+    # verify exits 1 and report.json names the failure
+    skew = problems.get_problem("skew-rotation")
+    bad = dataclasses.replace(skew.b, eval=lambda x: skew.b.eval(x) - 0.5 * np.asarray(x))
+    monkeypatch.setattr(problems, "get_problem",
+                        lambda name: dataclasses.replace(skew, b=bad))
+    out = tmp_path / "o"
+    assert cli.execute(FB1_VERIFY, "verify", out_dir=str(out), quiet=True) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["audit"]["passed"] is False
+    assert "b is not monotone on samples" in report["audit"]["failures"]
