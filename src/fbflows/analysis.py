@@ -25,8 +25,6 @@ ENVELOPE_TOL_ABS = 1e-8
 TAIL_FRACTION = 0.25     # the trailing share of the samples that fit_rate fits
 CHAIN_SLACK = 1e-8       # value_chain slack per unit of 1 + |lhs| + |rhs|
 DRIFT_SCALE = 1e-6       # Lyapunov drift allowed per unit time and unit of 1 + |L(0)|
-# the metric each system's certificate bounds: h = ||x - x*||^2 or the value gap
-CERTIFIED_METRIC = {"fb1": "h", "fb2": "h", "grad1": "gap", "grad2": "gap"}
 
 
 class RateFitError(ValueError):
@@ -60,7 +58,7 @@ def build_envelope(cert: RateCertificate, anchor: float,
                    m: Optional[float] = None) -> Callable:
     """Closed-form envelope of the certificate's guarantee, anchored at t=0.
 
-    ``anchor`` is the initial value of the system's ``CERTIFIED_METRIC``:
+    ``anchor`` is the initial value of the metric the certificate bounds:
     h0 = ||x0 - x*||^2 (fb1, fb2) or the value gap (grad1, grad2).
 
     first order (no transient exponent): anchor * exp(-r*t) with r the

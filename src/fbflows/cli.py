@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class IncompatibleSystemError(ValueError):
     """The requested system kind cannot run on the chosen instance."""
 
 
-_SYSTEMS = ("fb1", "fb2", "grad1", "grad2")
 _COMMANDS = ("certify", "simulate", "verify", "sweep")  # the commands that take a config
 _TOP_KEYS = {"problem", "system", "params", "integrator", "initial", "sweep", "seed",
              "output_dir"}
@@ -97,21 +96,53 @@ def _profile(spec, label: str) -> Profile:
         return Profile(v, v)
     kind = spec.get("profile")
     if kind == "constant":
-        return _profile(spec.get("value"), label)
+        _unknown(spec, {"profile", "value"}, "%s constant keys" % label)
+        v = _positive(spec.get("value"), label)   # a number, not a nested profile
+        return Profile(v, v)
     if kind != "exp_ramp":
         raise ConfigError("unknown profile %r for %s" % (kind, label))
+    _unknown(spec, {"profile", "start", "end", "rate"}, "%s exp_ramp keys" % label)
     return Profile(*(_positive(spec.get(key), "%s exp_ramp '%s'" % (label, key))
                      for key in ("start", "end", "rate")))
 
 
-# each system's parameters and the parser of a value, swept values included
-_PARAMS = {
-    "fb1": {"alpha": _number, "eta": _number, "lambda": _profile},
-    "grad1": {"alpha": _number, "lambda": _profile},
-    "fb2": {"alpha": _number, "delta": _number, "lambda": _profile, "gamma": _profile},
-    "grad2": {"alpha_bar": _positive, "alpha": _profile, "lambda": _profile,
-              "gamma": _profile},
-}
+@dataclasses.dataclass(frozen=True)
+class System:
+    """One of the four flows.  certify and flow look the library function up when
+    called: the benchmark's tracer replaces certify_* and *_rhs during a request."""
+
+    name: str
+    order: int        # 2 when the flow has a velocity, and so a v0
+    metric: str       # the metric its certificate bounds: "h" = ||x - x*||^2, or "gap"
+    params: dict      # parameter -> the parser of a value, swept values included
+    certify: Callable  # (rho, beta, sched, t_grid_end, **inputs) -> RateCertificate
+    flow: Callable     # (instance, params, sched) -> flows.FlowRHS
+
+
+# in the order that the error for an unknown system lists them; fb2's eta is
+# derived from (alpha, delta), and fb2_rhs rejects a nan eta (1/eta not positive)
+_SYSTEMS = {system.name: system for system in (
+    System("fb1", 1, "h", {"alpha": _number, "eta": _number, "lambda": _profile},
+           lambda rho, beta, sched, _, **inputs: certificates.certify_fb1(
+               rho, beta, sched.lambda_lower, sched.lambda_upper, **inputs),
+           lambda inst, params, sched: flows.fb1_rhs(inst.a, inst.b,
+                                                     _require(params, "eta"), sched)),
+    System("fb2", 2, "h",
+           {"alpha": _number, "delta": _number, "lambda": _profile, "gamma": _profile},
+           lambda rho, beta, sched, t_grid_end, **inputs: certificates.certify_fb2(
+               rho, beta, sched=sched, t_grid_end=t_grid_end, **inputs),
+           lambda inst, params, sched: flows.fb2_rhs(inst.a, inst.b, certificates.fb2_eta(
+               inst.rho, inst.beta, _require(params, "alpha"), _require(params, "delta")), sched)),
+    System("grad1", 1, "gap", {"alpha": _number, "lambda": _profile},
+           lambda rho, beta, sched, _, **inputs: certificates.certify_grad1(
+               rho, beta, sched.lambda_lower, **inputs),
+           lambda inst, params, sched: flows.grad1_rhs(inst.g, sched)),
+    System("grad2", 2, "gap",
+           {"alpha_bar": _positive, "alpha": _profile, "lambda": _profile, "gamma": _profile},
+           lambda rho, beta, sched, t_grid_end, **inputs: certificates.certify_grad2(
+               rho, beta, sched=sched, t_grid_end=t_grid_end, **inputs),
+           lambda inst, params, sched: flows.grad2_rhs(inst.g, sched)),
+)}
 
 
 @dataclasses.dataclass
@@ -119,7 +150,7 @@ class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
     problem: object           # registry name or inline descriptor dict
-    system: str
+    system: System
     params: dict              # parameter -> parsed value (a float or a Profile)
     initial: dict             # x0 (and v0): nonempty lists of floats
     sweep: dict               # swept parameter -> its grid points, each a float
@@ -137,10 +168,11 @@ class ExperimentConfig:
         problem = doc.get("problem")
         if not isinstance(problem, (str, dict)) or not problem:
             raise ConfigError("config needs a 'problem' (registry name or descriptor)")
-        system = doc.get("system")
-        if system not in _SYSTEMS:
+        name = doc.get("system")
+        system = _SYSTEMS.get(name) if isinstance(name, str) else None
+        if system is None:
             raise ConfigError("config needs 'system' in %s, got %r"
-                              % ("/".join(_SYSTEMS), system))
+                              % ("/".join(_SYSTEMS), name))
         blocks = {name: doc.get(name, {}) for name in ("params", "integrator", "initial", "sweep")}
         for name, blk in blocks.items():
             if not isinstance(blk, dict):
@@ -150,25 +182,24 @@ class ExperimentConfig:
             if banned in params:
                 raise ConfigError(
                     "'%s' cannot be overridden; it is read from the instance" % banned)
-        parsers = _PARAMS[system]
-        unknown = set(params) - set(parsers)
+        unknown = set(params) - set(system.params)
         if unknown:
             raise ConfigError("parameters %s do not apply to system '%s'"
-                              % (sorted(unknown), system))
-        params = {name: parsers[name](v, "'%s'" % name) for name, v in params.items()}
+                              % (sorted(unknown), system.name))
+        params = {name: system.params[name](v, "'%s'" % name) for name, v in params.items()}
         _unknown(initial, {"x0", "v0"}, "'initial' keys")
         initial = {key: _numbers(vec, "initial '%s'" % key) for key, vec in initial.items()}
-        if "v0" in initial and system in ("fb1", "grad1"):
-            raise ConfigError("v0 given but system '%s' is first order" % system)
+        if "v0" in initial and system.order == 1:
+            raise ConfigError("v0 given but system '%s' is first order" % system.name)
         grids = {}
         for name, spec in sweep.items():
-            if name not in parsers:
+            if name not in system.params:
                 raise ConfigError("sweep parameter '%s' does not apply to '%s'"
-                                  % (name, system))
+                                  % (name, system.name))
             label = "'%s'" % name
             grids[name] = _sweep_values(label, spec)
             for v in grids[name]:
-                parsers[name](v, label)
+                system.params[name](v, label)
         if math.prod(map(len, grids.values())) > MAX_SWEEP_CELLS:
             raise ConfigError("the sweep grid has more than %d cells" % MAX_SWEEP_CELLS)
         t_end, control, n_dense = _integrator(integrator)
@@ -189,34 +220,34 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _schedule_fields(system: str, params: dict) -> dict:
+def _schedule_fields(system: System, params: dict) -> dict:
     """The Schedule's fields from params, where a swept parameter is a column of
-    numbers, one per cell; grad2's alpha(t) is alpha_bar when 'alpha' is absent."""
+    numbers, one per cell; a profile alpha(t) is alpha_bar when 'alpha' is absent."""
     lam = _require(params, "lambda")
     bounds = ((min(lam.start, lam.end), max(lam.start, lam.end))
               if isinstance(lam, Profile) else (lam, lam))
     fields = {"lam": lam, "lambda_lower": bounds[0], "lambda_upper": bounds[1]}
-    if system in ("fb2", "grad2"):
+    if "gamma" in system.params:
         fields["gamma"] = _require(params, "gamma")
-    if system == "grad2":
+    if "alpha_bar" in system.params:
         alpha = params.get("alpha", params.get("alpha_bar"))
         fields["alpha"] = Profile(alpha, alpha) if isinstance(alpha, float) else alpha
     return fields
 
 
-def _certify_inputs(system: str, params: dict, alpha) -> dict:
-    """The arguments of certify_<system> other than rho, beta, the schedule and
-    t_grid_end; a missing or inconsistent parameter is a ConfigError.  alpha is
-    the schedule's alpha(t)."""
-    if system == "grad2":
-        if alpha is None:
-            raise ConfigError("grad2 needs 'alpha' (profile) or 'alpha_bar'")
-        if ("alpha_bar" not in params and isinstance(alpha, Profile)
-                and alpha.start != alpha.end):
-            raise ConfigError("grad2 needs 'alpha_bar' when 'alpha' is not constant")
-        return {"alpha_bar": params.get("alpha_bar")}
-    keys = {"fb1": ("alpha", "eta"), "grad1": ("alpha",), "fb2": ("alpha", "delta")}
-    return {key: _require(params, key) for key in keys[system]}
+def _certify_inputs(system: System, params: dict, alpha) -> dict:
+    """The arguments of the system's certify other than rho, beta, the schedule
+    and t_grid_end; a missing or inconsistent parameter is a ConfigError.  alpha
+    is the schedule's alpha(t), whose bound alpha_bar a constant alpha(t) gives.
+    The arguments are the system's parameters that are not profiles."""
+    inputs = [key for key, parse in system.params.items() if parse is not _profile]
+    if "alpha_bar" not in system.params:
+        return {key: _require(params, key) for key in inputs}
+    if alpha is None:
+        raise ConfigError("%s needs 'alpha' (profile) or 'alpha_bar'" % system.name)
+    if "alpha_bar" not in params and isinstance(alpha, Profile) and alpha.start != alpha.end:
+        raise ConfigError("%s needs 'alpha_bar' when 'alpha' is not constant" % system.name)
+    return {key: params.get(key) for key in inputs}
 
 
 def _load_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
@@ -230,45 +261,20 @@ def _load_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
 
 
 def _check_compat(cfg: ExperimentConfig, inst: problems.ProblemInstance) -> None:
-    if cfg.system in ("grad1", "grad2"):
+    if cfg.system.metric == "gap":   # a gradient flow, on g alone
         if inst.g is None or inst.g.gradient is None:
             raise IncompatibleSystemError(
                 "system '%s' needs a smooth objective; instance '%s' has none"
-                % (cfg.system, inst.name))
+                % (cfg.system.name, inst.name))
         if inst.f is not None:
             raise IncompatibleSystemError(
                 "system '%s' minimizes g alone, but instance '%s' has a nonsmooth "
-                "part; its ground truth solves f+g" % (cfg.system, inst.name))
+                "part; its ground truth solves f+g" % (cfg.system.name, inst.name))
 
 
 def _certify(cfg: ExperimentConfig, inst, sched: Schedule):
-    args = _certify_inputs(cfg.system, cfg.params, sched.alpha)
-    if cfg.system == "fb1":
-        return certificates.certify_fb1(inst.rho, inst.beta, sched.lambda_lower,
-                                        sched.lambda_upper, **args)
-    if cfg.system == "grad1":
-        return certificates.certify_grad1(inst.rho, inst.beta, sched.lambda_lower, **args)
-    certify = (certificates.certify_fb2 if cfg.system == "fb2"
-               else certificates.certify_grad2)
-    return certify(inst.rho, inst.beta, sched=sched, t_grid_end=_grid_end(cfg), **args)
-
-
-def _grid_end(cfg: ExperimentConfig) -> float:
-    return cfg.t_end or certificates.GRID_END
-
-
-def _build_flow(cfg: ExperimentConfig, inst, sched: Schedule) -> flows.FlowRHS:
-    if cfg.system == "fb1":
-        return flows.fb1_rhs(inst.a, inst.b, _require(cfg.params, "eta"), sched)
-    if cfg.system == "fb2":
-        # eta is derived from (alpha, delta), never configured; a nan eta (1/eta
-        # not positive) is rejected by fb2_rhs
-        eta = certificates.fb2_eta(inst.rho, inst.beta, _require(cfg.params, "alpha"),
-                                   _require(cfg.params, "delta"))
-        return flows.fb2_rhs(inst.a, inst.b, eta, sched)
-    if cfg.system == "grad1":
-        return flows.grad1_rhs(inst.g, sched)
-    return flows.grad2_rhs(inst.g, sched)
+    return cfg.system.certify(inst.rho, inst.beta, sched, cfg.t_end or certificates.GRID_END,
+                              **_certify_inputs(cfg.system, cfg.params, sched.alpha))
 
 
 def _default_t_end(cert) -> float:
@@ -293,7 +299,7 @@ def _initial_state(cfg: ExperimentConfig, inst, order: int):
 
 
 def _simulate(cfg: ExperimentConfig, inst, sched, t_end: float):
-    flow = _build_flow(cfg, inst, sched)
+    flow = cfg.system.flow(inst, cfg.params, sched)
     x0, v0 = _initial_state(cfg, inst, flow.order)
     traj = integrate.integrate(flow, x0, v0=v0, t_end=t_end, control=cfg.control,
                                n_dense=cfg.n_dense)
@@ -324,7 +330,7 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics):
     """The envelope report, the chain report of a value-gap certificate and the
     Lyapunov report of fb2; the envelope; and the decay lemma's M = L(0) of a
     second-order system (None for first order)."""
-    which = analysis.CERTIFIED_METRIC[cfg.system]
+    which = cfg.system.metric
     anchor = max(float(getattr(metrics, which)[0]), 0.0)
     reports = {}
     if cert.transient_exponent is None:
@@ -438,7 +444,7 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
     os.makedirs(out_dir, exist_ok=True)
     integrate.write_json(os.path.join(out_dir, "certificate.json"), cert)
     _say(quiet, "certified %s on %s: decay exponent %.6g%s"
-         % (cfg.system, inst.name, cert.decay_exponent,
+         % (cfg.system.name, inst.name, cert.decay_exponent,
             "" if cert.transient_exponent is None
             else ", transient %.6g" % cert.transient_exponent))
     _say(quiet, "wrote %s" % os.path.join(out_dir, "certificate.json"))
@@ -448,10 +454,9 @@ def _cmd_certify(cfg, inst, sched, out_dir, quiet) -> int:
 def _cmd_simulate(cfg, inst, sched, out_dir, quiet) -> int:
     t_end = cfg.t_end or _default_t_end(_certify(cfg, inst, sched))
     traj, metrics = _simulate(cfg, inst, sched, float(t_end))
-    csv_path = _write_run_artifacts(out_dir, traj, metrics,
-                                    analysis.CERTIFIED_METRIC[cfg.system])
+    csv_path = _write_run_artifacts(out_dir, traj, metrics, cfg.system.metric)
     _say(quiet, "simulated %s on %s for t_end=%g (%d samples, %d accepted steps)"
-         % (cfg.system, inst.name, float(t_end), traj.t.size,
+         % (cfg.system.name, inst.name, float(t_end), traj.t.size,
             traj.meta["accepted"]))
     _say(quiet, "wrote %s" % csv_path)
     return EXIT_OK
@@ -469,7 +474,7 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
         "version": __version__,
         "command": "verify",
         "problem": inst.name,
-        "system": cfg.system,
+        "system": cfg.system.name,
         "t_end": float(t_end),
         "certificate": cert,
         "audit": {
@@ -494,7 +499,7 @@ def _cmd_verify(cfg, inst, sched, out_dir, quiet) -> int:
     rep = reports["envelope"]
     _say(quiet, "verify %s on %s: envelope %s (%d/%d violations, max ratio %.3g), "
          "fitted rate %s vs certified %.3g"
-         % (cfg.system, inst.name, "PASS" if rep.passed else "FAIL",
+         % (cfg.system.name, inst.name, "PASS" if rep.passed else "FAIL",
             rep.violating_samples, rep.n_samples, rep.max_ratio,
             "n/a" if rep.fitted_exponent is None else "%.4g" % rep.fitted_exponent,
             cert.decay_exponent))
@@ -517,8 +522,8 @@ def _cmd_sweep(cfg, inst, out_dir, quiet) -> int:
     params = {**cfg.params, **dict(zip(names, columns))}
     cells = _schedule_fields(cfg.system, params)
     cells.update(_certify_inputs(cfg.system, params, cells.get("alpha")))
-    grid = certificates.certify_grid(cfg.system, inst.rho, inst.beta, cells,
-                                     t_grid_end=_grid_end(cfg))
+    grid = certificates.certify_grid(cfg.system.name, inst.rho, inst.beta, cells,
+                                     t_grid_end=cfg.t_end or certificates.GRID_END)
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")

@@ -949,29 +949,39 @@ def test_the_benchmark_tracer_installs_and_restores_its_patches(monkeypatch):
 # The benchmark's tracer replaces these attributes while a request runs, so a
 # run path must look each one up at call time, never bind it at import.
 PATCH_POINTS = [
-    (certificates, "certify_fb2"), (flows, "fb2_rhs"), (flows.Schedule, "check"),
+    (certificates, "certify_fb1"), (certificates, "certify_grad1"),
+    (certificates, "certify_fb2"), (certificates, "certify_grad2"),
+    (flows, "fb1_rhs"), (flows, "grad1_rhs"), (flows, "fb2_rhs"), (flows, "grad2_rhs"),
+    (flows.Schedule, "check"),
     (integrate, "integrate"), (integrate, "record_metrics"), (integrate, "to_csv"),
     (analysis, "verify_envelope"), (analysis, "verify_lyapunov"),
     (problems, "audit_instance"), (cli, "_cmd_sweep"), (certificates, "certify_grid"),
 ]
 README_FB2 = {**FB2_VERIFY,
               "params": {**FB2_VERIFY["params"],
-                         "gamma": {"profile": "constant", "value": 11.0}},
-              "sweep": {"alpha": {"values": [0.3, 0.5]}}}
+                         "gamma": {"profile": "constant", "value": 11.0}}}
 
 
-@pytest.mark.parametrize("command, reached", [
-    ("verify", {name for _, name in PATCH_POINTS} - {"_cmd_sweep", "certify_grid", "check"}),
-    ("sweep", {"certify_grid", "_cmd_sweep"}),
-])
-def test_run_paths_reach_the_patch_points(tmp_path, monkeypatch, command, reached):
+@pytest.mark.parametrize("doc, own", [
+    (FB1_VERIFY, {"certify_fb1", "fb1_rhs"}),
+    (GRAD1_VERIFY, {"certify_grad1", "grad1_rhs"}),
+    (README_FB2, {"certify_fb2", "fb2_rhs", "verify_lyapunov"}),
+    (GRAD2_VERIFY, {"certify_grad2", "grad2_rhs"}),
+], ids=["fb1", "grad1", "fb2", "grad2"])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_run_paths_reach_the_patch_points(tmp_path, monkeypatch, command, doc, own):
+    # each system's run reaches its own certify_* and *_rhs, and a sweep only the grid
+    reached = ({"certify_grid", "_cmd_sweep"} if command == "sweep" else
+               own | {"integrate", "record_metrics", "to_csv", "verify_envelope",
+                      "audit_instance"})
     calls = []
     for owner, name in PATCH_POINTS:
         def counting(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
-    assert cli.execute(README_FB2, command, out_dir=str(tmp_path), quiet=True) == 0
+    doc = {**doc, "sweep": {"alpha": {"values": [0.3, 0.5]}}}
+    assert cli.execute(doc, command, out_dir=str(tmp_path), quiet=True) == 0
     assert set(calls) == reached
 
 
@@ -1038,9 +1048,27 @@ def test_every_positive_config_number_takes_the_library_rule(site, v):
      "sweep 'eta' 'num' must be an integer in [1, 1000000], got 0.0"),
     (_inline(LASSO_INLINE, b=[1.0, 2.0, 3.0]), "verify",
      "bad inline problem descriptor: b has dimension 3, Q is 2-dimensional"),
+    # a system name that is not a string is looked up as no system, not hashed
+    ({**FB1_VERIFY, "system": ["fb1"]}, "certify",
+     "config needs 'system' in fb1/fb2/grad1/grad2, got ['fb1']"),
+    ({**FB1_VERIFY, "system": {"name": "fb1"}}, "verify",
+     "config needs 'system' in fb1/fb2/grad1/grad2, got {'name': 'fb1'}"),
+    ({**FB1_VERIFY, "system": 1}, "sweep", "config needs 'system' in fb1/fb2/grad1/grad2, got 1"),
+    ({key: v for key, v in FB1_VERIFY.items() if key != "system"}, "simulate",
+     "config needs 'system' in fb1/fb2/grad1/grad2, got None"),
+    # a profile key that no field reads is an error, not a silently plainer profile
+    (_patched(FB2_VERIFY, "params", gamma={"profile": "constant", "value": 11.0,
+                                           "start": 3.0}), "certify",
+     "unknown 'gamma' constant keys ['start']; allowed: ['profile', 'value']"),
+    (_patched(FB2_VERIFY, "params", gamma=_ramp(strat=1.0)), "verify",
+     "unknown 'gamma' exp_ramp keys ['strat']; allowed: ['end', 'profile', 'rate', 'start']"),
+    (_patched(FB2_VERIFY, "params", gamma={"profile": "constant", "value": _ramp()}), "certify",
+     "'gamma' must be a finite number, got %r" % (_ramp(),)),
 ], ids=["root-list", "params-list", "integrator-number", "initial-list", "sweep-string",
         "grad2-no-alpha", "simulate-no-x0", "verify-no-x0", "x0-empty",
-        "sweep-axis-list", "sweep-min-above-max", "sweep-num-zero", "lasso-b-length"])
+        "sweep-axis-list", "sweep-min-above-max", "sweep-num-zero", "lasso-b-length",
+        "system-list", "system-object", "system-number", "system-missing",
+        "constant-profile-start", "exp_ramp-strat", "constant-profile-of-a-ramp"])
 def test_config_rules_exit_4(tmp_path, capsys, doc, command, fragment):
     out = tmp_path / "o"
     assert cli.execute(doc, command, out_dir=str(out), quiet=True) == 4
