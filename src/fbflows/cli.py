@@ -227,7 +227,7 @@ def _schedule_fields(system: System, params: dict) -> dict:
     bounds = ((min(lam.start, lam.end), max(lam.start, lam.end))
               if isinstance(lam, Profile) else (lam, lam))
     fields = {"lam": lam, "lambda_lower": bounds[0], "lambda_upper": bounds[1]}
-    if "gamma" in system.params:
+    if system.order == 2:
         fields["gamma"] = _require(params, "gamma")
     if "alpha_bar" in system.params:
         alpha = params.get("alpha", params.get("alpha_bar"))

@@ -26,11 +26,10 @@ import tempfile
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-def digest(cli, workloads, names, seeds):
-    """(file count, sha256 hex) of the runs of the named workloads at the seeds."""
+def digest(cli, workloads, seeds):
+    """(file count, sha256 hex) of the runs of every workload at the seeds."""
     total, count = hashlib.sha256(), 0
-    for name in names:
-        workload = workloads.WORKLOADS[name]
+    for name, workload in workloads.WORKLOADS.items():
         for seed in seeds:
             for i, config in enumerate(workload.build(seed)):
                 err = io.StringIO()
@@ -52,8 +51,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)),
                         help="workload seeds (default 1 to 10)")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="workload names (default all)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the source tree whose fbflows runs (default this checkout's)")
     args = parser.parse_args(argv)
@@ -61,10 +58,9 @@ def main(argv=None) -> int:
     from fbflows import cli
     import workloads
 
-    names = args.workloads or list(workloads.WORKLOADS)
-    count, sha = digest(cli, workloads, names, args.seeds)
+    count, sha = digest(cli, workloads, args.seeds)
     print("%d files, sha256 %s (%s; seeds %s)"
-          % (count, sha, ", ".join(names), " ".join(map(str, args.seeds))))
+          % (count, sha, ", ".join(workloads.WORKLOADS), " ".join(map(str, args.seeds))))
     return 0
 
 
