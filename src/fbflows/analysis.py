@@ -107,14 +107,11 @@ def verify_envelope(metrics: MetricSeries, which: str, envelope: Callable,
     r_hat >= rate - 0.05; an underflowed tail skips the comparison.  Failures
     are report contents, never exceptions.
     """
-    if which == "h":
-        values = metrics.h
-    elif which == "gap":
-        if metrics.gap is None:
-            raise ValueError("metrics carry no value gap")
-        values = metrics.gap
-    else:
+    if which not in ("h", "gap"):
         raise ValueError("which must be 'h' or 'gap', got %r" % which)
+    values = getattr(metrics, which)
+    if values is None:   # h is always present
+        raise ValueError("metrics carry no value gap")
     env = np.asarray(envelope(metrics.t), dtype=float)
     allowed = env * (1.0 + ENVELOPE_TOL_REL) + ENVELOPE_TOL_ABS
     excess = values - allowed

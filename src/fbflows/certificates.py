@@ -154,7 +154,7 @@ def _table(system, rho, beta, v):
         return rules, [("alpha <= 2*lambda_lower*beta*rho^2",
                         alpha, 2.0 * lo * beta * rho * rho, ROUND_SLACK)], alpha, {}
 
-    lam, gam = v["lam"], v["gamma"]
+    lam, gam = v["lam"] + 0.0, v["gamma"] + 0.0   # as a Profile answers: -0.0 as +0.0
     bounds = [(in_bounds(lam, v["lambda_lower"], v["lambda_upper"]), LEAVES_BOUNDS, None, None)]
     monotonicity = [("gamma(t) nonincreasing", _steps(gam), 0.0, GRID_SLACK),
                     ("gamma(t)/lambda(t) nonincreasing", _steps(gam / lam), 0.0, GRID_SLACK)]
@@ -178,7 +178,7 @@ def _table(system, rho, beta, v):
         ], 1.0, {"S": big_s, "K": k_slope, "theta_coefficient": theta_coeff,
                  "theta": theta_floor, "gamma_lower": gamma_lower, "eta": 1.0 / inv_eta}
 
-    a_t, alpha_bar = v["alpha"], v.get("alpha_bar")
+    a_t, alpha_bar = v["alpha"] + 0.0, v.get("alpha_bar")
     if alpha_bar is None:   # the one value of a constant alpha(t); samples over time vary
         if np.ndim(a_t) == 1:
             raise ValueError("alpha_bar required when alpha(t) is not constant")
@@ -226,7 +226,7 @@ class RateCertificate:
 
 def _evaluate(system, rho, beta, cells, t_grid_end):
     """``_table`` evaluated once for every cell of ``cells`` (as certify_grid
-    takes them), each coefficient called once on the time grid.
+    takes them), each callable (a coefficient) called once on the time grid.
 
     Returns (rules, rows, rate, derived): the input rules (ok, template, name,
     value), the rows decided at their tightest time (``_decided``), the decay
@@ -234,20 +234,17 @@ def _evaluate(system, rho, beta, cells, t_grid_end):
     its last axis, or one that every cell shares.
     """
     ts = time_grid(float(t_grid_end))
-    coefficients = ("lam", "gamma", "alpha") if system == "grad2" else ("lam", "gamma")
 
-    def value(k, x):   # a number every cell shares, or one per cell as a column (n, 1)
-        if k in coefficients and callable(x):
+    def value(x):   # a number every cell shares, or one per cell as a column (n, 1)
+        if callable(x):
             return x(ts)
         if isinstance(x, np.ndarray):
-            x = np.reshape(x.astype(float), (-1, 1))
-        elif x is not None:
-            x = np.float64(x)
-        return x + 0.0 if k in coefficients else x  # as a Profile answers: -0.0 as +0.0
+            return np.reshape(x.astype(float), (-1, 1))
+        return x if x is None else np.float64(x)
 
     with np.errstate(all="ignore"):   # out-of-range cells are decided by their rules
         rules, rows, rate, derived = _table(system, np.float64(rho), np.float64(beta),
-                                            {k: value(k, x) for k, x in cells.items()})
+                                            {k: value(x) for k, x in cells.items()})
         rows = list(_decided(rows))
     return rules, rows, rate, derived
 

@@ -148,11 +148,11 @@ def check_eta(eta: float) -> float:
 
 
 def zero_function() -> FunctionOracle:
-    """f == 0.  Its prox is the identity for every eta."""
+    """f == 0.  Its prox is the identity for every eta > 0."""
     return FunctionOracle(
         value=lambda x: np.zeros(as_points(x).shape[:-1])[()],  # [()]: a point gives a scalar
         gradient=lambda x: np.zeros_like(as_points(x)),
-        prox=lambda eta, x: as_points(x),
+        prox=lambda eta, x: (check_eta(eta), as_points(x))[1],
         description="zero",
         smooth=True, affine=True,
     )
@@ -248,12 +248,8 @@ def prox_resolvent(f: FunctionOracle) -> ResolventOracle:
 
 
 def zero_operator() -> ResolventOracle:
-    """A == 0; the resolvent is the identity for every eta."""
-    return ResolventOracle(
-        resolve=lambda eta, x: (check_eta(eta), as_points(x))[1],
-        description="zero operator",
-        smooth=True, affine=True,
-    )
+    """A == 0, the subdifferential of f == 0: its resolvent is the identity."""
+    return prox_resolvent(zero_function())
 
 
 def gradient_map(g: FunctionOracle, beta: float) -> MonotoneMap:

@@ -3,11 +3,13 @@
 Runs each config of each workload in ``benchmarks/workloads.py`` at the given
 seeds through ``fbflows.cli.execute``, each run in a new temporary directory,
 and prints the number of files written and one sha256 over, run by run, the
-exit code, the stderr text and each file's name and sha256.  Two source trees
-that print the same line wrote the same bytes and exited the same way::
+exit code, the stderr text and each file's name and sha256: first one line
+per workload, then the total line over every workload.  Two source trees
+that print the same lines wrote the same bytes and exited the same way, and
+a workload whose line differs is the one that changed::
 
     python tests/artifact_digest.py --seeds 1 2 3 4 5 6 7 8 9 10
-    python tests/artifact_digest.py --src ../other-checkout/src
+    python tests/artifact_digest.py --seeds 1 2 3 4 5 6 7 8 9 10 --src ../parent/src
 
 pytest does not collect this script (its name does not start with ``test_``),
 and it only reads ``benchmarks/``.
@@ -27,9 +29,11 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def digest(cli, workloads, seeds):
-    """(file count, sha256 hex) of the runs of every workload at the seeds."""
-    total, count = hashlib.sha256(), 0
+    """(file count, sha256 hex) of the runs of every workload at the seeds, and
+    the same pair per workload by name."""
+    total, count, each = hashlib.sha256(), 0, {}
     for name, workload in workloads.WORKLOADS.items():
+        part, files_before = hashlib.sha256(), count
         for seed in seeds:
             for i, config in enumerate(workload.build(seed)):
                 err = io.StringIO()
@@ -42,9 +46,11 @@ def digest(cli, workloads, seeds):
                     for rel in files:
                         with open(os.path.join(out, rel), "rb") as fh:
                             lines.append("%s %s" % (rel, hashlib.sha256(fh.read()).hexdigest()))
-                total.update(("\n".join(lines) + "\n").encode())
+                for h in (total, part):
+                    h.update(("\n".join(lines) + "\n").encode())
                 count += len(files)
-    return count, total.hexdigest()
+        each[name] = count - files_before, part.hexdigest()
+    return count, total.hexdigest(), each
 
 
 def main(argv=None) -> int:
@@ -58,7 +64,9 @@ def main(argv=None) -> int:
     from fbflows import cli
     import workloads
 
-    count, sha = digest(cli, workloads, args.seeds)
+    count, sha, each = digest(cli, workloads, args.seeds)
+    for name, (n, part) in each.items():
+        print("%d files, sha256 %s (%s)" % (n, part, name))
     print("%d files, sha256 %s (%s; seeds %s)"
           % (count, sha, ", ".join(workloads.WORKLOADS), " ".join(map(str, args.seeds))))
     return 0

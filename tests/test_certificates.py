@@ -1141,6 +1141,18 @@ def test_grid_needs_alpha_bar_for_a_varying_alpha():
         certificates.certify_grid("grad2", 1.0, 1.0, cells)
 
 
+def test_grid_reads_a_negative_zero_alpha_as_a_profile_answers_it():
+    # a column's -0.0 answers as +0.0, as Profile(-0.0, -0.0) does
+    cells = {"lam": 1.5, "lambda_lower": 1.5, "lambda_upper": 1.5, "gamma": 2.4,
+             "alpha": np.array([-0.0, 1.5])}
+    grid = certificates.certify_grid("grad2", 1.0, 1.0, cells)
+    text = "alpha_bar must be positive and finite, got 0.0"
+    assert grid.failure[0] == text and grid.feasible.tolist() == [False, True]
+    sched = Schedule(lam=_constant(1.5), lambda_lower=1.5, lambda_upper=1.5,
+                     gamma=_constant(2.4), alpha=_constant(-0.0))
+    assert _one(lambda: certify_grad2(1.0, 1.0, sched)) == (False, None, None, text)
+
+
 # --- a non-finite side fails its check ---------------------------------------
 
 def test_a_nonstrict_check_with_an_infinite_side_fails():

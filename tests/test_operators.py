@@ -121,6 +121,7 @@ def test_resolvent_of_zero_operator_is_identity():
     x = np.array([3.0, -1.0])
     assert np.array_equal(a.resolve(0.01, x), x)
     assert np.array_equal(a.resolve(100.0, x), x)
+    assert np.signbit(a.resolve(0.01, [-0.0])).all()   # bit for bit: -0.0 stays -0.0
 
 
 def test_resolvent_translated_linear():
@@ -500,6 +501,8 @@ def _with(fn, base, key):
 # (id, the name the message gives, the error type, a call with the value in place)
 POSITIVE_SITES = [
     ("check_eta", "step scale eta", ValueError, operators.check_eta),
+    ("zero_function-prox", "step scale eta", ValueError,
+     lambda v: zero_function().prox(v, [1.0])),
     ("brute_force_prox", "halfwidth", ValueError,
      lambda v: brute_force_prox(np.abs, 1.0, 0.0, halfwidth=v)),
     ("l1_norm", "l1 weight", ValueError, l1_norm),
