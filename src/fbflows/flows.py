@@ -167,7 +167,7 @@ def _flow(order: int, state_map, sched: Schedule, smooth: bool, affine: bool) ->
 
 
 def _fb_flow(order, a: ResolventOracle, b: MonotoneMap, eta: float, sched) -> FlowRHS:
-    eta = check_eta(eta)  # the skew-rotation resolvent does not check eta itself
+    eta = check_eta(eta)
     flow = _flow(order, lambda x: _forward_backward_step(a, b, eta, x) - x, sched,
                  a.smooth and b.smooth, a.affine and b.affine)
     if flow.state_map is None and b.affine and a.kernel is not None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, flows, operators
 from .operators import (FunctionOracle, MonotoneMap, ResolventOracle, as_vector,
                         audit_map, gradient_map, l1_norm, matvec, number, positive,
-                        prox_resolvent, zero_operator)
+                        prox_resolvent, translated_linear, zero_operator)
 
 MAX_DIM = 100  # shipped suite stays desk scale
 GROUND_TRUTH_TOL = 1e-10  # the sc_lasso fixed-point iteration's target tolerance
@@ -51,8 +51,13 @@ class ProblemInstance:
     description: str = ""
 
 
-def _check_spd(q: np.ndarray):
+def _quadratic(q, b):
+    """(Q, b, g, rho, beta) of g(x) = (1/2) x'Qx + b'x for a finite symmetric positive
+    definite Q at most ``MAX_DIM`` wide and a b of its dimension; rho = min eigenvalue,
+    beta = 1/max eigenvalue."""
     q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("Q must hold finite numbers only")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("Q must be a square matrix, got shape %r" % (q.shape,))
     if q.shape[0] > MAX_DIM:
@@ -63,44 +68,40 @@ def _check_spd(q: np.ndarray):
     eigs = np.linalg.eigvalsh(q)
     if eigs[0] <= 0.0:
         raise ValueError("Q must be positive definite (min eigenvalue %g)" % eigs[0])
-    return q, float(eigs[0]), float(eigs[-1])
+    b = as_vector(b)
+    if b.size != q.shape[0]:
+        raise ValueError("b has dimension %d, Q is %d-dimensional" % (b.size, q.shape[0]))
 
-
-def _quadratic_oracle(q: np.ndarray, b: np.ndarray) -> FunctionOracle:
     def value(x):
         x = np.asarray(x, dtype=float)
         # a stack of vector-matrix products keeps each row bitwise the 1-D
         # x @ q @ x; the matrix-matrix product x @ q does not (dim >= 4)
         return 0.5 * np.vecdot((x[..., None, :] @ q)[..., 0, :], x) + np.vecdot(b, x)
 
-    return FunctionOracle(
+    g = FunctionOracle(
         value=value,
         gradient=lambda x: matvec(q, x) + b,
         description="quadratic",
         smooth=True, affine=True,
     )
+    return q, b, g, float(eigs[0]), 1.0 / float(eigs[-1])
 
 
-def make_quadratic(q, b, name: str = "quadratic") -> ProblemInstance:
+def make_quadratic(q, b) -> ProblemInstance:
     """Smooth instance g(x) = (1/2) x'Qx + b'x with Q symmetric positive definite.
 
     rho = min eigenvalue, beta = 1/max eigenvalue, x* solves Qx = -b.  The
     operator split is a = 0 (identity resolvent), b = grad g.
     """
-    q, lo, hi = _check_spd(q)
     b = np.asarray(b, dtype=float)
     if b.ndim == 0:
-        b = np.full(q.shape[0], float(b))  # scalar means a constant vector
-    b = as_vector(b)
-    if b.size != q.shape[0]:
-        raise ValueError("b has dimension %d, Q is %d-dimensional" % (b.size, q.shape[0]))
-    g = _quadratic_oracle(q, b)
-    beta = 1.0 / hi
+        b = np.full(np.shape(q)[:1], float(b))  # scalar means a constant vector
+    q, b, g, rho, beta = _quadratic(q, b)
     x_star = np.linalg.solve(q, -b)
     return ProblemInstance(
-        name=name,
+        name="quadratic",
         dim=q.shape[0],
-        rho=lo,
+        rho=rho,
         beta=beta,
         a=zero_operator(),
         b=gradient_map(g, beta),
@@ -109,11 +110,11 @@ def make_quadratic(q, b, name: str = "quadratic") -> ProblemInstance:
         f=None,
         g=g,
         descriptor={"kind": "quadratic", "Q": q.tolist(), "b": b.tolist()},
-        description="strongly convex quadratic, eigenvalues in [%g, %g]" % (lo, hi),
+        description="strongly convex quadratic, eigenvalues in [%g, %g]" % (rho, 1.0 / beta),
     )
 
 
-def make_sc_lasso(q, b, w: float, name: str = "sc_lasso") -> ProblemInstance:
+def make_sc_lasso(q, b, w: float) -> ProblemInstance:
     """Strongly convex lasso: minimize w*||x||_1 + (1/2) x'Qx + b'x.
 
     The l1 part adds no strong convexity and no smooth term, so rho and beta
@@ -122,29 +123,19 @@ def make_sc_lasso(q, b, w: float, name: str = "sc_lasso") -> ProblemInstance:
     w = 0 degenerates to the plain quadratic: f is None and a is the zero
     operator.
     """
-    q, lo, hi = _check_spd(q)
-    b = as_vector(b)
-    if b.size != q.shape[0]:
-        raise ValueError("b has dimension %d, Q is %d-dimensional" % (b.size, q.shape[0]))
+    q, b, g, rho, beta = _quadratic(q, b)
     w = float(w)
-    if w < 0.0:
+    if not w >= 0.0:  # so nan is rejected too
         raise ValueError("l1 weight must be nonnegative, got %r" % w)
     f = l1_norm(w) if w > 0.0 else None
-    g = _quadratic_oracle(q, b)
-    beta = 1.0 / hi
-
-    def sum_sel(x):
-        x = np.asarray(x, dtype=float)
-        return w * np.sign(x) + matvec(q, x) + b
-
     inst = ProblemInstance(
-        name=name,
+        name="sc_lasso",
         dim=q.shape[0],
-        rho=lo,
+        rho=rho,
         beta=beta,
         a=prox_resolvent(f) if f is not None else zero_operator(),
         b=gradient_map(g, beta),
-        sum_eval=sum_sel,
+        sum_eval=lambda x: w * np.sign(x) + g.gradient(x),
         x_star=None,
         f=f,
         g=g,
@@ -159,8 +150,9 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
     """The non-cocoercive 2-D instance: a(x) = rho*x - c, b(x) = Sx with a rotation S.
 
     S = [[0, 1], [-1, 0]] is monotone (<Sx, x> = 0) and 1-Lipschitz but not
-    cocoercive for any beta > 0; the sum is rho-strongly monotone.  The
-    resolvent of a is (x + eta*c)/(1 + eta*rho) and x* = (rho*I + S)^{-1} c.
+    cocoercive for any beta > 0; the sum is rho-strongly monotone.  a is the
+    gradient of ``translated_linear(rho, c)``, so its resolvent is that
+    function's prox (x + eta*c)/(1 + eta*rho), and x* = (rho*I + S)^{-1} c.
     """
     rho = positive(rho, "rho")
     c = as_vector(c)
@@ -168,19 +160,17 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
         raise ValueError("skew-rotation instance is 2-D, got c of dimension %d" % c.size)
     s = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x_star = np.linalg.solve(rho * np.eye(2) + s, c)
+    shift = translated_linear(rho, c)
+    rotation = MonotoneMap(eval=lambda x: matvec(s, x), beta=1.0,
+                           description="rotation by 90 degrees", smooth=True, affine=True)
     return ProblemInstance(
         name="skew_rotation",
         dim=2,
         rho=rho,
         beta=1.0,
-        a=ResolventOracle(
-            resolve=lambda eta, x: (np.asarray(x, dtype=float) + eta * c) / (1.0 + eta * rho),
-            description="shifted scaling rho*x - c",
-            smooth=True, affine=True,
-        ),
-        b=MonotoneMap(eval=lambda x: matvec(s, x), beta=1.0,
-                      description="rotation by 90 degrees", smooth=True, affine=True),
-        sum_eval=lambda x: rho * np.asarray(x, dtype=float) - c + matvec(s, x),
+        a=prox_resolvent(shift),
+        b=rotation,
+        sum_eval=lambda x: shift.gradient(x) + rotation.eval(x),
         x_star=x_star,
         f=None,
         g=None,
@@ -201,7 +191,7 @@ def ground_truth(instance: ProblemInstance, tol: float) -> np.ndarray:
     x = np.zeros(instance.dim)
     target = tol * 1e-2
     for _ in range(GROUND_TRUTH_ITERATIONS):
-        x_next = instance.a.resolve(eta, x - eta * instance.b.eval(x))
+        x_next = flows._forward_backward_step(instance.a, instance.b, eta, x)
         res = float(np.linalg.norm(x_next - x))
         x = x_next
         if res <= target:
@@ -291,13 +281,11 @@ def _build_sc_lasso_20d() -> ProblemInstance:
     q = basis @ np.diag(eigs) @ basis.T
     q = 0.5 * (q + q.T)
     b = rng.standard_normal(20)
-    return make_sc_lasso(q, 2.0 * b, w=1.0, name="sc-lasso-20d")
+    return make_sc_lasso(q, 2.0 * b, w=1.0)
 
 
 _REGISTRY = {
-    "quadratic-2d": lambda: make_quadratic(np.diag([1.0, 4.0]),
-                                           np.array([-1.0, -4.0]),
-                                           name="quadratic-2d"),
+    "quadratic-2d": lambda: make_quadratic(np.diag([1.0, 4.0]), np.array([-1.0, -4.0])),
     "sc-lasso-20d": _build_sc_lasso_20d,
     "skew-rotation": lambda: make_skew_rotation(1.0, np.array([1.0, 0.0])),
 }

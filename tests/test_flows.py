@@ -148,8 +148,7 @@ def test_gradient_flows_need_a_gradient():
 
 
 def test_flows_reject_bad_eta():
-    # at build time, by the operators' eta rule: the skew-rotation resolvent
-    # would take any eta without a word
+    # at build time, by the operators' eta rule, before any resolvent is called
     inst = problems.get_problem("skew-rotation")
     for eta in (0.0, -1.0, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="step scale eta must be positive"):

@@ -142,10 +142,16 @@ def test_resolvent_box_normal_cone_is_projection():
 
 
 def test_resolvent_rejects_nonpositive_eta():
-    a = zero_operator()
-    for eta in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            a.resolve(eta, np.array([1.0]))
+    # every resolvent the library builds states the eta rule of check_eta: the zero
+    # operator, the prox of each catalog function and each registry instance's a
+    catalog = [zero_function(), l1_norm(0.7), scaled_sqnorm(2.0), box_indicator(-1.0, 1.0),
+               translated_linear(1.0, [1.0, 0.0])]
+    cases = [(zero_operator(), 2)] + [(prox_resolvent(f), 2) for f in catalog]
+    cases += [(inst.a, inst.dim) for inst in map(problems.get_problem, problems.list_problems())]
+    for a, dim in cases:
+        for eta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^step scale eta must be positive and finite"):
+                a.resolve(eta, np.ones(dim))
 
 
 def test_catalog_declares_smoothness_and_wrappers_inherit_it():

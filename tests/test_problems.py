@@ -1,9 +1,12 @@
 """Benchmark instances: closed-form solutions, moduli, audits, registry."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fbflows.operators import matvec
 from fbflows.problems import (
     audit_instance,
     from_descriptor,
@@ -61,6 +64,23 @@ def test_sc_lasso_zero_weight_degenerates():
         make_sc_lasso(np.eye(2), np.zeros(2), w=-1.0)
 
 
+def test_sc_lasso_rejects_a_nan_weight():
+    # nan is not below 0, yet it is no nonnegative weight either
+    with pytest.raises(ValueError, match="^l1 weight must be nonnegative, got nan$"):
+        make_sc_lasso(np.eye(2), np.zeros(2), w=math.nan)
+
+
+@pytest.mark.parametrize("q", [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                               [[1.0, -math.inf], [-math.inf, 1.0]]],
+                         ids=["nan", "inf", "off-diagonal-inf"])
+def test_quadratic_builders_reject_a_non_finite_q(q):
+    # before the symmetry and eigenvalue rules, which would misname the fault
+    for build in (lambda: make_quadratic(q, [0.0, 0.0]), lambda: make_quadratic(q, 1.0),
+                  lambda: make_sc_lasso(q, [0.0, 0.0], 1.0)):
+        with pytest.raises(ValueError, match="^Q must hold finite numbers only$"):
+            build()
+
+
 def test_skew_rotation_instance():
     inst = make_skew_rotation(1.0, np.array([1.0, 0.0]))
     assert_allclose(inst.x_star, [0.5, 0.5], atol=1e-14)
@@ -69,6 +89,19 @@ def test_skew_rotation_instance():
                     rtol=1e-15)
     assert inst.beta == 1.0
     assert inst.g is None and inst.f is None
+
+
+@pytest.mark.parametrize("rho, c", [(1.0, [1.0, 0.0]), (0.7, [0.3, -1.2])])
+def test_skew_rotation_maps_are_their_closed_forms_bit_for_bit(rho, c):
+    # a's resolvent is (x + eta*c)/(1 + eta*rho) and the sum rho*x - c + Sx,
+    # on a point and on a block, to the last bit
+    inst = make_skew_rotation(rho, c)
+    c, s = np.array(c), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    block = np.random.default_rng(11).uniform(-5.0, 5.0, (50, 2))
+    for x in (block[0], block):
+        for eta in (0.07, 0.3, 1.0):
+            assert np.array_equal(inst.a.resolve(eta, x), (x + eta * c) / (1.0 + eta * rho))
+        assert np.array_equal(inst.sum_eval(x), rho * x - c + matvec(s, x))
 
 
 def test_skew_rotation_validation():
