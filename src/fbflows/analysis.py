@@ -215,9 +215,7 @@ def write_envelope_csv(path, t, envelope: Callable) -> None:
     which ``verify`` takes from the trajectory's even grid, the rows of its
     trajectory.csv."""
     t = np.asarray(t, dtype=float)
-    env = np.asarray(envelope(t), dtype=float)
-    integrate.write_csv(path, ["t", "envelope"], integrate.FLOAT + "," + integrate.FLOAT,
-                        zip(t.tolist(), env.tolist()))
+    integrate.write_table(path, ["t", "envelope"], np.column_stack([t, envelope(t)]))
 
 
 def emit_plot_script(path, metrics_csv: str, dim: int, which: str = "h",

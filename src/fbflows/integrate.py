@@ -12,13 +12,16 @@ is probed once, so the stages are matrix products (then a declared ``kernel``):
 of an affine field's (M, b), stacked per attempt over the stage times, or all
 of a step's from powers of M when every coefficient is a constant ``Profile``.
 Second-order flows are integrated by state augmentation (x, v).  The module
-also owns the artifact format: ``write_csv`` (``FLOAT`` floats round-trip),
+also owns the artifact format: ``write_table`` (all-float tables, each cell the
+bytes of ``FLOAT % v``, which round-trips), ``write_csv`` (rows of mixed types),
 ``write_json``, ``trajectory_columns``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 from typing import NamedTuple, Optional
@@ -475,10 +478,17 @@ def _field(flow: FlowRHS, y0):
     (M_i (y - y0) + b_i) + M_i u."""
     dim, n = y0.size // flow.order, y0.size
     if flow.state_map is None:
-        if flow.order == 1:
-            return "oracle", lambda t, y: np.asarray(flow.rhs(t, y), dtype=float), None, None
-        return "oracle", lambda t, y: np.concatenate(
-            [y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]), dtype=float)]), None, None
+        def oracle(t, y):
+            try:
+                if flow.order == 1:
+                    return np.asarray(flow.rhs(t, y), dtype=float)
+                return np.concatenate([y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]),
+                                                           dtype=float)])
+            except ValueError as err:  # an oracle's own check of a stage past an overflow
+                if np.isfinite(y).all():
+                    raise
+                raise IntegrationError("non-finite state during integration", {"t": t}) from err
+        return "oracle", oracle, None, None
     x0, kernel, coefs = y0[:dim], flow.kernel, (flow.sched.lam, flow.sched.gamma)[:flow.order]
     g, s0 = _probe(flow.state_map, x0)
     fixed = [coef(0.0) if isinstance(coef, Profile) and coef.start == coef.end else None
@@ -619,11 +629,200 @@ def trajectory_columns(dim: int) -> list:
 
 
 def write_csv(path, header, row_format: str, rows) -> None:
-    """Write the header line, then ``row_format % row`` for each row tuple."""
+    """Write the header line, then ``row_format % row`` for each row tuple (rows of
+    mixed types; ``write_table`` writes an all-float table)."""
     line = row_format + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % row for row in rows)
+
+
+def write_table(path, header, table) -> None:
+    """Write the header line, then each row of the 2-D float ``table`` as its cells
+    joined by commas, each cell v the bytes of ``FLOAT % v`` (``_format_cells``).
+    The rows go in ``operators.row_blocks`` blocks counted at 8 numbers per cell,
+    the words of its slot, so that the arrays of a block stay under 1 MB."""
+    table = np.asarray(table, dtype=float)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for rows in row_blocks(table.shape[0], 8 * table.shape[1]):
+            fh.write(_format_cells(table[rows]))
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+_POW_MIN, _POW_MAX = -270, 300  # 10**k rows; 16 - e stays inside for 1e-280 <= |v| <= 1e280
+_X_MAX = 300  # the exponent words cover -_X_MAX <= X <= _X_MAX
+_NUL_WORD = 10000  # index of four NULs in the word table, after the 4-digit groups
+_HEAD = _NUL_WORD + 1 + _X_MAX  # index of the "e" word of exponent X = 0
+_TAIL = _HEAD + 3 * _X_MAX + 1  # index of the units word of X = 0 before a comma
+_TIE = 1e-6  # a scaled value this close to a rounding tie goes through FLOAT % v
+
+
+def _halves(x):
+    """Dekker's split of x into a high half of 26 bits and the rest."""
+    t = x * _SPLIT
+    high = t - (t - x)
+    return high, x - high
+
+
+@functools.cache
+def _cell_tables():
+    """The read-only tables of ``_format_cells``, built on first use.
+
+    ``pow10``: for _POW_MIN <= k <= _POW_MAX, 10**k as hi + lo with hi's Dekker
+    halves: for k >= 0 hi and lo each correctly rounded from the exact integer,
+    for k < 0 a Dekker quotient, within 1e-30 relative.  ``words``:
+    4-byte ASCII words, the 4-digit groups 0000..9999, four NULs, then for each
+    exponent X "e", its sign and its hundreds (or NUL) and tens digits, then for
+    each X and row end its units digit, two NULs and "," or "\\n" (X in fixed
+    form: NULs for the digits).  ``sig``: the count of a 4-digit group's digits
+    up to its last nonzero one.  ``keep_a``, ``keep_b``, ``const``: the slot
+    words of each layout key.
+    """
+    exact = list(itertools.accumulate(range(_POW_MAX), lambda n, _: 10 * n, initial=1))
+    hi = np.array([float(n) for n in exact])
+    lo = np.array([float(n - int(h)) for n, h in zip(exact, hi.tolist())])
+    # 10**-k: q = 1/hi, plus q (1 - q (hi + lo)) with q hi exact by Dekker's product
+    h, q = hi[-_POW_MIN:0:-1], 1 / hi[-_POW_MIN:0:-1]
+    (qh, ql), (hh, hl), p = _halves(q), _halves(h), q * h
+    rest = ((1 - p) - (((qh * hh - p) + qh * hl + ql * hh) + ql * hl)) - q * lo[-_POW_MIN:0:-1]
+    hi, lo = np.concatenate([q, hi]), np.concatenate([q * rest, lo])
+    pow10 = np.stack([hi, lo, *_halves(hi)])
+
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row j: digit j of 0000..9999
+    nz = digits != 0
+    sig = np.where(nz[3], 4, np.where(nz[2], 3, np.where(nz[1], 2, nz[0]))).astype(np.uint8)
+    x = np.arange(-_X_MAX, _X_MAX + 1)
+    ax, expo = np.abs(x), (x < -4) | (x >= 17)
+    head = np.zeros((x.size, 4), np.uint8)  # "e", X's sign, hundreds (or NUL) and tens digits
+    head[:, 0] = ord("e")
+    head[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    head[:, 2] = np.where(ax >= 100, ax // 100 + ord("0"), 0)
+    head[:, 3] = ax // 10 % 10 + ord("0")
+    head[~expo] = 0
+    tail = np.zeros((x.size, 2, 4), np.uint8)  # the units digit, two NULs, then "," or "\n"
+    tail[:, :, 0] = np.where(expo, ax % 10 + ord("0"), 0)[:, None]
+    tail[:, :, 3] = ord(","), ord("\n")
+    words = np.concatenate([digits.T + ord("0"), np.zeros((1, 4), np.uint8), head,
+                            tail.reshape(-1, 4)])
+
+    # the slot's bytes p per layout key (L + 3, n_sig, negative): L integer digits in
+    # fixed form (1 in exponent form; L <= 0: "0." and -L zeros), n_sig digits up to
+    # the last nonzero one
+    lead = np.arange(-3, 18)[:, None, None, None]
+    n_sig = np.arange(18)[:, None, None]
+    neg = np.arange(2)[:, None]
+    p = np.arange(32)
+    n_int = np.maximum(lead, 0)
+    keep_a = ((p >= 3) & (p < 3 + n_int)) | (p >= 24)
+    keep_b = (p >= 7 + n_int) & (p < 7 + n_sig)
+    const = np.zeros((21, 18, 2, 32), np.uint8)
+    const[:, :, 1, 0] = ord("-")
+    const[:4, :, :, 1], const[:4, :, :, 2] = ord("0"), ord(".")  # L <= 0
+    const[np.broadcast_to((p >= 3) & (p < 3 - lead) & (lead <= 0), const.shape)] = ord("0")
+    const[np.broadcast_to((p == 3 + lead) & (lead >= 1) & (n_sig > lead), const.shape)] = ord(".")
+    slots = [np.broadcast_to(v, const.shape).reshape(-1, 32).view(np.uint32)
+             for v in (keep_a * np.uint8(255), keep_b * np.uint8(255), const)]
+    literals = np.array([b"nan", b"inf", b"-inf", b"0", b"-0"], "S31")
+    tables = (pow10, words.view(np.uint32)[:, 0], sig, *slots, literals)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _scaled(a, e, pow10):
+    """a * 10**(16 - e) as hi + lo with |lo| <= ulp(hi)/2: Dekker's exact product
+    of a with the table's hi, plus a times its lo, then a fast two-sum."""
+    s_hi, s_lo, s_hh, s_hl = pow10.take((16 - _POW_MIN) - e, axis=1)
+    prod = a * s_hi
+    ah, al = _halves(a)
+    err = ah * s_hh
+    err -= prod
+    ah *= s_hl
+    err += ah
+    s_hh *= al
+    err += s_hh
+    s_hl *= al
+    err += s_hl
+    s_lo *= a
+    err += s_lo
+    hi = prod + err
+    prod -= hi
+    err += prod
+    return hi, err
+
+
+def _format_cells(block) -> bytes:
+    """The rows of a 2-D float ``block`` as CSV bytes, each cell v exactly ``FLOAT % v``.
+
+    %.17g prints the 17 significant digits D of |v|, correctly rounded, with X
+    the decimal exponent of their first: fixed form for -4 <= X < 17, else
+    "d.ddd" then "e", X's sign and at least two digits, without trailing
+    fraction zeros either way.  Here D is |v| * 10**(16 - X) rounded, scaled
+    in double-double (``_scaled``, error below 1e-14), X from log10 and
+    corrected once where the product leaves [1e16, 1e17).  Each cell fills a
+    32-byte slot of NUL-padded words: A, the ASCII words of D's digits (digit j
+    at byte 3 + j), the exponent and the separator; B, A one word later (digit
+    j at byte 7 + j).  The masks of the cell's layout key (X, the digits up to
+    D's last nonzero one, the sign) keep A's integer digits, B's fraction
+    digits and the exponent, then add the sign, the "0.000" prefix or the
+    point; dropping the NULs leaves the cells.  nan, inf and 0 get their
+    literals.  A cell outside 1e-280 <= |v| <= 1e280, or whose scaled value
+    lies within ``_TIE`` of a rounding tie, is ``FLOAT % v`` itself.
+    """
+    pow10, words, sig, keep_a, keep_b, const, literals = _cell_tables()
+    n, m = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, e, pow10)
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(down | up)
+    if off.size:  # log10 missed X by one near a power of ten
+        e[off] += up[off].astype(np.intp) - down[off]
+        hi[off], lo[off] = _scaled(a[off], e[off], pow10)
+    rounded = np.rint(lo)
+    fast &= np.abs(np.abs(lo - rounded) - 0.5) >= _TIE
+    d = hi.astype(np.int64) + rounded.astype(np.int64)
+    carry = d == 10 ** 17  # rounded up to the next power of ten
+    d[carry] = 10 ** 16
+    e += carry
+
+    index = np.empty((n, m, 8), np.intp)  # A's words
+    cell = index.reshape(-1, 8)
+    q, rem = np.divmod(d, 10 ** 8)
+    top, mid = np.divmod(q, 10 ** 8)
+    g1, g2 = np.divmod(mid, 10 ** 4)
+    g3, g4 = np.divmod(rem, 10 ** 4)
+    cell[:, 0], cell[:, 1], cell[:, 2], cell[:, 3], cell[:, 4] = top, g1, g2, g3, g4
+    cell[:, 5] = _NUL_WORD
+    cell[:, 6] = e + _HEAD
+    index[:, :, 7] = (2 * e + _TAIL).reshape(n, m) + (np.arange(m) == m - 1)
+    a_words = words.take(index).ravel()
+    n_sig = np.where(g4 != 0, 13 + sig.take(g4), np.where(
+        g3 != 0, 9 + sig.take(g3), np.where(g2 != 0, 5 + sig.take(g2), 1 + sig.take(g1))))
+    lead = np.where((e >= -4) & (e < 17), e + 1, 1)
+    key = ((lead + 3) * 18 + n_sig) * 2 + (v < 0)
+    out = keep_a.take(key, axis=0).ravel()
+    out &= a_words
+    b_mask = keep_b.take(key, axis=0).ravel()
+    b_mask[1:] &= a_words[:-1]  # B is A one word later; B's first word is masked
+    out |= b_mask
+    out |= const.take(key, axis=0).ravel()
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        vs = v[slow]
+        text = np.empty(slow.size, "S31")
+        lit = ~(np.abs(vs) > 0) | np.isinf(vs)  # nan, 0 or inf
+        code = np.where(vs[lit] == 0, 3, 1) + np.signbit(vs[lit])
+        text[lit] = literals[np.where(np.isnan(vs[lit]), 0, code)]
+        text[~lit] = [(FLOAT % c).encode() for c in vs[~lit].tolist()]
+        out.view(np.uint8).reshape(-1, 32)[slow, :31] = text.view(np.uint8).reshape(-1, 31)
+    return out.tobytes().translate(None, b"\0")
 
 
 def write_json(path, doc) -> None:
@@ -636,12 +835,9 @@ def write_json(path, doc) -> None:
 def to_csv(traj: Trajectory, metrics: Optional[MetricSeries], path) -> None:
     """Write the ``trajectory_columns`` table at the even-grid samples
     (``traj.grid``); an absent metric is written as nan."""
-    header = trajectory_columns(traj.x.shape[1])
-    grid, index = traj.grid, traj.grid.tolist()
-    absent = [math.nan] * len(index)  # FLOAT formats nan as "nan"
+    grid = traj.grid
+    absent = np.full(grid.size, math.nan)
     series = [getattr(metrics, name, None) for name in METRIC_COLUMNS]
-    rows = zip(traj.t[grid].tolist(), (traj.x[i].tolist() for i in index),
-               (traj.v[i].tolist() for i in index),
-               *[absent if s is None else s[grid].tolist() for s in series])
-    write_csv(path, header, ",".join([FLOAT] * len(header)),
-              ((t, *x, *v, *m) for t, x, v, *m in rows))
+    write_table(path, trajectory_columns(traj.x.shape[1]), np.column_stack(
+        [traj.t[grid], traj.x[grid], traj.v[grid],
+         *[absent if s is None else s[grid] for s in series]]))

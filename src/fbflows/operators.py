@@ -183,10 +183,14 @@ def scaled_sqnorm(c: float) -> FunctionOracle:
         x = as_points(x)
         return 0.5 * c * np.vecdot(x, x)
 
+    def _prox(eta, x):
+        eta = check_eta(eta)
+        return as_points(x) / (1.0 + eta * c)
+
     return FunctionOracle(
         value=_value,
         gradient=lambda x: c * as_points(x),
-        prox=lambda eta, x: as_points(x) / (1.0 + check_eta(eta) * c),
+        prox=_prox,
         description="scaled_sqnorm(c=%g)" % c,
         smooth=True, affine=True,
     )
@@ -226,10 +230,14 @@ def translated_linear(rho: float, c) -> FunctionOracle:
         x = as_points(x)
         return 0.5 * rho * np.vecdot(x, x) - np.vecdot(c, x)
 
+    def _prox(eta, x):
+        eta = check_eta(eta)
+        return (as_points(x) + eta * c) / (1.0 + eta * rho)
+
     return FunctionOracle(
         value=_value,
         gradient=lambda x: rho * as_points(x) - c,
-        prox=lambda eta, x: (as_points(x) + check_eta(eta) * c) / (1.0 + eta * rho),
+        prox=_prox,
         description="translated_linear(rho=%g)" % rho,
         smooth=True, affine=True,
     )

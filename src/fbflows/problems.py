@@ -12,6 +12,7 @@ more.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Callable, Optional
 
@@ -307,11 +308,18 @@ def get_problem(name: str) -> ProblemInstance:
 
 
 def _numbers(desc: dict, key: str) -> np.ndarray:
-    """A number or (nested) lists of numbers as a float array, each entry finite."""
+    """A number or (nested) lists of numbers as a float array, each entry passing
+    ``operators.finite_number``: when every entry is exactly an int or a float, by
+    one ``np.isfinite`` over the float array, else entry by entry."""
     v = np.asarray(desc[key], dtype=object)
-    if not all(map(operators.finite_number, v.flat)):
-        raise ValueError("'%s' must hold finite numbers only" % key)
-    return v.astype(float)
+    if set(map(type, v.flat)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            out = v.astype(float)
+            if np.isfinite(out).all():
+                return out
+    elif all(map(operators.finite_number, v.flat)):
+        return v.astype(float)
+    raise ValueError("'%s' must hold finite numbers only" % key)
 
 
 _DESCRIPTOR_KEYS = {"quadratic": {"kind", "Q", "b"}, "sc_lasso": {"kind", "Q", "b", "w"},

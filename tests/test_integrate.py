@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from fractions import Fraction
 import warnings
 from types import SimpleNamespace
 
@@ -15,11 +16,13 @@ from fbflows import integrate as integrate_module
 from fbflows import problems
 from fbflows.flows import FlowRHS, Profile, Schedule, fb1_rhs, fb2_rhs, grad1_rhs, grad2_rhs
 from fbflows.integrate import (
+    FLOAT,
     Adaptive,
     IntegrationError,
     integrate,
     record_metrics,
     to_csv,
+    write_table,
 )
 from fbflows.operators import (MonotoneMap, ResolventOracle, box_indicator, l1_norm,
                                prox_resolvent, row_blocks, zero_operator)
@@ -824,6 +827,87 @@ def test_csv_missing_metrics_are_nan(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x_0,x_1,v_0,v_1,h,u,gap,gradnorm"
     assert lines[1].endswith("nan,nan,nan,nan")
+
+
+def _near_ties(js):
+    """Doubles v whose 17 significant digits end about 2**-52 units from a rounding
+    tie, one per decade 10**-j and binary exponent: v = m 2**-(s + j), m of 53
+    bits, scales to v 10**(j) = m 5**j / 2**s in [1e16, 1e17), and m 5**j mod
+    2**s lies near 2**(s - 1).  The lattice of (w m, m 5**j mod 2**s), w
+    weighing m's range against the residue, is Gauss-reduced, and the point
+    nearest (w 1.5 2**52, 2**(s - 1)) is found by rounding its coordinates (Babai)."""
+    out = []
+    for j in js:
+        for s in range(int(2.32 * j) - 4, int(2.33 * j) + 5):
+            n = 1 << s
+            if (5 ** j << 53) > (10 ** 17 << s) or (5 ** j << 52) < (10 ** 16 << s):
+                continue
+            w = max(1, n >> 103)
+            b1, b2 = (w, pow(5, j, n)), (0, n)
+            while True:
+                if b1[0] ** 2 + b1[1] ** 2 > b2[0] ** 2 + b2[1] ** 2:
+                    b1, b2 = b2, b1
+                mu = round(Fraction(b1[0] * b2[0] + b1[1] * b2[1], b1[0] ** 2 + b1[1] ** 2))
+                if mu == 0:
+                    break
+                b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+            det, t = b1[0] * b2[1] - b1[1] * b2[0], (w * (3 << 51), n // 2)
+            x = round(Fraction(t[0] * b2[1] - t[1] * b2[0], det))
+            y = round(Fraction(b1[0] * t[1] - b1[1] * t[0], det))
+            m = (x * b1[0] + y * b2[0]) // w
+            if 1 << 52 <= m < 1 << 53:
+                out.append(math.ldexp(m, -(s + j)))
+    return out
+
+
+def _exact_ties(rng):
+    """Doubles whose 17 significant digits are followed by exactly 5: v 10**j =
+    m 5**j / 2 for odd m, with m 5**j in [2e16, 2e17) and m below 2**53."""
+    out = [1234567890123456.75]
+    for j in range(1, 25):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** j), min(2 * 10 ** 17 // 5 ** j, 2 ** 53)
+        out += [(m | 1) / 2 ** (j + 1) for m in rng.integers(lo, hi, 10).tolist()
+                if (m | 1) < hi]
+    return out
+
+
+def test_write_table_writes_the_bytes_of_the_float_format(tmp_path):
+    # every cell against FLOAT % v: random bit patterns, subnormals, magnitudes
+    # from 1e-300 to 1e300, integers and eighths, exact and near rounding ties,
+    # each power of ten with its neighbours one ulp away, and the literals, each
+    # with both signs, over several row blocks
+    rng = np.random.default_rng(34)
+    powers = np.array([float("1e%d" % k) for k in range(-300, 301)])
+    cells = np.concatenate([
+        rng.integers(0, 2 ** 64, 6000, dtype=np.uint64).view(float),
+        rng.integers(1, 2 ** 52, 500, dtype=np.uint64).view(float),
+        rng.random(6000) * 10.0 ** rng.uniform(-300, 300, 6000),
+        rng.integers(-2 ** 53, 2 ** 53, 1000).astype(float),
+        rng.integers(-10 ** 6, 10 ** 6, 1000) / 8.0,
+        _exact_ties(rng), _near_ties(range(23, 297, 3)),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+        [0.0, math.nan, math.inf]])
+    cells = np.concatenate([cells, -cells, np.zeros(-2 * cells.size % 7)])
+    table = cells.reshape(-1, 7)
+    assert len(row_blocks(len(table), 8 * 7)) > 1
+    path = tmp_path / "table.csv"
+    write_table(path, list("abcdefg"), table)
+    expected = "a,b,c,d,e,f,g\n" + "".join(
+        ",".join(FLOAT % c for c in row) + "\n" for row in table.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+def test_the_oracle_path_aborts_a_diverging_run_with_an_integration_error():
+    # fb2 on skew-rotation at lambda 40, gamma 0.01 diverges; without a state_map
+    # a stage past the overflow reaches the catalog oracles, whose own check of
+    # the stage state raises ValueError
+    flow = dataclasses.replace(
+        fb2_rhs(SKEW.a, SKEW.b, 1.0, Schedule.constant(40.0, gamma=0.01)), state_map=None)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            IntegrationError, match="non-finite state during integration") as exc:
+        integrate(flow, np.array([1.0, 0.0]), v0=np.zeros(2), t_end=500.0)
+    assert 0.0 < exc.value.diagnostics["t"] < 500.0
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def _interp_reference(steps, tau):

@@ -154,6 +154,15 @@ def test_resolvent_rejects_nonpositive_eta():
                 a.resolve(eta, np.ones(dim))
 
 
+def test_catalog_prox_checks_eta_before_x():
+    # given a bad eta and a bad x, every catalog prox names eta
+    catalog = [zero_function(), l1_norm(0.7), scaled_sqnorm(2.0), box_indicator(-1.0, 1.0),
+               translated_linear(1.0, [1.0])]
+    for f in catalog:
+        with pytest.raises(ValueError, match="^step scale eta must be positive and finite"):
+            f.prox(0.0, np.array([math.nan]))
+
+
 def test_catalog_declares_smoothness_and_wrappers_inherit_it():
     smooth = [zero_function(), scaled_sqnorm(2.0), translated_linear(1.0, [1.0, 0.0])]
     kinked = [l1_norm(1.0), box_indicator(-1.0, 1.0), FunctionOracle(value=abs, prox=abs)]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fbflows.operators import matvec
+from fbflows import problems
+from fbflows.operators import finite_number, matvec
 from fbflows.problems import (
     audit_instance,
     from_descriptor,
@@ -239,6 +240,19 @@ def test_descriptor_round_trip(name):
     assert np.linalg.norm(rebuilt.x_star - inst.x_star) <= 1e-9
     assert rebuilt.rho == pytest.approx(inst.rho, rel=1e-12)
     assert rebuilt.beta == pytest.approx(inst.beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [[[2.0, 0], [0, entry]] for entry in (
+    True, np.float64(2.0), 10 ** 400, 10 ** 300, math.nan, "1.0", None)] + [[[2.0, 0.0], [1.0]]])
+def test_descriptor_numbers_keep_the_entry_rule(q):
+    # all-int-or-float entries take one vectorised test, any other type the
+    # per-entry rule; both accept and reject as finite_number does, 10**400 and
+    # the ragged Q included
+    if all(map(finite_number, np.asarray(q, dtype=object).flat)):
+        assert np.array_equal(problems._numbers({"Q": q}, "Q"), np.asarray(q, dtype=float))
+    else:
+        with pytest.raises(ValueError, match="^'Q' must hold finite numbers only$"):
+            from_descriptor({"kind": "quadratic", "Q": q, "b": [0, 1]})
 
 
 def test_descriptor_validation():
