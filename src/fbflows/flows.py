@@ -202,7 +202,7 @@ def grad2_rhs(g: FunctionOracle, sched: Schedule) -> FlowRHS:
     return _gradient_flow(2, g, sched)
 
 
-def residual(a: ResolventOracle, b: MonotoneMap, eta: float, x) -> float:
-    """Fixed-point residual ||x - J_{eta A}(x - eta*B(x))||; zero exactly at solutions."""
+def residual(a: ResolventOracle, b: MonotoneMap, x) -> float:
+    """Fixed-point residual ||x - J_A(x - B(x))|| (eta = 1); zero exactly at solutions."""
     x = as_vector(x)
-    return float(np.linalg.norm(x - _forward_backward_step(a, b, eta, x)))
+    return float(np.linalg.norm(x - _forward_backward_step(a, b, 1.0, x)))

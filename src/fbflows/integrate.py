@@ -49,6 +49,7 @@ class Adaptive:
 
 
 N_DENSE = 500  # default count of the even grid of interpolated samples
+MAX_STEPS = 1_000_000  # step attempts of one run, accepted plus rejected
 
 
 @dataclasses.dataclass
@@ -296,9 +297,9 @@ def _power_table(pair):
     return np.column_stack(alpha)
 
 
-def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None,
-                    max_steps=1_000_000):
-    """Integrate with ``pair`` from t = 0; returns (steps, t, y, stats).
+def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None):
+    """Integrate with ``pair`` from t = 0, in at most ``MAX_STEPS`` attempts; returns
+    (steps, t, y, stats).
 
     ``steps`` holds one list per field of the accepted steps: the left end,
     the width h and the dense-output coefficients (y, the Hermite terms, then
@@ -348,7 +349,7 @@ def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None,
         powers = np.concatenate(powers)  # (m/s)^p stacked, one block of rows per p
 
     while t < t_end - 1e-14 * max(t_end, 1.0):
-        if n_acc + n_rej >= max_steps:
+        if n_acc + n_rej >= MAX_STEPS:
             raise IntegrationError(
                 "step budget exhausted",
                 {"t": t, "accepted": n_acc, "rejected": n_rej})
@@ -465,7 +466,9 @@ def _probe(state_map, x0):
 def _field(flow: FlowRHS, y0):
     """(path, field, M, stages) of a flow on y = x or (x, v), for ``_accepted_steps``.
 
-    Without a ``state_map`` the path is ``"oracle"``, the field of ``flow.rhs``.
+    Without a ``state_map`` the path is ``"oracle"``, the field of ``flow.rhs``; an
+    oracle's ValueError on a non-finite stage state gives a nan field, which the
+    step loop's finiteness test stops.
     Else the map is probed once into (G, S(x0)), each constant ``Profile``
     coefficient is bound to its value, and the field is lambda F(x), or
     (v, lambda F(x) - gamma v) at order 2, F anchored at the oracles' own S(x0).
@@ -484,10 +487,10 @@ def _field(flow: FlowRHS, y0):
                     return np.asarray(flow.rhs(t, y), dtype=float)
                 return np.concatenate([y[dim:], np.asarray(flow.rhs(t, y[:dim], y[dim:]),
                                                            dtype=float)])
-            except ValueError as err:  # an oracle's own check of a stage past an overflow
+            except ValueError:  # an oracle's own check of a stage past an overflow
                 if np.isfinite(y).all():
                     raise
-                raise IntegrationError("non-finite state during integration", {"t": t}) from err
+                return np.full(y.size, math.nan)
         return "oracle", oracle, None, None
     x0, kernel, coefs = y0[:dim], flow.kernel, (flow.sched.lam, flow.sched.gamma)[:flow.order]
     g, s0 = _probe(flow.state_map, x0)

@@ -56,13 +56,11 @@ def matvec(q: Array, x) -> Array:
 class MonotoneMap:
     """A single-valued monotone map, evaluated on a point (d,) or a block (n, d).
 
-    ``beta`` is the cocoercivity-style scale: the map is claimed to be
-    (1/beta)-Lipschitz.  Claims are advisory; ``audit_map`` checks them.
-    ``smooth`` declares the map free of kinks, ``affine`` affine in x.
+    ``smooth`` declares the map free of kinks, ``affine`` affine in x.  Its
+    Lipschitz claim is the instance's ``beta``; ``audit_map`` checks it.
     """
 
     eval: Callable[[Array], Array]
-    beta: float
     description: str = ""
     smooth: bool = False
     affine: bool = False
@@ -260,43 +258,39 @@ def zero_operator() -> ResolventOracle:
     return prox_resolvent(zero_function())
 
 
-def gradient_map(g: FunctionOracle, beta: float) -> MonotoneMap:
-    """Wrap the gradient of a differentiable oracle as a (1/beta)-Lipschitz map,
-    as smooth and as affine as g."""
+def gradient_map(g: FunctionOracle) -> MonotoneMap:
+    """Wrap the gradient of a differentiable oracle as a map, as smooth and as
+    affine as g."""
     if g.gradient is None:
         raise ValueError("function oracle %r has no gradient" % (g.description,))
-    beta = positive(beta, "beta")
-    return MonotoneMap(eval=g.gradient, beta=beta, description="grad " + g.description,
+    return MonotoneMap(eval=g.gradient, description="grad " + g.description,
                        smooth=g.smooth, affine=g.affine)
 
 
 # ---------------------------------------------------------------------------
 # independent brute-force prox (1-D), used as an oracle in tests
 
+BRUTE_FORCE_GRID = 10_000  # points of brute_force_prox's scan
+BRUTE_FORCE_REFINE = 90    # and its most golden-section steps
 
-def brute_force_prox(
-    value: Callable,
-    eta: float,
-    x: float,
-    halfwidth: float,
-    n_grid: int = 10_000,
-    n_refine: int = 90,
-) -> float:
+
+def brute_force_prox(value: Callable, eta: float, x: float, halfwidth: float) -> float:
     """Minimize f(p) + (p - x)^2 / (2*eta) over a 1-D window by direct search.
 
     ``value`` must accept scalars or numpy arrays elementwise.  The search
-    scans ``n_grid`` points on [x - halfwidth, x + halfwidth] and refines the
-    best bracket by golden-section.  The window must contain the minimizer;
-    the objective is strictly convex, so the bracket search is reliable.
+    scans ``BRUTE_FORCE_GRID`` points on [x - halfwidth, x + halfwidth] and
+    refines the best bracket by at most ``BRUTE_FORCE_REFINE`` golden-section
+    steps.  The window must contain the minimizer; the objective is strictly
+    convex, so the bracket search is reliable.
     """
     eta = check_eta(eta)
     halfwidth = positive(halfwidth, "halfwidth")
-    grid = np.linspace(x - halfwidth, x + halfwidth, n_grid)
+    grid = np.linspace(x - halfwidth, x + halfwidth, BRUTE_FORCE_GRID)
     with np.errstate(invalid="ignore"):
         obj = np.asarray(value(grid), dtype=float) + (grid - x) ** 2 / (2.0 * eta)
     k = int(np.nanargmin(obj))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, n_grid - 1)]
+    hi = grid[min(k + 1, BRUTE_FORCE_GRID - 1)]
 
     def phi(p):
         return float(value(p)) + (p - x) ** 2 / (2.0 * eta)
@@ -306,7 +300,7 @@ def brute_force_prox(
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1, f2 = phi(c1), phi(c2)
-    for _ in range(n_refine):
+    for _ in range(BRUTE_FORCE_REFINE):
         if b - a < 1e-13 * (1.0 + abs(x)):
             break
         if f1 <= f2:
@@ -348,7 +342,7 @@ class MapAuditReport:
 _BLOCK_FLOATS = 16384
 AUDIT_RADIUS = 10.0  # the audits draw their points from the ball of this radius
 AUDIT_SLACK = 1e-9   # additive slack of the monotone and Lipschitz claims
-AUDIT_PAIRS = 1000   # default sample pairs of a map audit
+AUDIT_PAIRS = 1000   # sample pairs of a map audit
 
 
 def row_blocks(n: int, dim: int) -> list:
@@ -358,12 +352,13 @@ def row_blocks(n: int, dim: int) -> list:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> Array:
-    """n points drawn uniformly from the closed ball of the given radius, one per row.
+def ball_points(rng: np.random.Generator, n: int, dim: int) -> Array:
+    """n points drawn uniformly from the closed ball of radius ``AUDIT_RADIUS``, one
+    per row.
 
     The directions are one (n, dim) block of normals; a row of norm at most
     1e-12 is drawn again, the others are kept.  Then n uniforms u give the
-    radii radius * u**(1/dim).
+    radii AUDIT_RADIUS * u**(1/dim).
     """
     u = rng.standard_normal((n, dim))
     norm = np.sqrt(np.vecdot(u, u))  # bitwise np.linalg.norm of each row
@@ -372,19 +367,19 @@ def ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> Ar
         u[short] = rng.standard_normal((short.size, dim))
         norm[short] = np.sqrt(np.vecdot(u[short], u[short]))
         short = short[norm[short] <= 1e-12]
-    r = radius * rng.random(n) ** (1.0 / dim)
+    r = AUDIT_RADIUS * rng.random(n) ** (1.0 / dim)
     return (r / norm)[:, None] * u
 
 
-def _draw_pairs(rng: np.random.Generator, n: int, dim: int, radius: float):
+def _draw_pairs(rng: np.random.Generator, n: int, dim: int):
     """n pairs from the ball: a block of first points, a block of second points,
     then each second point within 1e-10 of its first point drawn again."""
-    xs = ball_points(rng, n, dim, radius)
-    ys = ball_points(rng, n, dim, radius)
+    xs = ball_points(rng, n, dim)
+    ys = ball_points(rng, n, dim)
     dx = xs - ys
     close = np.flatnonzero(np.vecdot(dx, dx) <= 1e-20)
     while close.size:
-        ys[close] = ball_points(rng, close.size, dim, radius)
+        ys[close] = ball_points(rng, close.size, dim)
         dx = xs[close] - ys[close]
         close = close[np.vecdot(dx, dx) <= 1e-20]
     return xs, ys
@@ -395,10 +390,9 @@ def audit_map(
     dim: int,
     rho_claim: Optional[float] = None,
     beta_claim: Optional[float] = None,
-    n_pairs: int = AUDIT_PAIRS,
     seed: int = 0,
 ) -> MapAuditReport:
-    """Probe a map on random pairs and test the claimed constants.
+    """Probe a map on ``AUDIT_PAIRS`` random pairs and test the claimed constants.
 
     Pairs are drawn uniformly from the ball of radius ``AUDIT_RADIUS``, a block
     of pairs at a time (``_draw_pairs``).  Checks, each with additive slack
@@ -416,12 +410,11 @@ def audit_map(
     non-finite map value fails every claim it enters.  Sampling can only
     refute a claim, not certify it.
     """
-    if n_pairs < 1:
-        raise ValueError("need at least one sample pair")
+    n_pairs = AUDIT_PAIRS
     rng = np.random.default_rng(seed)
     nx2, inner, df2 = np.empty((3, n_pairs))
     for rows in row_blocks(n_pairs, dim):
-        xs, ys = _draw_pairs(rng, rows.stop - rows.start, dim, AUDIT_RADIUS)
+        xs, ys = _draw_pairs(rng, rows.stop - rows.start, dim)
         dx = xs - ys
         df = np.asarray(map_eval(xs), dtype=float) - np.asarray(map_eval(ys), dtype=float)
         # vecdot takes each row's dot product as the 1-D np.dot does, bit for bit

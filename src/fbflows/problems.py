@@ -48,7 +48,6 @@ class ProblemInstance:
     x_star: Optional[np.ndarray]
     f: Optional[FunctionOracle]
     g: Optional[FunctionOracle]
-    descriptor: dict
     description: str = ""
 
 
@@ -105,12 +104,11 @@ def make_quadratic(q, b) -> ProblemInstance:
         rho=rho,
         beta=beta,
         a=zero_operator(),
-        b=gradient_map(g, beta),
+        b=gradient_map(g),
         sum_eval=g.gradient,
         x_star=x_star,
         f=None,
         g=g,
-        descriptor={"kind": "quadratic", "Q": q.tolist(), "b": b.tolist()},
         description="strongly convex quadratic, eigenvalues in [%g, %g]" % (rho, 1.0 / beta),
     )
 
@@ -135,15 +133,14 @@ def make_sc_lasso(q, b, w: float) -> ProblemInstance:
         rho=rho,
         beta=beta,
         a=prox_resolvent(f) if f is not None else zero_operator(),
-        b=gradient_map(g, beta),
+        b=gradient_map(g),
         sum_eval=lambda x: w * np.sign(x) + g.gradient(x),
         x_star=None,
         f=f,
         g=g,
-        descriptor={"kind": "sc_lasso", "Q": q.tolist(), "b": b.tolist(), "w": w},
         description="l1-regularized strongly convex quadratic (w=%g)" % w,
     )
-    inst.x_star = ground_truth(inst, tol=GROUND_TRUTH_TOL)
+    inst.x_star = ground_truth(inst)
     return inst
 
 
@@ -162,8 +159,8 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
     s = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x_star = np.linalg.solve(rho * np.eye(2) + s, c)
     shift = translated_linear(rho, c)
-    rotation = MonotoneMap(eval=lambda x: matvec(s, x), beta=1.0,
-                           description="rotation by 90 degrees", smooth=True, affine=True)
+    rotation = MonotoneMap(eval=lambda x: matvec(s, x), description="rotation by 90 degrees",
+                           smooth=True, affine=True)
     return ProblemInstance(
         name="skew_rotation",
         dim=2,
@@ -175,22 +172,21 @@ def make_skew_rotation(rho: float, c) -> ProblemInstance:
         x_star=x_star,
         f=None,
         g=None,
-        descriptor={"kind": "skew_rotation", "rho": rho, "c": c.tolist()},
         description="monotone + Lipschitz but not cocoercive",
     )
 
 
-def ground_truth(instance: ProblemInstance, tol: float) -> np.ndarray:
+def ground_truth(instance: ProblemInstance) -> np.ndarray:
     """Independent solution oracle: damped fixed-point iteration of the splitting step.
 
     Runs x+ = J_{eta a}(x - eta*b(x)) with eta = beta*min(1, rho*beta), a step
     safely inside the contraction region for strongly monotone sums, until the
-    update norm falls below tol/100, within ``GROUND_TRUTH_ITERATIONS``.
+    update norm falls below ``GROUND_TRUTH_TOL``/100, within
+    ``GROUND_TRUTH_ITERATIONS``.
     """
-    tol = positive(tol, "tol")
     eta = instance.beta * min(1.0, instance.rho * instance.beta)
     x = np.zeros(instance.dim)
-    target = tol * 1e-2
+    target = GROUND_TRUTH_TOL * 1e-2
     for _ in range(GROUND_TRUTH_ITERATIONS):
         x_next = flows._forward_backward_step(instance.a, instance.b, eta, x)
         res = float(np.linalg.norm(x_next - x))
@@ -239,14 +235,14 @@ def audit_instance(instance: ProblemInstance, seed: int = 0) -> InstanceAuditRep
         failures.append("b exceeds the claimed Lipschitz modulus 1/beta")
 
     x_star = instance.x_star
-    residual = flows.residual(instance.a, instance.b, 1.0, x_star)
+    residual = flows.residual(instance.a, instance.b, x_star)
     if residual > 1e-9:
         failures.append("fixed-point residual at x_star above 1e-9")
 
     sandwich = None
     if instance.g is not None and instance.f is None:
         rng = np.random.default_rng(seed + 2)
-        xs = operators.ball_points(rng, 200, instance.dim, operators.AUDIT_RADIUS)
+        xs = operators.ball_points(rng, 200, instance.dim)
         err = xs - x_star
         grads = instance.g.gradient(xs)
         g_star = float(instance.g.value(x_star))

@@ -1,7 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, determinism."""
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -225,8 +224,7 @@ def test_fb2_simulate_without_a_step_scale_exits_1(tmp_path, capsys, rho, alpha,
 def test_an_integration_error_writes_error_json(tmp_path, capsys, monkeypatch, command):
     # a step budget of 5: the run stops with "step budget exhausted"; the stderr
     # line and exit 1 stay, and error.json holds the message and its diagnostics
-    monkeypatch.setattr(integrate, "_accepted_steps",
-                        functools.partial(integrate._accepted_steps, max_steps=5))
+    monkeypatch.setattr(integrate, "MAX_STEPS", 5)
     out = tmp_path / "o"
     assert cli.execute(FB1_VERIFY, command, out_dir=str(out), quiet=True) == 1
     assert "run failed: step budget exhausted" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from fbflows.operators import (
     zero_operator,
 )
 
-IDENTITY_MAP = MonotoneMap(eval=lambda x: np.asarray(x, dtype=float), beta=1.0)
+IDENTITY_MAP = MonotoneMap(eval=lambda x: np.asarray(x, dtype=float))
 
 
 def test_fb1_rhs_hand_arithmetic():
@@ -292,8 +292,8 @@ def test_first_order_fields_take_a_column_of_times():
 
 def test_residual_vanishes_only_at_solution():
     inst = problems.get_problem("skew-rotation")
-    assert residual(inst.a, inst.b, 1.0, inst.x_star) <= 1e-9
-    assert residual(inst.a, inst.b, 1.0, inst.x_star + np.array([0.1, 0.0])) > 1e-3
+    assert residual(inst.a, inst.b, inst.x_star) <= 1e-9
+    assert residual(inst.a, inst.b, inst.x_star + np.array([0.1, 0.0])) > 1e-3
 
 
 def test_schedule_constant_applies_the_positive_rule_to_every_coefficient():

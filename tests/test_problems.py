@@ -115,16 +115,11 @@ def test_skew_rotation_validation():
 
 
 @pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
-def test_ground_truth_agrees_with_shipped_solution(name):
+def test_ground_truth_agrees_with_shipped_solution(name, monkeypatch):
     inst = get_problem(name)
-    gt = ground_truth(inst, tol=1e-9)
+    monkeypatch.setattr(problems, "GROUND_TRUTH_TOL", 1e-9)
+    gt = ground_truth(inst)
     assert np.linalg.norm(gt - inst.x_star) <= 1e-9
-
-
-def test_ground_truth_validation():
-    inst = get_problem("quadratic-2d")
-    with pytest.raises(ValueError, match="positive"):
-        ground_truth(inst, tol=0.0)
 
 
 @pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
@@ -233,13 +228,36 @@ def test_sc_lasso_20d_is_deterministic():
     assert_allclose(a.beta, 0.2, rtol=1e-12)
 
 
+def _lasso_20d_data():
+    """(Q, b, w) of the registry's sc-lasso-20d recipe."""
+    rng = np.random.default_rng(715225741)
+    basis, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    q = basis @ np.diag(np.linspace(1.0, 5.0, 20)) @ basis.T
+    return 0.5 * (q + q.T), 2.0 * rng.standard_normal(20), 1.0
+
+
+def _descriptor_case(name):
+    """(descriptor, the builder's direct call) of a registry instance."""
+    if name == "quadratic-2d":
+        q, b = [[1.0, 0.0], [0.0, 4.0]], [-1.0, -4.0]
+        return {"kind": "quadratic", "Q": q, "b": b}, lambda: make_quadratic(q, b)
+    if name == "sc-lasso-20d":
+        q, b, w = _lasso_20d_data()
+        desc = {"kind": "sc_lasso", "Q": q.tolist(), "b": b.tolist(), "w": w}
+        return desc, lambda: make_sc_lasso(q, b, w)
+    return ({"kind": "skew_rotation", "rho": 1.0, "c": [1.0, 0.0]},
+            lambda: make_skew_rotation(1.0, [1.0, 0.0]))
+
+
 @pytest.mark.parametrize("name", ["quadratic-2d", "sc-lasso-20d", "skew-rotation"])
 def test_descriptor_round_trip(name):
-    inst = get_problem(name)
-    rebuilt = from_descriptor(inst.descriptor)
-    assert np.linalg.norm(rebuilt.x_star - inst.x_star) <= 1e-9
-    assert rebuilt.rho == pytest.approx(inst.rho, rel=1e-12)
-    assert rebuilt.beta == pytest.approx(inst.beta, rel=1e-12)
+    # a descriptor of each kind builds, bit for bit, the builder's direct call
+    # on the same numbers, and the registry instance of that data
+    desc, build = _descriptor_case(name)
+    rebuilt = from_descriptor(desc)
+    for inst in (build(), get_problem(name)):
+        assert rebuilt.x_star.tobytes() == inst.x_star.tobytes()
+        assert (rebuilt.rho, rebuilt.beta) == (inst.rho, inst.beta)
 
 
 @pytest.mark.parametrize("q", [[[2.0, 0], [0, entry]] for entry in (
