@@ -184,28 +184,33 @@ def value_chain(h, gap, gradnorm, rho: float, beta: float) -> ChainReport:
 
 @dataclasses.dataclass(frozen=True)
 class LyapunovReport:
-    """Drift statistics of L(t) = e^t*(h' + (gamma(t)-1)*h + b2(t)*u) along samples."""
+    """Drift statistics of L(t) = e^t*(h' + (gamma(t)-1)*h + b2(t)*u) along samples:
+    ``initial`` is L(0), the others are of e^-shift L."""
 
     n_samples: int
     initial: float
     final: float
     max_drift_rate: float
     drift_tolerance: float
+    shift: float
     passed: bool
 
 
-def verify_lyapunov(t, lyap) -> LyapunovReport:
-    """Check that the Lyapunov quantity, sampled as ``lyap`` at the times ``t``
-    (``certificates.lyapunov``), is nonincreasing: up to a drift of
-    DRIFT_SCALE*(1 + |L(0)|) per unit time between consecutive samples."""
-    tol = DRIFT_SCALE * (1.0 + abs(float(lyap[0])))
+def verify_lyapunov(t, lyap, shift: float = 0.0, initial=None) -> LyapunovReport:
+    """Check that the Lyapunov quantity L, sampled as ``lyap`` = e^-shift L at the times
+    ``t`` (``certificates.lyapunov``), is nonincreasing: up to a drift of
+    DRIFT_SCALE*(1 + |L(0)|) per unit time, scaled by the same e^-shift, so the
+    decision is L's own.  ``initial`` is L(0), by default lyap[0] (shift 0)."""
+    initial = float(lyap[0]) if initial is None else float(initial)
+    tol = DRIFT_SCALE * (1.0 + abs(initial)) * math.exp(-shift)
     max_rate = float(np.max(np.diff(lyap) / np.diff(t))) if t.size > 1 else 0.0
     return LyapunovReport(
         n_samples=int(t.size),
-        initial=float(lyap[0]),
+        initial=initial,
         final=float(lyap[-1]),
         max_drift_rate=max_rate,
         drift_tolerance=tol,
+        shift=float(shift),
         passed=max_rate <= tol,
     )
 

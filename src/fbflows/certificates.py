@@ -467,13 +467,14 @@ def certify_grid(system: str, rho: float, beta: float, cells: dict,
 # decay lemma: the Lyapunov quantity and the closed-form bound
 
 
-def lyapunov(cert: RateCertificate, sched: Schedule, t, h, hdot, u):
-    """The decay lemma's Lyapunov quantity of a second-order certificate,
+def lyapunov(cert: RateCertificate, sched: Schedule, t, h, hdot, u, shift: float = 0.0):
+    """The decay lemma's Lyapunov quantity of a second-order certificate, times e^-shift,
 
         L(t) = e^t * (h' + (gamma(t) - 1)*h + b2(t)*u),  b2(t) = r*gamma(t)/lambda(t),
 
     at a float t or an array of times, given the lemma's h, its derivative h'
-    and u = ||x'||^2 there.  fb2's h is ||x - x*||^2/2 and
+    and u = ||x'||^2 there, as e^(t - shift)*(...): a shift at the horizon keeps
+    it finite past t = 709.78, where e^t overflows.  fb2's h is ||x - x*||^2/2 and
     r = (rho + 1/eta - S)/(2*rho + 1/eta); grad2's h is the value gap and
     r = 1/2.  The lemma's hypotheses, which the certificate's checks imply,
     make L nonincreasing, so h obeys ``lemma_bound`` with M = L(0).  gamma
@@ -490,7 +491,7 @@ def lyapunov(cert: RateCertificate, sched: Schedule, t, h, hdot, u):
         b2 = (gamma / lam) * ((rho + inv_eta - big_s) / (2.0 * rho + inv_eta))
     else:
         b2 = gamma / (2.0 * lam)
-    return np.exp(t) * (hdot + (gamma - 1.0) * h + b2 * u)
+    return np.exp(t - shift) * (hdot + (gamma - 1.0) * h + b2 * u)
 
 
 def lemma_bound(gamma_lower: float, h0: float, m: float, t):

@@ -336,12 +336,13 @@ def _verify_reports(cfg, inst, cert, sched, traj, metrics):
     if cert.transient_exponent is None:
         m_raw = m = None
     elif which == "h":
-        # the lemma's h is ||x - x*||^2/2, so h' = <x - x*, v> and the envelope takes 2M
+        # the lemma's h is ||x - x*||^2/2, so h' = <x - x*, v> and the envelope takes 2M;
+        # the drift check reads e^-T L, T = t_end, which no horizon overflows
         err = traj.x - metrics.x_star[None, :]
-        lyap = certificates.lyapunov(cert, sched, traj.t, 0.5 * metrics.h,
-                                     np.einsum("ij,ij->i", err, traj.v), metrics.u)
-        reports["lyapunov"] = analysis.verify_lyapunov(traj.t, lyap)
-        m_raw = float(lyap[0])
+        h, hdot, u = 0.5 * metrics.h, np.einsum("ij,ij->i", err, traj.v), metrics.u
+        m_raw = float(certificates.lyapunov(cert, sched, 0.0, h[0], hdot[0], u[0]))
+        lyap = certificates.lyapunov(cert, sched, traj.t, h, hdot, u, traj.t[-1])
+        reports["lyapunov"] = analysis.verify_lyapunov(traj.t, lyap, traj.t[-1], m_raw)
         m = 2.0 * m_raw
     else:
         # the lemma's h is the value gap, so h'(0) = <grad g(x0), v0>

@@ -8,9 +8,9 @@ chosen from the field's declared smoothness: DOP853, the 8(5,3) pair with a
 both run under one step-size rule and one error norm.  Each step's local
 error stays below ``Adaptive``'s tolerances, and samples fill an even grid
 finer than the steps.  ``_field`` builds each run's field: a ``FlowRHS.state_map``
-is probed once, so the stages are matrix products (then a declared ``kernel``):
-of an affine field's (M, b), stacked per attempt over the stage times, or all
-of a step's from powers of M when every coefficient is a constant ``Profile``.
+is probed once, so the stages are matrix products (then a declared ``kernel``)
+of an affine field's (M, b), stacked per attempt over the stage times; with
+constant coefficients the flow is solved in closed form (``_propagate``).
 Second-order flows are integrated by state augmentation (x, v).  The module
 also owns the artifact format: ``write_table`` (all-float tables, each cell the
 bytes of ``FLOAT % v``, which round-trips), ``write_csv`` (rows of mixed types),
@@ -50,6 +50,7 @@ class Adaptive:
 
 N_DENSE = 500  # default count of the even grid of interpolated samples
 MAX_STEPS = 1_000_000  # step attempts of one run, accepted plus rejected
+COND_MAX = 1e4  # the largest cond(V) of M = V diag(w) V^-1 that ``_propagate`` takes
 
 
 @dataclasses.dataclass
@@ -289,15 +290,7 @@ def _initial_step(fun, y0, f0, t_end, rtol, atol, order):
     return min(100.0 * h0, h1, t_end)
 
 
-def _power_table(pair):
-    """alpha[:, p] = A^p 1 for p < len(c), A the pair's tableau ``a``."""
-    alpha = [np.ones(len(pair.c))]
-    for _ in pair.c[1:]:
-        alpha.append(pair.a @ alpha[-1])
-    return np.column_stack(alpha)
-
-
-def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None):
+def _accepted_steps(pair, fun, y0, t_end, rtol, atol, stages=None):
     """Integrate with ``pair`` from t = 0, in at most ``MAX_STEPS`` attempts; returns
     (steps, t, y, stats).
 
@@ -309,16 +302,10 @@ def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None):
     attempt from y with stage times ts (default ``fun`` at ts[i]), at y + u for
     u one dot of the tableau row with the stages before it.  One test of the error
     norm plus the largest tolerance scale (|y| carried from the last step)
-    stops a non-finite new state or error row.  Given the constant matrix
-    m of a field f(y') = f(y) + m (y' - y), every stage is the polynomial
-    K_i = sum_p h^p (A^p 1)_i m^p f(y) (``_power_table``): one product with the
-    powers of m/s, s a norm bound of m so that none overflows, and one with
-    the table scaled by (h s)^p.  Then ``pair.w @ K`` also forms the solution,
-    and an accepted step's last stage is re-evaluated as f(y_new).
-    Both pairs take one step-size rule: the ratio h_new/h is
-    0.9 * err**(-1/order), err the ``_error_norm`` of the attempt, within
-    [``_MIN_RATIO``, ``_MAX_RATIO``], and no larger than 1 right after a
-    rejection.
+    stops a non-finite new state or error row.  Both pairs take one step-size
+    rule: the ratio h_new/h is 0.9 * err**(-1/order), err the ``_error_norm`` of
+    the attempt, within [``_MIN_RATIO``, ``_MAX_RATIO``], and no larger than 1
+    right after a rejection.
     """
     c, n_err, inv_order = pair.c, pair.n_err, 1 / pair.order
     last = pair.stages - 1  # the stage at the new solution (FSAL)
@@ -340,13 +327,6 @@ def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None):
     n_acc = n_rej = 0
     rejected = False
     steps = tuple([] for _ in range(5 + len(pair.w) - n_err))  # 6 + the dense rows
-    if m is not None:
-        table, expo = _power_table(pair)[1:], np.arange(len(c))
-        s = float(np.abs(m).sum(axis=1).max()) or 1.0
-        powers = [np.eye(y.size)]
-        for _ in expo[1:]:
-            powers.append(powers[-1] @ (m / s))
-        powers = np.concatenate(powers)  # (m/s)^p stacked, one block of rows per p
 
     while t < t_end - 1e-14 * max(t_end, 1.0):
         if n_acc + n_rej >= MAX_STEPS:
@@ -359,18 +339,13 @@ def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None):
                 {"t": t, "h": h, "accepted": n_acc, "rejected": n_rej})
         h = min(h, t_end - t)
 
-        if m is None:
-            field, ha = stages(t + cs * h, y), h * pair.a
-            for i in range(1, len(c)):
-                u = ha[i, :i].dot(K[:i])
-                K[i] = field(i, u)
-                if i == last:
-                    y_new = y + u  # the last stage is at the solution
-            rows = pair.w[1:] @ K
-        else:
-            K[1:] = (table * (h * s) ** expo) @ (powers @ K[0]).reshape(len(c), -1)
-            rows = pair.w @ K
-            y_new, rows = y + h * rows[0], rows[1:]
+        field, ha = stages(t + cs * h, y), h * pair.a
+        for i in range(1, len(c)):
+            u = ha[i, :i].dot(K[:i])
+            K[i] = field(i, u)
+            if i == last:
+                y_new = y + u  # the last stage is at the solution
+        rows = pair.w[1:] @ K
         n_rhs += last
         ay_new = np.abs(y_new)
         sc = atol + rtol * np.maximum(ay, ay_new)
@@ -383,8 +358,6 @@ def _accepted_steps(pair, fun, y0, t_end, rtol, atol, m=None, stages=None):
         fac11 = err ** inv_order if err > 0.0 else 1e-10
         if err <= 1.0:
             h_new = h / max(fac_min, min(fac_max, fac11 / _SAFETY))
-            if m is not None:
-                K[last] = fun(t + h, y_new)
             dense = rows[n_err:]
             n_rhs += len(extra)
             ydiff = y_new - y
@@ -464,7 +437,7 @@ def _probe(state_map, x0):
 
 
 def _field(flow: FlowRHS, y0):
-    """(path, field, M, stages) of a flow on y = x or (x, v), for ``_accepted_steps``.
+    """(path, field, affine, stages) of a flow on y = x or (x, v), for ``_accepted_steps``.
 
     Without a ``state_map`` the path is ``"oracle"``, the field of ``flow.rhs``; an
     oracle's ValueError on a non-finite stage state gives a nan field, which the
@@ -475,10 +448,9 @@ def _field(flow: FlowRHS, y0):
     Given a ``kernel`` J the path is ``"kinked"``: F(x) = J(G (x - x0) + S(x0)) - x,
     with the step loop's default stages.  Else it is ``"matrix"``: F(x) =
     G (x - x0) + S(x0), the field M (y - y0) + b with [M | b] = T_0 + lambda T_1
-    + gamma T_2 (the x' = v, lambda G and -gamma v rows).  All constant, M is
-    returned for the power form with no stages; else M is None and ``stages(ts, y)``
-    stacks (M_i, b_i) over the stage times ts: stage i at y + u is
-    (M_i (y - y0) + b_i) + M_i u."""
+    + gamma T_2 (the x' = v, lambda G and -gamma v rows).  All constant, affine is
+    (M, b) with no stages; else it is None and ``stages(ts, y)`` stacks (M_i, b_i)
+    over the stage times ts: stage i at y + u is (M_i (y - y0) + b_i) + M_i u."""
     dim, n = y0.size // flow.order, y0.size
     if flow.state_map is None:
         def oracle(t, y):
@@ -524,25 +496,45 @@ def _field(flow: FlowRHS, y0):
     if vary:
         return "matrix", (lambda t, y: stages(t, y0)(..., y - y0)), None, stages
     m, b = affine(0.0)
-    return "matrix", (lambda t, y: m.dot(y - y0) + b), m, None
+    return "matrix", (lambda t, y: m.dot(y - y0) + b), (m, b), None
+
+
+def _propagate(m, b, y0, ts):
+    """(states at the times ts, cond(V)) of y' = m (y - y0) + b: y* + Re(V (e^{wt} coef)),
+    y* = y0 - m^-1 b, m = V diag(w) V^-1, coef = V^-1 (y0 - y*), row 0 y0 itself.
+    The states are None for a singular m (cond None), a cond(V) past ``COND_MAX``
+    (rounding grows with it; a defective m) or a non-finite sample (an unstable m)."""
+    try:
+        y_star = y0 - np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return None, None
+    w, v = np.linalg.eig(m)
+    cond = float(np.linalg.cond(v))
+    if not cond <= COND_MAX:
+        return None, cond if math.isfinite(cond) else None
+    coef = np.linalg.solve(v, y0 - y_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = y_star + (np.exp(np.outer(ts, w)) * coef).dot(v.T).real
+    ys[0] = y0
+    return (ys if np.isfinite(ys).all() else None), cond
 
 
 def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
               control: Adaptive = Adaptive(), n_dense: int = N_DENSE) -> Trajectory:
     """Integrate a flow over [0, t_end]; returns a densely sampled Trajectory.
 
-    A ``flow.smooth`` field is integrated with DOP853, any other with DOPRI5,
-    on the path that ``_field`` picks from the flow's declarations.
-    ``control`` holds the tolerances of the local error control.
-    The samples are every accepted step end plus ``n_dense`` evenly spaced
-    interpolated points over [0, t_end], n_dense an integer >= 2, and
-    ``Trajectory.grid`` indexes the even grid among them (the rows of
-    ``to_csv``); t_end and the tolerances obey ``operators.positive``.
+    A constant affine field is solved in closed form on the even grid (solver
+    ``"eig"``, ``_propagate``); any other, or one ``_propagate`` declines, runs
+    DOP853 if ``flow.smooth`` else DOPRI5, on the path ``_field`` picks from the
+    flow's declarations, under the tolerances of ``control``.  The samples are
+    every accepted step end plus ``n_dense`` evenly spaced points over
+    [0, t_end], n_dense an integer >= 2, indexed by ``Trajectory.grid`` (the
+    rows of ``to_csv``); t_end and the tolerances obey ``operators.positive``.
     Second-order flows need ``v0``.  ``meta`` holds the solver, the path
     ``field``, the tolerances, the accepted, rejected and rhs-evaluation counts
-    and the extreme accepted steps ``h_min``/``h_max``.  ``rhs_evaluations``
-    counts stage values by one formula on every path (the dense output's extra
-    stages once per accepted step), whichever stages were field calls.
+    (0 on the eig route; the dense output's extra stages count once per accepted
+    step, on every path), the extreme accepted steps ``h_min``/``h_max`` (None
+    without a step), and on a constant affine field ``cond``, cond(V) or None.
     """
     t_end = positive(t_end, "t_end")
     rtol = positive(control.rel_tol, "rel_tol")
@@ -562,20 +554,23 @@ def integrate(flow: FlowRHS, x0, v0=None, t_end: float = 10.0,
     else:
         raise ValueError("unsupported flow order %r" % flow.order)
 
-    field, fun, m, stages = _field(flow, y0)
+    field, fun, affine, stages = _field(flow, y0)
     pair = _DOP853 if flow.smooth else _DOPRI5
-    steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, y0, t_end, rtol, atol, m, stages)
-    ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
-    meta = {"solver": pair.name, "field": field,
-            "rel_tol": rtol, "abs_tol": atol, **stats,
-            "h_min": min(steps[1], default=None), "h_max": max(steps[1], default=None)}
-    del steps  # the step data is the largest array set; free it before v
+    meta = {"solver": "eig", "field": field, "rel_tol": rtol, "abs_tol": atol,
+            "accepted": 0, "rejected": 0, "rhs_evaluations": 0, "h_min": None, "h_max": None}
+    ys = None
+    if affine is not None:
+        ts, grid = _sample_times(np.empty(0), 0.0, t_end, n_dense)
+        ys, meta["cond"] = _propagate(*affine, y0, ts)
+    if ys is None:
+        steps, t_fin, y_fin, stats = _accepted_steps(pair, fun, y0, t_end, rtol, atol, stages)
+        ts, ys, grid = _dense_output(steps, t_fin, y_fin, y0, t_end, n_dense)
+        meta.update(solver=pair.name, **stats, h_min=min(steps[1], default=None),
+                    h_max=max(steps[1], default=None))
+        del steps  # the step data is the largest array set; free it before v
 
-    if flow.order == 2:
-        x = ys[:, :dim]
-        v = ys[:, dim:]
-    else:
-        x = ys
+    x, v = ys[:, :dim], ys[:, dim:]
+    if flow.order == 1:
         v = np.empty_like(x)
         for rows in row_blocks(ts.size, dim):
             v[rows] = flow.rhs(ts[rows, None], x[rows])

@@ -270,20 +270,18 @@ def audit_instance(instance: ProblemInstance, seed: int = 0) -> InstanceAuditRep
 # named registry
 
 
-def _build_sc_lasso_20d() -> ProblemInstance:
-    # deterministic 20-D instance: random rotation of a fixed spectrum
+def sc_lasso_20d_data():
+    """(Q, b, w) of the registry's sc-lasso-20d: a seeded random rotation of the
+    spectrum linspace(1, 5), b = 2 N(0, 1) and w = 1."""
     rng = np.random.default_rng(715225741)
     basis, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    eigs = np.linspace(1.0, 5.0, 20)
-    q = basis @ np.diag(eigs) @ basis.T
-    q = 0.5 * (q + q.T)
-    b = rng.standard_normal(20)
-    return make_sc_lasso(q, 2.0 * b, w=1.0)
+    q = basis @ np.diag(np.linspace(1.0, 5.0, 20)) @ basis.T
+    return 0.5 * (q + q.T), 2.0 * rng.standard_normal(20), 1.0
 
 
 _REGISTRY = {
     "quadratic-2d": lambda: make_quadratic(np.diag([1.0, 4.0]), np.array([-1.0, -4.0])),
-    "sc-lasso-20d": _build_sc_lasso_20d,
+    "sc-lasso-20d": lambda: make_sc_lasso(*sc_lasso_20d_data()),
     "skew-rotation": lambda: make_skew_rotation(1.0, np.array([1.0, 0.0])),
 }
 

@@ -199,16 +199,16 @@ def test_value_chain_needs_value_oracles():
 SKEW = problems.get_problem("skew-rotation")
 
 
-def _fb2_run(x0, t_end, gamma=11.0):
+def _fb2_run(x0, t_end, gamma=11.0, shift=0.0):
     """A trajectory of fb2 on skew-rotation damped at gamma from rest at x0, and
-    its L(t) under FB2_CERT: the lemma's h = ||x - x*||^2/2, h' = <x - x*, v>."""
+    its e^-shift L(t) under FB2_CERT: the lemma's h = ||x - x*||^2/2, h' = <x - x*, v>."""
     flow = fb2_rhs(SKEW.a, SKEW.b, eta=0.5, sched=Schedule.constant(40.0, gamma=gamma))
     traj = integrate(flow, np.array(x0), v0=np.zeros(2), t_end=t_end,
                      control=Adaptive(rel_tol=1e-10, abs_tol=1e-13))
     metrics = record_metrics(traj, SKEW)
     err = traj.x - metrics.x_star[None, :]
     lyap = lyapunov(FB2_CERT, FB2_SCHED, traj.t, 0.5 * metrics.h,
-                    np.einsum("ij,ij->i", err, traj.v), metrics.u)
+                    np.einsum("ij,ij->i", err, traj.v), metrics.u, shift)
     return traj, lyap
 
 
@@ -230,6 +230,21 @@ def test_lyapunov_flags_uncertified_dynamics():
         assert not rep.passed
         assert rep.initial == 42.5 and rep.drift_tolerance == pytest.approx(4.35e-5)
         assert rep.max_drift_rate == pytest.approx(drift, rel=0.05)
+
+
+@pytest.mark.parametrize("gamma", [3.0, 11.0, 40.0])
+def test_the_shifted_lyapunov_check_decides_as_the_unshifted_one(gamma):
+    # e^-T L against the tolerance scaled by e^-T, T = t_end: where L itself is
+    # finite, the same decision, and the same figures up to the factor e^-T
+    traj, lyap = _fb2_run([3.0, -1.0], 23.0, gamma=gamma)
+    _, shifted = _fb2_run([3.0, -1.0], 23.0, gamma=gamma, shift=23.0)
+    rep, rep_t = verify_lyapunov(traj.t, lyap), verify_lyapunov(traj.t, shifted, 23.0, lyap[0])
+    assert rep_t.passed == rep.passed and rep_t.shift == 23.0 and rep.shift == 0.0
+    assert rep_t.initial == rep.initial
+    scale = math.exp(-23.0)
+    assert rep_t.drift_tolerance == pytest.approx(rep.drift_tolerance * scale, rel=1e-15)
+    assert rep_t.final == pytest.approx(rep.final * scale, rel=1e-12)
+    assert rep_t.max_drift_rate == pytest.approx(rep.max_drift_rate * scale, rel=1e-6)
 
 
 def test_lyapunov_at_equilibrium():

@@ -69,9 +69,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "a158022d035dbfdaa313be825249f63a13864d288cc3d43ba7a12edd17e755d6",
+            "c9643196a74c3d24c1e9401be366fe164933b38797ca4a410aca9eda471560e4",
         "trajectory.csv":
-            "d085e3c81df2defcb701a9c72cd5e8fbab487ed366688df579b33e11c74a8f6d",
+            "20d900a642189aabd536592a5ed60cd021ed305fb7534e7ded2c72da1d28d314",
     },
     "grad1": {
         "certificate.json":
@@ -81,9 +81,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "0ad7a36fd867a6e72b2ee659957306fbbb912eafe8c046b8365ccbee51c24927",
+            "b25824a413e61b5601a4b6ff759a4aca4ec5ea0db334570e2301113cd4df1e37",
         "trajectory.csv":
-            "cf0078d85dfd4dda6c77bc62b6f55489045287e68470a522316375391feb6c65",
+            "b23ba89ba16b255a22e7c410c46a603144b1298ef391b359a9ddcf86b3767256",
     },
     "fb2": {
         "certificate.json":
@@ -93,9 +93,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "34093be8cc027c42efdc31f3dffc6f3e6a15183dc8116cfced232206cee9f70d",
+            "1c4b43bffb0e52824f9b0525d4d441bd4d91920d06ea60e134761983fd2564a1",
         "trajectory.csv":
-            "a9a81dada5d2dae8296ad45d5af0d726e499bacf5cc2ad9364499813539dcc96",
+            "765ea6f7dd93c38824050687ead9a4e110d4189e502daf1fd3c1dd62685775eb",
     },
     "grad2": {
         "certificate.json":
@@ -105,9 +105,9 @@ GOLDEN = {
         "plot_metrics.gp":
             "64c45ee615b7406b7b58d41a314b41ba6507edcb5de30ccd55ae3226c9acccb1",
         "report.json":
-            "8ea049e66ba720ac4f1ad55c44d73e04fb1f5a9f5edd8ec80d0d647d91f31f48",
+            "df16a9dbfca6410d3ccbe0e5f6e1d98d156d0dc9b99366ff5849fa7edfd16d91",
         "trajectory.csv":
-            "2d3a024351d38e004853eb65595261c648d805bf723b6c7675ff4cd0d13dc3aa",
+            "d49b4d9104e37d62464fa9972bfa50799f9af58a1a2797f4d017ea003bbbad6b",
     },
     "fb2-exp-ramp": {
         "certificate.json":
@@ -117,7 +117,7 @@ GOLDEN = {
         "plot_metrics.gp":
             "4bc0028892912dbc99f066fc6c6140154e48c59c5cae15e18d2a03ee4630d2c6",
         "report.json":
-            "1b7fb1f21119c6e401236388152383a0fe4b7233f34037b5697009e75810a6f2",
+            "6b1c9e5a6062b77fd3e1460bae7e97066a0716388b7fa2f4c2b05565f836d7a5",
         "trajectory.csv":
             "c156f9e1d1493042a62ee3a0312a646d9ba5ac6198cec690990c7f5f0ce5888e",
     },

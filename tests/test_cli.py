@@ -222,11 +222,12 @@ def test_fb2_simulate_without_a_step_scale_exits_1(tmp_path, capsys, rho, alpha,
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_an_integration_error_writes_error_json(tmp_path, capsys, monkeypatch, command):
-    # a step budget of 5: the run stops with "step budget exhausted"; the stderr
-    # line and exit 1 stay, and error.json holds the message and its diagnostics
+    # a step budget of 5 on a lambda ramp, which runs the step loop: the run stops
+    # with "step budget exhausted"; the stderr line and exit 1 stay, and
+    # error.json holds the message and its diagnostics
     monkeypatch.setattr(integrate, "MAX_STEPS", 5)
     out = tmp_path / "o"
-    assert cli.execute(FB1_VERIFY, command, out_dir=str(out), quiet=True) == 1
+    assert cli.execute(FB1_RAMP, command, out_dir=str(out), quiet=True) == 1
     assert "run failed: step budget exhausted" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["error.json"]
     doc = json.loads((out / "error.json").read_text())
@@ -238,12 +239,12 @@ def test_an_integration_error_writes_error_json(tmp_path, capsys, monkeypatch, c
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_an_overflowing_first_rhs_exits_1_with_error_json(tmp_path, capsys, command):
-    # x0 = (1e300, 0) overflows the starting-step estimate: an IntegrationError
-    # with exit 1 and error.json, not an exception escaping execute.  The
-    # overflow itself is the input
+    # x0 = (1e300, 0) overflows the starting-step estimate of the step loop that
+    # a lambda ramp runs: an IntegrationError with exit 1 and error.json, not an
+    # exception escaping execute.  The overflow itself is the input
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
-        assert cli.execute({**FB1_VERIFY, "initial": {"x0": [1e300, 0.0]}}, command,
+        assert cli.execute({**FB1_RAMP, "initial": {"x0": [1e300, 0.0]}}, command,
                            out_dir=str(out), quiet=True) == 1
     assert "run failed: no finite starting step" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["error.json"]
@@ -282,6 +283,11 @@ FB1_VERIFY = {
 }
 
 
+# a ramp keeps a constant-coefficient config on the step loop, not the eig route
+FB1_RAMP = {**FB1_VERIFY, "params": {**FB1_VERIFY["params"], "lambda": {
+    "profile": "exp_ramp", "start": 2.0, "end": 1.0, "rate": 0.5}}}
+
+
 FB2_VERIFY = {
     "problem": "skew-rotation",
     "system": "fb2",
@@ -289,6 +295,8 @@ FB2_VERIFY = {
     "integrator": {"t_end": 23.0, "rel_tol": 1e-10, "abs_tol": 1e-13},
     "initial": {"x0": [3.0, -1.0], "v0": [0.0, 0.0]},
 }
+FB2_RAMP = {**FB2_VERIFY, "params": {**FB2_VERIFY["params"], "lambda": 60.0, "gamma": {
+    "profile": "exp_ramp", "start": 15, "end": 14, "rate": 0.5}}}
 
 
 GRAD1_VERIFY = {
@@ -470,7 +478,8 @@ def test_verify_passes_and_writes_artifacts(tmp_path):
 
 @pytest.mark.parametrize("n_dense", [500, 64])
 def test_verify_writes_the_even_grid_and_checks_every_sample(tmp_path, n_dense):
-    doc = {**FB2_VERIFY, "integrator": {**FB2_VERIFY["integrator"], "n_dense": n_dense}}
+    # the README fb2 config with its gamma ramp, which runs the step loop
+    doc = {**FB2_RAMP, "integrator": {**FB2_RAMP["integrator"], "n_dense": n_dense}}
     out = tmp_path / "run"
     assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 0
     t_end = doc["integrator"]["t_end"]
@@ -497,10 +506,8 @@ def test_verify_writes_the_even_grid_and_checks_every_sample(tmp_path, n_dense):
 
 
 DETERMINISM_CASES = {  # name: (config, integrator.field)
-    "power-form": (FB1_VERIFY, "matrix"),
-    "ramp-stage-loop": (_patched(FB2_VERIFY, "params", **{
-        "lambda": 60.0, "gamma": {"profile": "exp_ramp", "start": 15, "end": 14,
-                                  "rate": 0.5}}), "matrix"),
+    "eig-route": (FB1_VERIFY, "matrix"),
+    "ramp-stage-loop": (FB2_RAMP, "matrix"),
     "kinked-loop": ({"problem": "sc-lasso-20d", "system": "fb1",
                      "params": {"alpha": 0.05, "eta": 0.07, "lambda": 1.0},
                      "initial": {"x0": np.linspace(-2.0, 2.0, 20).tolist()}}, "kinked"),
@@ -635,12 +642,15 @@ def test_verify_grad1_on_zero_weight_lasso(tmp_path):
 
 
 def test_verify_rate_gate_fails_at_value_noise_floor(tmp_path):
-    # nonzero optimal value: the sampled gap bottoms out at cancellation noise,
-    # so the fitted tail rate cannot reach the certified exponent
+    # nonzero optimal value: the gap of the step loop that a lambda ramp runs
+    # bottoms out at cancellation noise, so the fitted tail rate cannot reach the
+    # certified exponent (the eig route of a constant lambda lands on x* exactly,
+    # and a tail of zero gaps skips the rate comparison)
     cfg = write_config(tmp_path, {
         "problem": "quadratic-2d",
         "system": "grad2",
-        "params": {"alpha": 31.0, "lambda": 124.0, "gamma": 32.0},
+        "params": {"alpha": 40.0, "gamma": 40.0, "lambda": {
+            "profile": "exp_ramp", "start": 160.0, "end": 170.0, "rate": 0.5}},
         "integrator": {"t_end": 24.0},
         "initial": {"x0": [2.0, 1.0], "v0": [0.0, 0.0]},
     })
@@ -668,6 +678,24 @@ def test_verify_fb2_reports_lyapunov(tmp_path):
     assert doc["m_raw"] > 0.0
     assert doc["certificate"]["derived"]["gamma_lower"] == pytest.approx(
         10.840051579497398, rel=1e-12)
+
+
+@pytest.mark.parametrize("ramp", [False, True], ids=["constant-gamma", "gamma-ramp"])
+def test_verify_fb2_at_a_long_horizon_writes_only_finite_numbers(tmp_path, ramp):
+    # t_end 800, on the eig route and on the step loop: e^t overflows past
+    # t = 709.78, so the drift check reads e^-T L with T = t_end, and report.json
+    # parses as RFC 8259 JSON.  The exit code is 1: h sits at its rounding floor
+    # for hundreds of time units, so the fitted-rate gate fits a slope near 0, and
+    # e^t turns that floor's noise into a drift the Lyapunov check reports
+    doc = _patched(FB2_RAMP if ramp else README_FB2, "integrator", t_end=800.0)
+    out = tmp_path / "long"
+    assert cli.execute(doc, "verify", out_dir=str(out), quiet=True) == 1
+    report = json.loads((out / "report.json").read_text(), parse_constant=_not_rfc_8259)
+    assert report["integrator"]["solver"] == ("dop853(5,3)" if ramp else "eig")
+    assert report["envelope"]["violating_samples"] == 0
+    assert report["envelope"]["rate_ok"] is False
+    assert report["lyapunov"]["shift"] == 800.0 and report["lyapunov"]["passed"] is False
+    assert report["m_raw"] == report["lyapunov"]["initial"] > 0.0
 
 
 def test_certificate_states_its_horizon(tmp_path):
@@ -926,9 +954,11 @@ def test_the_benchmark_tracer_installs_and_restores_its_patches(monkeypatch):
     import tracing
 
     def integrator_meta(name, eta):
-        # the run path's calls: each is a patch point while the tracer is installed
+        # the run path's calls: each is a patch point while the tracer is installed;
+        # a lambda ramp, so that the smooth field runs a pair, not the eig route
         inst = problems.get_problem(name)
-        flow = flows.fb1_rhs(inst.a, inst.b, eta, flows.Schedule.constant(1.0))
+        flow = flows.fb1_rhs(inst.a, inst.b, eta, flows.Schedule(
+            lam=flows.Profile(2.0, 1.0, 0.5), lambda_lower=1.0, lambda_upper=2.0))
         x0 = np.linspace(-2.0, 2.0, inst.dim)
         return integrate.integrate(flow, x0, t_end=2.0).meta
 

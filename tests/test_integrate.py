@@ -99,10 +99,13 @@ def _affine_b(k, d):
 
 RAMP_SCHED = Schedule(lam=Profile(2.0, 1.5, 0.7), lambda_lower=1.5, lambda_upper=2.0,
                       gamma=Profile(15.0, 14.0, 0.5))
-# (flow of B, v0 or None, path): one per path that forms stages from a probe
+LAMBDA_RAMP = Schedule(lam=Profile(2.0, 1.0, 0.5), lambda_lower=1.0, lambda_upper=2.0)
+# (flow of B, v0 or None, path): one per path that forms stages from a probe; a
+# constant field takes the eig route, which hands a non-finite sample or a singular
+# matrix to the stage loop
 PROBED_PATHS = {
-    "power": (lambda b: fb1_rhs(zero_operator(), b, 1.0, Schedule.constant(1.0)), None,
-              "matrix"),
+    "constant": (lambda b: fb1_rhs(zero_operator(), b, 1.0, Schedule.constant(1.0)), None,
+                 "matrix"),
     "ramp": (lambda b: fb2_rhs(zero_operator(), b, 1.0, RAMP_SCHED), np.zeros(2), "matrix"),
     "kinked": (lambda b: fb1_rhs(prox_resolvent(l1_norm(0.5)), b, 1.0, Schedule.constant(1.0)),
                None, "kinked"),
@@ -128,11 +131,12 @@ def test_a_state_run_past_overflow_aborts_on_every_probed_path(path):
                              v0, 200.0, field)
 
 
-@pytest.mark.parametrize("path", ["power", "ramp", "oracle"])
+@pytest.mark.parametrize("path", ["constant", "ramp", "oracle"])
 def test_a_state_turned_infinite_aborts_while_the_error_rows_stay_finite(monkeypatch, path):
     # a constant field from near the largest float: the state turns +inf and -inf,
-    # while every stage is the constant, so on the power form and the oracle path
-    # (where no stage is evaluated at the new state) the error rows stay finite
+    # while every stage is the constant, so on the oracle path (where no stage is
+    # evaluated at the new state) the error rows stay finite.  The constant path's
+    # matrix is zero, singular, so the eig route hands it to the stage loop
     seen = []
     error_norm = integrate_module._error_norm
 
@@ -148,7 +152,7 @@ def test_a_state_turned_infinite_aborts_while_the_error_rows_stay_finite(monkeyp
         build, v0, field = PROBED_PATHS[path]
         flow, v0 = build(_affine_b(0.0, -c)), None if v0 is None else c
     _assert_non_finite_abort(flow, x0, v0, 1e4, field)
-    if path != "ramp":  # a stage at the infinite state makes the ramp's error rows nan
+    if path == "oracle":  # elsewhere a stage at the infinite state makes the error rows nan
         assert seen[-1] == (False, True)
 
 
@@ -173,10 +177,11 @@ def test_step_budget_aborts_after_max_steps(monkeypatch):
 
 @pytest.mark.parametrize("field", ["matrix", "oracle"])
 def test_a_first_rhs_past_overflow_has_no_starting_step(field):
-    # fb1 on skew-rotation from x0 = (1e300, 0): the zero component's tolerance
-    # scale is abs_tol, so f0/sc overflows, d1 is inf and the trial step
-    # 0.01 d0/d1 would be 0.  The overflow itself is the input
-    flow = fb1_rhs(SKEW.a, SKEW.b, 1.0, Schedule.constant(1.0))
+    # fb1 on skew-rotation from x0 = (1e300, 0), under a lambda ramp so that the
+    # matrix path runs the step loop: the zero component's tolerance scale is
+    # abs_tol, so f0/sc overflows, d1 is inf and the trial step 0.01 d0/d1 would
+    # be 0.  The overflow itself is the input
+    flow = fb1_rhs(SKEW.a, SKEW.b, 1.0, LAMBDA_RAMP)
     if field == "oracle":
         flow = dataclasses.replace(flow, state_map=None)
     with np.errstate(all="ignore"), pytest.raises(IntegrationError,
@@ -305,18 +310,18 @@ def _affine_field(fun, n):
     return np.column_stack([fun(e) - c for e in np.eye(n)]), c
 
 
-def _exact_solution_error(name):
-    """max |x - exact| / ||x0 - x*|| over every sample of a reference case.
+def _exact_solution_error(name, run=integrate):
+    """max |x - exact| / ||x0 - x*|| over every sample of a reference case, run
+    by ``run`` (integrate's signature).
 
     These fields are affine with constant coefficients, so the solution is
     y* + V exp(L t) V^-1 (y0 - y*) from one eigendecomposition of the field
-    matrix, read off ``flow.rhs`` (the oracles, not integrate's probe).  Every
-    sample is checked, the step ends trajectory.csv leaves out too.
+    matrix, read off ``flow.rhs`` (the oracles, not integrate's probe).  The
+    run takes integrate's eig route, whose samples are the even grid.
     """
     inst, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
-    traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control)
-    assert traj.t.size > traj.grid.size
-    assert traj.meta["field"] == "matrix"
+    traj = run(flow, x0, v0=v0, t_end=t_end, control=control)
+    assert (traj.meta["field"], traj.meta["solver"]) == ("matrix", "eig")
     dim = x0.size
     if flow.order == 2:
         y0 = np.concatenate([x0, v0])
@@ -342,7 +347,7 @@ AFFINE_CASES = ["fb1", "grad1", "grad2", "fb2"]
 
 @pytest.mark.parametrize("name", AFFINE_CASES)
 def test_affine_flows_match_the_exact_solution_at_every_sample(name):
-    assert _exact_solution_error(name) <= 1e-8
+    assert _exact_solution_error(name) <= 1e-12
 
 
 @pytest.mark.parametrize("name", AFFINE_CASES)
@@ -359,11 +364,55 @@ def test_a_perturbed_probe_fails_the_exact_solution_check(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", AFFINE_CASES)
-def test_a_perturbed_power_table_fails_the_exact_solution_check(monkeypatch, name):
-    # a seeded defect in the power form: its table of A^p 1 off by 1e-6 relative
-    table = integrate_module._power_table
-    monkeypatch.setattr(integrate_module, "_power_table", lambda pair: table(pair) * (1.0 + 1e-6))
-    assert _exact_solution_error(name) > 1e-8
+def test_a_perturbed_eig_route_fails_the_exact_solution_check(monkeypatch, name):
+    # a seeded defect in the eig route: its eigenvalues off by 1e-6 relative, inside
+    # integrate only, so the reference keeps the true ones
+    eig = np.linalg.eig
+
+    def scaled(m):
+        w, v = eig(m)
+        return w * (1.0 + 1e-6), v
+
+    def perturbed(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eig", scaled)
+            return integrate(*args, **kwargs)
+
+    assert _exact_solution_error(name, perturbed) > 1e-8
+
+
+@pytest.mark.parametrize("name", AFFINE_CASES)
+def test_a_run_at_rest_at_the_solution_stays_there_bit_for_bit(name):
+    # b = 0 at x*, so y* = y0 and the route's coefficients are exactly zero
+    inst, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
+    rest = None if v0 is None else np.zeros_like(v0)
+    traj = integrate(flow, inst.x_star, v0=rest, t_end=t_end, control=control)
+    assert traj.meta["solver"] == "eig"
+    assert np.all(traj.x == inst.x_star) and np.all(traj.v == 0.0)
+
+
+def test_a_defective_matrix_takes_the_stage_loop():
+    # grad2 on the identity quadratic at gamma^2 = 4 lambda: M's eigenvalue -1 is
+    # double with one eigenvector per coordinate, so cond(V) is past COND_MAX and
+    # the stage loop runs; x(t) = (x0 + (v0 + x0) t) e^-t
+    flow = grad2_rhs(IDENTITY_2D.g, Schedule.constant(1.0, gamma=2.0))
+    x0 = np.array([2.0, 1.0])
+    traj = integrate(flow, x0, v0=np.zeros(2), t_end=10.0)
+    assert traj.meta["solver"] == DOP853 and traj.meta["accepted"] > 0
+    assert traj.meta["cond"] > integrate_module.COND_MAX
+    t = traj.t[:, None]
+    assert_allclose(traj.x, (x0 + x0 * t) * np.exp(-t), rtol=0, atol=1e-8)
+
+
+def test_a_singular_matrix_takes_the_stage_loop():
+    # B(x) = d, so fb1 with A = 0 has G = 0 and F(x) = -d: M is singular, no unique
+    # y* exists, and the stage loop runs; x(t) = x0 - d t
+    d = np.array([1.0, -2.0])
+    flow = fb1_rhs(zero_operator(), _affine_b(0.0, d), 1.0, Schedule.constant(1.0))
+    x0 = np.array([3.0, -1.0])
+    traj = integrate(flow, x0, t_end=5.0)
+    assert traj.meta["solver"] == DOP853 and traj.meta["cond"] is None
+    assert_allclose(traj.x, x0 - d * traj.t[:, None], rtol=0, atol=1e-12)
 
 
 SKEW = problems.get_problem("skew-rotation")
@@ -423,13 +472,13 @@ def test_matrix_field_equals_the_oracle_field(name, sched):
     flow = MATRIX_FLOWS[name](MATRIX_SCHEDULES[sched])
     assert flow.state_map is not None and flow.kernel is None
     y0 = np.random.default_rng(21).uniform(-5.0, 5.0, 2 * flow.order)
-    path, fun, m, stages = integrate_module._field(flow, y0)
-    # the power form's constant matrix when every coefficient the flow reads is a
-    # constant Profile; else (a ramp, or a plain callable) M is None and the stage
-    # loop runs.  At the anchor the field is the oracles' own value, bit for bit
+    path, fun, affine, stages = integrate_module._field(flow, y0)
+    # the eig route's (M, b) when every coefficient the flow reads is a constant
+    # Profile; else (a ramp, or a plain callable) it is None and the stage loop
+    # runs.  At the anchor the field is the oracles' own value, bit for bit
     stage_loop = sched in ("exp-ramp-both", "callable-constant") or (
         flow.order == 2 and sched == "exp-ramp-gamma")
-    assert path == "matrix" and (m is None) == (stages is not None) == stage_loop
+    assert path == "matrix" and (affine is None) == (stages is not None) == stage_loop
     exact, gap = _field_gaps(flow, y0, fun, stages)
     assert exact and gap <= 1e-13
 
@@ -445,8 +494,8 @@ def _kinked_flow(prox, system, sched):
 
 def _kinked_field_gaps(flow):
     y0 = np.random.default_rng(21).uniform(-5.0, 5.0, 2 * flow.order)
-    path, fun, m, stages = integrate_module._field(flow, y0)
-    assert path == "kinked" and m is None
+    path, fun, affine, stages = integrate_module._field(flow, y0)
+    assert path == "kinked" and affine is None
     return _field_gaps(flow, y0, fun, stages)
 
 
@@ -495,7 +544,7 @@ def _constant_case(name):
 
 def _stiff_grad2():
     # a dim-20 quadratic with spectrum [50, 100] under lambda 252 and gamma 50.9:
-    # h*||M|| reaches about 1.5e3, so (h M)^p spans dozens of decades over 16 powers
+    # M's 40 eigenvalues are -25.45 +- i (109 to 157), a fast-rotating n = 40 field
     basis, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((20, 20)))
     inst = problems.make_quadratic((basis * np.linspace(50.0, 100.0, 20)) @ basis.T,
                                    np.linspace(-1.0, 1.0, 20))
@@ -503,40 +552,38 @@ def _stiff_grad2():
 
 
 def _fb2_dopri5():
-    # an affine map declared without smooth: the power form of DOPRI5's tableau
+    # an affine map declared without smooth: its stage loop runs DOPRI5
     spiral = np.array([[0.1, 1.0], [-1.0, 0.1]])
     b = MonotoneMap(eval=lambda x: (spiral @ np.asarray(x)[..., None])[..., 0], affine=True)
     flow = fb2_rhs(zero_operator(), b, 0.5, Schedule.constant(1.0, gamma=3.0))
     return SimpleNamespace(dim=2, x_star=np.zeros(2)), flow, 10.0
 
 
-POWER_CASES = {**{name: _constant_case(name) for name in MATRIX_FLOWS},
-               "grad2-stiff-20d": _stiff_grad2, "fb2-dopri5": _fb2_dopri5}
+CONSTANT_CASES = {**{name: _constant_case(name) for name in MATRIX_FLOWS},
+                  "grad2-stiff-20d": _stiff_grad2, "fb2-dopri5": _fb2_dopri5}
 
 
-@pytest.mark.parametrize("name", list(POWER_CASES))
-def test_power_form_matches_the_stage_loop(monkeypatch, name):
-    # a constant-coefficient field runs the power form; the same field, its matrix
-    # withheld, runs the stage loop: the two agree to 1e-10 at every grid row
-    inst, flow, t_end = POWER_CASES[name]()
+@pytest.mark.parametrize("name", list(CONSTANT_CASES))
+def test_eig_route_matches_the_stage_loop(monkeypatch, name):
+    # a constant-coefficient field takes the eig route; the same field under a
+    # COND_MAX of 0 falls back to the stage loop of its pair, here at rel_tol
+    # 1e-11: the two agree to 1e-10 at every grid row, whose times differ by at
+    # most the sample resolution
+    inst, flow, t_end = CONSTANT_CASES[name]()
     x0 = np.linspace(3.0, -1.0, inst.dim)
     v0 = np.linspace(-1.0, 1.0, inst.dim) if flow.order == 2 else None
+    control = Adaptive(rel_tol=1e-11, abs_tol=1e-14)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        power = integrate(flow, x0, v0=v0, t_end=t_end)
-    field = integrate_module._field
-
-    def withheld(flow, y0):
-        path, fun, m, stages = field(flow, y0)
-        assert m is not None
-        return path, fun, None, stages
-
-    monkeypatch.setattr(integrate_module, "_field", withheld)
-    loop = integrate(flow, x0, v0=v0, t_end=t_end)
-    assert power.meta["field"] == loop.meta["field"] == "matrix"
-    assert power.meta["solver"] == (DOPRI5 if name == "fb2-dopri5" else DOP853)
-    assert np.array_equal(power.t[power.grid], loop.t[loop.grid])
-    gap = np.max(np.abs(power.x[power.grid] - loop.x[loop.grid]))
+        exact = integrate(flow, x0, v0=v0, t_end=t_end, control=control)
+    monkeypatch.setattr(integrate_module, "COND_MAX", 0.0)
+    loop = integrate(flow, x0, v0=v0, t_end=t_end, control=control)
+    assert exact.meta["field"] == loop.meta["field"] == "matrix"
+    assert exact.meta["solver"] == "eig" and exact.t.size == exact.grid.size
+    assert loop.meta["solver"] == (DOPRI5 if name == "fb2-dopri5" else DOP853)
+    assert exact.meta["cond"] == loop.meta["cond"] < 1e4  # the fallback reports cond(V) too
+    assert np.all(np.abs(exact.t[exact.grid] - loop.t[loop.grid]) <= 1e-12 * t_end)
+    gap = np.max(np.abs(exact.x[exact.grid] - loop.x[loop.grid]))
     assert gap <= 1e-10 * np.linalg.norm(x0 - inst.x_star)
 
 
@@ -621,11 +668,13 @@ RAMP_RUNS = {
 
 
 @pytest.mark.parametrize("name", list(RAMP_RUNS))
-def test_ramp_loop_matches_the_oracle_loop(name):
-    # a field with a ramp (its stages from per-attempt stacks of [M | b], or the
-    # power form when the ramp is a gamma that a first-order flow does not read)
-    # against the same flow with its state_map withheld: within 1e-10 of
-    # ||x0 - x*|| at every grid row, n = 40 state components on the 20d run
+def test_ramp_loop_matches_the_oracle_loop(monkeypatch, name):
+    # a field with a ramp (its stages from per-attempt stacks of [M | b], or, when
+    # the ramp is a gamma that a first-order flow does not read, the constant
+    # field's stage loop, into which a COND_MAX of 0 sends it) against the same
+    # flow with its state_map withheld: within 1e-10 of ||x0 - x*|| at every
+    # grid row, n = 40 state components on the 20d run
+    monkeypatch.setattr(integrate_module, "COND_MAX", 0.0)
     inst, flow = RAMP_RUNS[name]()
     x0 = np.linspace(3.0, -1.0, inst.dim)
     v0 = np.linspace(-1.0, 1.0, inst.dim) if flow.order == 2 else None
@@ -652,8 +701,10 @@ def test_the_step_loop_samples_a_ramp_once_per_attempt_and_no_constant(monkeypat
     # Profile calls made inside the step loop: none by a constant; by a ramp on
     # the matrix path, one call on each attempt's array of stage times, and on
     # the kinked path one on each stage's float time; and two more on a float t
-    # (the initial stage and the first step's estimate)
+    # (the initial stage and the first step's estimate).  A COND_MAX of 0 sends
+    # the constant field to the stage loop
     build, solver = SAMPLED_RUNS[name]
+    monkeypatch.setattr(integrate_module, "COND_MAX", 0.0)
     calls, in_loop = [], []
     profile_call, accepted_steps = Profile.__call__, integrate_module._accepted_steps
 
@@ -733,7 +784,9 @@ SELECTION = {
 
 
 @pytest.mark.parametrize("name", list(SELECTION))
-def test_flows_pick_the_pair_from_the_declared_smoothness(name):
+def test_flows_pick_the_pair_from_the_declared_smoothness(monkeypatch, name):
+    # the pair of the stage loop, into which a COND_MAX of 0 sends a constant field
+    monkeypatch.setattr(integrate_module, "COND_MAX", 0.0)
     build, solver = SELECTION[name]
     flow = build()
     assert flow.smooth == (solver == DOP853)
@@ -944,6 +997,7 @@ STEP_CASES = [("fb2", DOP853), ("sc-lasso-20d", DOPRI5)]
 
 @pytest.mark.parametrize("name, solver", STEP_CASES, ids=[name for name, _ in STEP_CASES])
 def test_dense_output_matches_per_sample_interpolation(name, solver, monkeypatch):
+    monkeypatch.setattr(integrate_module, "COND_MAX", 0.0)  # fb2's stage-loop fallback
     _, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
     captured = _captured_steps(monkeypatch)
     traj = integrate(flow, x0, v0=v0, t_end=t_end, control=control, n_dense=700)
@@ -1006,6 +1060,7 @@ def test_tableau_rows_are_consistent(pair):
 def test_both_pairs_grow_the_step_at_most_sixfold(name, solver, monkeypatch):
     # one step-size rule: an accepted width is at most 6 times the one before it
     # (up to the rounding of h / (1/6)); the kinked lasso run reaches that bound
+    monkeypatch.setattr(integrate_module, "COND_MAX", 0.0)  # fb2's stage-loop fallback
     _, flow, x0, v0, t_end, control = REFERENCE_CASES[name]()
     captured = _captured_steps(monkeypatch)
     assert integrate(flow, x0, v0=v0, t_end=t_end, control=control).meta["solver"] == solver
@@ -1051,10 +1106,7 @@ def _case_data(name):
     """(Q, b, w) of a first-order case: the registry's sc-lasso-20d recipe, or
     quadratic-2d's data with w = 0."""
     if name == "fb1-sc-lasso-20d":
-        rng = np.random.default_rng(715225741)
-        basis, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-        q = basis @ np.diag(np.linspace(1.0, 5.0, 20)) @ basis.T
-        return 0.5 * (q + q.T), 2.0 * rng.standard_normal(20), 1.0
+        return problems.sc_lasso_20d_data()
     return np.diag([1.0, 4.0]), np.array([-1.0, -4.0]), 0.0
 
 
@@ -1080,8 +1132,7 @@ def test_first_order_v_from_blocks_matches_per_sample_rhs(name):
 def test_first_order_v_with_a_ramp_is_within_4_ulps(name):
     # a block samples the ramp with np.exp, a float t with math.exp: lambda may
     # differ by 1 ulp, which the product v = lambda * (...) turns into at most 4
-    sched = Schedule(lam=Profile(2.0, 1.0, 0.5), lambda_lower=1.0, lambda_upper=2.0)
-    _, flow, x0 = _first_order_case(name, sched)
+    _, flow, x0 = _first_order_case(name, LAMBDA_RAMP)
     traj = integrate(flow, x0, t_end=8.0, n_dense=2000)
     ref = _per_sample_v(flow, traj)
     assert np.all(np.abs(traj.v - ref) <= 4.0 * np.spacing(np.abs(ref)))

@@ -228,21 +228,13 @@ def test_sc_lasso_20d_is_deterministic():
     assert_allclose(a.beta, 0.2, rtol=1e-12)
 
 
-def _lasso_20d_data():
-    """(Q, b, w) of the registry's sc-lasso-20d recipe."""
-    rng = np.random.default_rng(715225741)
-    basis, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    q = basis @ np.diag(np.linspace(1.0, 5.0, 20)) @ basis.T
-    return 0.5 * (q + q.T), 2.0 * rng.standard_normal(20), 1.0
-
-
 def _descriptor_case(name):
     """(descriptor, the builder's direct call) of a registry instance."""
     if name == "quadratic-2d":
         q, b = [[1.0, 0.0], [0.0, 4.0]], [-1.0, -4.0]
         return {"kind": "quadratic", "Q": q, "b": b}, lambda: make_quadratic(q, b)
     if name == "sc-lasso-20d":
-        q, b, w = _lasso_20d_data()
+        q, b, w = problems.sc_lasso_20d_data()
         desc = {"kind": "sc_lasso", "Q": q.tolist(), "b": b.tolist(), "w": w}
         return desc, lambda: make_sc_lasso(q, b, w)
     return ({"kind": "skew_rotation", "rho": 1.0, "c": [1.0, 0.0]},
